@@ -41,7 +41,7 @@ from repro.observations import (
     EpochTruth,
     epoch_integrity_error,
 )
-from repro.blocks import EpochBlock, PackedBucket, PackedStream, pack_stream
+from repro.blocks import EpochBlock, PackedStream, pack_stream
 from repro.constellation import Constellation, Satellite
 from repro.clocks import (
     SteeringClock,
@@ -63,7 +63,6 @@ from repro.core import (
     BatchDLOSolver,
     BatchDLGSolver,
     BatchNewtonRaphsonSolver,
-    group_epochs_by_count,
     VelocityFix,
     VelocitySolver,
     NavigationEkf,
@@ -154,7 +153,6 @@ __all__ = [
     "EpochTruth",
     "epoch_integrity_error",
     "EpochBlock",
-    "PackedBucket",
     "PackedStream",
     "pack_stream",
     "Constellation",
@@ -176,7 +174,6 @@ __all__ = [
     "BatchDLOSolver",
     "BatchDLGSolver",
     "BatchNewtonRaphsonSolver",
-    "group_epochs_by_count",
     "EngineDiagnostics",
     "EngineResult",
     "ParallelReplay",

@@ -359,14 +359,14 @@ def solve_batch(
     config: Union[SolverConfig, str, None] = None,
     biases: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Solve N same-satellite-count epochs as one stacked batch.
+    """Solve N epochs as one stacked (padded) batch.
 
     Returns ``(N, 3)`` positions.  For DLO/DLG the per-epoch clock
     biases follow :meth:`SolverConfig.batch_biases`; NR solves its own
     biases and raises :class:`~repro.errors.ConvergenceError` if any
-    epoch fails to converge.  Mixed-count streams belong to
-    :class:`~repro.engine.PositioningEngine` (or the async service),
-    which buckets them and calls this layer per bucket.
+    epoch fails to converge.  Streams that need per-epoch screening and
+    NaN-dropping belong to :class:`~repro.engine.PositioningEngine` (or
+    the async service), which calls this layer once per flush.
     """
     resolved = _as_config(config)
     solver = resolved.build_batch_solver()

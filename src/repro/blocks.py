@@ -8,35 +8,46 @@ for exclusion.  Profiling showed that for batched DLG well over 80% of
 the per-fix time was exactly this boundary cost, not solver math.
 
 :class:`EpochBlock` is the one representation that crosses all of
-those boundaries: N same-satellite-count epochs as read-only dense
-arrays (positions ``(N, m, 3)``, pseudoranges ``(N, m)``, PRNs
-``(N, m)``, epoch times, truth), packed **once** — at decode, or on
-first contact with the batch path — and flowing zero-copy from there:
+those boundaries: N epochs of any satellite counts as read-only dense
+arrays padded to the widest row (positions ``(N, m, 3)``,
+pseudoranges ``(N, m)``, PRNs ``(N, m)``, epoch times, truth), packed
+**once** — at decode, or on first contact with the batch path — and
+flowing zero-copy from there:
 
-* :func:`pack_stream` buckets a mixed-count stream into blocks while
-  remembering stream provenance (:class:`PackedStream`);
+* :func:`pack_stream` packs a whole flush in one pass
+  (:class:`PackedStream`: the padded block plus the rows that could
+  not be packed at all);
 * :meth:`EpochBlock.validity_mask` answers the structural-integrity
   question (:func:`~repro.observations.epoch_integrity_error`) as a
   handful of vectorized reductions instead of a per-epoch Python walk;
-* the batch solvers (:mod:`repro.solvers.batch`) and the FDE gate
-  (:mod:`repro.integrity.fde`) consume the block's arrays directly.
+* the batch solvers (:mod:`repro.solvers.batch`), the FDE gate
+  (:mod:`repro.integrity.fde`) and the monitors consume the block's
+  arrays directly, giving padded slots zero weight.
+
+Row ``i`` keeps its satellites in slots ``[0, counts[i])``; the
+padded slots hold NaN positions and pseudoranges, PRN and system id
+``-1``.  Consumers never trust the padding's contents (a block viewed
+straight out of a shared-memory slab may carry anything there): they
+mask by :attr:`EpochBlock.occupied`.
 
 Blocks carry exactly the solver contract: satellite positions,
-pseudoranges, PRNs, epoch times, and optional truth.  Auxiliary
-per-satellite fields (elevation, carrier phase, Doppler) stay on the
-source :class:`~repro.observations.ObservationEpoch` objects, which
-remain the rich data model for everything off the hot path.
+pseudoranges, PRNs, system ids, epoch times, optional C/N0 and
+optional truth.  Auxiliary per-satellite fields (elevation, carrier
+phase, Doppler) stay on the source
+:class:`~repro.observations.ObservationEpoch` objects, which remain
+the rich data model for everything off the hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constellation.systems import constellation_signature, system_code
-from repro.errors import ConfigurationError, GeometryError
+from repro.constellation.systems import SYSTEM_CODES, system_code
+from repro.errors import ConfigurationError, GeometryError, ReproError
 from repro.observations import (
     EpochTruth,
     ObservationEpoch,
@@ -48,6 +59,20 @@ from repro.timebase import GpsTime
 #: Block-size histogram buckets (epochs per packed block).
 _BLOCK_SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
 
+#: System code -> compact id, the table :func:`pack_stream` maps every
+#: observation's tag through (lower case accepted, like
+#: :func:`~repro.constellation.systems.normalize_system`).
+_SYSTEM_IDS = {
+    **{code: index for index, code in enumerate(SYSTEM_CODES)},
+    **{code.lower(): index for index, code in enumerate(SYSTEM_CODES)},
+}
+
+#: Duplicate-check key of padded slots (minus the slot index).
+_PAD_KEY = np.iinfo(np.int64).max
+
+#: What a malformed observation raises while its lanes are built.
+_PACK_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (the caller's copy stays writable)."""
@@ -58,7 +83,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpochBlock:
-    """N same-satellite-count epochs as dense, read-only arrays.
+    """N epochs as dense, read-only arrays padded to a common width.
 
     Attributes
     ----------
@@ -81,15 +106,18 @@ class EpochBlock:
         ``(N, m)`` compact GNSS system ids (int8, the indices of
         :data:`repro.constellation.systems.SYSTEM_CODES`), aligned with
         the satellite axis.  ``None`` defaults to all-GPS (zeros), so
-        every pre-existing single-constellation producer keeps working
-        unchanged.
+        every single-constellation producer keeps working unchanged.
     cn0:
-        Optional ``(N, m)`` C/N0 lane (dB-Hz, float64), NaN-padded
-        where a channel reported no carrier-to-noise ratio.  ``None``
-        (the default) means the stream carries no signal features at
-        all — the solvers never read this lane, only the
-        signal-plausibility monitors do, so blocks built from plain
-        pseudorange streams pay nothing for it.
+        Optional ``(N, m)`` C/N0 lane (dB-Hz, float64), NaN where a
+        channel reported no carrier-to-noise ratio.  ``None`` (the
+        default) means no row of the block reports C/N0 at all — the
+        solvers never read this lane, only the signal-plausibility
+        monitors do, so blocks built from plain pseudorange streams
+        pay nothing for it.
+    counts:
+        ``(N,)`` satellites per row: row ``i`` occupies slots
+        ``[0, counts[i])`` and the rest is padding.  ``None`` (the
+        default) means every row fills the full width ``m``.
 
     All arrays are read-only: a block is a value, shared freely across
     tiers without defensive copies.
@@ -104,6 +132,11 @@ class EpochBlock:
     truth_biases: np.ndarray
     systems: Optional[np.ndarray] = None
     cn0: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+    _occupied: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _padded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -137,6 +170,20 @@ class EpochBlock:
                 f"truth arrays must have shapes ({n}, 3)/({n},), got "
                 f"{truth_positions.shape}/{truth_biases.shape}"
             )
+        if self.counts is None:
+            counts = np.full(n, m, dtype=np.int64)
+            occupied = None
+        else:
+            counts = np.asarray(self.counts, dtype=np.int64)
+            if counts.shape != (n,):
+                raise ConfigurationError(
+                    f"counts shape {counts.shape} does not match {n} rows"
+                )
+            if n and (counts.min() < 0 or counts.max() > m):
+                raise ConfigurationError(
+                    f"satellite counts must be in [0, {m}] for a block of width {m}"
+                )
+            occupied = np.arange(m) < counts[:, None]
         if self.systems is None:
             systems = np.zeros((n, m), dtype=np.int8)
         else:
@@ -146,7 +193,8 @@ class EpochBlock:
                     f"systems shape {systems.shape} does not match positions "
                     f"({n}, {m})"
                 )
-            if systems.size and (systems.min() < 0 or systems.max() > 3):
+            tags = systems if occupied is None else systems[occupied]
+            if tags.size and (tags.min() < 0 or tags.max() > 3):
                 raise ConfigurationError(
                     "system ids must be in [0, 3] (G/R/E/C)"
                 )
@@ -168,15 +216,31 @@ class EpochBlock:
         object.__setattr__(
             self, "cn0", None if cn0 is None else _read_only(cn0)
         )
+        object.__setattr__(self, "counts", _read_only(counts))
+        padded = occupied is not None and bool(n) and int(counts.min()) < m
+        if not padded:
+            occupied = np.ones((n, m), dtype=bool)
+        object.__setattr__(self, "_occupied", _read_only(occupied))
+        object.__setattr__(self, "_padded", padded)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.positions.shape[0])
 
     @property
-    def satellite_count(self) -> int:
-        """The shared satellite count ``m`` of every epoch in the block."""
+    def width(self) -> int:
+        """The padded satellite axis length ``m`` (the widest row)."""
         return int(self.positions.shape[1])
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """``(N, m)`` mask of slots holding a satellite (not padding)."""
+        return self._occupied
+
+    @property
+    def padded(self) -> bool:
+        """Whether any row is narrower than the block width."""
+        return self._padded
 
     def time(self, index: int) -> GpsTime:
         """The :class:`~repro.timebase.GpsTime` of epoch ``index``."""
@@ -190,151 +254,65 @@ class EpochBlock:
         return np.isfinite(self.truth_positions).all(axis=1)
 
     # ------------------------------------------------------------------
-    def uniform_system_pattern(self) -> Optional[np.ndarray]:
-        """The shared per-slot system-id pattern, or ``None`` if mixed.
-
-        The multi-constellation batch kernels need every row of a block
-        to put each constellation's satellites in the same slots; the
-        :func:`pack_stream` buckets guarantee this by construction, and
-        hand-built blocks can be checked here.
-        """
-        systems = self.systems
-        if systems.shape[0] == 0:
-            return _read_only(np.zeros(systems.shape[1], dtype=np.int8))
-        pattern = systems[0]
-        if systems.shape[0] > 1 and not np.array_equal(
-            systems[1:], np.broadcast_to(pattern, systems[1:].shape)
-        ):
-            return None
-        return pattern
-
-    @property
-    def signature(self) -> str:
-        """Constellation-count signature (e.g. ``"G5R3"``) of a block
-        with a uniform system pattern; raises on mixed patterns."""
-        pattern = self.uniform_system_pattern()
-        if pattern is None:
-            raise GeometryError(
-                "block rows carry different system patterns; no single signature"
-            )
-        return constellation_signature(pattern)
-
-    # ------------------------------------------------------------------
     @classmethod
     def from_epochs(cls, epochs: Sequence[ObservationEpoch]) -> "EpochBlock":
-        """Pack N same-satellite-count epochs into one block.
+        """Pack N epochs of any satellite counts into one padded block.
 
-        Uses each epoch's memoized :meth:`~repro.observations.
-        ObservationEpoch.dense` arrays, so repeated packing of the same
-        epochs costs N C-level row copies, not N Python walks.  Raises
-        :class:`~repro.errors.GeometryError` on mixed satellite counts
-        (group with :func:`pack_stream` first).
+        The block half of :func:`pack_stream`; raises
+        :class:`~repro.errors.GeometryError` for an empty sequence or
+        an epoch whose observations cannot be packed.
         """
         epochs = list(epochs)
         if not epochs:
             raise GeometryError("an EpochBlock needs at least one epoch")
-        m = len(epochs[0].observations)
-        # The C/N0 lane is packed only when the stream actually carries
-        # signal features (probed on the first epoch, like the lane's
-        # producers populate it: all epochs or none).  Plain pseudorange
-        # streams keep the lane at None and pay nothing.
-        carries_cn0 = bool(np.isfinite(epochs[0].cn0()).any()) if m else False
-        position_rows: List[np.ndarray] = []
-        pseudorange_rows: List[np.ndarray] = []
-        prn_rows: List[np.ndarray] = []
-        system_rows: List[np.ndarray] = []
-        weeks = np.empty(len(epochs), dtype=np.int64)
-        sow = np.empty(len(epochs))
-        truth_positions = np.full((len(epochs), 3), np.nan)
-        truth_biases = np.full(len(epochs), np.nan)
-        for index, epoch in enumerate(epochs):
-            if len(epoch.observations) != m:
-                raise GeometryError(
-                    "all epochs in a batch must have the same satellite count "
-                    f"(got {len(epoch.observations)} and {m}); group epochs by "
-                    "count before batching"
-                )
-            positions, pseudoranges, prns, system_ids = epoch.dense()
-            position_rows.append(positions)
-            pseudorange_rows.append(pseudoranges)
-            prn_rows.append(prns)
-            system_rows.append(system_ids)
-            time = epoch.time
-            weeks[index] = time.week
-            sow[index] = time.seconds_of_week
-            truth = epoch.truth
-            if truth is not None:
-                truth_positions[index] = truth.receiver_position
-                truth_biases[index] = truth.clock_bias_meters
-        return cls(
-            positions=(
-                np.stack(position_rows)
-                if m
-                else np.empty((len(epochs), 0, 3))
-            ),
-            pseudoranges=(
-                np.stack(pseudorange_rows) if m else np.empty((len(epochs), 0))
-            ),
-            prns=(
-                np.stack(prn_rows)
-                if m
-                else np.empty((len(epochs), 0), dtype=np.int64)
-            ),
-            weeks=weeks,
-            seconds_of_week=sow,
-            truth_positions=truth_positions,
-            truth_biases=truth_biases,
-            systems=(
-                np.stack(system_rows)
-                if m
-                else np.empty((len(epochs), 0), dtype=np.int8)
-            ),
-            cn0=(
-                np.stack([epoch.cn0() for epoch in epochs])
-                if carries_cn0
-                else None
-            ),
+        packed = pack_stream(epochs)
+        if packed.unpackable:
+            raise GeometryError(
+                f"epoch {packed.unpackable[0]} could not be packed into dense arrays"
+            )
+        return packed.block
+
+    def epoch(self, index: int) -> ObservationEpoch:
+        """Materialize row ``index`` as a validated epoch object.
+
+        Goes through the validating constructors, so a structurally
+        invalid row (duplicate PRNs, non-finite measurements — see
+        :meth:`validity_mask`) raises a
+        :class:`~repro.errors.ReproError`.
+        """
+        cn0 = self.cn0
+        observations = tuple(
+            SatelliteObservation(
+                prn=int(self.prns[index, j]),
+                position=self.positions[index, j].copy(),
+                pseudorange=float(self.pseudoranges[index, j]),
+                system=system_code(int(self.systems[index, j])),
+                cn0_dbhz=(
+                    float(cn0[index, j])
+                    if cn0 is not None and np.isfinite(cn0[index, j])
+                    else None
+                ),
+            )
+            for j in range(int(self.counts[index]))
+        )
+        truth = None
+        if np.isfinite(self.truth_positions[index]).all():
+            truth = EpochTruth(
+                receiver_position=self.truth_positions[index].copy(),
+                clock_bias_meters=float(self.truth_biases[index]),
+            )
+        return ObservationEpoch(
+            time=self.time(index), observations=observations, truth=truth
         )
 
     def to_epochs(self) -> List[ObservationEpoch]:
-        """Materialize validated :class:`ObservationEpoch` objects.
+        """Materialize every row (the inverse of :meth:`from_epochs`).
 
-        The inverse of :meth:`from_epochs` for the solver contract:
-        positions, pseudoranges, PRNs, times and truth round-trip
-        bit-exactly.  Goes through the validating constructors, so a
-        block holding structurally invalid rows (duplicate PRNs,
-        non-finite measurements — see :meth:`validity_mask`) raises.
+        Positions, pseudoranges, PRNs, system tags, C/N0, times and
+        truth round-trip bit-exactly.  Raises on a structurally invalid
+        row, like :meth:`epoch`.
         """
-        epochs: List[ObservationEpoch] = []
-        has_truth = self.has_truth()
-        cn0 = self.cn0
-        for i in range(len(self)):
-            observations = tuple(
-                SatelliteObservation(
-                    prn=int(self.prns[i, j]),
-                    position=self.positions[i, j].copy(),
-                    pseudorange=float(self.pseudoranges[i, j]),
-                    system=system_code(int(self.systems[i, j])),
-                    cn0_dbhz=(
-                        float(cn0[i, j])
-                        if cn0 is not None and np.isfinite(cn0[i, j])
-                        else None
-                    ),
-                )
-                for j in range(self.satellite_count)
-            )
-            truth = None
-            if has_truth[i]:
-                truth = EpochTruth(
-                    receiver_position=self.truth_positions[i].copy(),
-                    clock_bias_meters=float(self.truth_biases[i]),
-                )
-            epochs.append(
-                ObservationEpoch(
-                    time=self.time(i), observations=observations, truth=truth
-                )
-            )
-        return epochs
+        return [self.epoch(i) for i in range(len(self))]
 
     def take(self, rows: np.ndarray) -> "EpochBlock":
         """A new block keeping only the given row indices (or mask)."""
@@ -348,6 +326,7 @@ class EpochBlock:
             truth_biases=self.truth_biases[rows],
             systems=self.systems[rows],
             cn0=None if self.cn0 is None else self.cn0[rows],
+            counts=self.counts[rows],
         )
 
     # ------------------------------------------------------------------
@@ -357,19 +336,25 @@ class EpochBlock:
         The vectorized equivalent of running :func:`~repro.
         observations.epoch_integrity_error` on every row: satellite
         count, duplicate PRNs, non-finite positions, non-finite or
-        non-positive pseudoranges — as five stacked reductions instead
-        of N Python calls.
+        non-positive pseudoranges — as a handful of stacked reductions
+        over the occupied slots instead of N Python calls.
         """
-        n, m = self.pseudoranges.shape
-        if m < min_satellites:
-            return np.zeros(n, dtype=bool)
-        valid = np.isfinite(self.positions).all(axis=(1, 2))
-        valid &= np.isfinite(self.pseudoranges).all(axis=1)
-        valid &= (self.pseudoranges > 0).all(axis=1)
-        if m > 1:
-            # PRNs are unique per (system, prn); fold the 2-bit system
-            # id into the key so cross-system PRN reuse stays legal.
-            keys = self.prns * 4 + self.systems.astype(np.int64)
+        valid = self.counts >= min_satellites
+        pseudoranges = self.pseudoranges
+        finite = np.isfinite(self.positions).all(axis=2)
+        finite &= np.isfinite(pseudoranges)
+        finite &= pseudoranges > 0
+        # PRNs are unique per (system, prn); fold the 2-bit system id
+        # into the key so cross-system PRN reuse stays legal.
+        keys = self.prns * 4 + self.systems.astype(np.int64)
+        if self.padded:
+            padding = ~self.occupied
+            finite |= padding
+            # Distinct sentinels above any real key keep padded slots
+            # out of the duplicate check.
+            keys = np.where(padding, _PAD_KEY - np.arange(self.width), keys)
+        valid &= finite.all(axis=1)
+        if self.width > 1:
             sorted_keys = np.sort(keys, axis=1)
             valid &= (sorted_keys[:, 1:] != sorted_keys[:, :-1]).all(axis=1)
         return valid
@@ -383,7 +368,7 @@ class EpochBlock:
         checks and wording (first violation wins, satellites scanned in
         order) for callers holding only the block.
         """
-        m = self.satellite_count
+        m = int(self.counts[index])
         if m < min_satellites:
             return (
                 f"epoch has {m} satellites, fewer than {min_satellites} required"
@@ -415,237 +400,193 @@ class EpochBlock:
 
 
 @dataclass(frozen=True)
-class PackedBucket:
-    """One same-satellite-count block plus its stream provenance.
+class PackedStream:
+    """A flush in columnar form: one padded block, stream-aligned.
 
     Attributes
     ----------
-    satellite_count:
-        The shared ``m`` of the block.
-    indices:
-        ``(N,)`` positions of the block's epochs in the original
-        stream, in stream order — the scatter key.
     block:
-        The packed epochs.
+        Every epoch of the stream, row ``i`` answering stream epoch
+        ``i``.
+    unpackable:
+        Stream indices of epochs that could not be packed at all
+        (structurally ragged observations — wrong-shaped positions,
+        non-numeric fields).  Their block rows are empty
+        (``counts == 0``), so they are invalid by definition; packable
+        rows that merely violate the value contract (NaN, duplicate
+        PRNs) are found by :meth:`EpochBlock.validity_mask`.
     """
 
-    satellite_count: int
-    indices: np.ndarray
     block: EpochBlock
-
-    def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.intp)
-        if indices.shape != (len(self.block),):
-            raise ConfigurationError(
-                f"indices shape {indices.shape} does not match block of "
-                f"{len(self.block)} epochs"
-            )
-        object.__setattr__(self, "indices", _read_only(indices))
+    unpackable: Tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.block)
 
-    @property
-    def signature(self) -> str:
-        """Constellation-count signature shared by the bucket's rows."""
-        return self.block.signature
 
-    @property
-    def key(self):
-        """The bucket's dict key in engine results.
+def _flat_lanes(epochs: Sequence[ObservationEpoch]):
+    """Every observation of ``epochs`` as flat lanes, in stream order.
 
-        Pure-GPS buckets keep the historical ``int`` satellite-count
-        key, so existing consumers of ``bucket_sizes``/``bucket_status``
-        see no change; mixed-constellation buckets get a string key of
-        the form ``"8:G5R3"`` (count plus constellation signature).
-        """
-        pattern = self.block.uniform_system_pattern()
-        if pattern is None or not pattern.any():
-            return int(self.satellite_count)
-        return f"{self.satellite_count}:{constellation_signature(pattern)}"
-
-    def take(self, rows: np.ndarray) -> "PackedBucket":
-        """Keep only the given rows (indices stay aligned)."""
-        return PackedBucket(
-            satellite_count=self.satellite_count,
-            indices=np.asarray(self.indices)[rows],
-            block=self.block.take(rows),
-        )
-
-
-@dataclass(frozen=True)
-class PackedStream:
-    """A mixed-count stream in columnar form, provenance preserved.
-
-    Attributes
-    ----------
-    length:
-        Length of the original stream; bucket indices and
-        ``unpackable`` partition ``0..length-1``.
-    buckets:
-        One :class:`PackedBucket` per satellite count, sorted by count
-        (deterministic dispatch order).
-    unpackable:
-        Stream indices of epochs that could not be packed at all
-        (structurally ragged observations — wrong-shaped positions,
-        non-numeric fields).  They are invalid by definition; packable
-        rows that merely violate the value contract (NaN, duplicate
-        PRNs) land in blocks and are found by
-        :meth:`EpochBlock.validity_mask`.
+    One attribute walk per lane over the whole flush, each lane filled
+    by a single array constructor.  Raises one of :data:`_PACK_ERRORS`
+    if any observation is malformed.
     """
-
-    length: int
-    buckets: Tuple[PackedBucket, ...]
-    unpackable: Tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return self.length
-
-    @classmethod
-    def from_block(cls, block: EpochBlock) -> "PackedStream":
-        """Wrap one pre-built block as a whole stream.
-
-        A block whose rows all share one system pattern (every legacy
-        all-GPS block does) becomes a single bucket.  Mixed-pattern
-        blocks are split into one bucket per pattern, because the
-        multi-constellation kernels need per-slot system membership to
-        be uniform within a bucket.
-        """
-        if block.uniform_system_pattern() is not None:
-            return cls(
-                length=len(block),
-                buckets=(
-                    PackedBucket(
-                        satellite_count=block.satellite_count,
-                        indices=np.arange(len(block), dtype=np.intp),
-                        block=block,
-                    ),
-                ),
-            )
-        patterns: "Dict[bytes, List[int]]" = {}
-        for row in range(len(block)):
-            patterns.setdefault(block.systems[row].tobytes(), []).append(row)
-        buckets = tuple(
-            PackedBucket(
-                satellite_count=block.satellite_count,
-                indices=np.asarray(rows, dtype=np.intp),
-                block=block.take(np.asarray(rows, dtype=np.intp)),
-            )
-            for rows in sorted(patterns.values(), key=lambda rows: rows[0])
+    observation_lists = [epoch.observations for epoch in epochs]
+    counts = np.fromiter(
+        map(len, observation_lists), dtype=np.int64, count=len(epochs)
+    )
+    flat = list(chain.from_iterable(observation_lists))
+    total = len(flat)
+    position_list = [obs.position for obs in flat]
+    if total and not (
+        np.fromiter(map(len, position_list), dtype=np.intp, count=total) == 3
+    ).all():
+        raise ValueError("satellite positions must be 3-vectors")
+    positions = (
+        np.concatenate(position_list).astype(float, copy=False).reshape(total, 3)
+        if total
+        else np.empty((0, 3))
+    )
+    pseudoranges = np.fromiter(
+        [obs.pseudorange for obs in flat], dtype=float, count=total
+    )
+    prns = np.fromiter([obs.prn for obs in flat], dtype=np.int64, count=total)
+    systems = np.fromiter(
+        [_SYSTEM_IDS[obs.system] for obs in flat], dtype=np.int8, count=total
+    )
+    cn0_values = [obs.cn0_dbhz for obs in flat]
+    cn0 = None
+    if cn0_values.count(None) != total:
+        cn0 = np.array(
+            [np.nan if value is None else value for value in cn0_values],
+            dtype=float,
         )
-        return cls(length=len(block), buckets=buckets)
+    return counts, positions, pseudoranges, prns, systems, cn0
+
+
+def _dense_lanes(epochs: Sequence[ObservationEpoch], packable: np.ndarray):
+    """:func:`_flat_lanes` through each epoch's own dense arrays.
+
+    The slow path for a flush holding malformed epochs: rows not in
+    ``packable`` contribute no observations.
+    """
+    rows = [epochs[i] for i in np.flatnonzero(packable)]
+    dense = [epoch.dense() for epoch in rows]
+    counts = np.zeros(len(epochs), dtype=np.int64)
+    counts[packable] = [lanes[1].shape[0] for lanes in dense]
+    cn0_rows = [epoch.cn0() for epoch in rows]
+    cn0 = np.concatenate(cn0_rows) if cn0_rows else np.empty(0)
+    return (
+        counts,
+        np.concatenate([lanes[0] for lanes in dense]) if dense else np.empty((0, 3)),
+        np.concatenate([lanes[1] for lanes in dense]) if dense else np.empty(0),
+        np.concatenate([lanes[2] for lanes in dense])
+        if dense
+        else np.empty(0, dtype=np.int64),
+        np.concatenate([lanes[3] for lanes in dense])
+        if dense
+        else np.empty(0, dtype=np.int8),
+        cn0 if np.isfinite(cn0).any() else None,
+    )
+
+
+def _is_packable(epoch: ObservationEpoch) -> bool:
+    try:
+        epoch.dense()
+        epoch.cn0()
+        float(epoch.time.seconds_of_week)
+        int(epoch.time.week)
+    except (ReproError,) + _PACK_ERRORS:
+        return False
+    return True
 
 
 def pack_stream(epochs: Sequence[ObservationEpoch]) -> PackedStream:
-    """Pack a mixed-count epoch stream into columnar buckets, once.
+    """Pack a flush of epochs into one padded columnar block, once.
 
     The single object→array boundary of the whole pipeline: one pass
-    groups epochs by satellite count and stacks each group's memoized
-    dense arrays into an :class:`EpochBlock`.  Everything downstream —
-    validity screening, batch solving, FDE, scatter — works on the
-    blocks without touching the epoch objects again.
+    gathers every observation of the flush into flat lanes (one array
+    constructor per lane, system tags mapped through the code→id
+    table), then one masked scatter places them into ``(N, m_max)``
+    lanes.  Everything downstream — validity screening, the batched
+    solve, FDE, the monitors — works on the block without touching the
+    epoch objects again.
 
     Epochs whose observations cannot be stacked (ragged shapes,
     non-numeric fields — only possible for objects that bypassed the
-    validating constructors) are reported as ``unpackable`` rather than
-    failing the stream.
+    validating constructors) are reported as ``unpackable`` (empty
+    rows) rather than failing the stream.
     """
-    # Group by satellite count *and* per-slot system pattern: the batch
-    # kernels need uniform constellation membership per bucket.  Pure
-    # GPS streams only ever see one pattern per count, so their buckets
-    # are exactly what the count-only grouping produced before.
-    unpackable: List[int] = []
-    dense_rows: "Dict[Tuple[int, bytes], list]" = {}
-    pattern_order: "Dict[int, List[bytes]]" = {}
-    for index, epoch in enumerate(epochs):
-        try:
-            dense = epoch.dense()
-        except (TypeError, ValueError, OverflowError):
-            unpackable.append(index)
-            continue
-        count = dense[0].shape[0]
-        pattern = dense[3].tobytes()
-        if pattern not in pattern_order.setdefault(count, []):
-            pattern_order[count].append(pattern)
-        dense_rows.setdefault((count, pattern), []).append((index, epoch, dense))
-    buckets: List[PackedBucket] = []
-    group_keys = [
-        (count, pattern)
-        for count in sorted(pattern_order)
-        for pattern in pattern_order[count]
-    ]
-    for count, pattern in group_keys:
-        rows = dense_rows[(count, pattern)]
-        n = len(rows)
-        # Same first-epoch probe as EpochBlock.from_epochs: the C/N0
-        # lane is stacked only for groups whose stream reports signal
-        # features, so pseudorange-only streams never touch it.
-        carries_cn0 = (
-            bool(np.isfinite(rows[0][1].cn0()).any()) if count else False
+    epochs = list(epochs)
+    n = len(epochs)
+    packable = np.ones(n, dtype=bool)
+    try:
+        counts, positions, pseudoranges, prns, systems, cn0 = _flat_lanes(epochs)
+        times = [epoch.time for epoch in epochs]
+        weeks = np.fromiter([t.week for t in times], dtype=np.int64, count=n)
+        sow = np.fromiter(
+            [t.seconds_of_week for t in times], dtype=float, count=n
         )
-        weeks = np.empty(n, dtype=np.int64)
-        sow = np.empty(n)
-        truth_positions = np.full((n, 3), np.nan)
-        truth_biases = np.full(n, np.nan)
-        for slot, (_index, epoch, _dense) in enumerate(rows):
-            time = epoch.time
-            weeks[slot] = time.week
-            sow[slot] = time.seconds_of_week
-            truth = epoch.truth
-            if truth is not None:
-                truth_positions[slot] = truth.receiver_position
-                truth_biases[slot] = truth.clock_bias_meters
-        block = EpochBlock(
-            positions=(
-                np.stack([dense[0] for _i, _e, dense in rows])
-                if count
-                else np.empty((n, 0, 3))
-            ),
-            pseudoranges=(
-                np.stack([dense[1] for _i, _e, dense in rows])
-                if count
-                else np.empty((n, 0))
-            ),
-            prns=(
-                np.stack([dense[2] for _i, _e, dense in rows])
-                if count
-                else np.empty((n, 0), dtype=np.int64)
-            ),
-            systems=(
-                np.stack([dense[3] for _i, _e, dense in rows])
-                if count
-                else np.empty((n, 0), dtype=np.int8)
-            ),
-            cn0=(
-                np.stack([epoch.cn0() for _i, epoch, _d in rows])
-                if carries_cn0
-                else None
-            ),
-            weeks=weeks,
-            seconds_of_week=sow,
-            truth_positions=truth_positions,
-            truth_biases=truth_biases,
+    except _PACK_ERRORS:
+        packable = np.array([_is_packable(epoch) for epoch in epochs], dtype=bool)
+        counts, positions, pseudoranges, prns, systems, cn0 = _dense_lanes(
+            epochs, packable
         )
-        buckets.append(
-            PackedBucket(
-                satellite_count=count,
-                indices=np.array([i for i, _e, _d in rows], dtype=np.intp),
-                block=block,
-            )
-        )
+        weeks = np.zeros(n, dtype=np.int64)
+        sow = np.full(n, np.nan)
+        for i in np.flatnonzero(packable):
+            weeks[i] = epochs[i].time.week
+            sow[i] = epochs[i].time.seconds_of_week
+    m = int(counts.max()) if n else 0
+    if positions.shape[0] == n * m:
+        # Every row is m wide: the flat lanes already are the block.
+        block_positions = positions.reshape(n, m, 3)
+        block_pseudoranges = pseudoranges.reshape(n, m)
+        block_prns = prns.reshape(n, m)
+        block_systems = systems.reshape(n, m)
+        block_cn0 = None if cn0 is None else cn0.reshape(n, m)
+    else:
+        occupied = np.arange(m) < counts[:, None]
+        block_positions = np.full((n, m, 3), np.nan)
+        block_positions[occupied] = positions
+        block_pseudoranges = np.full((n, m), np.nan)
+        block_pseudoranges[occupied] = pseudoranges
+        block_prns = np.full((n, m), -1, dtype=np.int64)
+        block_prns[occupied] = prns
+        block_systems = np.full((n, m), -1, dtype=np.int8)
+        block_systems[occupied] = systems
+        block_cn0 = None
+        if cn0 is not None:
+            block_cn0 = np.full((n, m), np.nan)
+            block_cn0[occupied] = cn0
+    truth_positions = np.full((n, 3), np.nan)
+    truth_biases = np.full(n, np.nan)
+    truths = [epoch.truth for epoch in epochs]
+    if truths.count(None) != n:
+        for i, truth in enumerate(truths):
+            if truth is not None and packable[i]:
+                truth_positions[i] = truth.receiver_position
+                truth_biases[i] = truth.clock_bias_meters
+    block = EpochBlock(
+        positions=block_positions,
+        pseudoranges=block_pseudoranges,
+        prns=block_prns,
+        systems=block_systems,
+        cn0=block_cn0,
+        weeks=weeks,
+        seconds_of_week=sow,
+        truth_positions=truth_positions,
+        truth_biases=truth_biases,
+        counts=counts,
+    )
     registry = get_registry()
-    if registry.enabled and buckets:
-        histogram = registry.histogram(
+    if registry.enabled and n:
+        registry.histogram(
             "repro_blocks_block_size",
             "Epochs per packed columnar block.",
             buckets=_BLOCK_SIZE_BUCKETS,
-        )
-        for bucket in buckets:
-            histogram.observe(len(bucket))
+        ).observe(n)
     return PackedStream(
-        length=len(epochs) if hasattr(epochs, "__len__") else (
-            sum(len(b) for b in buckets) + len(unpackable)
-        ),
-        buckets=tuple(buckets),
-        unpackable=tuple(unpackable),
+        block=block,
+        unpackable=tuple(int(i) for i in np.flatnonzero(~packable)),
     )

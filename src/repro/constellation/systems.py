@@ -9,7 +9,7 @@ present (``b_1..b_K``) instead of the single ``b`` of eq. 4-2.
 This module is the single source of truth for those tags.  Codes follow
 the RINEX 3 convention (``G`` GPS, ``R`` GLONASS, ``E`` Galileo, ``C``
 BeiDou); the numeric ids are the compact ``int8`` lane values carried by
-:class:`~repro.blocks.EpochBlock` and the packed-stream buckets.
+:class:`~repro.blocks.EpochBlock`.
 """
 
 from __future__ import annotations
@@ -121,10 +121,8 @@ def constellation_signature(system_ids: Union[Sequence[int], np.ndarray]) -> str
 
     Counts satellites per system in canonical system order, skipping
     absent systems.  Two epochs share a signature exactly when they have
-    the same per-constellation satellite counts — the grouping the
-    multi-constellation batch kernels need (the *slot pattern* may still
-    differ; bucket grouping uses the raw pattern, the signature is the
-    human-facing label).
+    the same per-constellation satellite counts (the *slot pattern* may
+    still differ); it is the human-facing label of a constellation mix.
     """
     ids = np.asarray(system_ids, dtype=np.int64).ravel()
     if ids.size == 0:

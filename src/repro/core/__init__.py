@@ -33,7 +33,6 @@ from repro.solvers.batch import (
     BatchDLGSolver,
     BatchNewtonRaphsonSolver,
     BatchNrResult,
-    group_epochs_by_count,
 )
 from repro.integrity.raim import RaimMonitor, RaimResult, chi_square_quantile
 from repro.core.velocity import VelocityFix, VelocitySolver
@@ -64,7 +63,6 @@ __all__ = [
     "BatchDLGSolver",
     "BatchNewtonRaphsonSolver",
     "BatchNrResult",
-    "group_epochs_by_count",
     "RaimMonitor",
     "RaimResult",
     "chi_square_quantile",

@@ -1,15 +1,13 @@
 """High-throughput positioning engine (the bulk/service-scale path).
 
-Three layers, composable but independently useful:
+Two layers, composable but independently useful:
 
-* :mod:`repro.engine.scheduler` — mixed-size batch scheduling: bucket
-  an arbitrary epoch stream by satellite count so the stacked-tensor
-  solvers of :mod:`repro.solvers.batch` apply, and scatter results back
-  into stream order.
-* :mod:`repro.engine.pipeline` — :class:`PositioningEngine`, the
-  bucket-and-batch dispatcher: a whole mixed stream solved in a
-  handful of vectorized calls (batched NR / DLO / DLG with the
-  Sherman-Morrison covariance fast path).
+* :mod:`repro.engine.pipeline` — :class:`PositioningEngine`: a whole
+  mixed stream packed into one padded block and solved in one
+  vectorized kernel call (batched NR / DLO / DLG with the
+  Sherman-Morrison covariance fast path; padded slots carry zero
+  weight, so mixed satellite counts and constellation patterns need
+  no bucketing).
 * :mod:`repro.engine.parallel` — :class:`ParallelReplay`, chunked
   multi-core replay of long datasets through full
   :class:`~repro.core.receiver.GpsReceiver` pipelines.
@@ -20,18 +18,10 @@ Where :class:`~repro.core.receiver.GpsReceiver` is the *latency* path
 of the ROADMAP's production-scale service.
 """
 
-from repro.engine.scheduler import (
-    EpochBucket,
-    bucket_epochs,
-    scatter_bucket_results,
-)
 from repro.engine.pipeline import EngineDiagnostics, EngineResult, PositioningEngine
 from repro.engine.parallel import ParallelReplay
 
 __all__ = [
-    "EpochBucket",
-    "bucket_epochs",
-    "scatter_bucket_results",
     "EngineDiagnostics",
     "EngineResult",
     "PositioningEngine",

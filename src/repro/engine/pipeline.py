@@ -6,20 +6,22 @@ one epoch at a time with full adaptive machinery (warm-up, residual
 gates, fallbacks), the engine answers a whole stream at once with the
 stacked-tensor solvers — the shape a post-processing service or a
 high-rate tracking backend actually runs.  The stream may mix
-satellite counts freely; the engine packs it **once** into columnar
-:class:`~repro.blocks.EpochBlock` buckets (:func:`~repro.blocks.
-pack_stream`), screens validity with vectorized reductions, dispatches
-each block zero-copy to the batched solver, and scatters the results
-back into stream order.
+satellite counts and constellation patterns freely; the engine packs
+it **once** into one padded :class:`~repro.blocks.EpochBlock`
+(:func:`~repro.blocks.pack_stream`), screens validity with vectorized
+reductions, and answers it with **one** kernel call in which padded
+slots carry zero weight.  Results come back in stream order by
+construction: row ``i`` of the block is stream epoch ``i``.
 
 Callers that already hold columnar data — the service's micro-batch
-flush, a decoder that fills blocks directly — can pass an
-:class:`~repro.blocks.EpochBlock` or :class:`~repro.blocks.
-PackedStream` instead of epoch objects and skip the packing stage
-entirely; the solve path is byte-for-byte the same from there.
+flush, a shard worker's slab view, a decoder that fills blocks
+directly — can pass an :class:`~repro.blocks.EpochBlock` or
+:class:`~repro.blocks.PackedStream` instead of epoch objects and skip
+the packing stage entirely; the solve path is byte-for-byte the same
+from there.
 
-Every ``solve_stream`` call is instrumented (stream/bucket spans,
-bucket-size and coverage metrics) through :mod:`repro.telemetry` —
+Every ``solve_stream`` call is instrumented (stream/kernel spans,
+kernel-size and coverage metrics) through :mod:`repro.telemetry` —
 free when telemetry is not installed — and returns an
 :class:`EngineDiagnostics` record of what happened to every epoch,
 plus a per-stage wall-time split (``result.stage_seconds``) so perf
@@ -35,14 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.blocks import EpochBlock, PackedBucket, PackedStream, pack_stream
+from repro.blocks import EpochBlock, PackedStream, pack_stream
 from repro.clocks.prediction import ClockBiasPredictor
 from repro.solvers.batch import (
     BatchDLGSolver,
     BatchDLOSolver,
     BatchNewtonRaphsonSolver,
 )
-from repro.engine.scheduler import scatter_bucket_results
 from repro.errors import ConfigurationError, EstimationError, GeometryError
 from repro.integrity.fde import BatchFde, FdeConfig, FdeRecord
 from repro.observations import ObservationEpoch, epoch_integrity_error
@@ -50,7 +51,7 @@ from repro.telemetry import get_registry, get_tracer
 
 _log = logging.getLogger(__name__)
 
-#: Stream-composition histogram buckets (epochs per bucket).
+#: Kernel-size histogram buckets (rows per kernel call).
 _BUCKET_SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
 
 #: What solve_stream accepts: epoch objects (packed internally, once),
@@ -75,38 +76,18 @@ class EngineDiagnostics:
         result rows are NaN.
     invalid_indices:
         Stream indices of the invalid epochs.
-    bucket_status:
-        Per-bucket solve outcome, keyed by the bucket's key (the
-        historical ``int`` satellite count for pure-GPS buckets, a
-        ``"8:G5R3"``-style string for mixed-constellation ones):
-        ``"ok"`` or ``"failed"`` (a failed bucket also raises, so
-        ``"failed"`` is only observable through telemetry callbacks
-        and post-mortem snapshots).
     fde:
         Per-epoch integrity verdicts
         (:class:`~repro.integrity.fde.FdeRecord`, stream-ordered) when
         the engine runs with FDE enabled, else ``None``.  Epochs the
         stream dropped as invalid/undersized appear as ``unchecked``.
-    bucket_keys / bucket_rows:
-        Batch lineage, stream-ordered int32 arrays: for epoch ``i``,
-        the satellite count of the bucket it solved in and the row it
-        occupied there (``-1`` for epochs that never reached a bucket
-        solve).  This is what lets a trace or an incident record say
-        *where in the batch* a given request's epoch actually ran.
     """
 
     epochs_dropped: int = 0
     dropped_indices: Tuple[int, ...] = ()
     epochs_invalid: int = 0
     invalid_indices: Tuple[int, ...] = ()
-    bucket_status: Dict[Union[int, str], str] = field(default_factory=dict)
     fde: Optional[FdeRecord] = None
-    bucket_keys: Optional[np.ndarray] = field(
-        default=None, compare=False, repr=False
-    )
-    bucket_rows: Optional[np.ndarray] = field(
-        default=None, compare=False, repr=False
-    )
 
     def to_dict(self) -> Dict:
         """JSON-ready form, used by the telemetry snapshot exporters."""
@@ -115,18 +96,7 @@ class EngineDiagnostics:
             "dropped_indices": list(self.dropped_indices),
             "epochs_invalid": self.epochs_invalid,
             "invalid_indices": list(self.invalid_indices),
-            "bucket_status": {str(k): v for k, v in self.bucket_status.items()},
             "fde": self.fde.to_dict() if self.fde is not None else None,
-            "bucket_keys": (
-                [int(k) for k in self.bucket_keys]
-                if self.bucket_keys is not None
-                else None
-            ),
-            "bucket_rows": (
-                [int(r) for r in self.bucket_rows]
-                if self.bucket_rows is not None
-                else None
-            ),
         }
 
 
@@ -148,10 +118,6 @@ class EngineResult:
         full picture is ``constellation_biases``.
     algorithm:
         Which batched solver produced the fixes.
-    bucket_sizes:
-        Stream composition: ``{bucket_key: epochs}`` — keys are the
-        historical ``int`` satellite counts for pure-GPS buckets and
-        ``"8:G5R3"``-style strings for mixed-constellation ones.
     constellation_biases:
         Per-constellation solved clock biases, ``{system_code: (N,)
         array}``, NaN where an epoch did not observe that system (or
@@ -162,15 +128,15 @@ class EngineResult:
     stage_seconds:
         Wall-time split of the call: ``pack`` (object→columnar
         conversion; ~0 when the caller passed columnar input),
-        ``validate`` (vectorized integrity screening), ``solve``
-        (batched kernels), ``fde`` (integrity gate, 0 when disabled),
-        and ``scatter`` (reassembly into stream order).
+        ``validate`` (vectorized integrity screening), ``solve`` (the
+        kernel call), ``fde`` (integrity gate, 0 when disabled), and
+        ``scatter`` (NaN-filling rows the screen dropped; ~0 when every
+        row solved).
     """
 
     positions: np.ndarray
     clock_biases: np.ndarray
     algorithm: str
-    bucket_sizes: Dict[Union[int, str], int]
     diagnostics: EngineDiagnostics = field(default_factory=EngineDiagnostics)
     stage_seconds: Optional[Dict[str, float]] = None
     constellation_biases: Optional[Dict[str, np.ndarray]] = None
@@ -182,7 +148,7 @@ class EngineResult:
 class _EngineMetrics:
     """Bound metric children for one (registry, algorithm) pair.
 
-    ``solve_stream`` publishes stream- and bucket-level metrics on
+    ``solve_stream`` publishes stream- and kernel-level metrics on
     every flush of the serving path; resolving the name -> family ->
     child chain each time costs more than the updates themselves, so
     the children are bound once per installed registry.
@@ -202,12 +168,12 @@ class _EngineMetrics:
     def __init__(self, registry, algorithm: str) -> None:
         self.bucket_size = registry.histogram(
             "repro_engine_bucket_size",
-            "Epochs per same-satellite-count bucket.",
+            "Rows per kernel call.",
             buckets=_BUCKET_SIZE_BUCKETS,
         ).labels()
         solves = registry.counter(
             "repro_engine_bucket_solves_total",
-            "Bucket solves by outcome.",
+            "Kernel calls by outcome.",
             labels=("algorithm", "status"),
         )
         self.bucket_ok = solves.labels(algorithm=algorithm, status="ok")
@@ -237,7 +203,7 @@ class _EngineMetrics:
 
 
 class PositioningEngine:
-    """Bucket-and-batch dispatcher around the stacked solvers.
+    """One-kernel-call dispatcher around the stacked solvers.
 
     Parameters
     ----------
@@ -252,19 +218,15 @@ class PositioningEngine:
     nr_solver:
         Optional pre-configured batched NR (tolerances, warm start).
     fde_config:
-        When set, every DLG bucket is screened by
+        When set, every DLG solve is screened by
         :class:`~repro.integrity.fde.BatchFde` — flagged epochs are
         repaired in-batch by leave-one-out exclusion and the per-epoch
         verdicts land on ``result.diagnostics.fde``.  Requires
         ``algorithm="dlg"``: only the GLS whitened residual norm is
         chi-square scaled.
-    precision:
-        ``"float64"`` (default) or ``"float32"`` — the opt-in
-        mixed-precision DLG kernel (float32 whitening/factorization,
-        float64 residual refinement), guarded by a differential audit
-        against the float64 kernel that permanently falls back on the
-        first out-of-tolerance solve.  DLG only, incompatible with
-        FDE (integrity statistics require the reference kernel).
+    constellations:
+        ``"single"`` (one receiver clock bias) or
+        ``"per_constellation"`` (one solved bias per system present).
     """
 
     def __init__(
@@ -273,7 +235,6 @@ class PositioningEngine:
         clock_predictor: Optional[ClockBiasPredictor] = None,
         nr_solver: Optional[BatchNewtonRaphsonSolver] = None,
         fde_config: Optional[FdeConfig] = None,
-        precision: str = "float64",
         constellations: str = "single",
     ) -> None:
         algorithm = algorithm.lower()
@@ -291,27 +252,6 @@ class PositioningEngine:
                 "FDE needs chi-square-scaled residuals, which only the "
                 f"DLG whitened norm provides; got algorithm={algorithm!r}"
             )
-        if precision not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"precision must be 'float64' or 'float32', got {precision!r}"
-            )
-        if precision == "float32":
-            if algorithm != "dlg":
-                raise ConfigurationError(
-                    "float32 precision is only supported for the dlg kernel; "
-                    f"got algorithm={algorithm!r}"
-                )
-            if fde_config is not None:
-                raise ConfigurationError(
-                    "float32 precision cannot be combined with FDE: the "
-                    "integrity statistics require the float64 kernel"
-                )
-            if constellations == "per_constellation":
-                raise ConfigurationError(
-                    "float32 precision cannot be combined with "
-                    "per-constellation mode: the grouped kernel has no "
-                    "float32 variant"
-                )
         if constellations == "per_constellation":
             if clock_predictor is not None:
                 raise ConfigurationError(
@@ -335,12 +275,12 @@ class PositioningEngine:
             else BatchNewtonRaphsonSolver(constellations=constellations)
         )
         self._dlo = BatchDLOSolver(constellations=constellations)
-        self._dlg = BatchDLGSolver(dtype=precision, constellations=constellations)
+        self._dlg = BatchDLGSolver(constellations=constellations)
         self._fde = BatchFde(fde_config) if fde_config is not None else None
         # Per-registry cached metric children: solve_stream publishes a
-        # handful of counters per flush and two per bucket, and the
-        # name->family->child lookups are measurable at serving flush
-        # rates (invalidated when the installed registry changes).
+        # handful of counters per flush, and the name->family->child
+        # lookups are measurable at serving flush rates (invalidated
+        # when the installed registry changes).
         self._metrics_registry = None
         self._metrics: Optional[_EngineMetrics] = None
 
@@ -383,144 +323,93 @@ class PositioningEngine:
 
     @property
     def fde_enabled(self) -> bool:
-        """Whether buckets run through the batch FDE gate."""
+        """Whether solves run through the batch FDE gate."""
         return self._fde is not None
 
-    @property
-    def precision(self) -> str:
-        """The *active* kernel precision (reflects an audit fallback)."""
-        return "float32" if self._dlg.float32_active else "float64"
-
-    # -- per-bucket solving --------------------------------------------
-    def _bucket_biases(
-        self, bucket: PackedBucket, stream_biases: Optional[np.ndarray]
+    # -- the kernel call -----------------------------------------------
+    def _block_biases(
+        self, block: EpochBlock, biases: Optional[np.ndarray]
     ) -> np.ndarray:
-        if stream_biases is not None:
-            return stream_biases[np.asarray(bucket.indices, dtype=int)]
+        if biases is not None:
+            return biases
         if self._predictor is not None:
-            block = bucket.block
             return np.array(
                 [
                     self._predictor.predict_bias_meters(block.time(i))
                     for i in range(len(block))
                 ]
             )
-        return np.zeros(len(bucket))
+        return np.zeros(len(block))
 
-    def _solve_bucket(
-        self, bucket: PackedBucket, stream_biases: Optional[np.ndarray]
+    def _solve_block(
+        self, block: EpochBlock, biases: Optional[np.ndarray], rows: np.ndarray
     ):
-        """One bucket through the batched solver, zero-copy.
+        """The whole (screened) flush through one batched solve.
 
-        Returns ``(positions, biases, fde_record-or-None, solve_seconds,
-        fde_seconds, multi-or-None)`` where ``multi`` is the
-        per-constellation ``((N, K) biases, systems)`` pair in
+        ``rows`` maps block rows to stream indices (for messages).
+        Returns ``(positions, clock_biases, fde_record-or-None,
+        solve_seconds, fde_seconds, multi-or-None)`` where ``multi`` is
+        the per-constellation ``((N, K) biases, systems)`` pair in
         per-constellation mode.
         """
-        if self._constellations == "per_constellation":
-            return self._solve_bucket_multi(bucket)
-        if self._algorithm == "nr":
-            started = perf_counter()
-            record = self._nr.solve_block_full(bucket.block)
-            if not np.all(record.converged):
-                stuck = [
-                    int(bucket.indices[i])
-                    for i in np.flatnonzero(~record.converged)
-                ]
-                raise GeometryError(
-                    f"NR failed to converge for stream epochs {stuck}"
-                )
-            return (
-                record.positions,
-                record.clock_biases,
-                None,
-                perf_counter() - started,
-                0.0,
-                None,
-            )
-        bucket_biases = self._bucket_biases(bucket, stream_biases)
-        if self._fde is not None:
-            started = perf_counter()
-            solutions, norms, corrected = self._dlg.solve_block_full(
-                bucket.block, bucket_biases
-            )
-            solve_seconds = perf_counter() - started
-            started = perf_counter()
-            # screen() reuses the solve's own whitened norms and
-            # corrected pseudoranges — no repacking, no re-solve — and
-            # repairs flagged rows of `solutions` in place.
-            fde_record = self._fde.screen(
-                bucket.block, corrected, solutions, norms
-            )
-            return (
-                solutions,
-                bucket_biases,
-                fde_record,
-                solve_seconds,
-                perf_counter() - started,
-                None,
-            )
-        solver = self._dlo if self._algorithm == "dlo" else self._dlg
         started = perf_counter()
-        solutions = solver.solve_block(bucket.block, bucket_biases)
-        return solutions, bucket_biases, None, perf_counter() - started, 0.0, None
-
-    def _solve_bucket_multi(self, bucket: PackedBucket):
-        """One bucket through the per-constellation batched solvers.
-
-        No clock biases enter: they are unknowns here.  Every bucket of
-        a :func:`~repro.blocks.pack_stream` stream carries a uniform
-        system pattern by construction, which is exactly what the
-        grouped kernels require.
-        """
-        block = bucket.block
+        multi_mode = self._constellations == "per_constellation"
         if self._algorithm == "nr":
-            started = perf_counter()
             record = self._nr.solve_block_full(block)
             if not np.all(record.converged):
-                stuck = [
-                    int(bucket.indices[i])
-                    for i in np.flatnonzero(~record.converged)
-                ]
+                stuck = [int(rows[i]) for i in np.flatnonzero(~record.converged)]
                 raise GeometryError(
                     f"NR failed to converge for stream epochs {stuck}"
                 )
+            multi = (
+                (record.constellation_biases, record.systems) if multi_mode else None
+            )
             return (
                 record.positions,
                 record.clock_biases,
                 None,
                 perf_counter() - started,
                 0.0,
-                (record.constellation_biases, record.systems),
+                multi,
             )
-        if self._fde is not None:
-            started = perf_counter()
-            result = self._dlg.solve_block_multi(block)
+        if multi_mode:
+            solver = self._dlo if self._algorithm == "dlo" else self._dlg
+            result = solver.solve_block_multi(block)
             solve_seconds = perf_counter() - started
-            started = perf_counter()
-            # screen_multi repairs flagged rows of the result's
-            # positions *and* biases in place.
-            fde_record = self._fde.screen_multi(
-                block, result.positions, result.constellation_biases, result.norms
-            )
+            fde_record, fde_seconds = None, 0.0
+            if self._fde is not None:
+                started = perf_counter()
+                # screen_multi repairs flagged rows of the result's
+                # positions *and* biases in place.
+                fde_record = self._fde.screen_multi(block, result)
+                fde_seconds = perf_counter() - started
             return (
                 result.positions,
-                result.constellation_biases[:, 0].copy(),
+                result.primary_biases,
                 fde_record,
                 solve_seconds,
-                perf_counter() - started,
+                fde_seconds,
                 (result.constellation_biases, result.systems),
             )
-        solver = self._dlo if self._algorithm == "dlo" else self._dlg
+        biases = self._block_biases(block, biases)
+        if self._fde is None:
+            solver = self._dlo if self._algorithm == "dlo" else self._dlg
+            solutions = solver.solve_block(block, biases)
+            return solutions, biases, None, perf_counter() - started, 0.0, None
+        solutions, norms, corrected = self._dlg.solve_block_full(block, biases)
+        solve_seconds = perf_counter() - started
         started = perf_counter()
-        result = solver.solve_block_multi(block)
+        # screen() reuses the solve's own whitened norms and corrected
+        # pseudoranges — no repacking, no re-solve — and repairs
+        # flagged rows of `solutions` in place.
+        fde_record = self._fde.screen(block, corrected, solutions, norms)
         return (
-            result.positions,
-            result.constellation_biases[:, 0].copy(),
-            None,
+            solutions,
+            biases,
+            fde_record,
+            solve_seconds,
             perf_counter() - started,
-            0.0,
-            (result.constellation_biases, result.systems),
+            None,
         )
 
     # -- stream solving ------------------------------------------------
@@ -535,10 +424,10 @@ class PositioningEngine:
         Parameters
         ----------
         epochs:
-            The stream, in any satellite-count mix: a sequence of
-            :class:`~repro.observations.ObservationEpoch` (packed into
-            columnar form internally, once), or an already-columnar
-            :class:`~repro.blocks.EpochBlock` /
+            The stream, in any satellite-count and constellation mix: a
+            sequence of :class:`~repro.observations.ObservationEpoch`
+            (packed into columnar form internally, once), or an
+            already-columnar :class:`~repro.blocks.EpochBlock` /
             :class:`~repro.blocks.PackedStream` that enters the solve
             path zero-copy.  Every epoch needs at least 4 satellites.
         biases:
@@ -555,8 +444,9 @@ class PositioningEngine:
             ``result.diagnostics``.
 
         Results come back aligned with the input: row ``i`` of
-        ``positions`` answers stream epoch ``i`` regardless of how the
-        stream was bucketed internally.
+        ``positions`` answers stream epoch ``i``.  A degenerate row
+        fails the whole kernel call (``EstimationError`` /
+        ``GeometryError``), so callers can fall back per epoch.
         """
         if on_undersized not in ("raise", "drop"):
             raise ConfigurationError(
@@ -567,33 +457,25 @@ class PositioningEngine:
         if isinstance(epochs, PackedStream):
             packed = epochs
         elif isinstance(epochs, EpochBlock):
-            packed = PackedStream.from_block(epochs)
+            packed = PackedStream(epochs)
         else:
             source = list(epochs)
             packed = pack_stream(source)
-        total = len(packed)
+        block = packed.block
+        total = len(block)
         if total == 0:
             raise GeometryError("solve_stream needs at least one epoch")
         pack_seconds = perf_counter() - stage_started
 
-        # Structural integrity: one vectorized screen per bucket
-        # (min_satellites=1 — sized epochs are handled through the
-        # undersized path below, with the same raise/drop policy).
+        # Structural integrity: one vectorized screen of the whole
+        # block (min_satellites=1 — sized epochs are handled through
+        # the undersized path below, with the same raise/drop policy;
+        # unpackable rows are empty, hence invalid).
         stage_started = perf_counter()
-        kept_buckets: List[PackedBucket] = []
-        invalid_list: List[int] = list(packed.unpackable)
-        for bucket in packed.buckets:
-            mask = bucket.block.validity_mask(min_satellites=1)
-            if mask.all():
-                kept_buckets.append(bucket)
-                continue
-            bad_rows = np.flatnonzero(~mask)
-            invalid_list.extend(
-                int(i) for i in np.asarray(bucket.indices)[bad_rows]
-            )
-            if mask.any():
-                kept_buckets.append(bucket.take(mask))
-        invalid_indices = tuple(sorted(invalid_list))
+        valid = block.validity_mask(min_satellites=1)
+        invalid_indices = (
+            () if valid.all() else tuple(np.flatnonzero(~valid).tolist())
+        )
         if invalid_indices and on_undersized == "raise":
             first = invalid_indices[0]
             raise GeometryError(
@@ -602,14 +484,12 @@ class PositioningEngine:
                 f"{self._invalid_detail(first, source, packed)}); "
                 f"filter or repair them before solving"
             )
-        invalid_set = frozenset(invalid_indices)
         if invalid_indices:
             _log.warning(
                 "dropping %d structurally invalid epochs from a %d-epoch stream",
                 len(invalid_indices),
                 total,
             )
-
         stream_biases: Optional[np.ndarray] = None
         if biases is not None:
             if self._constellations == "per_constellation":
@@ -623,105 +503,84 @@ class PositioningEngine:
                     f"biases must be one per epoch: expected ({total},), "
                     f"got {stream_biases.shape}"
                 )
+        undersized = valid & (block.counts < 4)
+        dropped_indices = (
+            tuple(np.flatnonzero(undersized).tolist()) if undersized.any() else ()
+        )
+        if dropped_indices and on_undersized == "raise":
+            raise GeometryError(
+                f"stream contains epochs with fewer than 4 satellites "
+                f"(counts {sorted(set(block.counts[undersized].tolist()))}); "
+                f"filter or augment them before solving"
+            )
+        if dropped_indices:
+            _log.warning(
+                "dropping %d undersized epochs from a %d-epoch stream",
+                len(dropped_indices),
+                total,
+            )
+        complete = not (invalid_indices or dropped_indices)
+        rows = np.arange(total)
+        if not complete:
+            rows = np.flatnonzero(valid & ~undersized)
+            if not rows.size:
+                raise GeometryError(
+                    "every epoch in the stream has fewer than 4 satellites"
+                )
+            block = block.take(rows)
+            if stream_biases is not None:
+                stream_biases = stream_biases[rows]
         validate_seconds = perf_counter() - stage_started
 
         registry = get_registry()
         tracer = get_tracer()
         metrics = self._engine_metrics(registry) if registry.enabled else None
-        solve_seconds = 0.0
-        fde_seconds = 0.0
         with tracer.span(
             "engine.solve_stream", algorithm=self._algorithm, epochs=total
         ):
-            undersized = [b for b in kept_buckets if b.satellite_count < 4]
-            if undersized and on_undersized == "raise":
-                raise GeometryError(
-                    f"stream contains epochs with fewer than 4 satellites "
-                    f"(counts {[b.satellite_count for b in undersized]}); "
-                    f"filter or augment them before solving"
-                )
-            solvable = [b for b in kept_buckets if b.satellite_count >= 4]
-            dropped_indices = tuple(
-                int(index) for b in undersized for index in np.asarray(b.indices)
-            )
-            if dropped_indices:
-                _log.warning(
-                    "dropping %d undersized epochs from a %d-epoch stream",
-                    len(dropped_indices),
-                    total,
-                )
-            if not solvable:
-                raise GeometryError(
-                    "every epoch in the stream has fewer than 4 satellites"
-                )
-
-            bucket_status: Dict[Union[int, str], str] = {}
-            position_blocks = []
-            bias_blocks = []
-            fde_pieces = []
-            multi_infos = []
-            for bucket in solvable:
-                with tracer.span(
-                    "engine.solve_bucket",
-                    satellite_count=bucket.satellite_count,
-                    size=len(bucket),
-                    algorithm=self._algorithm,
-                ):
-                    try:
-                        (
-                            block_positions,
-                            bucket_biases,
-                            fde_record,
-                            bucket_solve_s,
-                            bucket_fde_s,
-                            multi_info,
-                        ) = self._solve_bucket(bucket, stream_biases)
-                    except (GeometryError, EstimationError):
-                        bucket_status[bucket.key] = "failed"
-                        if metrics is not None:
-                            metrics.bucket_size.observe(len(bucket))
-                            metrics.bucket_failed.inc()
-                        raise
-                solve_seconds += bucket_solve_s
-                fde_seconds += bucket_fde_s
-                bucket_status[bucket.key] = "ok"
-                if metrics is not None:
-                    metrics.bucket_size.observe(len(bucket))
-                    metrics.bucket_ok.inc()
-                position_blocks.append(block_positions)
-                bias_blocks.append(bucket_biases)
-                multi_infos.append(multi_info)
-                if fde_record is not None:
-                    fde_pieces.append((bucket.indices, fde_record))
+            with tracer.span(
+                "engine.solve_block",
+                rows=len(block),
+                width=block.width,
+                algorithm=self._algorithm,
+            ):
+                try:
+                    (
+                        positions,
+                        clock_biases,
+                        fde_record,
+                        solve_seconds,
+                        fde_seconds,
+                        multi_info,
+                    ) = self._solve_block(block, stream_biases, rows)
+                    if not np.isfinite(positions).all():
+                        # Finite inputs can still overflow the normal
+                        # equations; a non-finite fix is never served.
+                        raise EstimationError(
+                            "a batch epoch produced a non-finite fix; solve "
+                            "epochs individually to identify it"
+                        )
+                except (GeometryError, EstimationError):
+                    if metrics is not None:
+                        metrics.bucket_size.observe(len(block))
+                        metrics.bucket_failed.inc()
+                    raise
+            if metrics is not None:
+                metrics.bucket_size.observe(len(block))
+                metrics.bucket_ok.inc()
 
             stage_started = perf_counter()
-            allow_partial = bool(dropped_indices or invalid_indices)
-            positions = scatter_bucket_results(
-                solvable, position_blocks, total, allow_partial=allow_partial
-            )
-            clock_biases = scatter_bucket_results(
-                solvable, bias_blocks, total, allow_partial=allow_partial
-            )
-            # Batch lineage: which bucket (keyed by satellite count)
-            # answered each stream row, and on which row of that
-            # bucket — two vectorized scatters, a few µs per stream.
-            bucket_keys = np.full(total, -1, dtype=np.int32)
-            bucket_rows = np.full(total, -1, dtype=np.int32)
-            for bucket in solvable:
-                rows = np.asarray(bucket.indices, dtype=int)
-                bucket_keys[rows] = bucket.satellite_count
-                bucket_rows[rows] = np.arange(len(rows), dtype=np.int32)
             constellation_biases: Optional[Dict[str, np.ndarray]] = None
-            if self._constellations == "per_constellation":
-                constellation_biases = {}
-                for bucket, info in zip(solvable, multi_infos):
-                    bucket_bias_matrix, systems = info
-                    rows = np.asarray(bucket.indices, dtype=int)
-                    for j, code in enumerate(systems):
-                        lane = constellation_biases.setdefault(
-                            code, np.full(total, np.nan)
-                        )
-                        lane[rows] = bucket_bias_matrix[:, j]
+            if multi_info is not None:
+                bias_matrix, systems = multi_info
+                constellation_biases = {
+                    code: self._spread(bias_matrix[:, j], rows, total, complete)
+                    for j, code in enumerate(systems)
+                }
+            positions = self._spread(positions, rows, total, complete)
+            clock_biases = self._spread(clock_biases, rows, total, complete)
+            if fde_record is not None and not complete:
+                fde_record = FdeRecord.scatter([(rows, fde_record)], total)
             scatter_seconds = perf_counter() - stage_started
 
         diagnostics = EngineDiagnostics(
@@ -729,14 +588,7 @@ class PositioningEngine:
             dropped_indices=dropped_indices,
             epochs_invalid=len(invalid_indices),
             invalid_indices=invalid_indices,
-            bucket_status=bucket_status,
-            fde=(
-                FdeRecord.scatter(fde_pieces, total)
-                if self._fde is not None
-                else None
-            ),
-            bucket_keys=bucket_keys,
-            bucket_rows=bucket_rows,
+            fde=fde_record,
         )
         self._dlg.workspace.flush_telemetry()
         if metrics is not None:
@@ -750,17 +602,10 @@ class PositioningEngine:
                 1.0
                 - (len(dropped_indices) + len(invalid_indices)) / total
             )
-
-        # Two buckets may share a key (same count and per-system totals
-        # but different slot patterns), so sizes aggregate per key.
-        bucket_sizes: Dict[Union[int, str], int] = {}
-        for bucket in solvable:
-            bucket_sizes[bucket.key] = bucket_sizes.get(bucket.key, 0) + len(bucket)
         return EngineResult(
             positions=positions,
             clock_biases=clock_biases,
             algorithm=self._algorithm,
-            bucket_sizes=bucket_sizes,
             diagnostics=diagnostics,
             stage_seconds={
                 "pack": pack_seconds,
@@ -771,6 +616,17 @@ class PositioningEngine:
             },
             constellation_biases=constellation_biases,
         )
+
+    @staticmethod
+    def _spread(
+        values: np.ndarray, rows: np.ndarray, total: int, complete: bool
+    ) -> np.ndarray:
+        """Solved-row values as a stream-length array, NaN elsewhere."""
+        if complete:
+            return values
+        spread = np.full((total,) + values.shape[1:], np.nan)
+        spread[rows] = values
+        return spread
 
     @staticmethod
     def _invalid_detail(
@@ -789,13 +645,7 @@ class PositioningEngine:
                 return message
         if index in packed.unpackable:
             return "epoch could not be packed into dense arrays"
-        for bucket in packed.buckets:
-            rows = np.flatnonzero(np.asarray(bucket.indices) == index)
-            if rows.size:
-                message = bucket.block.row_integrity_error(
-                    int(rows[0]), min_satellites=1
-                )
-                if message is not None:
-                    return message
+        message = packed.block.row_integrity_error(index, min_satellites=1)
+        if message is not None:
+            return message
         return "epoch violates the solver input contract"
-

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 # Per-registry cached counter children for _count_gls_path: it runs
-# once per solved bucket on the serving path, where the uncached
+# once per kernel call on the serving path, where the uncached
 # name -> family -> child lookup costs more than the increment.
 _GLS_PATH_CACHE: Tuple[object, Dict[str, object]] = (None, {})
 
@@ -64,9 +64,11 @@ def _count_gls_path(path: str, solves: int = 1) -> None:
 
 
 def _validate_components(diag: np.ndarray, scale: np.ndarray) -> None:
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+    # +inf is a legal diagonal entry: infinite variance is zero weight,
+    # the padded slot of a padded block (its design/rhs rows are zero).
+    if not np.all(diag > 0):
         raise EstimationError(
-            "diag-plus-rank-one covariance needs positive finite diagonal terms"
+            "diag-plus-rank-one covariance needs positive diagonal terms"
         )
     if not np.all(np.isfinite(scale)) or np.any(scale < 0):
         raise EstimationError(
@@ -187,11 +189,14 @@ def batched_gls_solve_diag_rank1(
         ``(N, k)`` stacked right-hand sides.
     diag, scale:
         ``(N, k)`` diagonals and ``(N,)`` rank-one scales of the per-
-        system covariances.
+        system covariances.  A ``+inf`` diagonal entry gives its row
+        zero weight (its design and right-hand-side rows must be zero):
+        the padded slots of a padded block solve exactly like the
+        narrower system without them.
     workspace:
         Optional :class:`~repro.estimation.workspace.KernelWorkspace`
         supplying the whitening scratch tensors, so repeated solves of
-        the same bucket shape allocate nothing.  Results are bitwise
+        the same block shape allocate nothing.  Results are bitwise
         independent of whether a workspace is passed.
 
     Returns
@@ -227,26 +232,27 @@ def batched_gls_solve_diag_rank1(
     ab[..., :p] = a
     ab[..., p] = b
     inv_d = 1.0 / d  # (N, k)
-    denominator = 1.0 + s * inv_d.sum(axis=1)  # (N,)
+    coefficient = s / (1.0 + s * inv_d.sum(axis=1))  # (N,)
     whitened = np.multiply(ab, inv_d[:, :, None], out=_scratch("gls_u", (n, k, p + 1)))
-    correction = (s / denominator)[:, None] * whitened.sum(axis=1)  # (N, p+1)
+    correction = coefficient[:, None] * whitened.sum(axis=1)  # (N, p+1)
     whitened -= np.multiply(
         inv_d[:, :, None], correction[:, None, :], out=ab
     )
-    psi_inv_design = whitened[..., :p]  # (N,k,p)
-    psi_inv_obs = whitened[..., p]  # (N,k)
-    gram = np.einsum("nki,nkj->nij", a, psi_inv_design)  # (N,p,p)
-    moment = np.einsum("nki,nk->ni", a, psi_inv_obs)  # (N,p)
+    # One contraction gives the normal equations' [gram | moment]
+    # (matmul: the stacked small products run far faster than einsum).
+    normal = np.matmul(a.transpose(0, 2, 1), whitened)  # (N, p, p+1)
     try:
-        solutions = np.linalg.solve(gram, moment[..., None])[..., 0]
+        solutions = np.linalg.solve(normal[..., :p], normal[..., p:])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             "a batched GLS system is degenerate (rank-deficient design)"
         ) from exc
     residuals = b - np.einsum("nki,ni->nk", a, solutions)
-    mahalanobis_sq = np.einsum(
-        "nk,nk->n", residuals, batched_apply_inverse_diag_rank1(diag, scale, residuals)
-    )
+    # r^T Psi^-1 r through the same Sherman-Morrison pass (no
+    # re-validation, inverse diagonal and coefficient reused).
+    scaled = residuals * inv_d
+    scaled -= inv_d * (coefficient * scaled.sum(axis=1))[:, None]
+    mahalanobis_sq = np.einsum("nk,nk->n", residuals, scaled)
     return solutions, np.sqrt(np.maximum(mahalanobis_sq, 0.0))
 
 
@@ -269,21 +275,29 @@ def batched_gls_solve_diag_rank1(
 def _validate_grouped(
     diag: np.ndarray, scales: np.ndarray, groups: np.ndarray
 ) -> int:
-    """Common validation; returns the group count K."""
-    if groups.ndim != 1:
-        raise EstimationError(f"groups must be 1-D, got shape {groups.shape}")
-    if diag.shape[-1] != groups.shape[0]:
+    """Common validation; returns the group count K.
+
+    ``groups`` is ``(k,)`` (one layout shared by every row) or, for the
+    batched kernels, ``(N, k)`` per-row layouts where ``-1`` marks a
+    zero-weight row (``+inf`` diagonal) that belongs to no group.
+    """
+    if groups.ndim not in (1, 2) or (groups.ndim == 2 and diag.ndim != 2):
+        raise EstimationError(f"groups must be (k,) or (N, k), got {groups.shape}")
+    if diag.shape[-1] != groups.shape[-1] or (
+        groups.ndim == 2 and groups.shape != diag.shape
+    ):
         raise EstimationError(
-            f"diag rows ({diag.shape[-1]}) do not match groups ({groups.shape[0]})"
+            f"diag rows ({diag.shape[-1]}) do not match groups ({groups.shape[-1]})"
         )
     k_groups = int(scales.shape[-1])
-    if groups.size and (groups.min() < 0 or groups.max() >= k_groups):
+    low = -1 if groups.ndim == 2 else 0
+    if groups.size and (groups.min() < low or groups.max() >= k_groups):
         raise EstimationError(
             f"group indices must be in [0, {k_groups - 1}] to match scales"
         )
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise EstimationError(
-            "grouped covariance needs positive finite diagonal terms"
+            "grouped covariance needs positive diagonal terms"
         )
     if not np.all(np.isfinite(scales)) or np.any(scales < 0):
         raise EstimationError(
@@ -293,10 +307,9 @@ def _validate_grouped(
 
 
 def _group_indicator(groups: np.ndarray, k_groups: int) -> np.ndarray:
-    """``(k, K)`` one-hot membership matrix (float64 for einsum)."""
-    indicator = np.zeros((groups.shape[0], k_groups))
-    indicator[np.arange(groups.shape[0]), groups] = 1.0
-    return indicator
+    """One-hot membership (float64, for matmul): ``(k, K)`` for a shared
+    layout, ``(N, k, K)`` for per-row layouts (``-1`` rows all zero)."""
+    return (groups[..., None] == np.arange(k_groups)).astype(float)
 
 
 def grouped_covariance(
@@ -404,6 +417,26 @@ def gls_solve_grouped_rank1(
     return solution, float(np.sqrt(max(mahalanobis_sq, 0.0)))
 
 
+def _batched_grouped_whiten(
+    inv_d: np.ndarray,
+    scales: np.ndarray,
+    indicator: np.ndarray,
+    stack: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``Psi^-1 @ stack`` for ``(N, k, q)`` stacks under per-row group
+    layouts given as an ``(N, k, K)`` one-hot ``indicator``."""
+    inv_sums = np.matmul(inv_d[:, None, :], indicator)[:, 0, :]  # (N, K)
+    coefficient = scales / (1.0 + scales * inv_sums)  # (N, K)
+    u = np.multiply(stack, inv_d[:, :, None], out=out)
+    group_sums = np.matmul(indicator.transpose(0, 2, 1), u)  # (N, K, q)
+    # Each row's own group's correction: the one-hot product picks it
+    # (one non-zero term per row, so no rounding enters).
+    correction = np.matmul(indicator, coefficient[:, :, None] * group_sums)
+    u -= inv_d[:, :, None] * correction
+    return u
+
+
 def batched_apply_inverse_grouped_rank1(
     diag: np.ndarray,
     scales: np.ndarray,
@@ -412,19 +445,15 @@ def batched_apply_inverse_grouped_rank1(
 ) -> np.ndarray:
     """Batched ``Psi^-1 @ v`` for N grouped diag+rank-one systems.
 
-    The group layout ``groups`` is shared by the whole batch — exactly
-    what the pattern-bucketed :class:`~repro.blocks.PackedStream`
-    guarantees (every row of a bucket puts each constellation in the
-    same slots).
-
     Parameters
     ----------
     diag:
-        ``(N, k)`` positive diagonals.
+        ``(N, k)`` positive diagonals (``+inf`` for zero-weight rows).
     scales:
         ``(N, K)`` non-negative per-group scales.
     groups:
-        ``(k,)`` shared group index per row.
+        ``(k,)`` layout shared by the batch, or ``(N, k)`` per-row
+        layouts (``-1`` for zero-weight rows).
     stack:
         ``(N, k)`` vectors or ``(N, k, p)`` matrices.
     """
@@ -433,18 +462,11 @@ def batched_apply_inverse_grouped_rank1(
     g = np.asarray(groups, dtype=np.int64)
     v = np.asarray(stack, dtype=float)
     k_groups = _validate_grouped(d, s, g)
-    indicator = _group_indicator(g, k_groups)  # (k, K)
-    inv_d = 1.0 / d  # (N, k)
-    denominator = 1.0 + s * (inv_d @ indicator)  # (N, K)
-    coefficient = s / denominator  # (N, K)
-    if v.ndim == 3:
-        u = v * inv_d[:, :, None]
-        group_sums = np.einsum("nkq,kg->ngq", u, indicator)  # (N, K, p)
-        correction = coefficient[:, g, None] * group_sums[:, g, :]
-        return u - inv_d[:, :, None] * correction
-    u = v * inv_d
-    group_sums = u @ indicator  # (N, K)
-    return u - inv_d * (coefficient[:, g] * group_sums[:, g])
+    g = np.broadcast_to(g, d.shape)
+    whitened = _batched_grouped_whiten(
+        1.0 / d, s, _group_indicator(g, k_groups), v if v.ndim == 3 else v[..., None]
+    )
+    return whitened if v.ndim == 3 else whitened[..., 0]
 
 
 def batched_gls_solve_grouped_rank1(
@@ -455,15 +477,23 @@ def batched_gls_solve_grouped_rank1(
     groups: np.ndarray,
     workspace: "Optional[KernelWorkspace]" = None,
     method: str = "auto",
+    decoupled: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One stacked GLS solve for N grouped diag+rank-one systems.
 
     The rank-K generalization of :func:`batched_gls_solve_diag_rank1`:
     same fused ``[A | b]`` whitening, with the per-column axis-k
-    reduction replaced by K per-group reductions (a single ``(k, K)``
-    indicator einsum).  ``method="dense"`` runs the batched
-    dense-Cholesky fallback instead — O(k^3) per epoch, used when the
-    structured path is unavailable or as its oracle.
+    reduction replaced by K per-group reductions through an
+    ``(N, k, K)`` one-hot membership, so every row may carry its own
+    group layout (``groups`` of shape ``(N, k)``; a shared ``(k,)``
+    layout is broadcast).  ``method="dense"`` runs the batched
+    dense-Cholesky fallback instead — O(k^3) per epoch, finite
+    diagonals only, used as the structured path's oracle.
+
+    ``decoupled`` optionally marks ``(N, p)`` unknowns a row does not
+    observe at all (a constellation absent from that epoch, whose
+    design column is zero): each gets a unit Gram diagonal, so it
+    decouples from the rest of the row's system, and a NaN solution.
 
     Returns ``(solutions (N, p), whitened_norms (N,))``.
     """
@@ -480,10 +510,12 @@ def batched_gls_solve_grouped_rank1(
     if method not in ("auto", "sherman_morrison", "dense"):
         raise EstimationError(f"unknown grouped GLS method {method!r}")
     n, k, p = a.shape
+    g = np.broadcast_to(g, (n, k))
     if method == "dense":
         _count_gls_path("dense_cholesky_batched", solves=n)
-        same_group = g[:, None] == g[None, :]  # (k, k)
-        psi = np.where(same_group[None, :, :], s[:, g][:, None, :], 0.0)
+        same_group = (g[:, :, None] == g[:, None, :]) & (g[:, :, None] >= 0)
+        group_scales = np.take_along_axis(s, np.maximum(g, 0), axis=1)
+        psi = np.where(same_group, group_scales[:, None, :], 0.0)
         psi[:, np.arange(k), np.arange(k)] += d
         try:
             chol = np.linalg.cholesky(psi)
@@ -491,14 +523,15 @@ def batched_gls_solve_grouped_rank1(
             white_b = np.linalg.solve(chol, b[..., None])[..., 0]
             gram = np.einsum("nki,nkj->nij", white_a, white_a)
             moment = np.einsum("nki,nk->ni", white_a, white_b)
-            solutions = np.linalg.solve(gram, moment[..., None])[..., 0]
+            solutions = solve_normal_equations(gram, moment, decoupled)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(
                 "a batched grouped GLS system is degenerate"
             ) from exc
         residuals = b - np.einsum("nki,ni->nk", a, solutions)
         white_r = np.linalg.solve(chol, residuals[..., None])[..., 0]
-        return solutions, np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
+        norms = np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
+        return _mark_decoupled(solutions, decoupled), norms
     _count_gls_path("grouped_sherman_morrison_batched", solves=n)
 
     def _scratch(name: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -506,24 +539,20 @@ def batched_gls_solve_grouped_rank1(
             return workspace.buffer(name, shape, a.dtype)
         return np.empty(shape, dtype=a.dtype)
 
-    indicator = _group_indicator(g, k_groups)  # (k, K)
+    indicator = _group_indicator(g, k_groups)  # (N, k, K)
+    inv_d = 1.0 / d  # (N, k); 0 on zero-weight rows
     ab = _scratch("grouped_gls_ab", (n, k, p + 1))
     ab[..., :p] = a
     ab[..., p] = b
-    inv_d = 1.0 / d  # (N, k)
-    denominator = 1.0 + s * (inv_d @ indicator)  # (N, K)
-    coefficient = s / denominator  # (N, K)
-    u = np.multiply(ab, inv_d[:, :, None], out=_scratch("grouped_gls_u", (n, k, p + 1)))
-    group_sums = np.einsum("nkq,kg->ngq", u, indicator)  # (N, K, p+1)
-    correction = coefficient[:, g, None] * group_sums[:, g, :]  # (N, k, p+1)
-    whitened = u
-    whitened -= np.multiply(inv_d[:, :, None], correction, out=ab)
-    psi_inv_design = whitened[..., :p]
-    psi_inv_obs = whitened[..., p]
-    gram = np.einsum("nki,nkj->nij", a, psi_inv_design)
-    moment = np.einsum("nki,nk->ni", a, psi_inv_obs)
+    whitened = _batched_grouped_whiten(
+        inv_d, s, indicator, ab, out=_scratch("grouped_gls_u", (n, k, p + 1))
+    )
+    # (einsum over a contiguous copy: on the strided slice it runs an
+    # order of magnitude slower, with the same reduction order)
+    gram = np.einsum("nki,nkj->nij", a, np.ascontiguousarray(whitened[..., :p]))
+    moment = np.einsum("nki,nk->ni", a, whitened[..., p])
     try:
-        solutions = np.linalg.solve(gram, moment[..., None])[..., 0]
+        solutions = solve_normal_equations(gram, moment, decoupled)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             "a batched grouped GLS system is degenerate (rank-deficient design)"
@@ -532,6 +561,36 @@ def batched_gls_solve_grouped_rank1(
     mahalanobis_sq = np.einsum(
         "nk,nk->n",
         residuals,
-        batched_apply_inverse_grouped_rank1(d, s, g, residuals),
+        _batched_grouped_whiten(inv_d, s, indicator, residuals[..., None])[..., 0],
     )
-    return solutions, np.sqrt(np.maximum(mahalanobis_sq, 0.0))
+    return (
+        _mark_decoupled(solutions, decoupled),
+        np.sqrt(np.maximum(mahalanobis_sq, 0.0)),
+    )
+
+
+def solve_normal_equations(
+    gram: np.ndarray,
+    moment: np.ndarray,
+    decoupled: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Batched ``(N, p, p)`` normal-equation solve.
+
+    ``decoupled`` (``(N, p)``) marks unknowns a row does not observe:
+    their Gram rows and columns are zero, so they get a unit diagonal
+    and solve to 0.  Raises ``numpy.linalg.LinAlgError`` on a singular
+    system.
+    """
+    if decoupled is not None and decoupled.any():
+        rows, columns = np.nonzero(decoupled)
+        gram = gram.copy()
+        gram[rows, columns, columns] = 1.0
+    return np.linalg.solve(gram, moment[..., None])[..., 0]
+
+
+def _mark_decoupled(
+    solutions: np.ndarray, decoupled: Optional[np.ndarray]
+) -> np.ndarray:
+    if decoupled is not None and decoupled.any():
+        solutions[decoupled] = np.nan
+    return solutions

@@ -2,7 +2,7 @@
 
 The batched Sherman-Morrison kernel allocates a handful of large
 scratch tensors per call (whitened stacks, Gram matrices).  On a
-steady-state stream the bucket shapes repeat every call, so those
+steady-state stream the block shapes repeat every call, so those
 allocations are pure churn: same sizes, freed and re-requested tens of
 times per second.  :class:`KernelWorkspace` keeps one buffer per
 ``(name, shape, dtype)`` and hands it back on every later request,

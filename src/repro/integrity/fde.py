@@ -3,8 +3,8 @@
 :class:`BatchFde` is the batch counterpart of
 :class:`~repro.integrity.raim.RaimMonitor`: the same residual
 chi-square test and leave-one-out exclusion, restructured so a whole
-same-satellite-count bucket is screened in a handful of stacked numpy
-operations.
+padded flush — mixed satellite counts and constellation patterns — is
+screened in a handful of stacked numpy operations.
 
 Two structural facts make this cheap enough to run on every epoch of
 a high-rate stream:
@@ -14,14 +14,14 @@ a high-rate stream:
   :class:`~repro.solvers.batch.BatchDLGSolver` discards — *is* the
   RAIM test quantity: ``(norm / sigma)^2`` is chi-square with ``m - 4``
   degrees of freedom under no fault.  The gate is one vectorized
-  comparison against a single per-bucket threshold.
+  comparison against per-row thresholds (each row's own ``m``).
 * **Exclusion stays structured.**  Deleting one satellite from the
   eq. 4-26 difference system preserves the diagonal-plus-rank-one
   covariance shape (drop one diagonal entry for a non-base satellite;
   promote satellite 1 to base when the base itself is dropped), so
   every leave-one-out candidate solves through the same O(m)
-  Sherman-Morrison whitening — the ``m`` candidates of all flagged
-  epochs stack into *one*
+  Sherman-Morrison whitening — the candidates of all flagged epochs
+  (never their padded slots) stack into *one* padded
   :func:`~repro.estimation.batched_gls_solve_diag_rank1` call instead
   of the scalar monitor's m full re-solves per flagged epoch.
 
@@ -45,20 +45,18 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blocks import EpochBlock
-from repro.constellation.systems import group_layout
+from repro.constellation.systems import SYSTEM_CODES
 from repro.errors import ConfigurationError, EstimationError, GeometryError
-from repro.estimation import (
-    batched_gls_solve_diag_rank1,
-    batched_gls_solve_grouped_rank1,
-    gls_solve_diag_rank1,
-)
+from repro.estimation import batched_gls_solve_grouped_rank1
 from repro.integrity.raim import chi_square_quantile
 from repro.observations import ObservationEpoch
 from repro.solvers.batch import (
     BatchDLGSolver,
     BatchMultiResult,
-    build_difference_systems,
+    as_block,
     build_multi_difference_systems,
+    solve_dlg_stack,
+    system_columns,
 )
 from repro.telemetry import get_registry
 
@@ -155,7 +153,7 @@ class EpochVerdict:
 
 @dataclass(frozen=True)
 class FdeRecord:
-    """Compact per-epoch FDE outcomes for one stream or bucket.
+    """Compact per-epoch FDE outcomes for one stream or block.
 
     Array-of-structs would cost a python object per epoch on the
     fault-free fast path; this struct-of-arrays form keeps the common
@@ -222,7 +220,7 @@ class FdeRecord:
     # ------------------------------------------------------------------
     @classmethod
     def unchecked(cls, count: int) -> "FdeRecord":
-        """An all-``unchecked`` record (redundancy-free bucket)."""
+        """An all-``unchecked`` record (no redundancy anywhere)."""
         return cls(
             statuses=np.full(count, STATUS_UNCHECKED, dtype=np.int8),
             statistics=np.full(count, np.nan),
@@ -236,9 +234,9 @@ class FdeRecord:
         pieces: Sequence["tuple[Sequence[int], FdeRecord]"],
         total: int,
     ) -> "FdeRecord":
-        """Assemble per-bucket records back into stream order.
+        """Assemble per-block records back into stream order.
 
-        ``pieces`` pairs each bucket's stream indices with its record;
+        ``pieces`` pairs each block's stream indices with its record;
         rows no piece claims (dropped/invalid epochs) stay
         ``unchecked`` with NaN statistics.
         """
@@ -291,7 +289,7 @@ class BatchFde:
         epochs: "Union[Sequence[ObservationEpoch], EpochBlock]",
         biases: Sequence[float],
     ) -> "tuple[np.ndarray, FdeRecord]":
-        """Solve N same-size epochs with FDE; ``((N, 3), FdeRecord)``.
+        """Solve N epochs with FDE; ``((N, 3), FdeRecord)``.
 
         The fault-free path costs one stacked DLG solve (the whitened
         norms it produces are the test statistics) plus one vectorized
@@ -302,16 +300,7 @@ class BatchFde:
         apply their own trust policy.  Accepts an
         :class:`~repro.blocks.EpochBlock` directly.
         """
-        block = epochs if isinstance(epochs, EpochBlock) else None
-        if block is None:
-            if not epochs:
-                raise GeometryError("solve_batch needs at least one epoch")
-            if epochs[0].satellite_count < 4:
-                raise GeometryError(
-                    "batched direct linearization needs at least 4 "
-                    f"satellites, got {epochs[0].satellite_count}"
-                )
-            block = EpochBlock.from_epochs(epochs)
+        block = as_block(epochs, "direct linearization")
         return self.solve_block(block, np.asarray(biases, dtype=float))
 
     def solve_block(
@@ -337,54 +326,62 @@ class BatchFde:
         the clock-corrected pseudoranges and run the base DLG solve
         whose whitened ``norms`` double as the test statistics, so the
         gate re-derives *nothing* — detection is one vectorized
-        comparison against the block's arrays, and only flagged epochs
-        pay for the stacked leave-one-out exclusion.  ``solutions`` is
-        updated **in place** for rows the exclusion repairs.
+        comparison against per-row thresholds (each row's dof is its
+        own ``count - 4``), and only flagged epochs pay for the stacked
+        leave-one-out exclusion.  ``solutions`` is updated **in place**
+        for rows the exclusion repairs.
         """
-        n = len(block)
-        m = block.satellite_count
-        if m < 5:
-            record = FdeRecord.unchecked(n)
-            self._count(record)
-            return record
+        counts = block.counts
+        record = self._detect(norms, counts - 4)
+        flagged = record.statuses == STATUS_UNUSABLE
+        if self._config.exclude:
+            flagged &= counts >= 6
+            if flagged.any():
+                self._timed_exclusion(
+                    self._exclude_flagged,
+                    np.flatnonzero(flagged),
+                    block,
+                    corrected,
+                    solutions,
+                    record,
+                )
+        self._count(record)
+        return record
 
-        sigma = self._config.sigma_meters
-        statistics = (norms / sigma) ** 2
-        threshold = chi_square_quantile(1.0 - self._config.p_false_alarm, m - 4)
-        flagged = statistics > threshold
-
+    def _detect(self, norms: np.ndarray, dof: np.ndarray) -> FdeRecord:
+        """Per-row chi-square gate; rows with ``dof < 1`` are unchecked."""
+        checked = dof >= 1
+        statistics = (norms / self._config.sigma_meters) ** 2
+        thresholds = self._thresholds(dof)
+        flagged = checked & (statistics > thresholds)
         statuses = np.where(flagged, STATUS_UNUSABLE, STATUS_PASSED).astype(np.int8)
-        thresholds = np.full(n, threshold)
-        excluded = np.full(n, NO_EXCLUSION, dtype=np.int32)
-
-        if self._config.exclude and m >= 6 and np.any(flagged):
-            registry = get_registry()
-            started = time.perf_counter() if registry.enabled else 0.0
-            self._exclude_flagged(
-                np.flatnonzero(flagged),
-                block,
-                corrected,
-                solutions,
-                statuses,
-                statistics,
-                thresholds,
-                excluded,
-            )
-            if registry.enabled:
-                registry.histogram(
-                    "repro_integrity_exclusion_seconds",
-                    "Leave-one-out exclusion latency per flagged batch.",
-                    buckets=_EXCLUSION_LATENCY_BUCKETS,
-                ).observe(time.perf_counter() - started)
-
-        record = FdeRecord(
+        statuses[~checked] = STATUS_UNCHECKED
+        statistics = np.where(checked, statistics, np.nan)
+        return FdeRecord(
             statuses=statuses,
             statistics=statistics,
             thresholds=thresholds,
-            excluded_prns=excluded,
+            excluded_prns=np.full(dof.shape, NO_EXCLUSION, dtype=np.int32),
         )
-        self._count(record)
-        return record
+
+    def _thresholds(self, dof: np.ndarray) -> np.ndarray:
+        """``chi2(1 - p_fa, dof)`` per row, NaN where ``dof < 1``."""
+        thresholds = np.full(dof.shape, np.nan)
+        probability = 1.0 - self._config.p_false_alarm
+        for value in np.unique(dof[dof >= 1]):
+            thresholds[dof == value] = chi_square_quantile(probability, int(value))
+        return thresholds
+
+    def _timed_exclusion(self, exclude, *args) -> None:
+        registry = get_registry()
+        started = time.perf_counter() if registry.enabled else 0.0
+        exclude(*args)
+        if registry.enabled:
+            registry.histogram(
+                "repro_integrity_exclusion_seconds",
+                "Leave-one-out exclusion latency per flagged batch.",
+                buckets=_EXCLUSION_LATENCY_BUCKETS,
+            ).observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     def solve_block_multi(
@@ -398,17 +395,11 @@ class BatchFde:
         :class:`~repro.solvers.batch.BatchMultiResult`.
         """
         result = self._solver.solve_block_multi(block)
-        record = self.screen_multi(
-            block, result.positions, result.constellation_biases, result.norms
-        )
+        record = self.screen_multi(block, result)
         return result, record
 
     def screen_multi(
-        self,
-        block: EpochBlock,
-        solutions: np.ndarray,
-        biases: np.ndarray,
-        norms: np.ndarray,
+        self, block: EpochBlock, result: BatchMultiResult
     ) -> FdeRecord:
         """Chi-square detection + exclusion for a per-constellation solve.
 
@@ -417,154 +408,184 @@ class BatchFde:
         ``m - 3 - 2K`` degrees of freedom (differencing consumes one
         equation per constellation and each constellation clock is an
         extra unknown), so the detection floor rises from 5 satellites
-        to ``4 + 2K``.  Exclusion candidates that would leave a
-        constellation with a single satellite are skipped — their bias
-        would be unobservable — and the whole exclusion pass needs
-        ``m >= 5 + 2K``.  ``solutions`` (``(N, 3)``) and ``biases``
-        (``(N, K)``) are updated in place for repaired rows.
+        to ``4 + 2K`` — per row, with that row's own ``m`` and ``K``.
+        Exclusion candidates that would leave a constellation with a
+        single satellite are skipped — their bias would be unobservable
+        — and a row's exclusion pass needs ``m >= 5 + 2K``.  The
+        result's ``positions`` and ``constellation_biases`` are updated
+        in place for repaired rows.
         """
-        n = len(block)
-        m = block.satellite_count
-        pattern = block.uniform_system_pattern()
-        if pattern is None:
-            raise GeometryError(
-                "block rows carry different constellation patterns; "
-                "re-bucket through pack_stream before multi-constellation "
-                "FDE"
-            )
-        groups, codes = group_layout(pattern)
-        k_groups = int(codes.shape[0])
-        dof = m - 3 - 2 * k_groups
-        if dof < 1:
-            record = FdeRecord.unchecked(n)
-            self._count(record)
-            return record
-
-        sigma = self._config.sigma_meters
-        statistics = (norms / sigma) ** 2
-        threshold = chi_square_quantile(1.0 - self._config.p_false_alarm, dof)
-        flagged = statistics > threshold
-
-        statuses = np.where(flagged, STATUS_UNUSABLE, STATUS_PASSED).astype(np.int8)
-        thresholds = np.full(n, threshold)
-        excluded = np.full(n, NO_EXCLUSION, dtype=np.int32)
-
-        if self._config.exclude and dof >= 2 and np.any(flagged):
-            registry = get_registry()
-            started = time.perf_counter() if registry.enabled else 0.0
-            self._exclude_flagged_multi(
-                np.flatnonzero(flagged),
-                block,
-                pattern,
-                groups,
-                codes,
-                solutions,
-                biases,
-                statuses,
-                statistics,
-                thresholds,
-                excluded,
-            )
-            if registry.enabled:
-                registry.histogram(
-                    "repro_integrity_exclusion_seconds",
-                    "Leave-one-out exclusion latency per flagged batch.",
-                    buckets=_EXCLUSION_LATENCY_BUCKETS,
-                ).observe(time.perf_counter() - started)
-
-        record = FdeRecord(
-            statuses=statuses,
-            statistics=statistics,
-            thresholds=thresholds,
-            excluded_prns=excluded,
+        codes = np.array(
+            [SYSTEM_CODES.index(code) for code in result.systems], dtype=np.int64
         )
+        columns, _codes = system_columns(block.systems, block.occupied, codes)
+        onehot = columns[:, :, None] == np.arange(codes.shape[0])
+        row_groups = onehot.any(axis=1).sum(axis=1)
+        dof = block.counts - 3 - 2 * row_groups
+        record = self._detect(result.norms, dof)
+        flagged = record.statuses == STATUS_UNUSABLE
+        if self._config.exclude:
+            flagged &= dof >= 2
+            if flagged.any():
+                self._timed_exclusion(
+                    self._exclude_flagged_multi,
+                    np.flatnonzero(flagged),
+                    block,
+                    codes,
+                    onehot.sum(axis=1),
+                    columns,
+                    dof,
+                    result,
+                    record,
+                )
         self._count(record)
         return record
+
+    @staticmethod
+    def _candidates(block: EpochBlock, flagged_idx: np.ndarray):
+        """Leave-one-out subsets of the flagged rows.
+
+        ``keep[k]`` lists every slot but ``k``, so dropping a row's
+        slot shifts its remaining satellites (and padding) left by one:
+        the subsets are again rows of a padded block, one satellite
+        narrower.  Rebuilding each subset's difference system from its
+        surviving satellites handles both drop cases uniformly:
+        dropping a non-base satellite deletes one row (base
+        unchanged), dropping the base promotes the next satellite —
+        exactly the subsets the scalar monitor's first-satellite base
+        selection produces.  Padded slots are never candidates.
+        """
+        m = block.width
+        keep = np.array(
+            [[j for j in range(m) if j != k] for k in range(m)], dtype=int
+        )  # (m, m-1)
+        valid = np.arange(m) < block.counts[flagged_idx, None]  # (F, m)
+        rows, drops = np.nonzero(valid)
+        parents = flagged_idx[rows]
+        slots = keep[drops]  # (C, m-1)
+        return valid, parents, slots
+
+    def _pick(
+        self,
+        flagged_idx: np.ndarray,
+        valid: np.ndarray,
+        candidate_stats: np.ndarray,
+        sub_thresholds: np.ndarray,
+        block: EpochBlock,
+        record: FdeRecord,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Best passing candidate per flagged row; records the repairs.
+
+        Candidates are ranked by normalized margin ``statistic /
+        threshold`` with a keep-first tie-break (argmin's first
+        minimum), matching the scalar monitor's selection exactly.
+        Returns the repaired stream rows and, for each, the index of
+        its chosen candidate (``candidate_stats`` order).
+        """
+        f, m = valid.shape
+        sub_stats = np.full((f, m), np.inf)
+        sub_stats[valid] = candidate_stats
+        margins = sub_stats / sub_thresholds[:, None]
+        margins = np.where(margins <= 1.0, margins, np.inf)
+        best_k = np.argmin(margins, axis=1)
+        rows = np.arange(f)
+        repaired_rows = rows[np.isfinite(margins[rows, best_k])]
+        stream_rows = flagged_idx[repaired_rows]
+        chosen = best_k[repaired_rows]
+        record.statuses[stream_rows] = STATUS_REPAIRED
+        record.statistics[stream_rows] = sub_stats[repaired_rows, chosen]
+        record.thresholds[stream_rows] = sub_thresholds[repaired_rows]
+        record.excluded_prns[stream_rows] = block.prns[stream_rows, chosen]
+        candidate_index = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
+        return stream_rows, candidate_index[repaired_rows, chosen]
 
     def _exclude_flagged_multi(
         self,
         flagged_idx: np.ndarray,
         block: EpochBlock,
-        pattern: np.ndarray,
-        groups: np.ndarray,
         codes: np.ndarray,
-        solutions: np.ndarray,
-        biases: np.ndarray,
-        statuses: np.ndarray,
-        statistics: np.ndarray,
-        thresholds: np.ndarray,
-        excluded: np.ndarray,
+        group_counts: np.ndarray,
+        columns: np.ndarray,
+        dof: np.ndarray,
+        result: BatchMultiResult,
+        record: FdeRecord,
     ) -> None:
         """Leave-one-out exclusion under the grouped covariance.
 
-        Unlike the single-constellation stack, candidate subsets for
-        different drop slots have different group layouts, so the
-        candidates run as one grouped batch *per slot* (m stacked
-        solves of F epochs each) rather than one flat stack.  Dropping
-        a slot whose constellation has only two satellites is not a
-        candidate at all: the survivor would be a singleton with an
-        unobservable bias.  Base promotion is automatic — the subset
-        builder re-derives each group's base as its first surviving
-        slot, matching what a scalar re-solve of the subset would do.
+        Every candidate subset of every flagged row stacks into *one*
+        grouped solve: each candidate row carries its own group layout
+        (re-derived from its surviving slots, so a dropped base is
+        promoted automatically), with the parent batch's bias columns.
+        Dropping a slot whose constellation has only two satellites is
+        not a candidate at all: the survivor would be a singleton with
+        an unobservable bias.
         """
-        f = flagged_idx.size
-        m = block.satellite_count
-        k_groups = int(codes.shape[0])
-        sigma = self._config.sigma_meters
-        group_counts = np.bincount(groups, minlength=k_groups)
-        sub_threshold = chi_square_quantile(
-            1.0 - self._config.p_false_alarm, m - 4 - 2 * k_groups
-        )
-        positions = block.positions[flagged_idx]
-        pseudoranges = block.pseudoranges[flagged_idx]
+        valid, parents, slots = self._candidates(block, flagged_idx)
+        dropped = valid.nonzero()[1]
+        drop_groups = columns[parents, dropped]
+        keep_candidate = group_counts[parents, drop_groups] > 2
+        valid[valid] = keep_candidate
+        parents, slots = parents[keep_candidate], slots[keep_candidate]
+        if not parents.size:
+            return  # every drop would leave a singleton constellation
+        rows = parents[:, None]
+        occupied = np.arange(slots.shape[1]) < (block.counts[parents] - 1)[:, None]
+        positions = block.positions[rows, slots]
+        pseudoranges = block.pseudoranges[rows, slots]
+        systems = block.systems[rows, slots]
 
-        sub_stats = np.full((f, m), np.inf)
-        sub_solutions = np.full((f, m, 3 + k_groups), np.nan)
-        for k in range(m):
-            if group_counts[groups[k]] <= 2:
-                continue  # survivor would be a singleton constellation
-            keep = np.concatenate([np.arange(k), np.arange(k + 1, m)])
-            design, rhs, row_groups, base_indices, sub_codes = (
-                build_multi_difference_systems(
-                    positions[:, keep, :], pseudoranges[:, keep], pattern[keep]
-                )
+        def solve(pick):
+            system = build_multi_difference_systems(
+                positions[pick], pseudoranges[pick], systems[pick], occupied[pick], codes
             )
-            non_base = np.ones(m - 1, dtype=bool)
-            non_base[base_indices] = False
-            diag = pseudoranges[:, keep][:, non_base] ** 2
-            scales = pseudoranges[:, keep][:, base_indices] ** 2
+            solutions, norms = batched_gls_solve_grouped_rank1(
+                system.design,
+                system.rhs,
+                system.diag,
+                system.scales,
+                system.groups,
+                decoupled=system.decoupled,
+            )
+            return norms, solutions
+
+        norms, solutions = self._solve_candidates(solve, parents.size)
+        stream_rows, picked = self._pick(
+            flagged_idx,
+            valid,
+            (norms / self._config.sigma_meters) ** 2,
+            self._thresholds(dof[flagged_idx] - 1),
+            block,
+            record,
+        )
+        result.positions[stream_rows] = solutions[picked, :3]
+        result.constellation_biases[stream_rows] = solutions[picked, 3:]
+
+    @staticmethod
+    def _solve_candidates(solve, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``solve`` over all candidates at once, or one at a time.
+
+        One degenerate candidate poisons the stacked solve; the
+        fallback re-solves per candidate, pricing degenerate subsets
+        out of the selection (infinite statistic), which mirrors the
+        scalar monitor skipping subsets its solver rejects.
+        """
+        try:
+            return solve(np.arange(count))
+        except (EstimationError, GeometryError):
+            pass
+        norms = np.full(count, np.inf)
+        solutions = None
+        for i in range(count):
             try:
-                cand_solutions, cand_norms = batched_gls_solve_grouped_rank1(
-                    design, rhs, diag, scales, row_groups
-                )
-            except EstimationError:
-                continue  # a degenerate candidate prices this slot out
-            sub_stats[:, k] = (cand_norms / sigma) ** 2
-            sub_solutions[:, k, :3] = cand_solutions[:, :3]
-            # Dropping a group's first slot can change the subset's
-            # first-appearance group order; realign bias columns to the
-            # block's order before they can be scattered back.
-            sub_pos = {int(code): j for j, code in enumerate(sub_codes)}
-            realign = np.array([3 + sub_pos[int(code)] for code in codes])
-            sub_solutions[:, k, 3:] = cand_solutions[:, realign]
-
-        margins = sub_stats / sub_threshold
-        margins = np.where(margins <= 1.0, margins, np.inf)
-        best_k = np.argmin(margins, axis=1)
-        rows = np.arange(f)
-        has_pass = np.isfinite(margins[rows, best_k])
-        if not np.any(has_pass):
-            return
-
-        repaired_rows = rows[has_pass]
-        stream_rows = flagged_idx[repaired_rows]
-        chosen = best_k[repaired_rows]
-        statuses[stream_rows] = STATUS_REPAIRED
-        statistics[stream_rows] = sub_stats[repaired_rows, chosen]
-        thresholds[stream_rows] = sub_threshold
-        solutions[stream_rows] = sub_solutions[repaired_rows, chosen, :3]
-        biases[stream_rows] = sub_solutions[repaired_rows, chosen, 3:]
-        excluded[stream_rows] = block.prns[stream_rows, chosen]
+                norm, solution = solve(np.array([i]))
+            except (EstimationError, GeometryError):
+                continue
+            if solutions is None:
+                solutions = np.full((count, solution.shape[1]), np.nan)
+            norms[i], solutions[i] = norm[0], solution[0]
+        if solutions is None:
+            solutions = np.full((count, 3), np.nan)
+        return norms, solutions
 
     # ------------------------------------------------------------------
     def _exclude_flagged(
@@ -573,78 +594,39 @@ class BatchFde:
         block: EpochBlock,
         corrected: np.ndarray,
         solutions: np.ndarray,
-        statuses: np.ndarray,
-        statistics: np.ndarray,
-        thresholds: np.ndarray,
-        excluded: np.ndarray,
+        record: FdeRecord,
     ) -> None:
-        """Stacked leave-one-out exclusion; mutates the result arrays.
+        """Stacked leave-one-out exclusion; mutates ``solutions`` and
+        ``record``.
 
-        All m candidate subsets of all F flagged epochs become one
-        ``(F*m, m-1)``-satellite stack.  Rebuilding each subset's
-        difference system from its surviving satellites handles both
-        drop cases uniformly: dropping a non-base satellite deletes
-        one row (base unchanged), dropping the base promotes satellite
-        1 — exactly the subsets the scalar monitor's first-satellite
-        base selection produces.
+        All candidate subsets of all F flagged epochs become one
+        padded stack of one-satellite-narrower rows, solved in a
+        single DLG kernel call.
         """
-        f = flagged_idx.size
-        m = block.satellite_count
-        positions = block.positions
-        # keep[k] = all satellite columns except k.
-        keep = np.array(
-            [[j for j in range(m) if j != k] for k in range(m)], dtype=int
-        )  # (m, m-1)
-        cand_positions = positions[flagged_idx][:, keep, :].reshape(f * m, m - 1, 3)
-        cand_corrected = corrected[flagged_idx][:, keep].reshape(f * m, m - 1)
+        valid, parents, slots = self._candidates(block, flagged_idx)
+        rows = parents[:, None]
+        occupied = np.arange(slots.shape[1]) < (block.counts[parents] - 1)[:, None]
+        cand_positions = block.positions[rows, slots]
+        cand_corrected = corrected[rows, slots]
 
-        sub_design, sub_rhs = build_difference_systems(cand_positions, cand_corrected)
-        sub_diag = cand_corrected[:, 1:] ** 2
-        sub_scale = cand_corrected[:, 0] ** 2
-        try:
-            sub_solutions, sub_norms = batched_gls_solve_diag_rank1(
-                sub_design, sub_rhs, sub_diag, sub_scale
+        def solve(pick):
+            cand_solutions, cand_norms = solve_dlg_stack(
+                cand_positions[pick],
+                cand_corrected[pick],
+                None if occupied[pick].all() else occupied[pick],
             )
-        except EstimationError:
-            # One degenerate candidate poisons the stacked solve; fall
-            # back to per-candidate solves, pricing degenerate subsets
-            # out of the selection (mirrors the scalar monitor skipping
-            # subsets its solver rejects).
-            sub_solutions = np.full((f * m, 3), np.nan)
-            sub_norms = np.full(f * m, np.inf)
-            for i in range(f * m):
-                try:
-                    sub_solutions[i], sub_norms[i] = gls_solve_diag_rank1(
-                        sub_design[i], sub_rhs[i], sub_diag[i], sub_scale[i]
-                    )
-                except EstimationError:
-                    continue
+            return cand_norms, cand_solutions
 
-        sigma = self._config.sigma_meters
-        sub_threshold = chi_square_quantile(
-            1.0 - self._config.p_false_alarm, m - 5
+        norms, cand_solutions = self._solve_candidates(solve, parents.size)
+        stream_rows, picked = self._pick(
+            flagged_idx,
+            valid,
+            (norms / self._config.sigma_meters) ** 2,
+            self._thresholds(block.counts[flagged_idx] - 5),
+            block,
+            record,
         )
-        sub_stats = ((sub_norms / sigma) ** 2).reshape(f, m)
-        # Normalized margins; non-passing candidates priced out so
-        # argmin's first-minimum semantics give the keep-first tie-break.
-        margins = sub_stats / sub_threshold
-        margins = np.where(margins <= 1.0, margins, np.inf)
-        best_k = np.argmin(margins, axis=1)
-        rows = np.arange(f)
-        has_pass = np.isfinite(margins[rows, best_k])
-        if not np.any(has_pass):
-            return
-
-        repaired_rows = rows[has_pass]
-        stream_rows = flagged_idx[repaired_rows]
-        chosen = best_k[repaired_rows]
-        statuses[stream_rows] = STATUS_REPAIRED
-        statistics[stream_rows] = sub_stats[repaired_rows, chosen]
-        thresholds[stream_rows] = sub_threshold
-        solutions[stream_rows] = sub_solutions.reshape(f, m, 3)[repaired_rows, chosen]
-        # PRN lookup is one fancy-index into the block's columnar PRNs —
-        # the last remnant of the old python-object walk.
-        excluded[stream_rows] = block.prns[stream_rows, chosen]
+        solutions[stream_rows] = cand_solutions[picked]
 
     # ------------------------------------------------------------------
     def _count(self, record: FdeRecord) -> None:

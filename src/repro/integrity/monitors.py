@@ -165,8 +165,8 @@ class StreamContext:
     """Stream-ordered columnar lanes of one solved packed stream.
 
     Built once per :meth:`MonitorSuite.observe_stream` call and shared
-    by every monitor.  All per-satellite lanes are ``(N, m_max)``
-    NaN/-1-padded scatters of the bucket blocks back into stream order;
+    by every monitor.  All per-satellite lanes are the ``(N, m_max)``
+    lanes of the flush's padded block, NaN/-1 on padded slots;
     ``receiver_positions`` are the *solved* fixes (NaN rows where the
     solve failed), which is deliberate — the monitors judge what the
     service is about to serve, not what the simulator knows.
@@ -204,45 +204,25 @@ def _build_context(
     zenith_dbhz: float,
     horizon_dbhz: float,
 ) -> StreamContext:
-    n = len(packed)
-    m_max = max((b.satellite_count for b in packed.buckets), default=0)
-    sole = packed.buckets[0] if len(packed.buckets) == 1 else None
-    if (
-        sole is not None
-        and sole.satellite_count == m_max
-        and m_max
-        and bool((np.asarray(sole.indices) == np.arange(n)).all())
-    ):
-        # Uniform stream in order (the serving hot path): the bucket's
-        # columnar lanes ARE the context lanes — no prefill, no scatter.
-        block = sole.block
-        times = block.weeks * _SECONDS_PER_WEEK + block.seconds_of_week
-        keys = block.prns * 4 + block.systems.astype(np.int64)
-        system_ids = block.systems.astype(np.int8, copy=False)
-        sat_positions = block.positions
-        pseudoranges = block.pseudoranges
-        cn0 = (
-            block.cn0 if block.cn0 is not None else np.full((n, m_max), np.nan)
-        )
-    else:
-        times = np.full(n, np.nan)
-        cn0 = np.full((n, m_max), np.nan)
-        keys = np.full((n, m_max), -1, dtype=np.int64)
-        system_ids = np.full((n, m_max), -1, dtype=np.int8)
-        sat_positions = np.full((n, m_max, 3), np.nan)
-        pseudoranges = np.full((n, m_max), np.nan)
-        for bucket in packed.buckets:
-            idx = np.asarray(bucket.indices)
-            m = bucket.satellite_count
-            block = bucket.block
-            times[idx] = block.weeks * _SECONDS_PER_WEEK + block.seconds_of_week
-            if m:
-                keys[idx, :m] = block.prns * 4 + block.systems.astype(np.int64)
-                system_ids[idx, :m] = block.systems
-                sat_positions[idx, :m, :] = block.positions
-                pseudoranges[idx, :m] = block.pseudoranges
-                if block.cn0 is not None:
-                    cn0[idx, :m] = block.cn0
+    # The padded block's lanes ARE the context lanes (stream-ordered by
+    # construction); padded slots read as NaN / -1 whatever the block
+    # holds there, so a slab-backed block needs no cleanup upstream.
+    block = packed.block
+    n, m_max = len(block), block.width
+    times = block.weeks * _SECONDS_PER_WEEK + block.seconds_of_week
+    keys = block.prns * 4 + block.systems.astype(np.int64)
+    system_ids = block.systems
+    sat_positions = block.positions
+    pseudoranges = block.pseudoranges
+    cn0 = block.cn0 if block.cn0 is not None else np.full((n, m_max), np.nan)
+    if block.padded:
+        occupied = block.occupied
+        keys = np.where(occupied, keys, -1)
+        system_ids = np.where(occupied, system_ids, -1).astype(np.int8)
+        sat_positions = np.where(occupied[:, :, np.newaxis], sat_positions, np.nan)
+        pseudoranges = np.where(occupied, pseudoranges, np.nan)
+        if block.cn0 is not None:
+            cn0 = np.where(occupied, cn0, np.nan)
     receiver = np.asarray(positions, dtype=float).reshape(n, 3)
     if m_max:
         # One pass over the satellite geometry, shared by the nominal

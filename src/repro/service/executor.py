@@ -49,9 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blocks import PackedStream, pack_stream
-from repro.constellation.systems import system_code
 from repro.engine import PositioningEngine
-from repro.errors import ReproError
+from repro.errors import EstimationError, ReproError
 from repro.integrity.fde import EpochVerdict
 from repro.integrity.health import SatelliteHealthTracker
 from repro.integrity.monitors import (
@@ -61,12 +60,7 @@ from repro.integrity.monitors import (
     SEVERITY_NAMES,
     SEVERITY_SPOOFED,
 )
-from repro.observations import (
-    EpochTruth,
-    ObservationEpoch,
-    SatelliteObservation,
-    epoch_integrity_error,
-)
+from repro.observations import ObservationEpoch, epoch_integrity_error
 from repro.telemetry import get_registry
 
 #: One per-request outcome:
@@ -87,25 +81,21 @@ class BatchMeta:
     """What one batch execution learned beyond the per-request outcomes.
 
     Carried back to the dispatching tier so traces and flight-recorder
-    entries can name the stage split, the bucket lineage, and the
+    entries can name the stage split, the batch lineage, and the
     resolved biases without re-deriving anything.  ``epochs`` is the
     post-admission epoch list when the caller provided epoch objects;
     the columnar (shard-worker) path leaves it ``None`` — nothing on
-    that side retains epoch objects.
+    that side retains epoch objects.  ``counts`` holds each flush
+    row's satellite count when the batched kernel answered, ``-1`` for
+    rows the screen kept out of it (the lineage a trace reports next
+    to the row's flush position).
     """
 
     rung: str  # "batch" (engine answered) or "scalar" (ladder ran)
     epochs: Optional[List[ObservationEpoch]] = None
     stage_seconds: Optional[Dict[str, float]] = None
-    bucket_keys: Optional[np.ndarray] = None
-    bucket_rows: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
     resolved_biases: Optional[np.ndarray] = None
-
-    def lineage(self, index: int):
-        """``(bucket_satellites, bucket_row)`` for live-row ``index``."""
-        if self.bucket_keys is None or self.bucket_rows is None:
-            return -1, -1
-        return int(self.bucket_keys[index]), int(self.bucket_rows[index])
 
     def bias(self, index: int) -> Optional[float]:
         """The clock bias the solve consumed for row ``index``."""
@@ -298,7 +288,7 @@ class BatchExecutor:
         if self._tracker is not None:
             epochs = self.admit(epochs)
         biases = self._resolve_biases(epochs, bias_overrides)
-        # Pack the flushed batch into columnar blocks here, at the
+        # Pack the flushed batch into one padded block here, at the
         # request/array boundary — the engine and everything below it
         # (solvers, FDE, the monitor suite) then runs zero-copy on
         # these arrays.
@@ -306,8 +296,8 @@ class BatchExecutor:
         try:
             stream = self._engine.solve_stream(packed, biases, on_undersized="drop")
         except ReproError:
-            # Rung 2/3: the batched solve rejects whole buckets, so one
-            # poisoned epoch fails its batchmates here.  Re-solve
+            # Rung 2/3: the batched solve rejects the whole flush, so
+            # one poisoned epoch fails its batchmates here.  Re-solve
             # per-epoch so every request gets its own verdict.
             return (
                 [
@@ -331,8 +321,7 @@ class BatchExecutor:
             rung="batch",
             epochs=epochs,
             stage_seconds=stream.stage_seconds,
-            bucket_keys=stream.diagnostics.bucket_keys,
-            bucket_rows=stream.diagnostics.bucket_rows,
+            counts=_kernel_counts(packed, stream),
             resolved_biases=stream.clock_biases,
         )
 
@@ -366,19 +355,19 @@ class BatchExecutor:
         if self._tracker is not None and self._packed_needs_admission(packed):
             # Quarantine active and this batch carries banned PRNs:
             # admission must trim observations, which changes satellite
-            # counts and bucket membership — materialize and take the
-            # epoch-object path (rare by construction: the breaker
-            # exists to make persistent faults cheap, not frequent).
+            # counts — materialize and take the epoch-object path (rare
+            # by construction: the breaker exists to make persistent
+            # faults cheap, not frequent).
             epochs = self.materialize(packed)
             return self.execute(epochs, overrides)
         if self._tracker is not None:
             # No trims, but admission still ticks the tracker clock so
             # probation/backoff timing is identical to the epoch path.
-            for bucket in packed.buckets:
-                for row in range(len(bucket)):
-                    self._tracker.admit(
-                        tuple(int(p) for p in bucket.block.prns[row])
-                    )
+            block = packed.block
+            for row in range(len(block)):
+                self._tracker.admit(
+                    tuple(block.prns[row, : block.counts[row]].tolist())
+                )
         stream_biases = None
         if overrides is not None:
             stream_biases = self._override_array(packed, biases)
@@ -415,8 +404,7 @@ class BatchExecutor:
         return outcomes, BatchMeta(
             rung="batch",
             stage_seconds=stream.stage_seconds,
-            bucket_keys=stream.diagnostics.bucket_keys,
-            bucket_rows=stream.diagnostics.bucket_rows,
+            counts=_kernel_counts(packed, stream),
             resolved_biases=stream.clock_biases,
         )
 
@@ -576,21 +564,15 @@ class BatchExecutor:
             if predictor is None:
                 resolved[missing] = 0.0
             else:
-                for bucket in packed.buckets:
-                    for row, stream_index in enumerate(
-                        np.asarray(bucket.indices)
-                    ):
-                        if missing[stream_index]:
-                            resolved[stream_index] = (
-                                predictor.predict_bias_meters(
-                                    bucket.block.time(row)
-                                )
-                            )
+                for row in np.flatnonzero(missing):
+                    resolved[row] = predictor.predict_bias_meters(
+                        packed.block.time(int(row))
+                    )
         return resolved
 
     @staticmethod
     def _packed_accessors(packed: PackedStream):
-        """``(prns_for, detail_for)`` over a packed stream's buckets.
+        """``(prns_for, detail_for)`` over a packed stream's block.
 
         ``detail_for`` mirrors :func:`~repro.observations.
         epoch_integrity_error` wording via
@@ -598,21 +580,16 @@ class BatchExecutor:
         columnar path reports screened rows identically to the
         epoch-object path.
         """
-        rows: Dict[int, Tuple] = {}
-        for bucket in packed.buckets:
-            for row, stream_index in enumerate(np.asarray(bucket.indices)):
-                rows[int(stream_index)] = (bucket, row)
+        block = packed.block
+        unpackable = frozenset(packed.unpackable)
 
         def prns_for(index: int):
-            bucket, row = rows[index]
-            return tuple(int(p) for p in bucket.block.prns[row])
+            return tuple(block.prns[index, : block.counts[index]].tolist())
 
         def detail_for(index: int):
-            entry = rows.get(index)
-            if entry is None:  # unpackable row: never reached a block
+            if index in unpackable:
                 return None
-            bucket, row = entry
-            return bucket.block.row_integrity_error(row)
+            return block.row_integrity_error(index)
 
         return prns_for, detail_for
 
@@ -621,11 +598,11 @@ class BatchExecutor:
         banned = self._tracker.quarantined_prns()
         if not banned:
             return False
+        block = packed.block
         banned_array = np.fromiter(banned, dtype=np.int64)
-        for bucket in packed.buckets:
-            if np.isin(bucket.block.prns, banned_array).any():
-                return True
-        return False
+        return bool(
+            (np.isin(block.prns, banned_array) & block.occupied).any()
+        )
 
     @staticmethod
     def materialize(
@@ -638,34 +615,14 @@ class BatchExecutor:
         rows (the validating constructors reject them) and unpackable
         rows come back ``None``.
         """
-        epochs: List[Optional[ObservationEpoch]] = [None] * len(packed)
-        for bucket in packed.buckets:
-            block = bucket.block
-            has_truth = block.has_truth()
-            for row, stream_index in enumerate(np.asarray(bucket.indices)):
-                try:
-                    observations = tuple(
-                        SatelliteObservation(
-                            prn=int(block.prns[row, j]),
-                            position=block.positions[row, j].copy(),
-                            pseudorange=float(block.pseudoranges[row, j]),
-                            system=system_code(int(block.systems[row, j])),
-                        )
-                        for j in range(block.satellite_count)
-                    )
-                    truth = None
-                    if has_truth[row]:
-                        truth = EpochTruth(
-                            receiver_position=block.truth_positions[row].copy(),
-                            clock_bias_meters=float(block.truth_biases[row]),
-                        )
-                    epochs[int(stream_index)] = ObservationEpoch(
-                        time=block.time(row),
-                        observations=observations,
-                        truth=truth,
-                    )
-                except ReproError:
-                    epochs[int(stream_index)] = None
+        block = packed.block
+        unpackable = frozenset(packed.unpackable)
+        epochs: List[Optional[ObservationEpoch]] = []
+        for row in range(len(block)):
+            try:
+                epochs.append(None if row in unpackable else block.epoch(row))
+            except ReproError:
+                epochs.append(None)
         return epochs
 
     def solve_scalar(
@@ -686,7 +643,7 @@ class BatchExecutor:
                 clock_predictor=None,
             ).build_solver()
         try:
-            fix = solver.solve(epoch)
+            fix = _finite(solver.solve(epoch))
             return (
                 "ok",
                 fix.position,
@@ -700,7 +657,7 @@ class BatchExecutor:
             if self._nr_scalar is None:
                 return ("failed", None, None, None, str(primary_error), None, None)
             try:
-                fix = self._nr_scalar.solve(epoch)
+                fix = _finite(self._nr_scalar.solve(epoch))
             except ReproError as fallback_error:
                 return (
                     "failed",
@@ -720,3 +677,20 @@ class BatchExecutor:
                 None,
                 None,
             )
+
+
+def _finite(fix):
+    """``fix``, or :class:`~repro.errors.EstimationError` if its
+    position is not finite (never served as an answer)."""
+    if not np.isfinite(fix.position).all():
+        raise EstimationError("the solve produced a non-finite position")
+    return fix
+
+
+def _kernel_counts(packed: PackedStream, stream) -> np.ndarray:
+    """Per-row satellite counts of a solved flush, ``-1`` where the
+    screen dropped the row before the kernel call."""
+    counts = np.array(packed.block.counts)
+    diagnostics = stream.diagnostics
+    counts[list(diagnostics.invalid_indices + diagnostics.dropped_indices)] = -1
+    return counts

@@ -493,12 +493,12 @@ class PositioningService:
         resolved_at = loop.time()
         # Per-flush trace constants: the peer list and the solve-span
         # annotations are shared (never copied, never mutated) by every
-        # trace of the flush, and the bucket lineage arrays are
-        # converted to plain lists once instead of through two numpy
-        # scalar casts per request.
+        # trace of the flush, and the per-row satellite counts are
+        # converted to a plain list once instead of through a numpy
+        # scalar cast per request.
         peers: tuple = ()
         solve_attributes = None
-        bucket_keys = bucket_rows = None
+        satellites = flush_rows = None
         if self._config.trace:
             # Peer request *numbers*, shared by every trace of the
             # flush; the id strings materialize lazily in
@@ -517,13 +517,16 @@ class PositioningService:
                 "batch": batch_size,
                 "reason": flush.reason,
             }
-            if meta.bucket_keys is not None and meta.bucket_rows is not None:
-                bucket_keys = meta.bucket_keys.tolist()
-                bucket_rows = meta.bucket_rows.tolist()
+            if meta.counts is not None:
+                satellites = meta.counts.tolist()
+                flush_rows = [
+                    row if count >= 0 else -1
+                    for row, count in enumerate(satellites)
+                ]
             else:
                 # Pre-built "-1 everywhere" lineage so the per-request
                 # loop indexes unconditionally instead of branching.
-                bucket_keys = bucket_rows = (-1,) * batch_size
+                satellites = flush_rows = (-1,) * batch_size
         # Per-flush flight-recorder constants (stamp, shared attributes
         # and stage split), hoisted off the per-request path.
         recording = self._recorder is not None
@@ -583,8 +586,8 @@ class PositioningService:
                     solve_attributes,
                     flush.sequence,
                     peers,
-                    bucket_keys[index],
-                    bucket_rows[index],
+                    satellites[index],
+                    flush_rows[index],
                     request.deadline,
                 )
             result = ServiceResult(

@@ -13,11 +13,12 @@ strings ride the per-worker pipe.
 
 Determinism is a design contract, not an accident: batch boundaries
 are fixed by ``batch_size`` (independent of worker count), each batch
-executes whole on exactly one worker, and the worker rebuilds the same
-count-bucketed :class:`~repro.blocks.PackedStream` the in-process
-service builds — so the solver math sees identical arrays and the
-fixes are **bitwise identical** across 1 worker, N workers, and the
-in-process service (the cross-process determinism suite pins this).
+executes whole on exactly one worker, and the worker views the same
+padded :class:`~repro.blocks.PackedStream` the in-process service
+builds straight out of the slab — so the solver math sees identical
+arrays and the fixes are **bitwise identical** across 1 worker, N
+workers, and the in-process service (the cross-process determinism
+suite pins this).
 
 Supervision: every worker heartbeats into its slab and is watched by
 the router during dispatch.  A worker that dies mid-batch never hangs
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks import EpochBlock, PackedBucket, PackedStream
+from repro.blocks import EpochBlock, PackedStream
 from repro.errors import ConfigurationError, ServiceError
 from repro.observations import ObservationEpoch
 from repro.service.executor import BatchExecutor
@@ -223,105 +224,87 @@ def write_request(
 ) -> None:
     """Fill one request slot from a packed batch (router side).
 
-    Writes are per-*bucket* contiguous fancy-indexed copies — a few
-    large array stores per batch, never a per-row Python loop over
-    epochs.  Unpackable rows get ``req_sats = 0`` (the worker reports
-    them invalid without touching their payload lanes).
+    One slab copy per lane: the flush's padded block lands in the
+    slot's ``[:n, :m]`` corner as-is, padding included, and
+    ``req_sats`` carries the per-row counts (0 for unpackable rows,
+    which the worker reports invalid without touching their lanes).
+    Raises :class:`~repro.errors.ServiceError` if the batch does not
+    fit the slot.
     """
-    n = int(len(packed))
+    block = packed.block
+    n, m = len(block), block.width
+    capacity, width = arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2]
+    if n > capacity or m > width:
+        raise ServiceError(
+            f"a {n}-epoch batch of up to {m} satellites does not fit a "
+            f"slab slot of {capacity} epochs x {width} satellites"
+        )
     stamp_begin(arrays["req_begin"], slot, sequence)
     arrays["req_count"][slot] = n
-    sats = arrays["req_sats"][slot]
-    sats[:n] = 0
-    # Slots are reused: the C/N0 lane must be NaN-filled (not left
-    # over from the previous occupant) because "all-NaN" is how a
-    # bucket with no signal features reads back as a None lane.
-    arrays["req_cn0"][slot, :n] = np.nan
-    if biases is None:
-        arrays["req_biases"][slot, :n] = np.nan
-    else:
-        arrays["req_biases"][slot, :n] = biases
-    for bucket in packed.buckets:
-        block = bucket.block
-        m = block.satellite_count
-        rows = np.asarray(bucket.indices)
-        sats[rows] = m
-        arrays["req_positions"][slot, rows, :m] = block.positions
-        arrays["req_pseudoranges"][slot, rows, :m] = block.pseudoranges
-        if block.cn0 is not None:
-            arrays["req_cn0"][slot, rows, :m] = block.cn0
-        arrays["req_prns"][slot, rows, :m] = block.prns
-        arrays["req_systems"][slot, rows, :m] = block.systems
-        arrays["req_weeks"][slot, rows] = block.weeks
-        arrays["req_sow"][slot, rows] = block.seconds_of_week
+    arrays["req_sats"][slot, :n] = block.counts
+    arrays["req_positions"][slot, :n, :m] = block.positions
+    arrays["req_pseudoranges"][slot, :n, :m] = block.pseudoranges
+    # Slots are reused: a block without C/N0 must still overwrite the
+    # previous occupant's lane, because all-NaN is how "no signal
+    # features" reads back.
+    arrays["req_cn0"][slot, :n, :m] = np.nan if block.cn0 is None else block.cn0
+    arrays["req_prns"][slot, :n, :m] = block.prns
+    arrays["req_systems"][slot, :n, :m] = block.systems
+    arrays["req_weeks"][slot, :n] = block.weeks
+    arrays["req_sow"][slot, :n] = block.seconds_of_week
+    arrays["req_biases"][slot, :n] = np.nan if biases is None else biases
     stamp_end(arrays["req_end"], slot, sequence)
 
 
 def read_request(
     arrays: Dict[str, np.ndarray], slot: int, sequence: int
 ) -> Tuple[PackedStream, Optional[np.ndarray]]:
-    """Rebuild the packed batch from one request slot (worker side).
+    """The packed batch of one request slot, as a zero-copy view
+    (worker side).
 
-    Groups rows by satellite count *and* per-slot system pattern
-    exactly like :func:`~repro.blocks.pack_stream` (buckets sorted by
-    count, patterns in first-appearance order within a count, stream
-    order within a bucket), so the solver math downstream is identical
-    to the in-process path — including the uniform-pattern guarantee
-    the multi-constellation kernels rely on.  Raises
-    :class:`~repro.service.shm.TornBatchError` if the slot's seqlock
-    does not seal ``sequence``.
+    The block's lanes are read-only views of the slot's ``[:n, :m]``
+    corner, ``m`` the widest row — the same padded block the router
+    packed, so the solver math downstream is identical to the
+    in-process path.  Raises :class:`~repro.service.shm.TornBatchError`
+    if the slot's seqlock does not seal ``sequence``, and
+    :class:`~repro.errors.ServiceError` if its counts or system tags
+    are out of range.
     """
     check_sealed(arrays["req_begin"], arrays["req_end"], slot, sequence)
+    capacity, width = arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2]
     n = int(arrays["req_count"][slot])
-    sats = arrays["req_sats"][slot, :n]
-    buckets: List[PackedBucket] = []
-    unpackable: List[int] = []
-    zero_rows = np.flatnonzero(sats == 0)
-    if zero_rows.size:
-        unpackable = [int(row) for row in zero_rows]
-    for m in np.unique(sats):
-        m = int(m)
-        if m == 0:
-            continue
-        count_rows = np.flatnonzero(sats == m)
-        pattern_rows: Dict[bytes, List[int]] = {}
-        for row in count_rows:
-            pattern = arrays["req_systems"][slot, row, :m].tobytes()
-            pattern_rows.setdefault(pattern, []).append(int(row))
-        for grouped in pattern_rows.values():  # insertion == stream order
-            rows = np.asarray(grouped, dtype=np.intp)
-            count = rows.size
-            cn0 = arrays["req_cn0"][slot, rows, :m].copy()
-            block = EpochBlock(
-                positions=arrays["req_positions"][slot, rows, :m].copy(),
-                pseudoranges=arrays["req_pseudoranges"][slot, rows, :m].copy(),
-                # First-row probe, exactly like EpochBlock.from_epochs:
-                # an all-NaN first row decodes as "no signal features"
-                # (the producers fill all epochs or none), so the lane
-                # is None precisely when the in-process pack's would be.
-                cn0=cn0 if np.isfinite(cn0[0]).any() else None,
-                prns=arrays["req_prns"][slot, rows, :m].copy(),
-                systems=arrays["req_systems"][slot, rows, :m].copy(),
-                weeks=arrays["req_weeks"][slot, rows].copy(),
-                seconds_of_week=arrays["req_sow"][slot, rows].copy(),
-                truth_positions=np.full((count, 3), np.nan),
-                truth_biases=np.full(count, np.nan),
-            )
-            buckets.append(
-                PackedBucket(
-                    satellite_count=m,
-                    indices=rows,
-                    block=block,
-                )
-            )
-    overrides = arrays["req_biases"][slot, :n].copy()
-    biases = overrides if np.isfinite(overrides).any() else None
-    return (
-        PackedStream(
-            length=n, buckets=tuple(buckets), unpackable=tuple(unpackable)
-        ),
-        biases,
-    )
+    if not 0 <= n <= capacity:
+        raise ServiceError(
+            f"slot {slot} claims {n} epochs; its capacity is {capacity}"
+        )
+    counts = arrays["req_sats"][slot, :n]
+    if n and (counts.min() < 0 or counts.max() > width):
+        raise ServiceError(
+            f"slot {slot} claims satellite counts outside [0, {width}]"
+        )
+    m = int(counts.max()) if n else 0
+    cn0 = arrays["req_cn0"][slot, :n, :m]
+    try:
+        block = EpochBlock(
+            positions=arrays["req_positions"][slot, :n, :m],
+            pseudoranges=arrays["req_pseudoranges"][slot, :n, :m],
+            # The lane is present when any row reports C/N0, exactly
+            # like pack_stream's: write_request NaN-fills it otherwise.
+            cn0=cn0 if np.isfinite(cn0).any() else None,
+            prns=arrays["req_prns"][slot, :n, :m],
+            systems=arrays["req_systems"][slot, :n, :m],
+            weeks=arrays["req_weeks"][slot, :n],
+            seconds_of_week=arrays["req_sow"][slot, :n],
+            truth_positions=np.full((n, 3), np.nan),
+            truth_biases=np.full(n, np.nan),
+            counts=counts,
+        )
+    except ConfigurationError as exc:
+        raise ServiceError(f"slot {slot} holds a malformed batch: {exc}") from exc
+    overrides = arrays["req_biases"][slot, :n]
+    biases = overrides.copy() if np.isfinite(overrides).any() else None
+    unpackable = tuple(int(row) for row in np.flatnonzero(counts == 0))
+    return PackedStream(block=block, unpackable=unpackable), biases
 
 
 def write_response(
@@ -395,15 +378,42 @@ def read_response(
 
     ``monitors`` is the row → monitor-verdict-dict map shipped in the
     worker's ``done`` message; a crash-recovered sealed slot decodes
-    without one (the verdicts died with the worker's pipe).
+    without one (the verdicts died with the worker's pipe).  Raises
+    :class:`~repro.service.shm.TornBatchError` if the seqlock does not
+    seal ``sequence``, and :class:`~repro.errors.ServiceError` for a
+    row count beyond the slot, an out-of-range status/solver/verdict
+    code, or an ``ok`` row without a finite fix — a corrupt slot is
+    never decoded into a served result.
     """
     from repro.integrity.fde import EpochVerdict
     from repro.integrity.monitors import EpochMonitorVerdict
 
     check_sealed(arrays["resp_begin"], arrays["resp_end"], slot, sequence)
-    status = arrays["resp_status"][slot]
-    solver_codes = arrays["resp_solver"][slot]
-    verdict_status = arrays["resp_verdict_status"][slot]
+    capacity = arrays["resp_status"].shape[1]
+    if not 0 <= count <= capacity:
+        raise ServiceError(
+            f"response for slot {slot} claims {count} rows; its capacity is "
+            f"{capacity}"
+        )
+    status = arrays["resp_status"][slot, :count]
+    solver_codes = arrays["resp_solver"][slot, :count]
+    verdict_status = arrays["resp_verdict_status"][slot, :count]
+    positions = arrays["resp_positions"][slot, :count]
+    ok = status == 0
+    if (
+        status.min(initial=0) < 0
+        or status.max(initial=0) >= len(_STATUS_CODES)
+        or solver_codes.min(initial=0) < -1
+        or solver_codes.max(initial=0) >= len(_SOLVER_CODES)
+        or verdict_status.min(initial=0) < -1
+        or verdict_status.max(initial=0) >= len(_VERDICT_CODES)
+        or not np.isfinite(positions[ok]).all()
+        or (solver_codes[ok] < 0).any()
+    ):
+        raise ServiceError(
+            f"response for slot {slot} holds out-of-range codes or a "
+            "non-finite served fix"
+        )
     results: List[ServiceResult] = []
     for row in range(count):
         row_status = _STATUS_CODES[status[row]]
@@ -430,11 +440,7 @@ def read_response(
         results.append(
             ServiceResult(
                 status=row_status,
-                position=(
-                    arrays["resp_positions"][slot, row].copy()
-                    if row_status == "ok"
-                    else None
-                ),
+                position=positions[row].copy() if row_status == "ok" else None,
                 clock_bias_meters=bias if np.isfinite(bias) else None,
                 solver=solver if row_status == "ok" else None,
                 error=errors.get(row),
@@ -509,6 +515,9 @@ def worker_main(
                     time.sleep(3600)
             packed, biases = read_request(arrays, slot, sequence)
             outcomes, _meta = executor.execute_packed(packed, biases)
+            # The packed block views the slab: drop it now, or the
+            # mapping cannot close when the worker is told to stop.
+            del packed
             if crash_after is not None:
                 # Torn-write chaos: open the response window, fill only
                 # a prefix, then die without sealing.

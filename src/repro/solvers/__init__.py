@@ -46,7 +46,6 @@ from repro.solvers.batch import (
     BatchNrResult,
     build_difference_systems,
     build_multi_difference_systems,
-    group_epochs_by_count,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "difference_covariance",
     "difference_covariance_components",
     "multi_difference_covariance_components",
-    "group_epochs_by_count",
 ]

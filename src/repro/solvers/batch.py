@@ -3,10 +3,18 @@
 The paper's third future-work item: "optimize the matrix operations in
 the context of our problem so the computation time may be further
 reduced".  The closed-form structure of DLO/DLG makes them unusually
-batchable: N epochs with the same satellite count m share identical
-shapes, so the N difference systems can be built and solved as one
-stacked ``(N, m-1, 3)`` tensor operation, amortizing the per-call
-dispatch overhead that dominates small solves.
+batchable: N epochs can be built and solved as one stacked
+``(N, m-1, 3)`` tensor operation, amortizing the per-call dispatch
+overhead that dominates small solves.
+
+Epochs need not share a satellite count.  A padded
+:class:`~repro.blocks.EpochBlock` keeps row ``i``'s satellites in
+slots ``[0, counts[i])``, and every solver gives the padded slots zero
+weight: DLG an infinite variance (a zero in the Sherman-Morrison
+``D^-1``) with zero design and right-hand-side rows, DLO and NR zero
+rows in their normal equations.  A row then solves exactly like its
+own narrower system, up to float reassociation, so one kernel call
+answers a whole mixed flush.
 
 This is exactly the optimization a high-rate tracking server (the
 paper's motivating "object moving at high speed" positioned many times
@@ -24,33 +32,34 @@ Usage::
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.blocks import EpochBlock
-from repro.constellation.systems import group_layout, system_code
+from repro.constellation.systems import SYSTEM_CODES, system_code
 from repro.errors import ConfigurationError, ConvergenceError, EstimationError, GeometryError
 from repro.estimation import (
-    batched_apply_inverse_diag_rank1,
     batched_gls_solve_diag_rank1,
     batched_gls_solve_grouped_rank1,
 )
+from repro.estimation.structured import solve_normal_equations
 from repro.estimation.workspace import KernelWorkspace
 from repro.observations import ObservationEpoch
 from repro.solvers.direct_linear import CONSTELLATION_MODES, check_multi_admissibility
-from repro.telemetry import get_registry
 
-_log = logging.getLogger(__name__)
-
-#: What the batch solvers accept: the legacy epoch-object form or the
+#: What the batch solvers accept: the epoch-object form or the
 #: already-columnar block the engine's zero-copy path hands over.
 Batchable = Union[Sequence[ObservationEpoch], EpochBlock]
 
+_DEGENERATE = (
+    "a batch epoch has degenerate geometry; solve epochs individually "
+    "to identify it"
+)
 
-def _as_block(epochs: Batchable, kind: str) -> EpochBlock:
+
+def as_block(epochs: Batchable, kind: str) -> EpochBlock:
     """Coerce solver input to an :class:`EpochBlock`, validating size.
 
     ``kind`` names the algorithm family for the under-4-satellites
@@ -58,21 +67,17 @@ def _as_block(epochs: Batchable, kind: str) -> EpochBlock:
     """
     if isinstance(epochs, EpochBlock):
         block = epochs
-        if len(block) == 0:
-            raise GeometryError("solve_batch needs at least one epoch")
     else:
         if not epochs:
             raise GeometryError("solve_batch needs at least one epoch")
-        if epochs[0].satellite_count < 4:
-            raise GeometryError(
-                f"batched {kind} needs at least 4 satellites, "
-                f"got {epochs[0].satellite_count}"
-            )
         block = EpochBlock.from_epochs(epochs)
-    if block.satellite_count < 4:
+    if len(block) == 0:
+        raise GeometryError("solve_batch needs at least one epoch")
+    small = block.counts < 4
+    if small.any():
         raise GeometryError(
             f"batched {kind} needs at least 4 satellites, "
-            f"got {block.satellite_count}"
+            f"got {int(block.counts[small][0])}"
         )
     return block
 
@@ -86,7 +91,10 @@ def _corrected_pseudoranges(block: EpochBlock, biases: np.ndarray) -> np.ndarray
             f"got {biases.shape}"
         )
     corrected = block.pseudoranges - biases[:, None]
-    if np.any(corrected <= 0):
+    non_positive = corrected <= 0
+    if block.padded:
+        non_positive &= block.occupied
+    if non_positive.any():
         raise GeometryError(
             "clock-corrected pseudoranges are non-positive for some epoch; "
             "check the bias predictions"
@@ -94,26 +102,17 @@ def _corrected_pseudoranges(block: EpochBlock, biases: np.ndarray) -> np.ndarray
     return corrected
 
 
-def _stack_epochs(epochs: Sequence[ObservationEpoch], biases: np.ndarray):
-    """Validate and stack N same-size epochs into dense tensors.
-
-    Retained for callers that want raw arrays; the solvers themselves
-    now flow through :class:`~repro.blocks.EpochBlock`, which this
-    helper builds (and whose memoized per-epoch arrays it reuses).
-    """
-    block = _as_block(epochs, "direct linearization")
-    corrected = _corrected_pseudoranges(block, biases)
-    return block.positions, corrected
-
-
 def build_difference_systems(
-    positions: np.ndarray, corrected: np.ndarray
+    positions: np.ndarray,
+    corrected: np.ndarray,
+    occupied: Optional[np.ndarray] = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Vectorized eq. 4-8 construction for a whole batch.
 
     Parameters are the stacked ``(N, m, 3)`` satellite positions and
     ``(N, m)`` clock-corrected pseudoranges; the base satellite is
-    index 0 of each epoch.  Returns ``(N, m-1, 3)`` designs and
+    slot 0 of each epoch.  ``occupied`` (the block's slot mask) zeroes
+    the rows of padded slots.  Returns ``(N, m-1, 3)`` designs and
     ``(N, m-1)`` right-hand sides.
     """
     design = positions[:, 1:, :] - positions[:, :1, :]
@@ -122,90 +121,164 @@ def build_difference_systems(
         (squared_norms[:, 1:] - squared_norms[:, :1])
         - (corrected[:, 1:] ** 2 - corrected[:, :1] ** 2)
     )
+    if occupied is not None:
+        live = occupied[:, 1:]
+        design = np.where(live[:, :, None], design, 0.0)
+        rhs = np.where(live, rhs, 0.0)
     return design, rhs
 
 
-def _require_uniform_pattern(block: EpochBlock) -> np.ndarray:
-    """The block's shared ``(m,)`` system-id slot pattern.
+def _occupancy(block: EpochBlock) -> Optional[np.ndarray]:
+    """The slot mask when the block has padding, else ``None``."""
+    return block.occupied if block.padded else None
 
-    The multi-constellation kernels solve all N epochs with one shared
-    group structure, so every row must put each constellation's
-    satellites in the same slots — which :func:`~repro.blocks.
-    pack_stream` buckets guarantee.  Mixed-pattern blocks fail loudly.
+
+def system_columns(
+    systems: np.ndarray,
+    occupied: np.ndarray,
+    codes: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bias column of every slot, and the system ids the columns hold.
+
+    Columns follow the first appearance of each system in the batch
+    (rows in order, slots in order), so relabeling the systems never
+    changes the arithmetic.  ``codes`` fixes the column order instead
+    (exclusion candidates reuse their parent batch's).  Padded slots
+    get column ``-1``.
     """
-    pattern = block.uniform_system_pattern()
-    if pattern is None:
-        raise GeometryError(
-            "block rows carry different constellation patterns; "
-            "re-bucket through pack_stream before a multi-constellation "
-            "batch solve"
+    if codes is None:
+        tags = systems[occupied]
+        present = np.flatnonzero(np.bincount(tags, minlength=len(SYSTEM_CODES)))
+        first = [int(np.argmax(tags == code)) for code in present]
+        codes = present[np.argsort(first)]
+    lookup = np.full(len(SYSTEM_CODES), -1, dtype=np.int64)
+    lookup[codes] = np.arange(codes.shape[0])
+    columns = np.where(occupied, lookup.take(systems, mode="clip"), -1)
+    return columns, codes
+
+
+@dataclass(frozen=True)
+class MultiDifferenceSystem:
+    """Per-constellation difference systems of a padded batch.
+
+    One equation row per slot: each constellation is differenced
+    against its own base (its first slot in that row), and base and
+    padded slots keep zero rows with infinite variance.
+
+    Attributes
+    ----------
+    design, rhs:
+        ``(N, m, 3+K)`` designs and ``(N, m)`` right-hand sides.
+    diag, scales:
+        ``(N, m)`` diagonal (``rho_j^2``; ``+inf`` on zero rows) and
+        ``(N, K)`` per-group rank-one scales (``rho_base^2``; 0 for a
+        constellation the row lacks) of the grouped covariance.
+    groups:
+        ``(N, m)`` group (bias column) of every equation row, ``-1``
+        on zero rows.
+    codes:
+        ``(K,)`` system ids of the bias columns.
+    present:
+        ``(N, K)`` which constellations each row observes.
+    first_columns:
+        ``(N,)`` bias column of each row's slot-0 constellation.
+    """
+
+    design: np.ndarray
+    rhs: np.ndarray
+    diag: np.ndarray
+    scales: np.ndarray
+    groups: np.ndarray
+    codes: np.ndarray
+    present: np.ndarray
+    first_columns: np.ndarray
+
+    @property
+    def decoupled(self) -> Optional[np.ndarray]:
+        """``(N, 3+K)`` unknowns a row does not observe, or ``None``."""
+        absent = ~self.present
+        if not absent.any():
+            return None
+        return np.concatenate(
+            [np.zeros((absent.shape[0], 3), dtype=bool), absent], axis=1
         )
-    return pattern
 
 
 def build_multi_difference_systems(
     positions: np.ndarray,
     pseudoranges: np.ndarray,
-    pattern: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    systems: np.ndarray,
+    occupied: np.ndarray,
+    codes: Optional[np.ndarray] = None,
+) -> MultiDifferenceSystem:
     """Vectorized per-constellation difference construction for a batch.
 
     The batched counterpart of :func:`~repro.solvers.direct_linear.
-    build_multi_difference_system`: the ``(m,)`` system-id ``pattern``
-    is shared by all N epochs, so the group layout, base satellites and
-    sparsity structure are computed once and broadcast.
+    build_multi_difference_system`, with a per-row group layout: every
+    row differences each of its constellations against that
+    constellation's first slot, so rows with different system
+    patterns share one stacked system through per-row group
+    memberships.  Raises :class:`~repro.errors.GeometryError` for the
+    first row whose layout the per-constellation system cannot solve.
 
-    Parameters
-    ----------
-    positions:
-        ``(N, m, 3)`` stacked satellite positions.
-    pseudoranges:
-        ``(N, m)`` *raw* pseudoranges (the per-constellation biases are
-        unknowns of this system, nothing is removed up front).
-    pattern:
-        ``(m,)`` per-slot system ids shared by every epoch.
-
-    Returns ``(design (N, m-K, 3+K), rhs (N, m-K), row_groups (m-K,),
-    base_indices (K,), codes (K,))``.
+    ``pseudoranges`` are *raw*: the per-constellation biases are
+    unknowns of this system, nothing is removed up front.
     """
-    groups, codes = group_layout(pattern)
-    check_multi_admissibility(groups, codes)
     n, m = pseudoranges.shape
+    columns, codes = system_columns(systems, occupied, codes)
     k_groups = int(codes.shape[0])
-
-    base_indices = np.full(k_groups, -1, dtype=np.int64)
-    for index in range(m):
-        g = groups[index]
-        if base_indices[g] < 0:
-            base_indices[g] = index
-    non_base = np.ones(m, dtype=bool)
-    non_base[base_indices] = False
-    row_groups = groups[non_base]
-
-    base_positions = positions[:, base_indices, :]  # (N, K, 3)
-    base_rho = pseudoranges[:, base_indices]  # (N, K)
-
-    design = np.zeros((n, m - k_groups, 3 + k_groups))
-    design[:, :, :3] = positions[:, non_base, :] - base_positions[:, row_groups, :]
-    rows = np.arange(m - k_groups)
-    design[:, rows, 3 + row_groups] = -(
-        pseudoranges[:, non_base] - base_rho[:, row_groups]
+    in_group = [columns == g for g in range(k_groups)]  # K x (N, m)
+    group_counts = np.bincount(
+        (np.arange(n)[:, None] * k_groups + columns)[occupied],
+        minlength=n * k_groups,
+    ).reshape(n, k_groups)
+    present = group_counts > 0  # (N, K)
+    row_groups = present.sum(axis=1)
+    counts = occupied.sum(axis=1)
+    bad = (present & (group_counts < 2)).any(axis=1) | (
+        counts - row_groups < 3 + row_groups
     )
-
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        live = columns[row][occupied[row]]
+        layout = np.unique(live, return_inverse=True)
+        check_multi_admissibility(layout[1], codes[layout[0]])
+    # (N, K) first slot of each group
+    bases = np.stack([mask.argmax(axis=1) for mask in in_group], axis=1)
+    rows = np.arange(n)[:, None]
+    is_base = np.zeros((n, m), dtype=bool)
+    base_rows, base_groups = np.nonzero(present)
+    is_base[base_rows, bases[base_rows, base_groups]] = True
+    member = occupied & ~is_base
+    base_slot = bases[rows, np.maximum(columns, 0)]  # (N, m)
+    base_rho = pseudoranges[rows, base_slot]
     squared_norms = np.einsum("nmi,nmi->nm", positions, positions)
-    base_squared = squared_norms[:, base_indices]
-    rhs = 0.5 * (
-        (squared_norms[:, non_base] - base_squared[:, row_groups])
-        - (pseudoranges[:, non_base] ** 2 - base_rho[:, row_groups] ** 2)
+    design = np.zeros((n, m, 3 + k_groups))
+    design[:, :, :3] = np.where(
+        member[:, :, None], positions - positions[rows, base_slot], 0.0
     )
-    return design, rhs, row_groups, base_indices, codes
-
-
-def _non_base_mask(base_indices: np.ndarray, m: int) -> np.ndarray:
-    """Boolean ``(m,)`` mask of non-base satellite slots."""
-    non_base = np.ones(m, dtype=bool)
-    non_base[base_indices] = False
-    return non_base
+    bias_term = np.where(member, base_rho - pseudoranges, 0.0)
+    for g, mask in enumerate(in_group):
+        design[:, :, 3 + g] = np.where(mask, bias_term, 0.0)
+    rhs = np.where(
+        member,
+        0.5
+        * (
+            (squared_norms - squared_norms[rows, base_slot])
+            - (pseudoranges**2 - base_rho**2)
+        ),
+        0.0,
+    )
+    return MultiDifferenceSystem(
+        design=design,
+        rhs=rhs,
+        diag=np.where(member, pseudoranges**2, np.inf),
+        scales=np.where(present, pseudoranges[rows, bases] ** 2, 0.0),
+        groups=np.where(member, columns, -1),
+        codes=codes,
+        present=present,
+        first_columns=columns[:, 0],
+    )
 
 
 @dataclass(frozen=True)
@@ -218,19 +291,30 @@ class BatchMultiResult:
         ``(N, 3)`` estimated receiver positions.
     constellation_biases:
         ``(N, K)`` solved clock biases (meters), one column per
-        constellation in ``systems`` order.
+        constellation in ``systems`` order; NaN where a row does not
+        observe that constellation.
     systems:
-        ``(K,)`` constellation codes in first-appearance order of the
-        block's shared slot pattern.
+        ``(K,)`` constellation codes in first-appearance order over
+        the batch.
     norms:
         ``(N,)`` residual norms — whitened (Mahalanobis) for DLG, raw
         differenced-domain for DLO.
+    first_columns:
+        ``(N,)`` bias column of each row's first constellation (the
+        system of its slot 0).
     """
 
     positions: np.ndarray
     constellation_biases: np.ndarray
     systems: Tuple[str, ...]
     norms: np.ndarray
+    first_columns: np.ndarray
+
+    @property
+    def primary_biases(self) -> np.ndarray:
+        """``(N,)`` each row's first constellation's bias."""
+        rows = np.arange(self.constellation_biases.shape[0])
+        return self.constellation_biases[rows, self.first_columns]
 
 
 def _check_constellations(constellations: str) -> str:
@@ -243,14 +327,38 @@ def _check_constellations(constellations: str) -> str:
 
 
 def _finish_multi_batch(
-    solutions: np.ndarray, codes: np.ndarray, norms: np.ndarray
+    solutions: np.ndarray, system: MultiDifferenceSystem, norms: np.ndarray
 ) -> BatchMultiResult:
     return BatchMultiResult(
         positions=solutions[:, :3].copy(),
         constellation_biases=solutions[:, 3:].copy(),
-        systems=tuple(system_code(int(code)) for code in codes),
+        systems=tuple(system_code(int(code)) for code in system.codes),
         norms=norms,
+        first_columns=system.first_columns,
     )
+
+
+def _multi_system(block: EpochBlock) -> MultiDifferenceSystem:
+    return build_multi_difference_systems(
+        block.positions, block.pseudoranges, block.systems, block.occupied
+    )
+
+
+def _normal_equations(
+    design: np.ndarray, rhs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched ``(A^T A, A^T b)``: ``(N, p, p)`` and ``(N, p)``."""
+    return (
+        np.einsum("nij,nik->njk", design, design),
+        np.einsum("nij,ni->nj", design, rhs),
+    )
+
+
+def _solve_normal(gram: np.ndarray, moment: np.ndarray, decoupled=None) -> np.ndarray:
+    try:
+        return solve_normal_equations(gram, moment, decoupled)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(_DEGENERATE) from exc
 
 
 class BatchDLOSolver:
@@ -266,7 +374,7 @@ class BatchDLOSolver:
         epochs: Batchable,
         biases: Optional[Sequence[float]] = None,
     ) -> np.ndarray:
-        """Positions for N same-size epochs, as an ``(N, 3)`` array.
+        """Positions for N epochs of any satellite counts, ``(N, 3)``.
 
         ``biases`` are the predicted receiver clock biases (meters),
         one per epoch — the batched equivalent of the clock predictor
@@ -276,7 +384,7 @@ class BatchDLOSolver:
         :meth:`solve_block_multi`), so none may be passed.
         Accepts an :class:`~repro.blocks.EpochBlock` directly.
         """
-        block = _as_block(epochs, "direct linearization")
+        block = as_block(epochs, "direct linearization")
         if self.constellations == "per_constellation":
             if biases is not None:
                 raise ConfigurationError(
@@ -294,42 +402,29 @@ class BatchDLOSolver:
     def solve_block_multi(self, block: EpochBlock) -> BatchMultiResult:
         """Per-constellation solve of an already-columnar block.
 
-        One stacked OLS solve of the ``(N, m-K, 3+K)`` per-constellation
-        difference systems; the block must carry a uniform system
-        pattern (as :func:`~repro.blocks.pack_stream` buckets do).
+        One stacked OLS solve of the ``(N, m, 3+K)`` per-constellation
+        difference systems; rows may mix satellite counts and system
+        patterns freely.
         """
-        pattern = _require_uniform_pattern(block)
-        design, rhs, _row_groups, _bases, codes = build_multi_difference_systems(
-            block.positions, block.pseudoranges, pattern
-        )
-        gram = np.einsum("nij,nik->njk", design, design)
-        moment = np.einsum("nij,ni->nj", design, rhs)
-        try:
-            solutions = np.linalg.solve(gram, moment[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                "a batch epoch has degenerate geometry; solve epochs "
-                "individually to identify it"
-            ) from exc
+        system = _multi_system(block)
+        design, rhs = system.design, system.rhs
+        gram, moment = _normal_equations(design, rhs)
+        decoupled = system.decoupled
+        solutions = _solve_normal(gram, moment, decoupled)
         residuals = rhs - np.einsum("nki,ni->nk", design, solutions)
+        if decoupled is not None:
+            solutions[decoupled] = np.nan
         return _finish_multi_batch(
-            solutions, codes, np.linalg.norm(residuals, axis=1)
+            solutions, system, np.linalg.norm(residuals, axis=1)
         )
 
     def solve_block(self, block: EpochBlock, biases: np.ndarray) -> np.ndarray:
         """Positions for an already-columnar block; zero repacking."""
         corrected = _corrected_pseudoranges(block, biases)
-        design, rhs = build_difference_systems(block.positions, corrected)
-        # Batched normal equations: (N,3,3) and (N,3).
-        gram = np.einsum("nij,nik->njk", design, design)
-        moment = np.einsum("nij,ni->nj", design, rhs)
-        try:
-            return np.linalg.solve(gram, moment[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                "a batch epoch has degenerate geometry; solve epochs "
-                "individually to identify it"
-            ) from exc
+        design, rhs = build_difference_systems(
+            block.positions, corrected, _occupancy(block)
+        )
+        return _solve_normal(*_normal_equations(design, rhs))
 
 
 class BatchDLGSolver:
@@ -342,61 +437,15 @@ class BatchDLGSolver:
     (:func:`~repro.estimation.batched_gls_solve_diag_rank1`) — the same
     fast path the scalar :class:`~repro.solvers.direct_linear.DLGSolver`
     uses, vectorized across all N epochs at once.
+
+    ``constellations="per_constellation"`` estimates one clock bias
+    per constellation (see :meth:`solve_block_multi`).
     """
 
     name = "BatchDLG"
 
-    def __init__(
-        self,
-        dtype: str = "float64",
-        audit_every: int = 64,
-        audit_tolerance_meters: float = 1.0,
-        constellations: str = "single",
-    ) -> None:
-        """Configure the kernel precision.
-
-        Parameters
-        ----------
-        dtype:
-            ``"float64"`` (default, bit-stable reference path) or
-            ``"float32"`` — an opt-in mixed-precision kernel that
-            whitens and factorizes in single precision with float64
-            residual refinement (see :meth:`_solve_float32`).
-        audit_every:
-            With ``dtype="float32"``, every ``audit_every``-th solve is
-            also run through the float64 kernel and compared; the first
-            solve is always audited.
-        audit_tolerance_meters:
-            Maximum allowed float32-vs-float64 position discrepancy.
-            An audit exceeding it *permanently* drops the solver back
-            to float64 (fail-safe: accuracy wins over throughput) and
-            records ``repro_kernel_float32_audits_total{outcome=
-            "tripped"}``.
-        constellations:
-            ``"single"`` (default) for the historical one-bias path, or
-            ``"per_constellation"`` to estimate one clock bias per
-            constellation (see :meth:`solve_block_multi`).  The
-            per-constellation kernel has no float32 variant.
-        """
-        if dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if audit_every < 1:
-            raise ConfigurationError("audit_every must be at least 1")
-        if audit_tolerance_meters <= 0:
-            raise ConfigurationError("audit_tolerance_meters must be positive")
+    def __init__(self, constellations: str = "single") -> None:
         self.constellations = _check_constellations(constellations)
-        if self.constellations == "per_constellation" and dtype == "float32":
-            raise ConfigurationError(
-                "the float32 kernel is single-constellation only; "
-                "per-constellation mode requires dtype='float64'"
-            )
-        self._dtype = dtype
-        self._audit_every = int(audit_every)
-        self._audit_tolerance = float(audit_tolerance_meters)
-        self._solves = 0
-        self._float32_tripped = False
         self._workspace = KernelWorkspace()
 
     @property
@@ -404,24 +453,19 @@ class BatchDLGSolver:
         """The preallocated scratch buffers this solver reuses."""
         return self._workspace
 
-    @property
-    def float32_active(self) -> bool:
-        """Whether the float32 kernel is configured and not tripped."""
-        return self._dtype == "float32" and not self._float32_tripped
-
     def solve_batch(
         self,
         epochs: Batchable,
         biases: Optional[Sequence[float]] = None,
     ) -> np.ndarray:
-        """Positions for N same-size epochs, as an ``(N, 3)`` array.
+        """Positions for N epochs of any satellite counts, ``(N, 3)``.
 
         ``biases`` are required in ``"single"`` mode and must be absent
         in ``"per_constellation"`` mode, where the clock biases are
         solved for (see :meth:`solve_block_multi`).
         Accepts an :class:`~repro.blocks.EpochBlock` directly.
         """
-        block = _as_block(epochs, "direct linearization")
+        block = as_block(epochs, "direct linearization")
         if self.constellations == "per_constellation":
             if biases is not None:
                 raise ConfigurationError(
@@ -444,29 +488,24 @@ class BatchDLGSolver:
         The grouped generalization of :meth:`solve_block_full`: the
         block-diagonal eq. 4-26 covariance (one diag+rank-one block per
         constellation) is applied through
-        :func:`~repro.estimation.batched_gls_solve_grouped_rank1`, so
-        the whole stack whitens in O(m) per epoch with no
-        factorization.  The block must carry a uniform system pattern.
+        :func:`~repro.estimation.batched_gls_solve_grouped_rank1` with
+        each row's own group layout, so the whole stack whitens in
+        O(m) per epoch with no factorization and no bucketing.
         """
-        pattern = _require_uniform_pattern(block)
-        design, rhs, row_groups, base_indices, codes = (
-            build_multi_difference_systems(
-                block.positions, block.pseudoranges, pattern
-            )
-        )
-        diag = block.pseudoranges[:, _non_base_mask(base_indices, pattern.shape[0])] ** 2
-        scales = block.pseudoranges[:, base_indices] ** 2
+        system = _multi_system(block)
         try:
             solutions, norms = batched_gls_solve_grouped_rank1(
-                design, rhs, diag, scales, row_groups,
+                system.design,
+                system.rhs,
+                system.diag,
+                system.scales,
+                system.groups,
                 workspace=self._workspace,
+                decoupled=system.decoupled,
             )
         except EstimationError as exc:
-            raise EstimationError(
-                "a batch epoch has degenerate geometry; solve epochs "
-                "individually to identify it"
-            ) from exc
-        return _finish_multi_batch(solutions, codes, norms)
+            raise EstimationError(_DEGENERATE) from exc
+        return _finish_multi_batch(solutions, system, norms)
 
     def solve_block(self, block: EpochBlock, biases: np.ndarray) -> np.ndarray:
         """Positions for an already-columnar block; zero repacking."""
@@ -483,193 +522,34 @@ class BatchDLGSolver:
         integrity gate can screen the batch without re-deriving either.
         """
         corrected = _corrected_pseudoranges(block, biases)
-        if self.float32_active:
-            self._solves += 1
-            audited = (self._solves - 1) % self._audit_every == 0
-            solutions, norms = self._solve_float32(block.positions, corrected)
-            if audited:
-                reference, ref_norms = self._solve_float64(
-                    block.positions, corrected
-                )
-                worst = float(
-                    np.max(np.linalg.norm(solutions - reference, axis=1))
-                )
-                if worst > self._audit_tolerance:
-                    self._float32_tripped = True
-                    _log.warning(
-                        "float32 DLG kernel audit failed (%.3f m > %.3f m); "
-                        "permanently falling back to float64",
-                        worst,
-                        self._audit_tolerance,
-                    )
-                    self._count_audit("tripped")
-                    self._record_audit_trip(
-                        block, biases, solutions, reference, worst
-                    )
-                    return reference, ref_norms, corrected
-                self._count_audit("passed")
-            return solutions, norms, corrected
-        solutions, norms = self._solve_float64(block.positions, corrected)
+        solutions, norms = solve_dlg_stack(
+            block.positions, corrected, _occupancy(block), self._workspace
+        )
         return solutions, norms, corrected
 
-    def _solve_float64(
-        self, positions: np.ndarray, corrected: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        design, rhs = build_difference_systems(positions, corrected)
-        # Batched eq. 4-26 in structured form: diag rho_j^2, scale rho_base^2.
-        diag = corrected[:, 1:] ** 2  # (N, m-1)
-        scale = corrected[:, 0] ** 2  # (N,)
-        try:
-            return batched_gls_solve_diag_rank1(
-                design, rhs, diag, scale, workspace=self._workspace
-            )
-        except EstimationError as exc:
-            raise EstimationError(
-                "a batch epoch has degenerate geometry; solve epochs "
-                "individually to identify it"
-            ) from exc
 
-    def _solve_float32(
-        self, positions: np.ndarray, corrected: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Mixed-precision kernel: float32 factorization, float64 refinement.
+def solve_dlg_stack(
+    positions: np.ndarray,
+    corrected: np.ndarray,
+    occupied: Optional[np.ndarray] = None,
+    workspace: Optional[KernelWorkspace] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Single-constellation DLG over stacked (optionally padded) epochs.
 
-        A naive full-float32 solve is hopeless here: the difference
-        right-hand sides are ~1e13 m² (squares of ECEF radii), so
-        float32's 2^-24 relative precision maps to ~1e6 m of rhs error.
-        Instead the system is *built* in float64, the whitening and
-        Gram factorization are demoted to float32 (the memory-bound
-        part whose cost scales with satellite count), and the solution
-        is recovered by iterative refinement: each pass recomputes the
-        residual ``rhs - A x`` in float64 (cheap, exact to ~mm) and
-        solves for the correction against the float32 Gram.  Three
-        passes contract the initial kilometer-scale error below the
-        audit tolerance for any geometry the float64 path itself can
-        solve; pathological conditioning is what the audit gate exists
-        to catch.
-        """
-        design, rhs = build_difference_systems(positions, corrected)
-        diag = corrected[:, 1:] ** 2
-        scale = corrected[:, 0] ** 2
-        ws = self._workspace
-        n, k, p = design.shape
-        design32 = ws.buffer("f32_design", (n, k, p), np.float32)
-        design32[...] = design
-        inv_d = 1.0 / diag
-        inv_d32 = ws.buffer("f32_inv_d", (n, k), np.float32)
-        inv_d32[...] = inv_d
-        s_over_denom = (scale / (1.0 + scale * inv_d.sum(axis=1))).astype(
-            np.float32
+    Returns ``(solutions (N, 3), whitened norms (N,))``.  Padded slots
+    (``occupied`` false) get infinite variance — zero weight.
+    """
+    design, rhs = build_difference_systems(positions, corrected, occupied)
+    # Batched eq. 4-26 in structured form: diag rho_j^2, scale rho_base^2.
+    diag = corrected[:, 1:] ** 2
+    if occupied is not None:
+        diag = np.where(occupied[:, 1:], diag, np.inf)
+    try:
+        return batched_gls_solve_diag_rank1(
+            design, rhs, diag, corrected[:, 0] ** 2, workspace=workspace
         )
-        whitened = np.multiply(
-            design32, inv_d32[:, :, None], out=ws.buffer("f32_u", (n, k, p), np.float32)
-        )
-        correction = s_over_denom[:, None] * whitened.sum(axis=1)
-        whitened -= inv_d32[:, :, None] * correction[:, None, :]
-        gram = np.einsum("nki,nkj->nij", design32, whitened)
-        solutions = np.zeros((n, p))
-        residual = rhs
-        for _pass in range(3):
-            moment = np.einsum(
-                "nki,nk->ni", whitened, residual.astype(np.float32)
-            )
-            try:
-                delta = np.linalg.solve(gram, moment[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError(
-                    "a batch epoch has degenerate geometry; solve epochs "
-                    "individually to identify it"
-                ) from exc
-            solutions = solutions + delta.astype(float)
-            residual = rhs - np.einsum("nki,ni->nk", design, solutions)
-        # Mahalanobis norms from the float64 residual, so FDE-style
-        # consumers see statistics on the same scale as the reference
-        # kernel (the engine still refuses float32+FDE outright).
-        mahalanobis_sq = np.einsum(
-            "nk,nk->n",
-            residual,
-            batched_apply_inverse_diag_rank1(diag, scale, residual),
-        )
-        return solutions, np.sqrt(np.maximum(mahalanobis_sq, 0.0))
-
-    def _count_audit(self, outcome: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_kernel_float32_audits_total",
-                "Float32 kernel differential audits by outcome.",
-                labels=("outcome",),
-            ).labels(outcome=outcome).inc()
-
-    def _record_audit_trip(
-        self,
-        block: EpochBlock,
-        biases: np.ndarray,
-        solutions: np.ndarray,
-        reference: np.ndarray,
-        worst: float,
-    ) -> None:
-        """Hand the tripping epoch to the flight recorder, if one is on.
-
-        The audit trip is the one anomaly the service layer cannot see
-        (it happens inside the kernel and is silently repaired by the
-        float64 fallback), so the solver reports it directly: the
-        worst-discrepancy epoch's raw inputs go into a replayable
-        incident record tagged ``float32_audit``.  Cold path — the trip
-        is permanent, so this runs at most once per solver lifetime.
-        """
-        from repro.telemetry.recorder import (
-            TRIGGER_FLOAT32_AUDIT,
-            FixRecord,
-            config_hash,
-            get_recorder,
-            inputs_digest,
-            now_seconds,
-        )
-
-        recorder = get_recorder()
-        if not recorder.enabled:
-            return
-        row = int(np.argmax(np.linalg.norm(solutions - reference, axis=1)))
-        bias = float(biases[row])
-        payload = {
-            "week": int(block.weeks[row]),
-            "seconds_of_week": float(block.seconds_of_week[row]),
-            "prns": [int(prn) for prn in block.prns[row]],
-            "pseudoranges": [float(r) for r in block.pseudoranges[row]],
-            "positions": [
-                [float(c) for c in sat] for sat in block.positions[row]
-            ],
-        }
-        digest = inputs_digest(payload)
-        solver_spec = {"algorithm": "dlg", "clock_bias_meters": bias}
-        recorder.record(
-            FixRecord(
-                request_id=f"audit-{digest}",
-                status="failed",
-                solver="dlg/float32",
-                recorded_at=now_seconds(),
-                inputs_digest=digest,
-                config_hash=config_hash(
-                    solver_spec,
-                    audit_every=self._audit_every,
-                    audit_tolerance_meters=self._audit_tolerance,
-                ),
-                trigger=TRIGGER_FLOAT32_AUDIT,
-                error=(
-                    f"float32 audit discrepancy {worst:.3f} m exceeds "
-                    f"{self._audit_tolerance:.3f} m"
-                ),
-                epoch=payload,
-                solver_spec=solver_spec,
-                attributes={
-                    "worst_meters": worst,
-                    "tolerance_meters": self._audit_tolerance,
-                    "batch_size": len(block),
-                    "row": row,
-                },
-            )
-        )
+    except EstimationError as exc:
+        raise EstimationError(_DEGENERATE) from exc
 
 
 @dataclass(frozen=True)
@@ -681,17 +561,18 @@ class BatchNrResult:
     positions:
         ``(N, 3)`` estimated receiver positions.
     clock_biases:
-        ``(N,)`` solved receiver clock biases (meters).
+        ``(N,)`` solved receiver clock biases (meters); in
+        per-constellation mode each row's first constellation's.
     iterations:
         ``(N,)`` iterations each epoch actually ran before converging
         (or hitting the budget).
     converged:
         ``(N,)`` whether each epoch met the update tolerance.
     constellation_biases:
-        ``(N, K)`` per-constellation solved clock biases, or ``None``
-        for single-constellation solves (where ``clock_biases`` is the
-        whole story).  When present, ``clock_biases`` equals the first
-        column.
+        ``(N, K)`` per-constellation solved clock biases (NaN where a
+        row lacks the constellation), or ``None`` for
+        single-constellation solves (where ``clock_biases`` is the
+        whole story).
     systems:
         ``(K,)`` constellation codes matching the bias columns, or
         ``None`` for single-constellation solves.
@@ -706,16 +587,16 @@ class BatchNrResult:
 
 
 class BatchNewtonRaphsonSolver:
-    """Vectorized NR over N same-size epochs, with active-set masking.
+    """Vectorized NR over N epochs, with active-set masking.
 
     Each iteration linearizes all still-unconverged epochs at once
-    (stacked Jacobians, one batched 4x4 normal-equations solve) and
-    drops epochs whose update norm falls below the tolerance out of
-    the active set — so the batch cost tracks the *slowest* epochs
-    without re-iterating the finished ones.  This gives the paper's
-    baseline a throughput-comparable implementation: NR cannot be made
-    closed-form, but its per-iteration linear algebra batches exactly
-    like DLO/DLG's single solve does.
+    (stacked Jacobians, one batched normal-equations solve; padded
+    slots are zero rows) and drops epochs whose update norm falls below
+    the tolerance out of the active set — so the batch cost tracks the
+    *slowest* epochs without re-iterating the finished ones.  This
+    gives the paper's baseline a throughput-comparable implementation:
+    NR cannot be made closed-form, but its per-iteration linear algebra
+    batches exactly like DLO/DLG's single solve does.
 
     Uses the ``"update"`` convergence criterion of
     :class:`~repro.solvers.newton_raphson.NewtonRaphsonSolver` (state
@@ -752,8 +633,8 @@ class BatchNewtonRaphsonSolver:
                 raise ConfigurationError("initial_state must be a finite 4-vector")
             self._initial_state = state.copy()
 
-    def solve_batch(self, epochs: Sequence[ObservationEpoch]) -> np.ndarray:
-        """Positions for N same-size epochs, as an ``(N, 3)`` array.
+    def solve_batch(self, epochs: Batchable) -> np.ndarray:
+        """Positions for N epochs, as an ``(N, 3)`` array.
 
         Raises :class:`~repro.errors.ConvergenceError` if any epoch
         fails to converge; use :meth:`solve_batch_full` to get partial
@@ -770,50 +651,125 @@ class BatchNewtonRaphsonSolver:
         return result.positions
 
     def solve_batch_full(self, epochs: Batchable) -> BatchNrResult:
-        """Solve N same-size epochs, reporting per-epoch convergence.
+        """Solve N epochs, reporting per-epoch convergence.
 
         Accepts an :class:`~repro.blocks.EpochBlock` directly (alias
         :meth:`solve_block_full`); epoch sequences are packed once.
         """
-        block = _as_block(epochs, "Newton-Raphson")
-        if self.constellations == "per_constellation":
-            return self._iterate_multi(block)
-        return self._iterate(block.positions, block.pseudoranges)
+        block = as_block(epochs, "Newton-Raphson")
+        if self.constellations == "single":
+            columns = np.zeros(block.prns.shape, dtype=np.int64)
+            states, iterations, converged = self._iterate(
+                block, columns, 1, self._initial_state
+            )
+            return BatchNrResult(
+                positions=states[:, :3].copy(),
+                clock_biases=states[:, 3].copy(),
+                iterations=iterations,
+                converged=converged,
+            )
+        return self._solve_multi(block)
 
     def solve_block_full(self, block: EpochBlock) -> BatchNrResult:
         """Solve an already-columnar block; zero repacking."""
         return self.solve_batch_full(block)
 
+    def _solve_multi(self, block: EpochBlock) -> BatchNrResult:
+        """Batched NR with one clock-bias column per constellation.
+
+        The batched counterpart of :meth:`~repro.solvers.
+        newton_raphson.NewtonRaphsonSolver._solve_multi`: state
+        ``(N, 3+K)``, residual ``P_i = R_i - rho_i + b_c(i)`` and
+        one-hot bias columns in the Jacobian.  NR tolerates singleton
+        constellations (the shared position couples their equation to
+        the rest), so only ``m >= 3 + K`` is required per row.
+        """
+        occupied = block.occupied
+        columns, codes = system_columns(block.systems, occupied)
+        k_groups = int(codes.shape[0])
+        present = (columns[:, :, None] == np.arange(k_groups)).any(axis=1)
+        row_groups = present.sum(axis=1)
+        short = block.counts < 3 + row_groups
+        if short.any():
+            row = int(np.flatnonzero(short)[0])
+            raise GeometryError(
+                f"{int(block.counts[row])} satellites cannot determine "
+                f"{3 + int(row_groups[row])} unknowns "
+                f"({int(row_groups[row])} constellation clock biases)"
+            )
+        states, iterations, converged = self._iterate(
+            block, columns, k_groups, np.zeros(3 + k_groups), present
+        )
+        biases = states[:, 3:].copy()
+        biases[~present] = np.nan
+        rows = np.arange(len(block))
+        return BatchNrResult(
+            positions=states[:, :3].copy(),
+            clock_biases=biases[rows, columns[:, 0]],
+            iterations=iterations,
+            converged=converged,
+            constellation_biases=biases,
+            systems=tuple(system_code(int(code)) for code in codes),
+        )
+
     def _iterate(
-        self, positions: np.ndarray, pseudoranges: np.ndarray
-    ) -> BatchNrResult:
-        m = positions.shape[1]
-        n = positions.shape[0]
-        states = np.tile(self._initial_state, (n, 1))  # (N, 4)
+        self,
+        block: EpochBlock,
+        columns: np.ndarray,
+        k_groups: int,
+        initial_state: np.ndarray,
+        present: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        positions = block.positions
+        pseudoranges = block.pseudoranges
+        occupied = _occupancy(block)
+        n, m = pseudoranges.shape
+        states = np.tile(initial_state, (n, 1))  # (N, 3+K)
         iterations = np.zeros(n, dtype=int)
         converged = np.zeros(n, dtype=bool)
         active = np.arange(n)
+        bias_columns = 3 + np.maximum(columns, 0)  # (N, m)
+        membership = (columns[:, :, None] == np.arange(k_groups)).astype(float)
+        decoupled = None
+        if present is not None and not present.all():
+            decoupled = np.concatenate(
+                [np.zeros((n, 3), dtype=bool), ~present], axis=1
+            )
 
         for iteration in range(1, self._max_iterations + 1):
             state_a = states[active]
             deltas = positions[active] - state_a[:, None, :3]  # (Na, m, 3)
             ranges = np.sqrt(np.einsum("nmi,nmi->nm", deltas, deltas))
-            if np.any(ranges < 1.0):
+            collided = ranges < 1.0
+            if occupied is not None:
+                collided &= occupied[active]
+            if np.any(collided):
                 raise GeometryError(
                     "NR state collided with a satellite position; "
                     "a batch epoch is degenerate"
                 )
 
             # Residuals P_i and Jacobian rows (eq. 3-20..3-24), stacked.
-            residuals = ranges - pseudoranges[active] + state_a[:, 3:4]
-            jacobian = np.empty((active.size, m, 4))
+            residuals = (
+                ranges
+                - pseudoranges[active]
+                + np.take_along_axis(state_a, bias_columns[active], axis=1)
+            )
+            jacobian = np.empty((active.size, m, 3 + k_groups))
             jacobian[..., :3] = -deltas / ranges[..., None]
-            jacobian[..., 3] = 1.0
+            jacobian[..., 3:] = membership[active]
+            if occupied is not None:
+                live = occupied[active]
+                residuals = np.where(live, residuals, 0.0)
+                jacobian = np.where(live[:, :, None], jacobian, 0.0)
 
-            gram = np.einsum("nmi,nmj->nij", jacobian, jacobian)
-            moment = np.einsum("nmi,nm->ni", jacobian, -residuals)
+            gram, moment = _normal_equations(jacobian, -residuals)
             try:
-                updates = np.linalg.solve(gram, moment[..., None])[..., 0]
+                updates = solve_normal_equations(
+                    gram,
+                    moment,
+                    None if decoupled is None else decoupled[active],
+                )
             except np.linalg.LinAlgError as exc:
                 raise GeometryError(
                     f"NR normal equations are singular at iteration {iteration}; "
@@ -834,97 +790,5 @@ class BatchNewtonRaphsonSolver:
             active = active[~done]
             if active.size == 0:
                 break
+        return states, iterations, converged
 
-        return BatchNrResult(
-            positions=states[:, :3].copy(),
-            clock_biases=states[:, 3].copy(),
-            iterations=iterations,
-            converged=converged,
-        )
-
-    def _iterate_multi(self, block: EpochBlock) -> BatchNrResult:
-        """Batched NR with one clock-bias column per constellation.
-
-        The batched counterpart of :meth:`~repro.solvers.
-        newton_raphson.NewtonRaphsonSolver._solve_multi`: state
-        ``(N, 3+K)``, residual ``P_i = R_i - rho_i + b_c(i)`` and
-        one-hot bias columns in the Jacobian.  NR tolerates singleton
-        constellations (the shared position couples their equation to
-        the rest), so only ``m >= 3 + K`` is required; the block must
-        carry a uniform system pattern so all N epochs share the
-        group layout.
-        """
-        pattern = _require_uniform_pattern(block)
-        groups, codes = group_layout(pattern)
-        k_groups = int(codes.shape[0])
-        positions = block.positions
-        pseudoranges = block.pseudoranges
-        n, m = pseudoranges.shape
-        if m < 3 + k_groups:
-            raise GeometryError(
-                f"{m} satellites cannot determine {3 + k_groups} unknowns "
-                f"({k_groups} constellation clock biases)"
-            )
-        states = np.zeros((n, 3 + k_groups))
-        iterations = np.zeros(n, dtype=int)
-        converged = np.zeros(n, dtype=bool)
-        active = np.arange(n)
-        bias_columns = 3 + groups  # (m,) column index of each slot's bias
-
-        for iteration in range(1, self._max_iterations + 1):
-            state_a = states[active]
-            deltas = positions[active] - state_a[:, None, :3]
-            ranges = np.sqrt(np.einsum("nmi,nmi->nm", deltas, deltas))
-            if np.any(ranges < 1.0):
-                raise GeometryError(
-                    "NR state collided with a satellite position; "
-                    "a batch epoch is degenerate"
-                )
-
-            residuals = ranges - pseudoranges[active] + state_a[:, bias_columns]
-            jacobian = np.zeros((active.size, m, 3 + k_groups))
-            jacobian[..., :3] = -deltas / ranges[..., None]
-            jacobian[:, np.arange(m), bias_columns] = 1.0
-
-            gram = np.einsum("nmi,nmj->nij", jacobian, jacobian)
-            moment = np.einsum("nmi,nm->ni", jacobian, -residuals)
-            try:
-                updates = np.linalg.solve(gram, moment[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise GeometryError(
-                    f"NR normal equations are singular at iteration {iteration}; "
-                    "a batch epoch has degenerate geometry"
-                ) from exc
-
-            states[active] += updates
-            iterations[active] = iteration
-            if not np.all(np.isfinite(states[active])):
-                raise ConvergenceError(
-                    "NR state diverged to non-finite values for a batch epoch",
-                    iterations=iteration,
-                )
-
-            done = np.linalg.norm(updates, axis=1) < self._tolerance
-            converged[active[done]] = True
-            active = active[~done]
-            if active.size == 0:
-                break
-
-        return BatchNrResult(
-            positions=states[:, :3].copy(),
-            clock_biases=states[:, 3].copy(),
-            iterations=iterations,
-            converged=converged,
-            constellation_biases=states[:, 3:].copy(),
-            systems=tuple(system_code(int(code)) for code in codes),
-        )
-
-
-def group_epochs_by_count(
-    epochs: Sequence[ObservationEpoch],
-) -> "dict[int, List[ObservationEpoch]]":
-    """Group arbitrary epochs into batchable same-count buckets."""
-    groups: "dict[int, List[ObservationEpoch]]" = {}
-    for epoch in epochs:
-        groups.setdefault(epoch.satellite_count, []).append(epoch)
-    return groups

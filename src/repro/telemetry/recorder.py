@@ -5,8 +5,8 @@ A :class:`FlightRecorder` keeps the last N fixes as compact
 verdicts — no arrays beyond one epoch's observations) in a ring
 buffer, and when a fix carries a **trigger** — an FDE exclusion or
 unrepaired fault, a degradation-ladder fallback, a deadline miss, a
-float32 audit trip — it dumps a self-contained JSON **incident
-artifact** to disk.
+monitor alert — it dumps a self-contained JSON **incident artifact**
+to disk.
 
 The artifact speaks the validation subsystem's replay protocol: it
 records a ``status``/``kind``/``detail`` verdict computed by
@@ -20,10 +20,9 @@ deadline — are recorded as context but are not part of the replayed
 verdict; physics and verdict logic are.)
 
 Like the registry and tracer, the recorder has an installed-state
-seam: library call sites (the float32 audit in
-:mod:`repro.solvers.batch`) fetch the active recorder through
-:func:`get_recorder`, which defaults to a shared no-op — an unarmed
-run pays one attribute check.  The service builds and owns its own
+seam for library-level hooks: :func:`get_recorder` returns the active
+recorder and defaults to a shared no-op — an unarmed hook pays one
+attribute check.  The service builds and owns its own
 instance instead (per-service ring, no global state).
 """
 
@@ -52,14 +51,12 @@ TRIGGER_FDE_EXCLUSION = "fde_exclusion"
 TRIGGER_FDE_UNREPAIRED = "fde_unrepaired"
 TRIGGER_DEADLINE_MISS = "deadline_miss"
 TRIGGER_DEGRADED = "degraded"
-TRIGGER_FLOAT32_AUDIT = "float32_audit"
 TRIGGER_MONITOR = "monitor_alert"
 TRIGGERS: Tuple[str, ...] = (
     TRIGGER_FDE_EXCLUSION,
     TRIGGER_FDE_UNREPAIRED,
     TRIGGER_DEADLINE_MISS,
     TRIGGER_DEGRADED,
-    TRIGGER_FLOAT32_AUDIT,
     TRIGGER_MONITOR,
 )
 
@@ -787,7 +784,7 @@ _active_recorder = NULL_RECORDER
 
 def get_recorder():
     """The process-wide recorder library hooks report to (no-op by
-    default — the float32 audit trip is the one current client)."""
+    default)."""
     return _active_recorder
 
 

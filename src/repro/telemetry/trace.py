@@ -9,8 +9,8 @@ the batch solvers, and FDE, and comes back on the
 — a span tree whose leaves are the engine's per-stage timings
 (``queue``/``pack``/``validate``/``solve``/``fde``/``scatter``) plus
 the **batch lineage** of the request: which dispatch it shared, which
-peers rode along, which same-satellite-count bucket it solved in and
-which row it landed on.
+peers rode along, which row of the flush's padded block it landed on
+and how many satellites it carried there.
 
 The trace plane is **off by default** and costs nothing when off: the
 service only mints request identities and assembles trees when
@@ -356,11 +356,13 @@ class RequestTrace:
         when it never reached a dispatch.
     batch_peers:
         Request ids that shared the dispatch (including this one), in
-        flush order — "who shared my bucket" for incident correlation.
-    bucket_satellites / bucket_row:
-        The same-satellite-count engine bucket the epoch solved in and
-        the row it occupied there; ``-1`` when unsolved (screened,
-        timed out while queued) or when the scalar ladder answered.
+        flush order — "who shared my kernel call" for incident
+        correlation.
+    satellites / flush_row:
+        The epoch's satellite count and its row in the flush's padded
+        block (the row the batched kernel solved it on); ``-1`` when
+        it never reached the kernel (timed out while queued) or when
+        the scalar ladder answered.
     """
 
     __slots__ = (
@@ -373,8 +375,8 @@ class RequestTrace:
         "solve_attributes",
         "batch_sequence",
         "_peers",
-        "bucket_satellites",
-        "bucket_row",
+        "satellites",
+        "flush_row",
         "_deadline",
         "_root",
     )
@@ -390,8 +392,8 @@ class RequestTrace:
         solve_attributes: Optional[Mapping[str, object]] = None,
         batch_sequence: int = -1,
         batch_peers: Tuple[str, ...] = (),
-        bucket_satellites: int = -1,
-        bucket_row: int = -1,
+        satellites: int = -1,
+        flush_row: int = -1,
         deadline: Optional[float] = None,
         _root: Optional[TraceSpan] = None,
     ) -> None:
@@ -404,8 +406,8 @@ class RequestTrace:
         self.solve_attributes = solve_attributes
         self.batch_sequence = batch_sequence
         self._peers = batch_peers
-        self.bucket_satellites = bucket_satellites
-        self.bucket_row = bucket_row
+        self.satellites = satellites
+        self.flush_row = flush_row
         # Carried only so a number-context materializes with the
         # request's deadline; ignored when context is already built.
         self._deadline = deadline
@@ -417,8 +419,8 @@ class RequestTrace:
         return (
             f"RequestTrace(request_id={self.request_id!r}, "
             f"batch_sequence={self.batch_sequence}, "
-            f"bucket_satellites={self.bucket_satellites}, "
-            f"bucket_row={self.bucket_row})"
+            f"satellites={self.satellites}, "
+            f"flush_row={self.flush_row})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -540,8 +542,8 @@ class RequestTrace:
             "solve_seconds": self.solve_seconds,
             "batch_sequence": self.batch_sequence,
             "batch_peers": list(self.batch_peers),
-            "bucket_satellites": self.bucket_satellites,
-            "bucket_row": self.bucket_row,
+            "satellites": self.satellites,
+            "flush_row": self.flush_row,
         }
 
     @classmethod
@@ -560,8 +562,8 @@ class RequestTrace:
             solve_seconds=float(payload.get("solve_seconds", 0.0)),
             batch_sequence=int(payload.get("batch_sequence", -1)),
             batch_peers=tuple(payload.get("batch_peers", ())),
-            bucket_satellites=int(payload.get("bucket_satellites", -1)),
-            bucket_row=int(payload.get("bucket_row", -1)),
+            satellites=int(payload.get("satellites", -1)),
+            flush_row=int(payload.get("flush_row", -1)),
             _root=root,
         )
 
@@ -570,7 +572,7 @@ class RequestTrace:
         lineage = (
             f"batch #{self.batch_sequence} "
             f"({len(self.batch_peers)} peers), "
-            f"bucket m={self.bucket_satellites} row {self.bucket_row}"
+            f"row {self.flush_row}, m={self.satellites}"
             if self.batch_sequence >= 0
             else "never dispatched"
         )
@@ -592,8 +594,8 @@ def assemble_request_trace(
     solve_attributes: Optional[Mapping[str, object]] = None,
     batch_sequence: int = -1,
     batch_peers: Tuple[str, ...] = (),
-    bucket_satellites: int = -1,
-    bucket_row: int = -1,
+    satellites: int = -1,
+    flush_row: int = -1,
     deadline: Optional[float] = None,
 ) -> RequestTrace:
     """The standard service trace for one finished request.
@@ -615,7 +617,7 @@ def assemble_request_trace(
         solve_attributes=solve_attributes,
         batch_sequence=batch_sequence,
         batch_peers=batch_peers,
-        bucket_satellites=bucket_satellites,
-        bucket_row=bucket_row,
+        satellites=satellites,
+        flush_row=flush_row,
         deadline=deadline,
     )

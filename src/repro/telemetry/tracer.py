@@ -2,7 +2,7 @@
 
 Where the registry answers "how often / how large", spans answer
 "where did the time go": each span is one timed region of the
-pipeline (a whole ``solve_stream`` call, one bucket's batched solve,
+pipeline (a whole ``solve_stream`` call, its one batched kernel call,
 one replay chunk), timed with :func:`time.perf_counter_ns` — the
 monotonic clock, immune to wall-clock steps — and recorded with its
 nesting depth and enclosing span, so a snapshot reads as a flame
@@ -32,7 +32,7 @@ class SpanRecord:
     Attributes
     ----------
     name:
-        The region's name (dotted convention: ``engine.solve_bucket``).
+        The region's name (dotted convention: ``engine.solve_block``).
     start_ns:
         :func:`time.perf_counter_ns` at entry — monotonic, comparable
         only to other spans of the same process.
@@ -44,7 +44,7 @@ class SpanRecord:
     parent:
         Name of the enclosing span, or ``None`` for roots.
     attributes:
-        Free-form key/value annotations (bucket size, chunk index...).
+        Free-form key/value annotations (block rows, chunk index...).
     """
 
     name: str
@@ -121,7 +121,7 @@ class SpanTracer:
     def span(self, name: str, **attributes: object) -> _ActiveSpan:
         """A context manager timing one region::
 
-            with tracer.span("engine.solve_bucket", satellite_count=8):
+            with tracer.span("engine.solve_block", rows=64):
                 ...
         """
         return _ActiveSpan(self, name, attributes)

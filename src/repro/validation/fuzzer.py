@@ -25,7 +25,7 @@ Case outcomes:
 Every ``stream_check_every`` clean scenarios, the accumulated epochs
 are additionally pushed through the bulk paths
 (:func:`~repro.validation.oracles.run_stream_differential`) so the
-engine's bucketing and the parallel replay's chunk seams get fuzzed
+engine's padded flushes and the parallel replay's chunk seams get fuzzed
 too, not just the per-epoch solvers.
 """
 

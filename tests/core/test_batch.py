@@ -11,7 +11,6 @@ from repro.core import (
     DLGSolver,
     DLOSolver,
     NewtonRaphsonSolver,
-    group_epochs_by_count,
 )
 from repro.errors import ConfigurationError, ConvergenceError, GeometryError
 
@@ -84,10 +83,19 @@ class TestValidation:
         with pytest.raises(GeometryError, match="at least one"):
             BatchDLOSolver().solve_batch([], [])
 
-    def test_rejects_mixed_counts(self, make_epoch):
-        epochs = [make_epoch(count=8), make_epoch(count=9)]
-        with pytest.raises(GeometryError, match="same satellite count"):
-            BatchDLOSolver().solve_batch(epochs, [0.0, 0.0])
+    def test_mixed_counts_solve_as_one_padded_batch(self, make_epoch):
+        # Padded slots carry zero weight: each row answers like its own
+        # narrower system.
+        epochs = [
+            make_epoch(count=count, noise_sigma=1.0, seed=count)
+            for count in (8, 5, 11, 6)
+        ]
+        for batch, scalar in ((BatchDLOSolver(), DLOSolver()), (BatchDLGSolver(), DLGSolver())):
+            stacked = batch.solve_batch(epochs, [0.0] * len(epochs))
+            for row, epoch in zip(stacked, epochs):
+                np.testing.assert_allclose(
+                    row, scalar.solve(epoch).position, atol=1e-6
+                )
 
     def test_rejects_too_few_satellites(self, make_epoch):
         with pytest.raises(GeometryError, match="at least 4"):
@@ -168,10 +176,16 @@ class TestBatchNewtonRaphson:
         assert not full.converged.any()
         assert np.all(full.iterations == 2)
 
-    def test_rejects_mixed_counts(self, make_epoch):
-        epochs = [make_epoch(count=8), make_epoch(count=9)]
-        with pytest.raises(GeometryError, match="same satellite count"):
-            BatchNewtonRaphsonSolver().solve_batch(epochs)
+    def test_mixed_counts_solve_as_one_padded_batch(self, make_epoch):
+        epochs = [
+            make_epoch(count=count, bias_meters=25.0, noise_sigma=1.0, seed=count)
+            for count in (8, 5, 11)
+        ]
+        stacked = BatchNewtonRaphsonSolver().solve_batch(epochs)
+        for row, epoch in zip(stacked, epochs):
+            np.testing.assert_allclose(
+                row, NewtonRaphsonSolver().solve(epoch).position, atol=1e-6
+            )
 
     def test_rejects_empty_and_too_few(self, make_epoch):
         with pytest.raises(GeometryError, match="at least one"):
@@ -216,19 +230,6 @@ class TestNonPositiveCorrectedPseudoranges:
         epochs = [make_epoch(count=8, seed=1), make_epoch(count=8, seed=2)]
         with pytest.raises(GeometryError, match="non-positive"):
             BatchDLGSolver().solve_batch(epochs, [0.0, 5e7])
-
-
-class TestGrouping:
-    def test_groups_by_count(self, make_epoch):
-        epochs = [
-            make_epoch(count=8, seed=1),
-            make_epoch(count=9, seed=2),
-            make_epoch(count=8, seed=3),
-        ]
-        groups = group_epochs_by_count(epochs)
-        assert sorted(groups) == [8, 9]
-        assert len(groups[8]) == 2
-        assert len(groups[9]) == 1
 
 
 class TestBatchProperty:

@@ -1,8 +1,7 @@
-"""The engine's per-constellation mode: bucketing, lanes, compatibility.
+"""The engine's per-constellation mode: lanes, patterns, compatibility.
 
-Mixed streams bucket by satellite count *and* system pattern;
-pure-GPS buckets must keep their historical integer keys (and the
-historical hot path), while the per-constellation result exposes one
+Mixed streams solve as one padded block whatever their satellite
+counts and system patterns; the per-constellation result exposes one
 solved-bias lane per system with NaN where a system was absent.
 """
 
@@ -58,38 +57,24 @@ class TestMultiEngine:
         result = multi_engine.solve_stream(mixed_stream())
         assert np.allclose(result.clock_biases, 120.0, atol=1e-3)
 
-    def test_bucket_keys(self, multi_engine):
-        result = multi_engine.solve_stream(mixed_stream())
-        assert result.bucket_sizes == {11: 3, "11:G6R5": 3}
-
-    def test_pattern_splits_same_signature(self, multi_engine):
-        # Same satellite count and same per-system totals, different
-        # slot order: the buckets must not merge (the batch kernels
-        # need one shared slot pattern per block) — but they share one
-        # reporting key, under which the sizes aggregate.
-        from repro.blocks import pack_stream
-
+    def test_slot_orders_share_one_block(self, multi_engine):
+        # Same per-system totals, different slot order: each row keeps
+        # its own group layout inside the one padded block, and its
+        # first-slot system decides its primary clock bias.
         epochs = [
             build_scene({"G": 6, "R": 5}, clock_bias_meters=GR_BIASES, seed=0),
             build_scene({"R": 5, "G": 6}, clock_bias_meters=GR_BIASES, seed=1),
         ]
-        packed = pack_stream(epochs)
-        assert len(packed.buckets) == 2
-        assert [bucket.key for bucket in packed.buckets] == [
-            "11:G6R5",
-            "11:G6R5",
-        ]
         result = multi_engine.solve_stream(epochs)
-        assert result.bucket_sizes == {"11:G6R5": 2}
         truth = np.stack([epoch.truth.receiver_position for epoch in epochs])
         assert np.max(np.linalg.norm(result.positions - truth, axis=1)) < 1e-4
+        assert np.allclose(result.clock_biases, [120.0, -45.0], atol=1e-3)
 
 
 class TestSingleModeCompatibility:
     def test_single_engine_ignores_tags(self):
         # A single-mode engine on tagged epochs keeps the one-bias
-        # model: no constellation lanes, plain int bucket keys only
-        # for pure-GPS epochs.
+        # model: no constellation lanes.
         epochs = [
             build_scene({"G": 8}, clock_bias_meters={"G": 35.0}, seed=seed)
             for seed in range(3)
@@ -97,7 +82,6 @@ class TestSingleModeCompatibility:
         engine = PositioningEngine(algorithm="dlg")
         result = engine.solve_stream(epochs, biases=np.full(3, 35.0))
         assert result.constellation_biases is None
-        assert result.bucket_sizes == {8: 3}
         truth = np.stack([epoch.truth.receiver_position for epoch in epochs])
         assert np.max(np.linalg.norm(result.positions - truth, axis=1)) < 1e-6
 

@@ -1,4 +1,4 @@
-"""Tests for the PositioningEngine bucket-and-batch dispatcher."""
+"""Tests for the PositioningEngine one-kernel-call dispatcher."""
 
 import json
 
@@ -31,7 +31,6 @@ class TestSolveStream:
         result = engine.solve_stream(mixed_stream, biases=[BIAS] * len(mixed_stream))
         assert result.positions.shape == (len(mixed_stream), 3)
         assert result.algorithm == algorithm
-        assert sum(result.bucket_sizes.values()) == len(mixed_stream)
         truth = np.stack([e.truth.receiver_position for e in mixed_stream])
         # Row i must answer epoch i: every fix lands near its own truth.
         assert np.all(np.linalg.norm(result.positions - truth, axis=1) < 30.0)
@@ -85,8 +84,7 @@ class TestDiagnostics:
         assert isinstance(result.diagnostics, EngineDiagnostics)
         assert result.diagnostics.epochs_dropped == 0
         assert result.diagnostics.dropped_indices == ()
-        assert set(result.diagnostics.bucket_status.values()) == {"ok"}
-        assert set(result.diagnostics.bucket_status) == set(result.bucket_sizes)
+        assert result.diagnostics.invalid_indices == ()
 
     def test_drop_mode_answers_undersized_with_nan(self, make_epoch):
         stream = [
@@ -103,8 +101,6 @@ class TestDiagnostics:
         assert np.all(np.isfinite(result.positions[[0, 2]]))
         assert result.diagnostics.epochs_dropped == 1
         assert result.diagnostics.dropped_indices == (1,)
-        # The dropped count never shows up in the solved buckets.
-        assert 3 not in result.bucket_sizes
 
     def test_drop_mode_with_all_undersized_raises(self, make_epoch):
         stream = [make_epoch(count=3, seed=i) for i in range(2)]
@@ -135,12 +131,7 @@ class TestDiagnostics:
             "dropped_indices": [1],
             "epochs_invalid": 0,
             "invalid_indices": [],
-            "bucket_status": {"8": "ok"},
             "fde": None,
-            # Batch lineage: the solved epoch ran in the 8-satellite
-            # bucket's row 0; the dropped epoch never reached a bucket.
-            "bucket_keys": [8, -1],
-            "bucket_rows": [0, -1],
         }
         json.dumps(doc)
 

@@ -17,6 +17,7 @@ Three contracts stack on top of the unit-tested monitor plane:
 """
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def degraded_satellite_epochs(count=N_EPOCHS, onset=ONSET, prns=(3, 5)):
     return [
         shift_cn0(epoch, -25.0, prns=set(prns)) if t >= onset else epoch
         for t, epoch in enumerate(clean_epochs(count))
+    ]
+
+
+def mixed_cn0_epochs(count=N_EPOCHS):
+    """The jammed stream with C/N0 stripped from every third epoch.
+
+    Batch heads lose it too (epochs 0 and 24), so a flush whose first
+    epoch reports no C/N0 must still carry the lane for the rest.
+    """
+    return [
+        epoch.with_observations(
+            dataclasses.replace(obs, cn0_dbhz=None) for obs in epoch.observations
+        )
+        if t % 3 == 0
+        else epoch
+        for t, epoch in enumerate(jammed_epochs(count))
     ]
 
 
@@ -230,7 +247,8 @@ class TestShardParity:
                 assert a.monitor.to_dict() == b.monitor.to_dict(), context
 
     @pytest.mark.parametrize(
-        "make_stream", [jammed_epochs, degraded_satellite_epochs, clean_epochs]
+        "make_stream",
+        [jammed_epochs, degraded_satellite_epochs, clean_epochs, mixed_cn0_epochs],
     )
     def test_one_worker_matches_in_process(self, make_stream):
         epochs = make_stream()
@@ -272,3 +290,12 @@ class TestShardParity:
         ]
         assert stats == expected
         assert stats, "the attack stream must raise verdicts"
+
+    def test_cn0_lane_survives_a_batch_head_without_it(self):
+        """Epoch 24 heads its batch and reports no C/N0; the jammed
+        epochs behind it in the same flush must still be judged."""
+        epochs = mixed_cn0_epochs()
+        config = service_config()
+        for results in (run_in_process(epochs, config), run_shard(epochs, config, 1)):
+            judged = [t for t in range(25, 30) if results[t].monitor is not None]
+            assert judged == [t for t in range(25, 30) if t % 3], judged

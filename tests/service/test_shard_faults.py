@@ -176,6 +176,15 @@ class TestGracefulDrain:
             assert not shard.running
         assert all(r.status == "ok" for r in results)
 
+    def test_workers_exit_cleanly_after_serving(self):
+        # A worker answers from zero-copy views of its slab; none may
+        # outlive the batch, or unmapping the slab at stop fails.
+        shard = ShardedPositioningService(shard_config())
+        with shard:
+            shard.solve_many(make_epochs(64))
+            processes = [worker.process for worker in shard._workers]
+        assert [process.exitcode for process in processes] == [0, 0]
+
     def test_not_running_raises(self):
         shard = ShardedPositioningService(shard_config())
         with pytest.raises(ServiceError):

@@ -160,15 +160,14 @@ class TestRequestLane:
         assert biases is None
         assert len(rebuilt) == len(packed)
         assert rebuilt.unpackable == packed.unpackable
-        assert len(rebuilt.buckets) == len(packed.buckets)
-        for ours, theirs in zip(rebuilt.buckets, packed.buckets):
-            assert ours.satellite_count == theirs.satellite_count
-            assert np.array_equal(ours.indices, theirs.indices)
-            for attr in ("positions", "pseudoranges", "prns", "weeks",
-                         "seconds_of_week"):
-                assert np.array_equal(
-                    getattr(ours.block, attr), getattr(theirs.block, attr)
-                ), attr
+        # A zero-copy view of the slab: the router's padded block,
+        # padding included, bit for bit.
+        for attr in ("counts", "positions", "pseudoranges", "prns", "systems",
+                     "weeks", "seconds_of_week"):
+            np.testing.assert_array_equal(
+                getattr(rebuilt.block, attr), getattr(packed.block, attr), attr
+            )
+        assert np.shares_memory(rebuilt.block.positions, arrays["req_positions"])
 
     def test_bias_overrides_round_trip(self):
         generator = ScenarioGenerator()
@@ -275,20 +274,13 @@ class TestMultiRequestLane:
 
     def test_mixed_patterns_round_trip_bitwise(self):
         packed = pack_stream(self.mixed_epochs())
-        # Pattern-split buckets: G-11, G6R5 (rows 1 and 3), R5G6.
-        assert len(packed.buckets) == 3
         arrays, _config = _arrays()
         write_request(arrays, 0, 5, packed, None)
         rebuilt, _biases = read_request(arrays, 0, 5)
-        assert len(rebuilt.buckets) == len(packed.buckets)
-        for ours, theirs in zip(rebuilt.buckets, packed.buckets):
-            assert ours.satellite_count == theirs.satellite_count
-            assert np.array_equal(ours.indices, theirs.indices)
-            assert ours.block.systems.dtype == theirs.block.systems.dtype
-            assert np.array_equal(ours.block.systems, theirs.block.systems)
-            assert np.array_equal(ours.block.positions, theirs.block.positions)
-            assert np.array_equal(
-                ours.block.pseudoranges, theirs.block.pseudoranges
+        assert rebuilt.block.systems.dtype == packed.block.systems.dtype
+        for attr in ("systems", "positions", "pseudoranges", "counts"):
+            np.testing.assert_array_equal(
+                getattr(rebuilt.block, attr), getattr(packed.block, attr), attr
             )
 
     def test_materialize_restores_system_codes(self):

@@ -105,6 +105,10 @@ class TestAnomalyFlightRecords:
     def test_batch_lineage_is_shared(self, anomaly_run):
         spiked = anomaly_run["spiked"].trace
         assert spiked.batch_sequence >= 0
+        # Lineage: the request's row in the flush's padded block and
+        # the satellites it carried into the kernel call.
+        assert 0 <= spiked.flush_row < len(spiked.batch_peers)
+        assert spiked.satellites >= 5
         peers = set(spiked.batch_peers)
         assert spiked.request_id in peers
         for result in anomaly_run["clean"]:

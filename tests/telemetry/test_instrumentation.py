@@ -138,12 +138,13 @@ class TestEngineInstrumentation:
         assert metrics["repro_engine_scatter_coverage"]["samples"][0]["value"] == 1.0
         names = [s.name for s in tracer.spans]
         assert "engine.solve_stream" in names
-        assert "engine.solve_bucket" in names
-        bucket_span = next(
-            s for s in tracer.spans if s.name == "engine.solve_bucket"
+        assert "engine.solve_block" in names
+        block_span = next(
+            s for s in tracer.spans if s.name == "engine.solve_block"
         )
-        assert bucket_span.parent == "engine.solve_stream"
-        assert bucket_span.attributes["satellite_count"] == 8
+        assert block_span.parent == "engine.solve_stream"
+        assert block_span.attributes["rows"] == len(stream)
+        assert block_span.attributes["width"] == 8
 
 
 class TestReplayInstrumentation:

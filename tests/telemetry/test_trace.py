@@ -133,8 +133,8 @@ class TestRequestTrace:
             solve_attributes={"algorithm": "dlg"},
             batch_sequence=7,
             batch_peers=("r-a-1", "r-a-2"),
-            bucket_satellites=8,
-            bucket_row=1,
+            satellites=8,
+            flush_row=1,
         )
         kwargs.update(overrides)
         return assemble_request_trace(**kwargs)
@@ -226,7 +226,7 @@ class TestRequestTrace:
     def test_format_names_lineage_and_stages(self):
         rendered = self._trace().format()
         assert "batch #7 (2 peers)" in rendered
-        assert "bucket m=8 row 1" in rendered
+        assert "row 1, m=8" in rendered
         assert "queue" in rendered and "scatter" in rendered
 
     def test_rejects_completion_before_submission(self):

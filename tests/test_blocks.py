@@ -5,7 +5,7 @@ Three layers of confidence in the struct-of-arrays refactor:
 * **Losslessness** — property tests prove the
   ``ObservationEpoch ⇄ EpochBlock`` round trip is bit-exact for the
   solver contract (positions, pseudoranges, PRNs, times, truth), for
-  same-count blocks and for mixed-count streams through
+  same-count blocks and for mixed-count streams padded by
   :func:`~repro.blocks.pack_stream`, and that structurally invalid
   rows are caught the same way the scalar
   :func:`~repro.observations.epoch_integrity_error` guard catches them.
@@ -14,9 +14,10 @@ Three layers of confidence in the struct-of-arrays refactor:
   pre-packed stream, raw block) over 50 seeded mixed scenarios, and
   stays within the documented 1.8e-7 m of the scalar DLG solver.
 * **Kernel machinery** — the preallocated workspace actually reuses
-  its buffers, and the opt-in float32 kernel is fenced by the
-  differential audit (falls back to float64, permanently, on a trip).
+  its buffers.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro import (
     PositioningEngine,
     pack_stream,
 )
-from repro.blocks import PackedStream
 from repro.estimation import KernelWorkspace
 from repro.observations import (
     EpochTruth,
@@ -115,7 +115,8 @@ class TestBlockRoundTrip:
         ]
         block = EpochBlock.from_epochs(epochs)
         assert len(block) == n
-        assert block.satellite_count == count
+        assert block.width == count
+        assert not block.padded
         assert bool(block.has_truth().all()) == with_truth
         rebuilt = block.to_epochs()
         assert len(rebuilt) == n
@@ -127,30 +128,33 @@ class TestBlockRoundTrip:
             st.integers(min_value=4, max_value=12), min_size=1, max_size=12
         )
     )
-    def test_pack_stream_partitions_and_round_trips(self, counts):
+    def test_pack_stream_pads_and_round_trips(self, counts):
         epochs = [
             _build_epoch(c, seed=i, bias=float(i)) for i, c in enumerate(counts)
         ]
         packed = pack_stream(epochs)
         assert packed.unpackable == ()
         assert len(packed) == len(epochs)
-        # Buckets are sorted by count and partition the stream indices.
-        bucket_counts = [bucket.satellite_count for bucket in packed.buckets]
-        assert bucket_counts == sorted(set(counts))
-        rebuilt = {}
-        for bucket in packed.buckets:
-            assert len(bucket) == len(bucket.block)
-            for row, index in enumerate(np.asarray(bucket.indices)):
-                rebuilt[int(index)] = bucket.block.take([row]).to_epochs()[0]
-        assert sorted(rebuilt) == list(range(len(epochs)))
+        # One block, stream-aligned, as wide as the widest epoch.
+        block = packed.block
+        assert block.width == max(counts)
+        np.testing.assert_array_equal(block.counts, counts)
+        rebuilt = block.to_epochs()
         for index, epoch in enumerate(epochs):
             _assert_epoch_equal(rebuilt[index], epoch)
 
-    def test_from_epochs_rejects_mixed_counts(self):
-        with pytest.raises(GeometryError, match="same satellite count"):
-            EpochBlock.from_epochs(
-                [_build_epoch(7, seed=0), _build_epoch(8, seed=1)]
-            )
+    def test_padded_slots_are_marked_empty(self):
+        block = EpochBlock.from_epochs(
+            [_build_epoch(7, seed=0), _build_epoch(5, seed=1)]
+        )
+        assert block.padded and block.width == 7
+        np.testing.assert_array_equal(block.occupied[1], [True] * 5 + [False] * 2)
+        assert np.isnan(block.positions[1, 5:]).all()
+        assert np.isnan(block.pseudoranges[1, 5:]).all()
+        assert (block.prns[1, 5:] == -1).all()
+        assert (block.systems[1, 5:] == -1).all()
+        assert block.validity_mask(min_satellites=5).all()
+        assert list(block.validity_mask(min_satellites=6)) == [True, False]
 
     def test_from_epochs_rejects_empty(self):
         with pytest.raises(GeometryError, match="at least one"):
@@ -162,15 +166,29 @@ class TestBlockRoundTrip:
             with pytest.raises(ValueError):
                 array[...] = 0
 
-    def test_from_block_wraps_whole_stream(self):
-        block = EpochBlock.from_epochs(
-            [_build_epoch(7, seed=i) for i in range(3)]
+    @pytest.mark.parametrize("pack", [
+        lambda epochs: pack_stream(epochs).block,
+        EpochBlock.from_epochs,
+    ])
+    def test_cn0_lane_survives_any_arrival_order(self, pack):
+        # The lane is present when any row reports C/N0, whichever row
+        # comes first; rows without C/N0 stay NaN.
+        plain = _build_epoch(6, seed=0)
+        reporting = _build_epoch(7, seed=1).with_observations(
+            replace(obs, cn0_dbhz=40.0 + j)
+            for j, obs in enumerate(_build_epoch(7, seed=1).observations)
         )
-        packed = PackedStream.from_block(block)
-        assert len(packed) == 3
-        assert len(packed.buckets) == 1
-        assert packed.buckets[0].block is block
-        np.testing.assert_array_equal(packed.buckets[0].indices, [0, 1, 2])
+        for epochs, reporting_row in (
+            ([plain, reporting], 1),
+            ([reporting, plain], 0),
+        ):
+            block = pack(epochs)
+            assert block.cn0 is not None
+            np.testing.assert_array_equal(
+                block.cn0[reporting_row], 40.0 + np.arange(7)
+            )
+            assert np.isnan(block.cn0[1 - reporting_row]).all()
+        assert pack([plain]).cn0 is None
 
 
 class TestValidityScreening:
@@ -188,25 +206,20 @@ class TestValidityScreening:
     def test_validity_mask_matches_the_scalar_guard(self, n, poison, fault_index):
         epochs = [_build_epoch(8, seed=i) for i in range(n)]
         poison %= n
-        # DuplicateSatellite grows the epoch, so pack by count: the
-        # poisoned epoch may land in its own bucket.
+        # DuplicateSatellite grows the epoch, so the block pads the
+        # other rows.
         epochs[poison] = self.FAULTS[fault_index].apply(
             epochs[poison], np.random.default_rng(0)
         )
         packed = pack_stream(epochs)
         assert packed.unpackable == ()
-        for bucket in packed.buckets:
-            mask = bucket.block.validity_mask(min_satellites=1)
-            for row, index in enumerate(np.asarray(bucket.indices)):
-                scalar_verdict = epoch_integrity_error(
-                    epochs[int(index)], min_satellites=1
-                )
-                assert bool(mask[row]) == (scalar_verdict is None)
-                # The row-level explanation matches the scalar wording.
-                assert (
-                    bucket.block.row_integrity_error(row, min_satellites=1)
-                    == scalar_verdict
-                )
+        block = packed.block
+        mask = block.validity_mask(min_satellites=1)
+        for row, epoch in enumerate(epochs):
+            scalar_verdict = epoch_integrity_error(epoch, min_satellites=1)
+            assert bool(mask[row]) == (scalar_verdict is None)
+            # The row-level explanation matches the scalar wording.
+            assert block.row_integrity_error(row, min_satellites=1) == scalar_verdict
 
     def test_duplicate_prn_rows_cannot_rematerialize(self):
         poisoned = DuplicateSatellite().apply(
@@ -238,7 +251,8 @@ class TestValidityScreening:
         packed = pack_stream(epochs)
         assert packed.unpackable == (1,)
         assert len(packed) == 3
-        assert sum(len(bucket) for bucket in packed.buckets) == 2
+        np.testing.assert_array_equal(packed.block.counts, [8, 0, 8])
+        assert list(packed.block.validity_mask(min_satellites=1)) == [True, False, True]
 
 
 class _FixedBias:
@@ -286,13 +300,10 @@ class TestColumnarDifferential:
                 from_packed.clock_biases, from_list.clock_biases
             )
 
-            if len(set(counts.tolist())) == 1:
-                from_block = engine.solve_stream(
-                    EpochBlock.from_epochs(epochs), biases=biases
-                )
-                np.testing.assert_array_equal(
-                    from_block.positions, from_list.positions
-                )
+            from_block = engine.solve_stream(
+                EpochBlock.from_epochs(epochs), biases=biases
+            )
+            np.testing.assert_array_equal(from_block.positions, from_list.positions)
 
             scalar = np.stack(
                 [DLGSolver(_FixedBias(bias)).solve(epoch).position for epoch in epochs]
@@ -331,58 +342,6 @@ class TestKernelWorkspace:
         assert workspace.allocated == 4
         workspace.clear()
         assert workspace.resident_bytes == 0
-
-
-class TestFloat32Gate:
-    def _block(self, n=48):
-        epochs = [
-            _build_epoch(8, seed=i, bias=30.0, noise_sigma=1.0) for i in range(n)
-        ]
-        return EpochBlock.from_epochs(epochs), np.full(n, 30.0)
-
-    def test_refined_float32_stays_well_inside_the_audit_bound(self):
-        block, biases = self._block()
-        reference, _, _ = BatchDLGSolver().solve_block_full(block, biases)
-        f32 = BatchDLGSolver(dtype="float32", audit_every=10**9)
-        solutions, _, _ = f32.solve_block_full(block, biases)
-        assert f32.float32_active
-        worst = float(np.max(np.linalg.norm(solutions - reference, axis=1)))
-        # The documented accuracy gate: iterative refinement recovers
-        # float64-grade solutions; 1.0 m is the audit's trip wire.
-        assert worst < 1e-2
-
-    def test_audit_trip_falls_back_to_float64_permanently(self):
-        block, biases = self._block()
-        solver = BatchDLGSolver(
-            dtype="float32", audit_every=1, audit_tolerance_meters=1e-300
-        )
-        reference, _, _ = BatchDLGSolver().solve_block_full(block, biases)
-        audited, _, _ = solver.solve_block_full(block, biases)
-        assert not solver.float32_active
-        # A tripped audit answers with the float64 reference it computed.
-        np.testing.assert_array_equal(audited, reference)
-        again, _, _ = solver.solve_block_full(block, biases)
-        np.testing.assert_array_equal(again, reference)
-
-    def test_engine_precision_reflects_the_fallback(self):
-        engine = PositioningEngine(algorithm="dlg", precision="float32")
-        assert engine.precision == "float32"
-
-    def test_float32_requires_the_dlg_kernel(self):
-        with pytest.raises(ConfigurationError, match="only supported for the dlg"):
-            PositioningEngine(algorithm="dlo", precision="float32")
-
-    def test_float32_cannot_arm_fde(self):
-        from repro.integrity import FdeConfig
-
-        with pytest.raises(ConfigurationError, match="cannot be combined with FDE"):
-            PositioningEngine(
-                algorithm="dlg", precision="float32", fde_config=FdeConfig()
-            )
-
-    def test_bad_precision_rejected(self):
-        with pytest.raises(ConfigurationError, match="float64.*float32"):
-            PositioningEngine(algorithm="dlg", precision="float16")
 
 
 class TestFdeBlockPath:
