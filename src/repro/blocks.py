@@ -329,6 +329,40 @@ class EpochBlock:
             counts=self.counts[rows],
         )
 
+    def compact(self, keep: np.ndarray) -> "EpochBlock":
+        """A new block holding only the occupied slots ``keep`` marks.
+
+        ``keep`` is an ``(N, m)`` mask.  Every row keeps its remaining
+        satellites in slot order, left-packed and padded to the new
+        widest row: the block :func:`pack_stream` builds from the same
+        epochs with the other observations removed.
+        """
+        keep = keep & self.occupied
+        counts = keep.sum(axis=1)
+        m = int(counts.max()) if len(self) else 0
+        slots = np.arange(m) < counts[:, None]
+
+        def lane(values: np.ndarray, fill, dtype) -> np.ndarray:
+            packed = np.full(slots.shape + values.shape[2:], fill, dtype=dtype)
+            packed[slots] = values[keep]
+            return packed
+
+        cn0 = None if self.cn0 is None else lane(self.cn0, np.nan, float)
+        return EpochBlock(
+            positions=lane(self.positions, np.nan, float),
+            pseudoranges=lane(self.pseudoranges, np.nan, float),
+            prns=lane(self.prns, -1, np.int64),
+            systems=lane(self.systems, -1, np.int8),
+            # Like pack_stream's, the lane exists only while some kept
+            # channel reports C/N0.
+            cn0=cn0 if cn0 is not None and np.isfinite(cn0).any() else None,
+            weeks=self.weeks,
+            seconds_of_week=self.seconds_of_week,
+            truth_positions=self.truth_positions,
+            truth_biases=self.truth_biases,
+            counts=counts,
+        )
+
     # ------------------------------------------------------------------
     def validity_mask(self, min_satellites: int = 4) -> np.ndarray:
         """``(N,)`` mask of rows satisfying the solvers' input contract.

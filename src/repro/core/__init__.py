@@ -11,9 +11,9 @@ batch trio) live in :mod:`repro.solvers` since the PR 4 API redesign,
 and RAIM lives in :mod:`repro.integrity` since the PR 5 integrity
 subsystem; this package re-exports them so ``from repro.core import
 DLGSolver`` keeps working warning-free.  The old *deep* import paths
-(``repro.core.direct_linear``, ``repro.core.raim`` et al.) are
-deprecated shims.  New code should reach solvers through the
-:mod:`repro.api` facade and integrity through :mod:`repro.integrity`.
+(``repro.core.direct_linear``, ``repro.core.raim`` et al.) are gone.
+New code should reach solvers through the :mod:`repro.api` facade and
+integrity through :mod:`repro.integrity`.
 """
 
 from repro.core.types import PositionFix

@@ -60,14 +60,6 @@ def _replay_chunk_timed(
     return fixes, time.perf_counter_ns() - start, receiver.stats
 
 
-def _replay_chunk(
-    receiver_kwargs: Dict,
-    epochs: Sequence[ObservationEpoch],
-) -> List[PositionFix]:
-    """Untimed worker entry point (kept for compatibility)."""
-    return _replay_chunk_timed(receiver_kwargs, epochs)[0]
-
-
 class ParallelReplay:
     """Replay an epoch stream through receivers on a worker pool.
 

@@ -1,7 +1,5 @@
 """Orbital mechanics substrate: Kepler solver, elements, ephemerides."""
 
-from typing import Any
-
 from repro.orbits.kepler import solve_kepler, eccentric_to_true_anomaly
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.ephemeris import BroadcastEphemeris
@@ -13,15 +11,5 @@ __all__ = [
     "OrbitalElements",
     "BroadcastEphemeris",
     "nominal_almanac",
-    "nominal_gps_almanac",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    # PEP 562 deprecation shim: defer to the almanac module's shim so
-    # the warning fires exactly once per access site, not at import.
-    if name == "nominal_gps_almanac":
-        from repro.orbits import almanac
-
-        return almanac.__getattr__("nominal_gps_almanac")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

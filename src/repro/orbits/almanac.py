@@ -9,16 +9,12 @@ per-satellite clock errors, returning one broadcast ephemeris per space
 vehicle.  Other GNSS (GLONASS, Galileo, BeiDou MEO) reuse the same
 Walker-style layout on their own orbital shells from
 :data:`repro.constellation.systems.ORBIT_SHELLS`.
-
-``nominal_gps_almanac`` is the deprecated GPS-only spelling; use
-:func:`nominal_almanac` (which takes a ``system`` code) instead.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -138,25 +134,3 @@ def _slot_assignments(
     base, extra = divmod(satellite_count, plane_count)
     return [base + (1 if plane < extra else 0) for plane in range(plane_count)]
 
-
-def _deprecated_nominal_gps_almanac(
-    epoch: GpsTime,
-    satellite_count: int = GPS_ACTIVE_SATELLITE_COUNT,
-    rng: Optional[np.random.Generator] = None,
-) -> List[BroadcastEphemeris]:
-    """Deprecated GPS-only spelling of :func:`nominal_almanac`."""
-    return nominal_almanac(epoch, satellite_count, rng, system="G")
-
-
-def __getattr__(name: str) -> Any:
-    # PEP 562 deprecation shim: the GPS-only name keeps working but
-    # steers callers toward the system-aware constructor.
-    if name == "nominal_gps_almanac":
-        warnings.warn(
-            "nominal_gps_almanac is deprecated; use "
-            "nominal_almanac(..., system='G') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_nominal_gps_almanac
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,21 +14,26 @@ exactly the core that must run identically
   that arrived as shared-memory struct-of-arrays views
   (:mod:`repro.service.shm`) rather than epoch objects.
 
-Two entry points cover the two transports:
+One flush body serves every transport.  :meth:`execute_packed` takes
+the flush as one padded :class:`~repro.blocks.PackedStream` and runs
+admission, the batched solve, the scalar ladder and outcome scattering
+on it.  :meth:`execute` is the epoch-object entry (the asyncio
+dispatch loop, the inline router, the chaos runners): it packs the
+flush with :func:`~repro.blocks.pack_stream` and delegates, handing
+its epochs along so the ladder solves them, screened rows report their
+own integrity error and :attr:`BatchMeta.epochs` carries them for the
+flight recorder.  The shard worker calls :meth:`execute_packed`
+directly on a block viewed out of its slab; epoch objects are rebuilt
+from block rows only when the whole flush degrades to the scalar
+ladder.
 
-* :meth:`execute` — epoch objects in (the asyncio dispatch path),
-* :meth:`execute_packed` — an already-columnar
-  :class:`~repro.blocks.PackedStream` in (the shard worker path);
-  epoch objects are materialized lazily only on the rare degradation
-  rungs that need per-epoch scalar solving.
-
-Both return the same ``(outcomes, BatchMeta)`` shape, where each
-outcome is the tuple
+Every flush returns ``(outcomes, BatchMeta)``, where each outcome is
+the tuple
 ``(status, position, clock_bias, solver, error, verdict, monitor)``
 the service tier turns into
 :class:`~repro.service.types.ServiceResult`\\ s.  The cross-process
-determinism suite holds the two entry points to bitwise agreement on
-identical batches.
+determinism suite holds in-process and shard-worker answers to bitwise
+agreement on identical batches.
 
 When the config arms the signal-plausibility plane
 (``config.monitors``), every successfully batched solve is also
@@ -231,30 +236,46 @@ class BatchExecutor:
 
     # -- admission -----------------------------------------------------
 
-    def admit(self, epochs: List[ObservationEpoch]) -> List[ObservationEpoch]:
+    def _admit(
+        self,
+        packed: PackedStream,
+        epochs: Optional[List[ObservationEpoch]],
+    ) -> Tuple[PackedStream, Optional[List[ObservationEpoch]]]:
         """Circuit breaker: pre-exclude quarantined satellites.
 
         One :meth:`~repro.integrity.health.SatelliteHealthTracker.admit`
-        tick per epoch; the tracker's admission floor guarantees the
-        trimmed epoch stays solvable and RAIM-testable.
+        tick per block row, in stream order; the tracker's admission
+        floor guarantees a trimmed row stays solvable and RAIM-testable.
+        Only when the tracker trims does anything get rebuilt: the
+        block drops the banned slots (:meth:`~repro.blocks.EpochBlock.
+        compact`, so a row the validating constructors would reject
+        keeps its place and its verdict), and the caller's epoch
+        objects, when there are any, drop the same observations.
         """
-        assert self._tracker is not None
-        admitted: List[ObservationEpoch] = []
-        removed = 0
-        for epoch in epochs:
-            banned = self._tracker.admit(epoch.prns)
+        block = packed.block
+        admit = self._tracker.admit
+        banned_rows: Dict[int, Tuple[int, ...]] = {}
+        for row, (prns, count) in enumerate(
+            zip(block.prns.tolist(), block.counts.tolist())
+        ):
+            banned = admit(prns[:count])
             if banned:
-                banned_set = set(banned)
-                epoch = epoch.with_observations(
-                    obs for obs in epoch.observations if obs.prn not in banned_set
-                )
-                removed += len(banned_set)
-            admitted.append(epoch)
-        if removed:
-            metrics = self._telemetry()
-            if metrics is not None:
-                metrics.preexclusions.inc(removed)
-        return admitted
+                banned_rows[row] = banned
+        if not banned_rows:
+            return packed, epochs
+        keep = block.occupied.copy()
+        for row, banned in banned_rows.items():
+            keep[row] &= ~np.isin(block.prns[row], banned)
+        if epochs is not None:
+            epochs = list(epochs)
+            for row, banned in banned_rows.items():
+                epochs[row] = _without(epochs[row], banned)
+        metrics = self._telemetry()
+        if metrics is not None:
+            metrics.preexclusions.inc(
+                sum(len(banned) for banned in banned_rows.values())
+            )
+        return replace(packed, block=block.compact(keep)), epochs
 
     def _observe_verdict(
         self, prns: Sequence[int], verdict: EpochVerdict
@@ -272,7 +293,7 @@ class BatchExecutor:
         if metrics is not None:
             metrics.integrity_child(verdict.status).inc()
 
-    # -- execution: epoch objects in ----------------------------------
+    # -- execution ----------------------------------------------------
 
     def execute(
         self,
@@ -282,127 +303,74 @@ class BatchExecutor:
         """One formed batch of epoch objects through the full ladder.
 
         ``bias_overrides`` carries per-request clock-bias overrides
-        (``None`` entries defer to the config's predictor).  Returns
-        one :data:`Outcome` per epoch, in order.
+        (``None`` entries defer to the config's predictor).  Packs the
+        flush into one padded block here, at the request/array
+        boundary, and hands it to :meth:`execute_packed` together with
+        ``epochs``.  Returns one :data:`Outcome` per epoch, in order.
         """
-        if self._tracker is not None:
-            epochs = self.admit(epochs)
-        biases = self._resolve_biases(epochs, bias_overrides)
-        # Pack the flushed batch into one padded block here, at the
-        # request/array boundary — the engine and everything below it
-        # (solvers, FDE, the monitor suite) then runs zero-copy on
-        # these arrays.
-        packed = pack_stream(epochs)
-        try:
-            stream = self._engine.solve_stream(packed, biases, on_undersized="drop")
-        except ReproError:
-            # Rung 2/3: the batched solve rejects the whole flush, so
-            # one poisoned epoch fails its batchmates here.  Re-solve
-            # per-epoch so every request gets its own verdict.
-            return (
-                [
-                    self.solve_scalar(
-                        epoch,
-                        bias_overrides[index]
-                        if bias_overrides is not None
-                        else None,
-                    )
-                    for index, epoch in enumerate(epochs)
-                ],
-                BatchMeta(rung="scalar", epochs=epochs),
+        biases = None
+        if bias_overrides is not None:
+            biases = np.array(
+                [np.nan if value is None else value for value in bias_overrides],
+                dtype=float,
             )
-        outcomes = self._stream_outcomes(
-            stream,
-            lambda index: epochs[index].prns,
-            lambda index: epoch_integrity_error(epochs[index]),
-            self._observe_monitors(packed, stream),
-        )
-        return outcomes, BatchMeta(
-            rung="batch",
-            epochs=epochs,
-            stage_seconds=stream.stage_seconds,
-            counts=_kernel_counts(packed, stream),
-            resolved_biases=stream.clock_biases,
-        )
-
-    # -- execution: columnar in ----------------------------------------
+        return self.execute_packed(pack_stream(epochs), biases, epochs)
 
     def execute_packed(
         self,
         packed: PackedStream,
         biases: Optional[np.ndarray] = None,
+        epochs: Optional[List[ObservationEpoch]] = None,
     ) -> Tuple[List[Outcome], BatchMeta]:
-        """One formed batch of already-columnar epochs (the shard path).
+        """One formed batch of columnar epochs through the full ladder.
 
-        The hot path never materializes epoch objects: the packed
-        stream's arrays flow straight through the engine.  Only the
-        rare rungs that need per-epoch treatment — an active quarantine
-        trimming satellites, or whole-batch rejection degrading to the
-        scalar ladder — rebuild epochs from the block rows.
+        The flush body every transport runs: admission, the batched
+        solve (the block's arrays flow straight through the engine,
+        the solvers, FDE and the monitor suite), the per-epoch
+        scalar→NR ladder when the engine rejects the whole flush, and
+        outcome scattering.  ``biases`` uses NaN entries for "no
+        override" (a shared-memory array cannot carry ``None``).
 
-        ``biases`` uses NaN entries for "no override" (a shared-memory
-        array cannot carry ``None``).
+        ``epochs``, when the caller holds the flush as epoch objects,
+        are the objects ``packed`` was packed from: the ladder solves
+        them, screened rows report their
+        :func:`~repro.observations.epoch_integrity_error`, and
+        :attr:`BatchMeta.epochs` carries them post-admission.  Without
+        them (the shard worker) the ladder rebuilds epochs from the
+        block rows and screened rows report
+        :meth:`~repro.blocks.EpochBlock.row_integrity_error`.
         """
-        overrides: Optional[List[Optional[float]]] = None
+        if self._tracker is not None:
+            packed, epochs = self._admit(packed, epochs)
+        stream_biases = None
         if biases is not None:
             biases = np.asarray(biases, dtype=float)
-            overrides = [
-                float(value) if np.isfinite(value) else None
-                for value in biases
-            ]
-            if all(value is None for value in overrides):
-                overrides = None
-        if self._tracker is not None and self._packed_needs_admission(packed):
-            # Quarantine active and this batch carries banned PRNs:
-            # admission must trim observations, which changes satellite
-            # counts — materialize and take the epoch-object path (rare
-            # by construction: the breaker exists to make persistent
-            # faults cheap, not frequent).
-            epochs = self.materialize(packed)
-            return self.execute(epochs, overrides)
-        if self._tracker is not None:
-            # No trims, but admission still ticks the tracker clock so
-            # probation/backoff timing is identical to the epoch path.
-            block = packed.block
-            for row in range(len(block)):
-                self._tracker.admit(
-                    tuple(block.prns[row, : block.counts[row]].tolist())
-                )
-        stream_biases = None
-        if overrides is not None:
-            stream_biases = self._override_array(packed, biases)
+            if np.isfinite(biases).any():
+                stream_biases = self._override_array(packed, biases)
         try:
             stream = self._engine.solve_stream(
                 packed, stream_biases, on_undersized="drop"
             )
         except ReproError:
-            epochs = self.materialize(packed)
+            # Rung 2/3: the batched solve rejects the whole flush, so
+            # one poisoned epoch fails its batchmates here.  Re-solve
+            # per-epoch so every request gets its own verdict.
+            rows = epochs if epochs is not None else self.materialize(packed)
             return (
                 [
-                    self.solve_scalar(
-                        epoch,
-                        overrides[index] if overrides is not None else None,
-                    )
+                    self.solve_scalar(epoch, _override(biases, index))
                     if epoch is not None
-                    else (
-                        "invalid",
-                        None,
-                        None,
-                        None,
-                        "epoch failed batch screening",
-                        None,
-                        None,
-                    )
-                    for index, epoch in enumerate(epochs)
+                    else _screened(None, None)
+                    for index, epoch in enumerate(rows)
                 ],
-                BatchMeta(rung="scalar"),
+                BatchMeta(rung="scalar", epochs=epochs),
             )
-        prns_for, detail_for = self._packed_accessors(packed)
         outcomes = self._stream_outcomes(
-            stream, prns_for, detail_for, self._observe_monitors(packed, stream)
+            stream, packed, epochs, self._observe_monitors(packed, stream)
         )
         return outcomes, BatchMeta(
             rung="batch",
+            epochs=epochs,
             stage_seconds=stream.stage_seconds,
             counts=_kernel_counts(packed, stream),
             resolved_biases=stream.clock_biases,
@@ -442,10 +410,13 @@ class BatchExecutor:
                 for key in record.flagged_keys(int(index), SEVERITY_SPOOFED):
                     self._tracker.record_monitor_strike(key >> 2)
 
-    def _stream_outcomes(self, stream, prns_for, detail_for, monitors=None):
+    def _stream_outcomes(self, stream, packed, epochs, monitors=None):
         """Scatter one engine result into per-request outcomes."""
         algorithm = self._engine.algorithm
         fde = stream.diagnostics.fde
+        if fde is not None:
+            row_prns = packed.block.prns.tolist()
+            row_counts = packed.block.counts.tolist()
         block_spoofed = (
             self._config.monitors is not None and self._config.monitors.block_spoofed
         )
@@ -464,23 +435,16 @@ class BatchExecutor:
                 else None
             )
             if index in screened:
-                detail = detail_for(index)
                 outcomes.append(
-                    (
-                        "invalid",
-                        None,
-                        None,
-                        None,
-                        detail or "epoch failed batch screening",
-                        None,
-                        monitor,
-                    )
+                    _screened(_screen_detail(packed, epochs, index), monitor)
                 )
                 continue
             verdict = None
             if fde is not None:
                 verdict = fde.verdict(index)
-                self._observe_verdict(prns_for(index), verdict)
+                self._observe_verdict(
+                    row_prns[index][: row_counts[index]], verdict
+                )
                 if verdict.status == "unusable":
                     outcomes.append(
                         (
@@ -531,28 +495,6 @@ class BatchExecutor:
             self._tracker.publish()
         return outcomes
 
-    def _resolve_biases(
-        self,
-        epochs: List[ObservationEpoch],
-        overrides: Optional[Sequence[Optional[float]]],
-    ) -> Optional[np.ndarray]:
-        """Per-request bias overrides, or ``None`` to let the engine's
-        stream-level predictor (from the solver config) resolve them."""
-        if overrides is None or all(value is None for value in overrides):
-            return None
-        predictor = self._config.solver.bias_predictor()
-        biases = np.empty(len(epochs))
-        for index, value in enumerate(overrides):
-            if value is not None:
-                biases[index] = float(value)
-            elif predictor is not None:
-                biases[index] = predictor.predict_bias_meters(
-                    epochs[index].time
-                )
-            else:
-                biases[index] = 0.0
-        return biases
-
     def _override_array(
         self, packed: PackedStream, biases: np.ndarray
     ) -> np.ndarray:
@@ -571,49 +513,15 @@ class BatchExecutor:
         return resolved
 
     @staticmethod
-    def _packed_accessors(packed: PackedStream):
-        """``(prns_for, detail_for)`` over a packed stream's block.
-
-        ``detail_for`` mirrors :func:`~repro.observations.
-        epoch_integrity_error` wording via
-        :meth:`~repro.blocks.EpochBlock.row_integrity_error` so the
-        columnar path reports screened rows identically to the
-        epoch-object path.
-        """
-        block = packed.block
-        unpackable = frozenset(packed.unpackable)
-
-        def prns_for(index: int):
-            return tuple(block.prns[index, : block.counts[index]].tolist())
-
-        def detail_for(index: int):
-            if index in unpackable:
-                return None
-            return block.row_integrity_error(index)
-
-        return prns_for, detail_for
-
-    def _packed_needs_admission(self, packed: PackedStream) -> bool:
-        """Whether any row carries a currently-quarantined satellite."""
-        banned = self._tracker.quarantined_prns()
-        if not banned:
-            return False
-        block = packed.block
-        banned_array = np.fromiter(banned, dtype=np.int64)
-        return bool(
-            (np.isin(block.prns, banned_array) & block.occupied).any()
-        )
-
-    @staticmethod
     def materialize(
         packed: PackedStream,
     ) -> List[Optional[ObservationEpoch]]:
         """Epoch objects for every packable row, in stream order.
 
-        The inverse boundary crossing, used only off the hot path
-        (degradation rungs, admission trims).  Structurally invalid
-        rows (the validating constructors reject them) and unpackable
-        rows come back ``None``.
+        The inverse boundary crossing, used only off the hot path (the
+        shard worker's degradation rungs).  Structurally invalid rows
+        (the validating constructors reject them) and unpackable rows
+        come back ``None``.
         """
         block = packed.block
         unpackable = frozenset(packed.unpackable)
@@ -633,7 +541,7 @@ class BatchExecutor:
         """Degradation rungs for one epoch: scalar primary, then NR."""
         detail = epoch_integrity_error(epoch)
         if detail is not None:
-            return ("invalid", None, None, None, detail, None, None)
+            return _screened(detail, None)
         algorithm = self._config.solver.algorithm
         solver = self._scalar
         if bias_override is not None:
@@ -677,6 +585,56 @@ class BatchExecutor:
                 None,
                 None,
             )
+
+
+def _screened(detail: Optional[str], monitor) -> Outcome:
+    """The ``invalid`` outcome of a row the screen keeps out of the solve."""
+    return (
+        "invalid",
+        None,
+        None,
+        None,
+        detail or "epoch failed batch screening",
+        None,
+        monitor,
+    )
+
+
+def _screen_detail(
+    packed: PackedStream,
+    epochs: Optional[List[ObservationEpoch]],
+    index: int,
+) -> Optional[str]:
+    """Why row ``index`` failed the batch screen: the caller's epoch's
+    integrity error when there are epochs, else the block row's."""
+    if epochs is not None:
+        return epoch_integrity_error(epochs[index])
+    if index in packed.unpackable:
+        return None
+    return packed.block.row_integrity_error(index)
+
+
+def _override(biases: Optional[np.ndarray], index: int) -> Optional[float]:
+    """Row ``index``'s clock-bias override, ``None`` where NaN."""
+    if biases is None or not np.isfinite(biases[index]):
+        return None
+    return float(biases[index])
+
+
+def _without(
+    epoch: ObservationEpoch, banned: Sequence[int]
+) -> ObservationEpoch:
+    """``epoch`` less the ``banned`` satellites.
+
+    An epoch the validating constructor rejects (duplicate PRNs) is
+    returned whole: the screen reports it invalid either way.
+    """
+    try:
+        return epoch.with_observations(
+            obs for obs in epoch.observations if obs.prn not in banned
+        )
+    except ReproError:
+        return epoch
 
 
 def _finite(fix):

@@ -100,6 +100,30 @@ _LATENCY_BUCKETS = (
 )
 
 
+def _anomaly_trigger(result: ServiceResult) -> Optional[str]:
+    """The flight-recorder trigger ``result`` raises, or ``None``.
+
+    In order of precedence: a deadline miss, a degraded solver rung
+    ("dlg/scalar", "dlg/nr-fallback"), an FDE exclusion or unrepaired
+    verdict, a raised signal-plausibility verdict.  A triggered fix
+    builds its record (and dump) eagerly; everything else defers
+    construction to the recorder's read paths.
+    """
+    if result.status == "timeout":
+        return TRIGGER_DEADLINE_MISS
+    if result.solver is not None and "/" in result.solver:
+        return TRIGGER_DEGRADED
+    integrity = result.integrity
+    if integrity is not None:
+        if integrity.status == "repaired":
+            return TRIGGER_FDE_EXCLUSION
+        if integrity.status == "unusable":
+            return TRIGGER_FDE_UNREPAIRED
+    if result.monitor is not None:
+        return TRIGGER_MONITOR
+    return None
+
+
 @dataclass
 class _PendingRequest:
     """One queued epoch and the future its submitter awaits."""
@@ -623,24 +647,12 @@ class PositioningService:
                 statuses.append(effective)
                 latencies.append(resolved_at - request.submitted_at)
             if recording:
-                # Mirror of _build_fix_record's trigger derivation: an
-                # FDE exclusion/unrepaired verdict, a deadline miss, a
-                # degraded solver rung ("dlg/scalar"), or a raised
-                # signal-plausibility verdict is an anomaly and builds
-                # its record (and dump) eagerly; everything else defers
-                # construction to the recorder's read paths.
-                if (
-                    status == "timeout"
-                    or (
-                        verdict is not None
-                        and verdict.status in ("repaired", "unusable")
-                    )
-                    or (solver is not None and "/" in solver)
-                    or monitor is not None
-                ):
+                trigger = _anomaly_trigger(result)
+                if trigger is not None:
                     record = self._build_fix_record(
                         request,
                         result,
+                        trigger,
                         meta.epochs[index],
                         meta,
                         flush,
@@ -719,13 +731,16 @@ class PositioningService:
     ) -> None:
         """Retain one screened-out fix in the flight recorder."""
         self._recorder.record(
-            self._build_fix_record(request, result, epoch, meta, flush)
+            self._build_fix_record(
+                request, result, _anomaly_trigger(result), epoch, meta, flush
+            )
         )
 
     def _build_fix_record(
         self,
         request: _PendingRequest,
         result: ServiceResult,
+        trigger: Optional[str],
         epoch: ObservationEpoch,
         meta: Optional[BatchMeta],
         flush: Flush,
@@ -736,32 +751,19 @@ class PositioningService:
     ) -> FixRecord:
         """The flight-recorder record for one served fix.
 
+        ``trigger`` is the result's :func:`_anomaly_trigger`.
         ``recorded_at``/``attributes``/``stages`` are supplied per
         flush by ``_dispatch`` so the per-request work here stays at
         one :class:`FixRecord` construction; only triggered records —
         the replayable ones — pay for the epoch capture and the
         resolved per-request solver spec.
         """
-        trigger = None
-        verdict_dict = None
-        if result.integrity is not None:
-            verdict_dict = result.integrity.to_dict()
-            if result.integrity.status == "repaired":
-                trigger = TRIGGER_FDE_EXCLUSION
-            elif result.integrity.status == "unusable":
-                trigger = TRIGGER_FDE_UNREPAIRED
-        if result.status == "timeout":
-            trigger = TRIGGER_DEADLINE_MISS
-        elif result.solver is not None and "/" in result.solver:
-            # "dlg/scalar", "dlg/nr-fallback": the ladder degraded.
-            trigger = TRIGGER_DEGRADED
-        monitor_dict = None
-        if result.monitor is not None:
-            monitor_dict = result.monitor.to_dict()
-            if trigger is None:
-                # FDE/timeout/degradation triggers take precedence in
-                # the taxonomy; the verdict still rides the record.
-                trigger = TRIGGER_MONITOR
+        verdict_dict = (
+            result.integrity.to_dict() if result.integrity is not None else None
+        )
+        monitor_dict = (
+            result.monitor.to_dict() if result.monitor is not None else None
+        )
         if trigger is None:
             epoch_dict = None
             solver_spec = self._base_solver_spec

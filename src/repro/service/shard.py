@@ -469,7 +469,10 @@ def worker_main(
     Module-level on purpose — picklable by reference, so the same entry
     point works under fork and spawn.  The worker installs a **fresh**
     private registry (the fork hook in :mod:`repro.telemetry` already
-    cleared any inherited one) and ships snapshots on ``scrape``.
+    cleared any inherited one) and ships snapshots on ``scrape``.  An
+    exception out of the executor answers every row of its batch
+    ``failed`` ("internal dispatch error: ..."), as the in-process
+    dispatch loop does, and the worker keeps serving.
     """
     from repro import telemetry
 
@@ -514,10 +517,16 @@ def worker_main(
                 while True:  # simulate a wedged worker (no heartbeats)
                     time.sleep(3600)
             packed, biases = read_request(arrays, slot, sequence)
-            outcomes, _meta = executor.execute_packed(packed, biases)
-            # The packed block views the slab: drop it now, or the
-            # mapping cannot close when the worker is told to stop.
-            del packed
+            try:
+                outcomes, _meta = executor.execute_packed(packed, biases)
+            except Exception as exc:  # one poison batch must not kill the worker
+                error = f"internal dispatch error: {exc}"
+                failed = ("failed", None, None, None, error, None, None)
+                outcomes = [failed] * len(packed)
+            finally:
+                # The packed block views the slab: drop it now, or the
+                # mapping cannot close when the worker is told to stop.
+                del packed
             if crash_after is not None:
                 # Torn-write chaos: open the response window, fill only
                 # a prefix, then die without sealing.

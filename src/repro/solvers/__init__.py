@@ -20,10 +20,9 @@ scattered constructor signatures.  These classes remain public as the
 extension surface — subclass or instantiate them when implementing a
 new solver path, not when merely *using* one.
 
-Up to PR 4 the modules lived under ``repro.core``; the old import
-paths (``repro.core.newton_raphson`` et al.) still work as thin shims
-that emit :class:`DeprecationWarning`, and the :mod:`repro.core`
-package itself re-exports every solver name warning-free.
+The modules once lived under ``repro.core``; that package still
+re-exports every solver name warning-free, but the old deep import
+paths (``repro.core.newton_raphson`` et al.) are gone.
 """
 
 from repro.solvers.newton_raphson import NewtonRaphsonSolver

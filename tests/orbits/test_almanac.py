@@ -86,11 +86,11 @@ class TestMultiSystem:
 
 
 class TestDeprecatedSpelling:
-    def test_shim_warns_and_matches(self, epoch):
-        with pytest.warns(DeprecationWarning, match="nominal_almanac"):
-            from repro.orbits import nominal_gps_almanac
-        legacy = nominal_gps_almanac(epoch, satellite_count=12)
-        assert legacy == nominal_almanac(epoch, satellite_count=12, system="G")
+    @pytest.mark.parametrize("module", ["repro.orbits", "repro.orbits.almanac"])
+    def test_gps_only_spelling_is_gone(self, module):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), "nominal_gps_almanac")
 
     def test_canonical_name_does_not_warn(self, epoch):
         import warnings

@@ -26,6 +26,7 @@ from repro.service import (
     ShardConfig,
     ShardedPositioningService,
 )
+from repro.validation.faults import DuplicateSatellite, NonFiniteMeasurement
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
 
 SEEDS = range(50)
@@ -177,6 +178,11 @@ class TestStatefulQuarantineParity:
         stateful quarantine/pre-exclusion path must stay bitwise
         identical.  (Across N>1 workers the tracker state is sharded
         and this parity is deliberately not promised.)
+
+        Two epochs after quarantine engages are malformed, one with a
+        NaN measurement and one with a duplicated (unquarantined)
+        satellite: both must come back ``invalid`` while their
+        batchmates are served, in-process and in the worker alike.
         """
         generator = ScenarioGenerator(
             ScenarioConfig(min_satellites=6, max_satellites=9, max_flatness=0.5)
@@ -186,9 +192,17 @@ class TestStatefulQuarantineParity:
             spike(s.epoch) if i % 8 == 3 else s.epoch
             for i, s in enumerate(scenarios)
         ]
+        epochs[45] = NonFiniteMeasurement().apply(
+            epochs[45], np.random.default_rng(45)
+        )
+        epochs[46] = DuplicateSatellite().apply(
+            epochs[46], np.random.default_rng(46)
+        )
         biases = [s.clock_bias_meters for s in scenarios]
         config = service_config(with_fde=True)
         baseline = run_in_process(epochs, config, biases)
+        assert baseline[45].status == "invalid"
+        assert baseline[46].status == "invalid"
         # The stateful path really engaged: early spikes are repaired
         # by FDE, later ones come back "passed" because the offending
         # PRN was pre-excluded at admission (quarantined).

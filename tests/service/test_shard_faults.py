@@ -29,6 +29,7 @@ from repro.service import (
     ShardConfig,
     ShardedPositioningService,
 )
+from repro.service.executor import BatchExecutor
 from repro.service.shm import list_slabs
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
 
@@ -110,6 +111,33 @@ class TestCrashMidBatch:
             shard.inject_crash(0, after_rows=16)
             results = shard.solve_many(epochs)
         assert all(r.status == "retryable" for r in results)
+
+
+class TestExecutorException:
+    def test_poison_batch_fails_its_rows_and_worker_stays_up(self, monkeypatch):
+        """An executor exception answers its batch ``failed``, row by
+        row, like the in-process dispatch loop; the worker neither dies
+        nor spends a restart, and still exits cleanly at stop (the
+        slab-backed block was released)."""
+
+        def poison(self, packed, biases=None, epochs=None):
+            raise RuntimeError("poison batch")
+
+        # Patched before the fork, so the worker inherits it.
+        monkeypatch.setattr(BatchExecutor, "execute_packed", poison)
+        epochs = make_epochs(32)
+        config = shard_config(workers=1, max_restarts=2)
+        with ShardedPositioningService(config) as shard:
+            results = shard.solve_many(epochs)
+            assert shard.live_workers == 1
+            worker = shard._workers[0]
+            assert worker.restarts == 0
+            process = worker.process
+        assert len(results) == len(epochs)
+        for result in results:
+            assert result.status == "failed"
+            assert result.error == "internal dispatch error: poison batch"
+        assert process.exitcode == 0
 
 
 class TestRestartBudget:

@@ -144,23 +144,21 @@ class TestBatchPaths:
 
 
 class TestDeprecationShims:
-    DEEP_MODULES = [
-        ("repro.core.newton_raphson", "NewtonRaphsonSolver"),
-        ("repro.core.direct_linear", "DLGSolver"),
-        ("repro.core.bancroft", "BancroftSolver"),
-        ("repro.core.batch", "BatchDLGSolver"),
-    ]
-
-    @pytest.mark.parametrize("module_name,symbol", DEEP_MODULES)
-    def test_deep_import_warns_but_works(self, module_name, symbol):
+    @pytest.mark.parametrize(
+        "module_name",
+        [
+            "repro.core.newton_raphson",
+            "repro.core.direct_linear",
+            "repro.core.bancroft",
+            "repro.core.batch",
+            "repro.core.raim",
+        ],
+    )
+    def test_deep_paths_are_gone(self, module_name):
         import importlib
 
-        module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            value = getattr(module, symbol)
-        import repro.solvers
-
-        assert value is getattr(repro.solvers, symbol)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
 
     def test_core_package_surface_is_warning_free(self):
         with warnings.catch_warnings():

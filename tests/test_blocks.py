@@ -191,6 +191,94 @@ class TestBlockRoundTrip:
         assert pack([plain]).cn0 is None
 
 
+_LANES = (
+    "positions",
+    "pseudoranges",
+    "prns",
+    "systems",
+    "counts",
+    "weeks",
+    "seconds_of_week",
+    "truth_positions",
+    "truth_biases",
+)
+
+
+def _assert_blocks_identical(ours: EpochBlock, theirs: EpochBlock):
+    for lane in _LANES + ("cn0",):
+        a, b = getattr(ours, lane), getattr(theirs, lane)
+        if a is None or b is None:
+            assert a is None and b is None, lane
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, lane
+        np.testing.assert_array_equal(a, b, err_msg=lane)
+
+
+class TestCompact:
+    """Dropping slots from a block is packing the trimmed epochs."""
+
+    @given(
+        counts=st.lists(
+            st.integers(min_value=4, max_value=12), min_size=1, max_size=8
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_packing_the_trimmed_epochs(self, counts, seed):
+        epochs = [
+            _build_epoch(c, seed=i, bias=float(i)) for i, c in enumerate(counts)
+        ]
+        block = pack_stream(epochs).block
+        rng = np.random.default_rng(seed)
+        # Any subset of each row's PRNs short of all of them.
+        banned = [
+            set(
+                rng.choice(
+                    epoch.prns, size=int(rng.integers(len(epoch))), replace=False
+                ).tolist()
+            )
+            for epoch in epochs
+        ]
+        keep = block.occupied & ~np.array(
+            [np.isin(block.prns[row], list(banned[row])) for row in range(len(epochs))]
+        )
+        trimmed = [
+            epoch.with_observations(
+                obs for obs in epoch.observations if obs.prn not in banned[i]
+            )
+            for i, epoch in enumerate(epochs)
+        ]
+        _assert_blocks_identical(block.compact(keep), pack_stream(trimmed).block)
+
+    def test_cn0_lane_leaves_with_its_last_reporting_channel(self):
+        plain = _build_epoch(6, seed=0)
+        observations = list(_build_epoch(7, seed=1).observations)
+        observations[0] = replace(observations[0], cn0_dbhz=42.0)
+        reporting = plain.with_observations(observations)
+        block = pack_stream([plain, reporting]).block
+        keep = block.occupied.copy()
+        keep[1, 0] = False
+        compacted = block.compact(keep)
+        assert compacted.cn0 is None
+        _assert_blocks_identical(
+            compacted,
+            pack_stream([plain, reporting.with_observations(observations[1:])]).block,
+        )
+
+    def test_invalid_rows_keep_their_place(self):
+        poisoned = NonFiniteMeasurement().apply(
+            _build_epoch(6, seed=1), np.random.default_rng(0)
+        )
+        block = pack_stream([_build_epoch(6, seed=0), poisoned]).block
+        keep = block.occupied.copy()
+        keep[0, 0] = False
+        compacted = block.compact(keep)
+        assert list(compacted.counts) == [5, 6]
+        assert list(compacted.validity_mask()) == [True, False]
+        np.testing.assert_array_equal(
+            compacted.pseudoranges[1], block.pseudoranges[1]
+        )
+
+
 class TestValidityScreening:
     FAULTS = (
         NonFiniteMeasurement(),
