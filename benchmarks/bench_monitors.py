@@ -124,14 +124,14 @@ def run_overhead(epoch_count: int, repeats: int) -> Dict:
         max_batch_size=len(stream),
         monitors=MonitorConfig(),
     )
-    outcomes, _meta = BatchExecutor(armed_config).execute(stream, biases)
+    executor = BatchExecutor(armed_config)
+    block, _meta = executor.execute(stream, biases)
+    served = block.results(executor.algorithm, len(stream))
     results["clean_stream_epochs"] = len(stream)
     results["clean_stream_verdicts"] = sum(
-        1 for outcome in outcomes if outcome[6] is not None
+        1 for result in served if result.monitor is not None
     )
-    results["clean_stream_served"] = sum(
-        1 for outcome in outcomes if outcome[0] == "ok"
-    )
+    results["clean_stream_served"] = sum(1 for result in served if result.ok)
     return results
 
 

@@ -114,16 +114,6 @@ class MonitorVerdict:
             "flagged": list(self.flagged),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MonitorVerdict":
-        return cls(
-            monitor=str(data["monitor"]),
-            severity=str(data["severity"]),
-            statistic=float(data["statistic"]),
-            threshold=float(data["threshold"]),
-            flagged=tuple(str(label) for label in data.get("flagged", ())),
-        )
-
 
 @dataclass(frozen=True)
 class EpochMonitorVerdict:
@@ -148,16 +138,6 @@ class EpochMonitorVerdict:
             "severity": self.severity,
             "monitors": [verdict.to_dict() for verdict in self.monitors],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "EpochMonitorVerdict":
-        return cls(
-            severity=str(data["severity"]),
-            monitors=tuple(
-                MonitorVerdict.from_dict(verdict)
-                for verdict in data.get("monitors", ())
-            ),
-        )
 
 
 @dataclass
@@ -957,9 +937,6 @@ class MonitorRecord:
 
     def __len__(self) -> int:
         return int(self.severities.shape[0])
-
-    def severity_name(self, index: int) -> str:
-        return SEVERITY_NAMES[int(self.severities[index])]
 
     def verdict(self, index: int) -> Optional[EpochMonitorVerdict]:
         """The epoch's verdict object, or ``None`` when nominal."""

@@ -12,7 +12,8 @@ The pieces:
 
 * :class:`ServiceConfig` / :class:`ServiceResult` — frozen tuning and
   the structured per-request answer (failure is a status, never an
-  exception escaping a batch).
+  exception escaping a batch); :class:`ResultBlock` — one flush's
+  answers as struct-of-arrays lanes, from which the results are built.
 * :class:`MicroBatcher` — the dynamic aggregator (flush on *full*,
   *deadline*, or *close*).
 * :class:`PositioningService` — admission control with backpressure,
@@ -44,7 +45,12 @@ from repro.service.client import AsyncPositioningClient
 from repro.service.executor import BatchExecutor, BatchMeta
 from repro.service.service import PositioningService
 from repro.service.shard import ShardConfig, ShardedPositioningService
-from repro.service.types import RESULT_STATUSES, ServiceConfig, ServiceResult
+from repro.service.types import (
+    RESULT_STATUSES,
+    ResultBlock,
+    ServiceConfig,
+    ServiceResult,
+)
 
 __all__ = [
     "AsyncPositioningClient",
@@ -54,6 +60,7 @@ __all__ = [
     "MicroBatcher",
     "PositioningService",
     "RESULT_STATUSES",
+    "ResultBlock",
     "ServiceConfig",
     "ServiceResult",
     "ShardConfig",

@@ -16,10 +16,10 @@ exactly the core that must run identically
 
 One flush body serves every transport.  :meth:`execute_packed` takes
 the flush as one padded :class:`~repro.blocks.PackedStream` and runs
-admission, the batched solve, the scalar ladder and outcome scattering
-on it.  :meth:`execute` is the epoch-object entry (the asyncio
-dispatch loop, the inline router, the chaos runners): it packs the
-flush with :func:`~repro.blocks.pack_stream` and delegates, handing
+admission, the batched solve and the scalar ladder on it.
+:meth:`execute` is the epoch-object entry (the asyncio dispatch loop,
+the inline router, the chaos runners): it packs the flush with
+:func:`~repro.blocks.pack_stream` and delegates, handing
 its epochs along so the ladder solves them, screened rows report their
 own integrity error and :attr:`BatchMeta.epochs` carries them for the
 flight recorder.  The shard worker calls :meth:`execute_packed`
@@ -27,20 +27,22 @@ directly on a block viewed out of its slab; epoch objects are rebuilt
 from block rows only when the whole flush degrades to the scalar
 ladder.
 
-Every flush returns ``(outcomes, BatchMeta)``, where each outcome is
-the tuple
-``(status, position, clock_bias, solver, error, verdict, monitor)``
-the service tier turns into
-:class:`~repro.service.types.ServiceResult`\\ s.  The cross-process
-determinism suite holds in-process and shard-worker answers to bitwise
-agreement on identical batches.
+Every flush returns ``(ResultBlock, BatchMeta)``: the
+:class:`~repro.service.types.ResultBlock` holds the answers as
+struct-of-arrays lanes (status, solver, fix, bias, FDE verdict, error
+text, monitor record), filled by masks from the engine's arrays, and
+:meth:`~repro.service.types.ResultBlock.results` is the one place they
+become :class:`~repro.service.types.ServiceResult`\\ s.  The
+cross-process determinism suite holds in-process and shard-worker
+answers to bitwise agreement on identical batches.
 
 When the config arms the signal-plausibility plane
 (``config.monitors``), every successfully batched solve is also
 observed by a :class:`~repro.integrity.monitors.MonitorSuite`:
-per-epoch verdicts ride the outcomes, confirmed-``spoofed`` epochs are
-blocked (``status="failed"``) when ``block_spoofed`` is set, and
-flagged satellites feed the health tracker as monitor strikes.  The
+its :class:`~repro.integrity.monitors.MonitorRecord` rides the block,
+confirmed-``spoofed`` epochs are blocked (``status="failed"``) when
+``block_spoofed`` is set, and flagged satellites feed the health
+tracker as monitor strikes.  The
 suite's ring-buffer state is keyed on epoch order alone, so the shard
 worker and the in-process loop produce bitwise-identical verdicts for
 the same stream however it is batched.
@@ -56,34 +58,51 @@ import numpy as np
 from repro.blocks import PackedStream, pack_stream
 from repro.engine import PositioningEngine
 from repro.errors import EstimationError, ReproError
-from repro.integrity.fde import EpochVerdict
+from repro.integrity.fde import STATUS_NAMES as FDE_STATUS_NAMES
+from repro.integrity.fde import STATUS_PASSED as FDE_PASSED
+from repro.integrity.fde import STATUS_REPAIRED as FDE_REPAIRED
+from repro.integrity.fde import STATUS_UNUSABLE as FDE_UNUSABLE
 from repro.integrity.health import SatelliteHealthTracker
 from repro.integrity.monitors import (
-    EpochMonitorVerdict,
     MonitorRecord,
     MonitorSuite,
     SEVERITY_NAMES,
+    SEVERITY_NOMINAL,
     SEVERITY_SPOOFED,
 )
 from repro.observations import ObservationEpoch, epoch_integrity_error
+from repro.service.types import (
+    ABSENT,
+    SOLVER_BATCH,
+    SOLVER_NR_FALLBACK,
+    SOLVER_SCALAR,
+    STATUS_FAILED,
+    STATUS_INVALID,
+    STATUS_OK,
+    ResultBlock,
+)
 from repro.telemetry import get_registry
 
-#: One per-request outcome:
-#: ``(status, position, clock_bias, solver, error, verdict, monitor)``.
-Outcome = Tuple[
-    str,
-    Optional[np.ndarray],
-    Optional[float],
-    Optional[str],
-    Optional[str],
-    Optional[EpochVerdict],
-    Optional[EpochMonitorVerdict],
-]
+#: The error text of a row the batch screen kept out of the solve
+#: when nothing more specific is known.
+SCREENED_ERROR = "epoch failed batch screening"
+
+
+def bias_lane(
+    overrides: Optional[Sequence[Optional[float]]],
+) -> Optional[np.ndarray]:
+    """Per-row clock-bias overrides as a float lane, NaN for "no
+    override" (``None`` entries); ``None`` when there are none."""
+    if overrides is None:
+        return None
+    return np.array(
+        [np.nan if value is None else value for value in overrides], dtype=float
+    )
 
 
 @dataclass
 class BatchMeta:
-    """What one batch execution learned beyond the per-request outcomes.
+    """What one batch execution learned beyond the per-request answers.
 
     Carried back to the dispatching tier so traces and flight-recorder
     entries can name the stage split, the batch lineage, and the
@@ -111,16 +130,9 @@ class BatchMeta:
 
 
 class _ExecutorMetrics:
-    """Pre-resolved integrity telemetry children for one registry."""
+    """Pre-resolved integrity telemetry for one registry."""
 
-    __slots__ = (
-        "registry",
-        "preexclusions",
-        "_integrity_family",
-        "_children",
-        "_monitor_family",
-        "_monitor_children",
-    )
+    __slots__ = ("registry", "preexclusions", "verdicts", "severities")
 
     def __init__(self, registry) -> None:
         self.registry = registry
@@ -128,32 +140,23 @@ class _ExecutorMetrics:
             "repro_service_integrity_preexclusions_total",
             "Quarantined satellites pre-excluded at admission.",
         ).labels()
-        self._integrity_family = registry.counter(
+        self.verdicts = registry.counter(
             "repro_service_integrity_verdicts_total",
             "FDE verdicts on served epochs.",
             labels=("status",),
         )
-        self._children: dict = {}
-        self._monitor_family = registry.counter(
+        self.severities = registry.counter(
             "repro_service_monitor_verdicts_total",
             "Signal-plausibility verdicts on served epochs.",
             labels=("severity",),
         )
-        self._monitor_children: dict = {}
 
-    def integrity_child(self, status: str):
-        child = self._children.get(status)
-        if child is None:
-            child = self._integrity_family.labels(status=status)
-            self._children[status] = child
-        return child
 
-    def monitor_child(self, severity: str):
-        child = self._monitor_children.get(severity)
-        if child is None:
-            child = self._monitor_family.labels(severity=severity)
-            self._monitor_children[severity] = child
-        return child
+def _count(family, label: str, codes: np.ndarray, names: Sequence[str]) -> None:
+    """Add each code's tally in ``codes`` to ``family``, labelled by name."""
+    for name, tally in zip(names, np.bincount(codes, minlength=len(names)).tolist()):
+        if tally:
+            family.labels(**{label: name}).inc(tally)
 
 
 class BatchExecutor:
@@ -277,21 +280,29 @@ class BatchExecutor:
             )
         return replace(packed, block=block.compact(keep)), epochs
 
-    def _observe_verdict(
-        self, prns: Sequence[int], verdict: EpochVerdict
-    ) -> None:
-        """Feed one verdict to the health tracker and telemetry."""
-        if self._tracker is not None:
-            if verdict.status == "repaired":
-                self._tracker.record_exclusion(verdict.excluded_prn)
-                self._tracker.record_clean(
-                    prn for prn in prns if prn != verdict.excluded_prn
-                )
-            elif verdict.status == "passed":
-                self._tracker.record_clean(prns)
+    def _observe_verdicts(self, packed: PackedStream, block: ResultBlock) -> None:
+        """Feed one flush's FDE verdicts to telemetry and, row by row
+        in stream order, to the health tracker."""
+        verdicts = block.verdict
         metrics = self._telemetry()
         if metrics is not None:
-            metrics.integrity_child(verdict.status).inc()
+            checked = verdicts[verdicts >= 0]
+            _count(metrics.verdicts, "status", checked, FDE_STATUS_NAMES)
+        tracker = self._tracker
+        if tracker is None:
+            return
+        for prns, count, code, excluded in zip(
+            packed.block.prns.tolist(),
+            packed.block.counts.tolist(),
+            verdicts.tolist(),
+            block.excluded_prns.tolist(),
+        ):
+            if code == FDE_REPAIRED:
+                tracker.record_exclusion(excluded)
+                tracker.record_clean(prn for prn in prns[:count] if prn != excluded)
+            elif code == FDE_PASSED:
+                tracker.record_clean(prns[:count])
+        tracker.publish()
 
     # -- execution ----------------------------------------------------
 
@@ -299,37 +310,35 @@ class BatchExecutor:
         self,
         epochs: List[ObservationEpoch],
         bias_overrides: Optional[Sequence[Optional[float]]] = None,
-    ) -> Tuple[List[Outcome], BatchMeta]:
+    ) -> Tuple[ResultBlock, BatchMeta]:
         """One formed batch of epoch objects through the full ladder.
 
         ``bias_overrides`` carries per-request clock-bias overrides
         (``None`` entries defer to the config's predictor).  Packs the
         flush into one padded block here, at the request/array
         boundary, and hands it to :meth:`execute_packed` together with
-        ``epochs``.  Returns one :data:`Outcome` per epoch, in order.
+        ``epochs``.  Returns one :class:`ResultBlock` row per epoch, in
+        order.
         """
-        biases = None
-        if bias_overrides is not None:
-            biases = np.array(
-                [np.nan if value is None else value for value in bias_overrides],
-                dtype=float,
-            )
-        return self.execute_packed(pack_stream(epochs), biases, epochs)
+        return self.execute_packed(
+            pack_stream(epochs), bias_lane(bias_overrides), epochs
+        )
 
     def execute_packed(
         self,
         packed: PackedStream,
         biases: Optional[np.ndarray] = None,
         epochs: Optional[List[ObservationEpoch]] = None,
-    ) -> Tuple[List[Outcome], BatchMeta]:
+    ) -> Tuple[ResultBlock, BatchMeta]:
         """One formed batch of columnar epochs through the full ladder.
 
         The flush body every transport runs: admission, the batched
         solve (the block's arrays flow straight through the engine,
         the solvers, FDE and the monitor suite), the per-epoch
         scalar→NR ladder when the engine rejects the whole flush, and
-        outcome scattering.  ``biases`` uses NaN entries for "no
-        override" (a shared-memory array cannot carry ``None``).
+        the :class:`ResultBlock` of answers.  ``biases`` uses NaN
+        entries for "no override" (a shared-memory array cannot carry
+        ``None``).
 
         ``epochs``, when the caller holds the flush as epoch objects,
         are the objects ``packed`` was packed from: the ladder solves
@@ -357,29 +366,25 @@ class BatchExecutor:
             # per-epoch so every request gets its own verdict.
             rows = epochs if epochs is not None else self.materialize(packed)
             return (
-                [
-                    self.solve_scalar(epoch, _override(biases, index))
-                    if epoch is not None
-                    else _screened(None, None)
-                    for index, epoch in enumerate(rows)
-                ],
+                self._solve_scalar(rows, biases),
                 BatchMeta(rung="scalar", epochs=epochs),
             )
-        outcomes = self._stream_outcomes(
+        block = self._stream_block(
             stream, packed, epochs, self._observe_monitors(packed, stream)
         )
-        return outcomes, BatchMeta(
+        return block, BatchMeta(
             rung="batch",
             epochs=epochs,
             stage_seconds=stream.stage_seconds,
-            counts=_kernel_counts(packed, stream),
+            counts=np.where(block.status == STATUS_INVALID, -1, packed.block.counts),
             resolved_biases=stream.clock_biases,
         )
 
     # -- shared internals ----------------------------------------------
 
     def _observe_monitors(self, packed, stream) -> Optional[MonitorRecord]:
-        """Run the monitor suite over one solved batch, when armed.
+        """Run the monitor suite over one solved batch, when armed, and
+        account for it: telemetry and monitor strikes.
 
         The suite sees the stream exactly as solved — NaN rows for
         screened/unrepaired epochs included — so its carried state
@@ -388,18 +393,10 @@ class BatchExecutor:
         """
         if self._monitors is None:
             return None
-        return self._monitors.observe_stream(packed, stream.positions)
-
-    def _observe_monitor_record(self, record: MonitorRecord) -> None:
-        """Batch monitor accounting for one segment: telemetry, strikes."""
+        record = self._monitors.observe_stream(packed, stream.positions)
         metrics = self._telemetry()
         if metrics is not None:
-            counts = np.bincount(
-                record.severities, minlength=len(SEVERITY_NAMES)
-            )
-            for level, name in enumerate(SEVERITY_NAMES):
-                if counts[level]:
-                    metrics.monitor_child(name).inc(int(counts[level]))
+            _count(metrics.severities, "severity", record.severities, SEVERITY_NAMES)
         if self._tracker is not None:
             # Monitors name satellites only when a per-satellite
             # statistic implicates them (C/N0 monitors); consistent
@@ -409,91 +406,67 @@ class BatchExecutor:
             for index in np.flatnonzero(record.severities == SEVERITY_SPOOFED):
                 for key in record.flagged_keys(int(index), SEVERITY_SPOOFED):
                     self._tracker.record_monitor_strike(key >> 2)
+        return record
 
-    def _stream_outcomes(self, stream, packed, epochs, monitors=None):
-        """Scatter one engine result into per-request outcomes."""
-        algorithm = self._engine.algorithm
-        fde = stream.diagnostics.fde
+    def _stream_block(self, stream, packed, epochs, monitors=None) -> ResultBlock:
+        """One engine result as a :class:`ResultBlock`, filled by masks.
+
+        Screened rows are ``invalid``; an ``unusable`` FDE verdict, or
+        a confirmed-``spoofed`` monitor verdict when ``block_spoofed``
+        is set, fails its row; every other row is served.  Only the
+        rows that carry an error text are visited one by one.
+        """
+        count = len(stream.positions)
+        block = ResultBlock.empty(count)
+        status = block.status
+        diagnostics = stream.diagnostics
+        screened = list(diagnostics.invalid_indices + diagnostics.dropped_indices)
+        status[screened] = STATUS_INVALID
+        errors = {
+            row: _screen_detail(packed, epochs, row) or SCREENED_ERROR
+            for row in sorted(screened)
+        }
+        fde = diagnostics.fde
         if fde is not None:
-            row_prns = packed.block.prns.tolist()
-            row_counts = packed.block.counts.tolist()
-        block_spoofed = (
-            self._config.monitors is not None and self._config.monitors.block_spoofed
-        )
-        screened = set(stream.diagnostics.invalid_indices) | set(
-            stream.diagnostics.dropped_indices
-        )
-        alerted = None
-        if monitors is not None:
-            self._observe_monitor_record(monitors)
-            alerted = set(np.flatnonzero(monitors.severities).tolist())
-        outcomes: List[Outcome] = []
-        for index in range(len(stream.positions)):
-            monitor = (
-                monitors.verdict(index)
-                if alerted is not None and index in alerted
-                else None
+            verdict = block.verdict
+            verdict[:] = fde.statuses
+            verdict[screened] = ABSENT
+            block.statistics[:] = fde.statistics
+            block.thresholds[:] = fde.thresholds
+            block.excluded_prns[:] = fde.excluded_prns
+            self._observe_verdicts(packed, block)
+            unusable = np.flatnonzero(verdict == FDE_UNUSABLE)
+            status[unusable] = STATUS_FAILED
+            for row in unusable.tolist():
+                errors[row] = (
+                    "integrity: fault detected (statistic "
+                    f"{fde.statistics[row]:.1f} > threshold "
+                    f"{fde.thresholds[row]:.1f}) and no single-satellite "
+                    "exclusion repairs the epoch"
+                )
+        if monitors is not None and self._config.monitors.block_spoofed:
+            spoofed = np.flatnonzero(
+                (status == STATUS_OK) & (monitors.severities == SEVERITY_SPOOFED)
             )
-            if index in screened:
-                outcomes.append(
-                    _screened(_screen_detail(packed, epochs, index), monitor)
-                )
-                continue
-            verdict = None
-            if fde is not None:
-                verdict = fde.verdict(index)
-                self._observe_verdict(
-                    row_prns[index][: row_counts[index]], verdict
-                )
-                if verdict.status == "unusable":
-                    outcomes.append(
-                        (
-                            "failed",
-                            None,
-                            None,
-                            None,
-                            "integrity: fault detected (statistic "
-                            f"{verdict.test_statistic:.1f} > threshold "
-                            f"{verdict.threshold:.1f}) and no single-satellite "
-                            "exclusion repairs the epoch",
-                            verdict,
-                            monitor,
-                        )
+            status[spoofed] = STATUS_FAILED
+            for row in spoofed.tolist():
+                tripped = ", ".join(
+                    name
+                    for name, level in zip(
+                        monitors.names, monitors.monitor_severities[:, row]
                     )
-                    continue
-            if (
-                block_spoofed
-                and monitor is not None
-                and monitor.severity == SEVERITY_NAMES[SEVERITY_SPOOFED]
-            ):
-                tripped = ", ".join(m.monitor for m in monitor.monitors)
-                outcomes.append(
-                    (
-                        "failed",
-                        None,
-                        None,
-                        None,
-                        "monitors: epoch confirmed spoofed "
-                        f"({tripped}); fix withheld",
-                        verdict,
-                        monitor,
-                    )
+                    if level != SEVERITY_NOMINAL
                 )
-                continue
-            outcomes.append(
-                (
-                    "ok",
-                    stream.positions[index],
-                    float(stream.clock_biases[index]),
-                    algorithm,
-                    None,
-                    verdict,
-                    monitor,
+                errors[row] = (
+                    f"monitors: epoch confirmed spoofed ({tripped}); "
+                    "fix withheld"
                 )
-            )
-        if fde is not None and self._tracker is not None:
-            self._tracker.publish()
-        return outcomes
+        ok = status == STATUS_OK
+        np.copyto(block.positions, stream.positions, where=ok[:, np.newaxis])
+        np.copyto(block.biases, stream.clock_biases, where=ok)
+        block.solver[ok] = SOLVER_BATCH
+        block = block.with_errors(errors)
+        return block if monitors is None else replace(block, monitors=monitors)
 
     def _override_array(
         self, packed: PackedStream, biases: np.ndarray
@@ -533,71 +506,55 @@ class BatchExecutor:
                 epochs.append(None)
         return epochs
 
-    def solve_scalar(
+    def _solve_scalar(
         self,
-        epoch: ObservationEpoch,
-        bias_override: Optional[float] = None,
-    ) -> Outcome:
-        """Degradation rungs for one epoch: scalar primary, then NR."""
-        detail = epoch_integrity_error(epoch)
-        if detail is not None:
-            return _screened(detail, None)
+        rows: Sequence[Optional[ObservationEpoch]],
+        biases: Optional[np.ndarray],
+    ) -> ResultBlock:
+        """Degradation rungs row by row: scalar primary, then NR.
+
+        ``None`` rows (not rebuildable from the block) and rows the
+        integrity screen rejects come back ``invalid``.
+        """
         algorithm = self._config.solver.algorithm
-        solver = self._scalar
-        if bias_override is not None:
-            solver = replace(
-                self._config.solver,
-                clock_bias_meters=bias_override,
-                clock_predictor=None,
-            ).build_solver()
-        try:
-            fix = _finite(solver.solve(epoch))
-            return (
-                "ok",
-                fix.position,
-                fix.clock_bias_meters,
-                f"{algorithm}/scalar",
-                None,
-                None,
-                None,
+        block = ResultBlock.empty(len(rows), STATUS_FAILED)
+        errors: Dict[int, str] = {}
+        for row, epoch in enumerate(rows):
+            detail = (
+                SCREENED_ERROR if epoch is None else epoch_integrity_error(epoch)
             )
-        except ReproError as primary_error:
-            if self._nr_scalar is None:
-                return ("failed", None, None, None, str(primary_error), None, None)
+            if detail is not None:
+                block.status[row] = STATUS_INVALID
+                errors[row] = detail
+                continue
+            solver = self._scalar
+            override = _override(biases, row)
+            if override is not None:
+                solver = replace(
+                    self._config.solver,
+                    clock_bias_meters=override,
+                    clock_predictor=None,
+                ).build_solver()
             try:
-                fix = _finite(self._nr_scalar.solve(epoch))
-            except ReproError as fallback_error:
-                return (
-                    "failed",
-                    None,
-                    None,
-                    None,
-                    f"{algorithm}: {primary_error}; nr fallback: {fallback_error}",
-                    None,
-                    None,
-                )
-            return (
-                "ok",
-                fix.position,
-                fix.clock_bias_meters,
-                f"{algorithm}/nr-fallback",
-                None,
-                None,
-                None,
-            )
-
-
-def _screened(detail: Optional[str], monitor) -> Outcome:
-    """The ``invalid`` outcome of a row the screen keeps out of the solve."""
-    return (
-        "invalid",
-        None,
-        None,
-        None,
-        detail or "epoch failed batch screening",
-        None,
-        monitor,
-    )
+                fix, rung = _finite(solver.solve(epoch)), SOLVER_SCALAR
+            except ReproError as primary_error:
+                if self._nr_scalar is None:
+                    errors[row] = str(primary_error)
+                    continue
+                try:
+                    fix = _finite(self._nr_scalar.solve(epoch))
+                    rung = SOLVER_NR_FALLBACK
+                except ReproError as fallback_error:
+                    errors[row] = (
+                        f"{algorithm}: {primary_error}; "
+                        f"nr fallback: {fallback_error}"
+                    )
+                    continue
+            block.status[row] = STATUS_OK
+            block.solver[row] = rung
+            block.positions[row] = fix.position
+            block.biases[row] = fix.clock_bias_meters
+        return block.with_errors(errors)
 
 
 def _screen_detail(
@@ -643,12 +600,3 @@ def _finite(fix):
     if not np.isfinite(fix.position).all():
         raise EstimationError("the solve produced a non-finite position")
     return fix
-
-
-def _kernel_counts(packed: PackedStream, stream) -> np.ndarray:
-    """Per-row satellite counts of a solved flush, ``-1`` where the
-    screen dropped the row before the kernel call."""
-    counts = np.array(packed.block.counts)
-    diagnostics = stream.diagnostics
-    counts[list(diagnostics.invalid_indices + diagnostics.dropped_indices)] = -1
-    return counts

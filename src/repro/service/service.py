@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.engine import PositioningEngine
 from repro.errors import ServiceError
@@ -511,18 +511,30 @@ class PositioningService:
             reason=flush.reason,
             algorithm=self._engine.algorithm,
         ):
-            outcomes, meta = self._solve_batch(live)
+            # The process-agnostic core shard workers run too.
+            block, meta = self._executor.execute(
+                [request.epoch for request in live],
+                [request.bias_meters for request in live],
+            )
         solve_seconds = loop.time() - solve_started
 
         resolved_at = loop.time()
+        # Solved, but past the caller's deadline: the contract is the
+        # deadline, so report the timeout (noting the answer existed —
+        # it helps operators size timeouts).
+        expired = [
+            index
+            for index, request in enumerate(live)
+            if request.deadline is not None and resolved_at >= request.deadline
+        ]
+        if expired:
+            block = block.expire(expired, "deadline expired during batch solve")
         # Per-flush trace constants: the peer list and the solve-span
         # annotations are shared (never copied, never mutated) by every
         # trace of the flush, and the per-row satellite counts are
         # converted to a plain list once instead of through a numpy
         # scalar cast per request.
-        peers: tuple = ()
-        solve_attributes = None
-        satellites = flush_rows = None
+        traces = None
         if self._config.trace:
             # Peer request *numbers*, shared by every trace of the
             # flush; the id strings materialize lazily in
@@ -551,6 +563,29 @@ class PositioningService:
                 # Pre-built "-1 everywhere" lineage so the per-request
                 # loop indexes unconditionally instead of branching.
                 satellites = flush_rows = (-1,) * batch_size
+            # Constructed directly (not via assemble_request_trace) on
+            # the dispatch path: resolved_at >= submitted_at by
+            # construction, and the helper's validation plus kwargs
+            # forwarding are measurable per request.
+            traces = [
+                RequestTrace(
+                    request.trace,
+                    request.submitted_at,
+                    resolved_at,
+                    solve_started,
+                    solve_seconds,
+                    meta.stage_seconds,
+                    solve_attributes,
+                    flush.sequence,
+                    peers,
+                    satellites[index],
+                    flush_rows[index],
+                    request.deadline,
+                )
+                if request.trace is not None
+                else None
+                for index, request in enumerate(live)
+            ]
         # Per-flush flight-recorder constants (stamp, shared attributes
         # and stage split), hoisted off the per-request path.
         recording = self._recorder is not None
@@ -581,55 +616,16 @@ class PositioningService:
         observing = handles is not None or slo is not None
         statuses: List[str] = []
         latencies: List[float] = []
-        for index, (request, outcome) in enumerate(zip(live, outcomes)):
-            status, position, bias, solver, error, verdict, monitor = outcome
-            if (
-                request.deadline is not None
-                and resolved_at >= request.deadline
-            ):
-                # Solved, but past the caller's deadline: the contract
-                # is the deadline, so report the timeout (noting the
-                # answer existed — it helps operators size timeouts).
-                status, position, bias, solver = "timeout", None, None, None
-                error = "deadline expired during batch solve"
-                verdict = None
-                monitor = None
-            trace = None
-            if request.trace is not None:
-                # Constructed directly (not via assemble_request_trace)
-                # on the dispatch path: resolved_at >= submitted_at by
-                # construction, and the helper's validation plus kwargs
-                # forwarding are measurable per request.
-                trace = RequestTrace(
-                    request.trace,
-                    request.submitted_at,
-                    resolved_at,
-                    solve_started,
-                    solve_seconds,
-                    meta.stage_seconds,
-                    solve_attributes,
-                    flush.sequence,
-                    peers,
-                    satellites[index],
-                    flush_rows[index],
-                    request.deadline,
-                )
-            result = ServiceResult(
-                status=status,
-                position=position,
-                clock_bias_meters=bias,
-                solver=solver,
-                error=error,
-                batch_size=batch_size,
-                wait_seconds=max(0.0, solve_started - request.submitted_at),
-                solve_seconds=solve_seconds,
-                integrity=verdict,
-                enqueued_at=request.submitted_at,
-                dispatched_at=solve_started,
-                completed_at=resolved_at,
-                trace=trace,
-                monitor=monitor,
-            )
+        results = block.results(
+            self._engine.algorithm,
+            batch_size,
+            solve_seconds=solve_seconds,
+            dispatched_at=solve_started,
+            completed_at=resolved_at,
+            enqueued_at=[request.submitted_at for request in live],
+            traces=traces,
+        )
+        for index, (request, result) in enumerate(zip(live, results)):
             # Resolve the caller's future inline; the metric, SLO, and
             # flight-recorder accounting for the whole flush is batched
             # after the loop (one counter increment per status, one
@@ -638,7 +634,7 @@ class PositioningService:
             future = request.future
             if not future.done():
                 future.set_result(result)
-                effective = status
+                effective = result.status
             elif future.cancelled():
                 effective = "cancelled"
             else:
@@ -672,11 +668,11 @@ class PositioningService:
                         (
                             record_shared,
                             request.trace,
-                            status,
-                            solver,
-                            error,
-                            verdict,
-                            trace,
+                            result.status,
+                            result.solver,
+                            result.error,
+                            result.integrity,
+                            result.trace,
                             meta.epochs[index],
                             index,
                         )
@@ -840,20 +836,3 @@ class PositioningService:
             monitor_dict,
         )
 
-    # -- solving -------------------------------------------------------
-
-    def _solve_batch(self, live: Sequence[_PendingRequest]):
-        """``(outcomes, BatchMeta)``: one
-        ``(status, position, bias, solver, error, verdict)`` tuple per
-        live request, plus what the dispatch learned along the way.
-
-        Thin delegation to the process-agnostic
-        :class:`~repro.service.executor.BatchExecutor` — shard workers
-        run the same core on batches that arrived over shared memory.
-        """
-        overrides: Optional[List[Optional[float]]] = None
-        if any(request.bias_meters is not None for request in live):
-            overrides = [request.bias_meters for request in live]
-        return self._executor.execute(
-            [request.epoch for request in live], overrides
-        )

@@ -7,9 +7,12 @@ processes, each running the same
 router cuts an epoch stream into fixed-size batches, routes each batch
 to a worker (**hash-by-client** or **least-loaded**), and moves the
 bulk arrays through a shared-memory slab
-(:mod:`repro.service.shm`) — epoch payloads are **never pickled** on
-the hot path; only slot/sequence control messages and row-error
-strings ride the per-worker pipe.
+(:mod:`repro.service.shm`) — epoch payloads and answers are **never
+pickled** on the hot path; only slot/sequence control messages ride
+the per-worker pipe.  A worker's answers travel as one
+:class:`~repro.service.types.ResultBlock` whose lanes (error texts and
+monitor records included) are copied once into the response slab and
+once back out.
 
 Determinism is a design contract, not an accident: batch boundaries
 are fixed by ``batch_size`` (independent of worker count), each batch
@@ -53,9 +56,20 @@ import numpy as np
 
 from repro.blocks import EpochBlock, PackedStream
 from repro.errors import ConfigurationError, ServiceError
+from repro.integrity.fde import STATUS_NAMES as VERDICT_NAMES
+from repro.integrity.monitors import SEVERITY_SPOOFED, MonitorRecord
 from repro.observations import ObservationEpoch
-from repro.service.executor import BatchExecutor
-from repro.service.types import ServiceConfig, ServiceResult
+from repro.service.executor import BatchExecutor, bias_lane
+from repro.service.types import (
+    ABSENT,
+    RESULT_LANES,
+    SOLVER_SUFFIXES,
+    STATUS_FAILED,
+    STATUS_OK,
+    ResultBlock,
+    ServiceConfig,
+    ServiceResult,
+)
 from repro.service.shm import (
     SharedSlab,
     SlabLayout,
@@ -69,17 +83,16 @@ from repro.telemetry import get_registry
 #: Routing policies.
 POLICIES: Tuple[str, ...] = ("hash", "least_loaded")
 
-#: ``resp_solver`` codes → solver-name suffix (index = code).  The
-#: algorithm name itself stays router-side config; shipping a code
-#: keeps the response lane fixed-width.
-_SOLVER_CODES: Tuple[str, ...] = ("", "/scalar", "/nr-fallback")
+#: The :class:`~repro.integrity.monitors.MonitorRecord` lanes a
+#: response slot carries, per row and per row and satellite
+#: (``severities``, their maximum over monitors, is recomputed on read).
+_MONITOR_ROW_LANES = ("monitor_severities", "statistics", "thresholds")
+_MONITOR_SATELLITE_LANES = ("flagged", "keys")
 
-#: ``resp_verdict_status`` codes (−1 = no verdict attached).
-_VERDICT_CODES: Tuple[str, ...] = ("passed", "repaired", "unusable", "unchecked")
-
-#: ``resp_status`` codes (index into this tuple; matches the executor's
-#: possible per-row outcomes — routing statuses never cross the slab).
-_STATUS_CODES: Tuple[str, ...] = ("ok", "invalid", "failed")
+#: Response-slab bytes per row for error texts.  Each distinct text of
+#: a batch is stored NUL-terminated (NULs inside it dropped), cut to
+#: ``TEXT_BYTES - 1`` UTF-8 bytes at a character boundary.
+TEXT_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -172,6 +185,12 @@ class ShardConfig:
             )
 
 
+def monitor_names(config: ShardConfig) -> Tuple[str, ...]:
+    """The names of the monitors a worker's executor runs, in order."""
+    monitors = config.service.monitors
+    return () if monitors is None else monitors.build().names
+
+
 def slab_layout(config: ShardConfig) -> SlabLayout:
     """The per-worker slab layout both sides compute identically.
 
@@ -179,12 +198,17 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
     (worker writes, router reads), each seqlock-bracketed per slot.
     Arrays are fixed-capacity and NaN/zero-padded: per-row satellite
     counts live in ``req_sats`` so the worker can rebuild exact-width
-    blocks without shipping shapes.
+    blocks without shipping shapes.  The response lane holds every
+    :class:`~repro.service.types.ResultBlock` lane: the error texts
+    back to back in ``resp_text``, and the monitor record sized by the
+    configured monitor count (``resp_monitor_width`` is ``-1`` when a
+    batch has none).
     """
     slots = config.slots_per_worker
     n = config.slot_epochs
     m = config.slot_satellites
-    return (
+    k = len(monitor_names(config))
+    layout = (
         SlabLayout()
         # liveness: monotonic counter + wall stamp, worker-written
         .add("heartbeat", (2,), "<i8")
@@ -204,15 +228,18 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
         # response lane
         .add("resp_begin", (slots,), "<i8")
         .add("resp_end", (slots,), "<i8")
-        .add("resp_status", (slots, n), "<i1")
-        .add("resp_positions", (slots, n, 3), "<f8")
-        .add("resp_biases", (slots, n), "<f8")
-        .add("resp_solver", (slots, n), "<i1")
-        .add("resp_verdict_status", (slots, n), "<i1")
-        .add("resp_verdict_prn", (slots, n), "<i8")
-        .add("resp_verdict_stat", (slots, n), "<f8")
-        .add("resp_verdict_threshold", (slots, n), "<f8")
+        .add("resp_text_length", (slots,), "<i8")
+        .add("resp_text", (slots, n * TEXT_BYTES), "u1")
+        .add("resp_monitor_width", (slots,), "<i8")
+        .add("resp_monitor_monitor_severities", (slots, k, n), "<i1")
+        .add("resp_monitor_statistics", (slots, k, n), "<f8")
+        .add("resp_monitor_thresholds", (slots, k, n), "<f8")
+        .add("resp_monitor_flagged", (slots, k, n, m), "u1")
+        .add("resp_monitor_keys", (slots, n, m), "<i8")
     )
+    for lane, (dtype, _absent, shape) in RESULT_LANES.items():
+        layout.add(f"resp_{lane}", (slots, n) + shape, dtype)
+    return layout
 
 
 def write_request(
@@ -311,57 +338,32 @@ def write_response(
     arrays: Dict[str, np.ndarray],
     slot: int,
     sequence: int,
-    outcomes: Sequence,
-) -> Tuple[Dict[int, str], Dict[int, Dict]]:
-    """Encode executor outcomes into one response slot (worker side).
-
-    Returns ``(errors, monitors)`` for the control pipe: the row →
-    error-string map and the row → monitor-verdict-dict map (the two
-    outcome fields that do not fit a fixed-width lane; both are rare —
-    only failed/invalid rows carry an error, only non-nominal epochs a
-    monitor verdict).
-    """
-    n = len(outcomes)
+    block: ResultBlock,
+) -> None:
+    """Copy a flush's :class:`~repro.service.types.ResultBlock` into one
+    response slot (worker side), one slab copy per lane."""
+    n = len(block)
     stamp_begin(arrays["resp_begin"], slot, sequence)
-    status = arrays["resp_status"][slot]
-    solver_codes = arrays["resp_solver"][slot]
-    verdict_status = arrays["resp_verdict_status"][slot]
-    positions = arrays["resp_positions"][slot]
-    biases = arrays["resp_biases"][slot]
-    errors: Dict[int, str] = {}
-    monitors: Dict[int, Dict] = {}
-    for row, outcome in enumerate(outcomes):
-        row_status, position, bias, solver, error, verdict, monitor = outcome
-        if monitor is not None:
-            monitors[row] = monitor.to_dict()
-        status[row] = _STATUS_CODES.index(row_status)
-        if position is not None:
-            positions[row] = position
-        else:
-            positions[row] = np.nan
-        biases[row] = bias if bias is not None else np.nan
-        if solver is None:
-            solver_codes[row] = -1
-        elif solver.endswith("/nr-fallback"):
-            solver_codes[row] = 2
-        elif solver.endswith("/scalar"):
-            solver_codes[row] = 1
-        else:
-            solver_codes[row] = 0
-        if verdict is not None:
-            verdict_status[row] = _VERDICT_CODES.index(verdict.status)
-            arrays["resp_verdict_prn"][slot, row] = (
-                verdict.excluded_prn if verdict.excluded_prn is not None else -1
-            )
-            # Floats pass through verbatim (NaN marks unchecked).
-            arrays["resp_verdict_stat"][slot, row] = verdict.test_statistic
-            arrays["resp_verdict_threshold"][slot, row] = verdict.threshold
-        else:
-            verdict_status[row] = -1
-        if error is not None:
-            errors[row] = error
+    for lane in RESULT_LANES:
+        arrays[f"resp_{lane}"][slot, :n] = getattr(block, lane)
+    cut = TEXT_BYTES - 1
+    pool = b"".join(
+        text.replace("\0", "").encode()[:cut].decode(errors="ignore").encode() + b"\0"
+        for text in block.error_texts
+    )
+    arrays["resp_text_length"][slot] = len(pool)
+    arrays["resp_text"][slot, : len(pool)] = np.frombuffer(pool, dtype=np.uint8)
+    record = block.monitors
+    if record is None:
+        arrays["resp_monitor_width"][slot] = -1
+    else:
+        m = record.keys.shape[1]
+        arrays["resp_monitor_width"][slot] = m
+        for lane in _MONITOR_ROW_LANES:
+            arrays[f"resp_monitor_{lane}"][slot][..., :n] = getattr(record, lane)
+        for lane in _MONITOR_SATELLITE_LANES:
+            arrays[f"resp_monitor_{lane}"][slot][..., :n, :m] = getattr(record, lane)
     stamp_end(arrays["resp_end"], slot, sequence)
-    return errors, monitors
 
 
 def read_response(
@@ -369,25 +371,20 @@ def read_response(
     slot: int,
     sequence: int,
     count: int,
-    errors: Dict[int, str],
-    algorithm: str,
-    batch_size: int,
-    monitors: Optional[Dict[int, Dict]] = None,
-) -> List[ServiceResult]:
-    """Decode one sealed response slot into results (router side).
+    monitors: Tuple[str, ...] = (),
+) -> ResultBlock:
+    """Copy one sealed response slot out as a
+    :class:`~repro.service.types.ResultBlock` (router side).
 
-    ``monitors`` is the row → monitor-verdict-dict map shipped in the
-    worker's ``done`` message; a crash-recovered sealed slot decodes
-    without one (the verdicts died with the worker's pipe).  Raises
-    :class:`~repro.service.shm.TornBatchError` if the seqlock does not
-    seal ``sequence``, and :class:`~repro.errors.ServiceError` for a
-    row count beyond the slot, an out-of-range status/solver/verdict
-    code, or an ``ok`` row without a finite fix — a corrupt slot is
-    never decoded into a served result.
+    ``monitors`` names the worker's monitors (:func:`monitor_names`).
+    A slot salvaged from a dead worker decodes through this same call.
+    Raises :class:`~repro.service.shm.TornBatchError` if the seqlock
+    does not seal ``sequence``, and :class:`~repro.errors.ServiceError`
+    for a row count beyond the slot, an out-of-range status, solver,
+    verdict, error or monitor code, a text length beyond the text lane
+    or malformed text, or an ``ok`` row without a finite fix — a
+    corrupt slot is never decoded into a served result.
     """
-    from repro.integrity.fde import EpochVerdict
-    from repro.integrity.monitors import EpochMonitorVerdict
-
     check_sealed(arrays["resp_begin"], arrays["resp_end"], slot, sequence)
     capacity = arrays["resp_status"].shape[1]
     if not 0 <= count <= capacity:
@@ -395,61 +392,75 @@ def read_response(
             f"response for slot {slot} claims {count} rows; its capacity is "
             f"{capacity}"
         )
-    status = arrays["resp_status"][slot, :count]
-    solver_codes = arrays["resp_solver"][slot, :count]
-    verdict_status = arrays["resp_verdict_status"][slot, :count]
-    positions = arrays["resp_positions"][slot, :count]
-    ok = status == 0
-    if (
-        status.min(initial=0) < 0
-        or status.max(initial=0) >= len(_STATUS_CODES)
-        or solver_codes.min(initial=0) < -1
-        or solver_codes.max(initial=0) >= len(_SOLVER_CODES)
-        or verdict_status.min(initial=0) < -1
-        or verdict_status.max(initial=0) >= len(_VERDICT_CODES)
-        or not np.isfinite(positions[ok]).all()
-        or (solver_codes[ok] < 0).any()
+    lanes = {lane: arrays[f"resp_{lane}"][slot, :count].copy() for lane in RESULT_LANES}
+    texts = _read_texts(arrays, slot)
+    ok = lanes["status"] == STATUS_OK
+    if not (
+        _in_range(lanes["status"], 0, STATUS_FAILED)
+        and _in_range(lanes["solver"], ABSENT, len(SOLVER_SUFFIXES) - 1)
+        and _in_range(lanes["verdict"], ABSENT, len(VERDICT_NAMES) - 1)
+        and _in_range(lanes["errors"], ABSENT, len(texts) - 1)
+        and np.isfinite(lanes["positions"][ok]).all()
+        and (lanes["solver"][ok] >= 0).all()
     ):
         raise ServiceError(
             f"response for slot {slot} holds out-of-range codes or a "
             "non-finite served fix"
         )
-    results: List[ServiceResult] = []
-    for row in range(count):
-        row_status = _STATUS_CODES[status[row]]
-        verdict = None
-        code = int(verdict_status[row])
-        if code >= 0:
-            prn = int(arrays["resp_verdict_prn"][slot, row])
-            verdict = EpochVerdict(
-                status=_VERDICT_CODES[code],
-                test_statistic=float(arrays["resp_verdict_stat"][slot, row]),
-                threshold=float(arrays["resp_verdict_threshold"][slot, row]),
-                excluded_prn=prn if prn >= 0 else None,
-            )
-        solver = None
-        code = int(solver_codes[row])
-        if code >= 0:
-            solver = algorithm + _SOLVER_CODES[code]
-        bias = float(arrays["resp_biases"][slot, row])
-        monitor = None
-        if monitors is not None:
-            payload = monitors.get(row)
-            if payload is not None:
-                monitor = EpochMonitorVerdict.from_dict(payload)
-        results.append(
-            ServiceResult(
-                status=row_status,
-                position=positions[row].copy() if row_status == "ok" else None,
-                clock_bias_meters=bias if np.isfinite(bias) else None,
-                solver=solver if row_status == "ok" else None,
-                error=errors.get(row),
-                batch_size=batch_size,
-                integrity=verdict,
-                monitor=monitor,
-            )
+    return ResultBlock(
+        **lanes,
+        error_texts=texts,
+        monitors=_read_monitors(arrays, slot, count, monitors),
+    )
+
+
+def _in_range(codes: np.ndarray, low: int, high: int) -> bool:
+    return low <= codes.min(initial=low) and codes.max(initial=low) <= high
+
+
+def _read_texts(arrays: Dict[str, np.ndarray], slot: int) -> Tuple[str, ...]:
+    """The slot's distinct error texts."""
+    length = int(arrays["resp_text_length"][slot])
+    pool = arrays["resp_text"][slot]
+    if not 0 <= length <= pool.shape[0]:
+        raise ServiceError(
+            f"response for slot {slot} claims {length} bytes of error text"
         )
-    return results
+    try:
+        return tuple(pool[:length].tobytes().decode().split("\0")[:-1])
+    except UnicodeDecodeError as exc:
+        raise ServiceError(
+            f"response for slot {slot} holds a malformed error text"
+        ) from exc
+
+
+def _read_monitors(
+    arrays: Dict[str, np.ndarray],
+    slot: int,
+    count: int,
+    names: Tuple[str, ...],
+) -> Optional[MonitorRecord]:
+    """The slot's monitor record, ``None`` when the batch had none."""
+    width = int(arrays["resp_monitor_width"][slot])
+    if width == -1:
+        return None
+    if not 0 <= width <= arrays["resp_monitor_keys"].shape[2]:
+        raise ServiceError(f"response for slot {slot} claims monitor width {width}")
+    lanes = {
+        lane: arrays[f"resp_monitor_{lane}"][slot][..., :count].copy()
+        for lane in _MONITOR_ROW_LANES
+    }
+    for lane in _MONITOR_SATELLITE_LANES:
+        lanes[lane] = arrays[f"resp_monitor_{lane}"][slot][..., :count, :width].copy()
+    levels = lanes["monitor_severities"]
+    if not _in_range(levels, 0, SEVERITY_SPOOFED):
+        raise ServiceError(
+            f"response for slot {slot} holds out-of-range monitor severities"
+        )
+    lanes["flagged"] = lanes["flagged"] != 0
+    return MonitorRecord(
+        names=names, severities=levels.max(axis=0, initial=0), **lanes
+    )
 
 
 # -- the worker process ------------------------------------------------
@@ -518,11 +529,12 @@ def worker_main(
                     time.sleep(3600)
             packed, biases = read_request(arrays, slot, sequence)
             try:
-                outcomes, _meta = executor.execute_packed(packed, biases)
+                block, _meta = executor.execute_packed(packed, biases)
             except Exception as exc:  # one poison batch must not kill the worker
                 error = f"internal dispatch error: {exc}"
-                failed = ("failed", None, None, None, error, None, None)
-                outcomes = [failed] * len(packed)
+                block = ResultBlock.empty(len(packed), STATUS_FAILED).with_errors(
+                    dict.fromkeys(range(len(packed)), error)
+                )
             finally:
                 # The packed block views the slab: drop it now, or the
                 # mapping cannot close when the worker is told to stop.
@@ -531,14 +543,14 @@ def worker_main(
                 # Torn-write chaos: open the response window, fill only
                 # a prefix, then die without sealing.
                 stamp_begin(arrays["resp_begin"], slot, sequence)
-                for row in range(min(crash_after, len(outcomes))):
+                for row in range(min(crash_after, len(block))):
                     arrays["resp_positions"][slot, row] = 1.0
                 os._exit(17)
-            errors, monitors = write_response(arrays, slot, sequence, outcomes)
+            write_response(arrays, slot, sequence, block)
             batches.inc()
             heartbeat[0] += 1
             heartbeat[1] = time.monotonic_ns()
-            conn.send(("done", slot, sequence, len(outcomes), errors, monitors))
+            conn.send(("done", slot, sequence))
     finally:
         del arrays, heartbeat
         slab.close()
@@ -617,6 +629,7 @@ class ShardedPositioningService:
         self._running = False
         self._metrics: Optional[_RouterMetrics] = None
         self._algorithm = self._config.service.solver.algorithm
+        self._monitor_names = monitor_names(self._config)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -692,7 +705,7 @@ class ShardedPositioningService:
                 while worker.alive and worker.inflight:
                     if time.monotonic() >= deadline:
                         break
-                    self._poll_worker(worker, timeout=0.05, collector=None)
+                    self._poll_worker(worker, 0.05, None)
         self._teardown()
         self._running = False
 
@@ -761,7 +774,9 @@ class ShardedPositioningService:
         """Solve a stream through the shard; results in stream order.
 
         ``bias_meters`` optionally carries per-epoch clock-bias
-        overrides; ``client_ids`` optionally names a routing client per
+        overrides, one per epoch (a list of another length raises
+        :class:`~repro.errors.ConfigurationError` before any batch is
+        cut); ``client_ids`` optionally names a routing client per
         epoch (hash policy routes each batch by its first client id).
         """
         if not self._running:
@@ -769,6 +784,11 @@ class ShardedPositioningService:
                 "shard is not running; enter it with 'with' or start()"
             )
         epochs = list(epochs)
+        if bias_meters is not None and len(bias_meters) != len(epochs):
+            raise ConfigurationError(
+                f"bias_meters has {len(bias_meters)} entries for "
+                f"{len(epochs)} epochs"
+            )
         metrics = self._telemetry()
         if metrics is not None:
             metrics.requests.inc(len(epochs))
@@ -781,30 +801,18 @@ class ShardedPositioningService:
 
         if self._inline is not None:
             for offset, count in batches:
-                chunk = epochs[offset : offset + count]
-                overrides = (
-                    list(bias_meters[offset : offset + count])
-                    if bias_meters is not None
-                    else None
+                block, _meta = self._inline.execute(
+                    epochs[offset : offset + count],
+                    None
+                    if bias_meters is None
+                    else bias_meters[offset : offset + count],
                 )
-                outcomes, _meta = self._inline.execute(chunk, overrides)
-                for row, outcome in enumerate(outcomes):
-                    status, position, bias, solver, error, verdict, monitor = (
-                        outcome
-                    )
-                    results[offset + row] = ServiceResult(
-                        status=status,
-                        position=position,
-                        clock_bias_meters=bias,
-                        solver=solver,
-                        error=error,
-                        batch_size=count,
-                        integrity=verdict,
-                        monitor=monitor,
-                    )
+                results[offset : offset + count] = block.results(
+                    self._algorithm, count
+                )
                 if metrics is not None:
                     metrics.batches.inc()
-            return [result for result in results if result is not None]
+            return results
 
         from repro.blocks import pack_stream
 
@@ -880,69 +888,60 @@ class ShardedPositioningService:
         bias_meters,
         pack_stream,
     ) -> None:
-        chunk = epochs[offset : offset + count]
-        packed = pack_stream(chunk)
-        biases = None
-        if bias_meters is not None:
-            biases = np.array(
-                [
-                    float(value) if value is not None else np.nan
-                    for value in bias_meters[offset : offset + count]
-                ]
-            )
+        packed = pack_stream(epochs[offset : offset + count])
+        biases = bias_lane(
+            None if bias_meters is None else bias_meters[offset : offset + count]
+        )
         slot = worker.free_slots.pop()
         worker.sequence += 1
         sequence = worker.sequence * self._config.slots_per_worker + slot
-        write_request(worker.arrays, slot, sequence, packed, biases)
+        try:
+            write_request(worker.arrays, slot, sequence, packed, biases)
+        except BaseException:
+            worker.free_slots.append(slot)
+            raise
         worker.inflight[slot] = (sequence, count, offset)
         try:
             worker.conn.send(("batch", slot, sequence))
         except (BrokenPipeError, OSError):
             pass  # death is observed (and the batch resurfaced) in _reap_dead
 
-    def _poll_worker(self, worker: _Worker, timeout: float, collector) -> bool:
-        """Drain one worker's pipe; returns whether anything landed."""
+    def _poll_worker(
+        self, worker: _Worker, timeout: float, results: Optional[List]
+    ) -> bool:
+        """Drain one worker's pipe into ``results`` (discarded when
+        ``None``); returns whether anything landed."""
         landed = False
         try:
             while worker.conn.poll(timeout if not landed else 0):
                 message = worker.conn.recv()
                 if message[0] != "done":
                     continue  # stray scrape replies handled elsewhere
-                _kind, slot, sequence, count, errors, monitors = message
+                _kind, slot, sequence = message
                 entry = worker.inflight.get(slot)
                 if entry is None or entry[0] != sequence:
                     continue  # stale slot from before a restart
-                _sequence, batch_count, offset = entry
+                _sequence, count, offset = entry
+                # The router decodes as many rows as it sent.
                 rows = read_response(
-                    worker.arrays,
-                    slot,
-                    sequence,
-                    count,
-                    errors,
-                    self._algorithm,
-                    batch_count,
-                    monitors,
-                )
+                    worker.arrays, slot, sequence, count, self._monitor_names
+                ).results(self._algorithm, count)
                 del worker.inflight[slot]
                 worker.free_slots.append(slot)
-                if collector is not None:
-                    collector(offset, rows)
+                if results is not None:
+                    results[offset : offset + count] = rows
                 landed = True
         except (EOFError, OSError):
             worker.alive = False
         return landed
 
     def _collect(self, results, epochs, timeout: float) -> bool:
-        def place(offset: int, rows: List[ServiceResult]) -> None:
-            for row, result in enumerate(rows):
-                results[offset + row] = result
-
         landed = False
         for worker in self._workers:
             if worker.alive and worker.inflight:
-                landed |= self._poll_worker(worker, timeout, place)
+                landed |= self._poll_worker(worker, timeout, results)
             elif worker.alive:
-                self._poll_worker(worker, 0, place)
+                self._poll_worker(worker, 0, results)
         return landed
 
     def _reap_dead(self, results, epochs) -> None:
@@ -993,17 +992,9 @@ class ShardedPositioningService:
                     if metrics is not None:
                         metrics.retryable.inc(count)
                 else:
-                    rows = read_response(
-                        worker.arrays,
-                        slot,
-                        sequence,
-                        count,
-                        {},
-                        self._algorithm,
-                        count,
-                    )
-                    for row, result in enumerate(rows):
-                        results[offset + row] = result
+                    results[offset : offset + count] = read_response(
+                        worker.arrays, slot, sequence, count, self._monitor_names
+                    ).results(self._algorithm, count)
             worker.inflight = {}
             worker.free_slots = list(range(self._config.slots_per_worker))
             worker.alive = False

@@ -1,13 +1,15 @@
 """Shared-memory struct-of-arrays transport for the shard tier.
 
 The sharded service (:mod:`repro.service.shard`) moves batches between
-the router process and its workers.  Pickling epoch payloads across a
-pipe would reintroduce exactly the object/array boundary cost the
-columnar store (:mod:`repro.blocks`) was built to eliminate, so the
-bulk arrays travel through a **slab**: one flat shared-memory mapping
-whose layout both sides compute identically from the same
-:class:`SlabLayout` spec.  Only tiny control messages (slot number,
-sequence number, row-error strings) ride the pipe.
+the router process and its workers.  Pickling epoch payloads or
+answers across a pipe would reintroduce exactly the object/array
+boundary cost the columnar store (:mod:`repro.blocks`) was built to
+eliminate, so the bulk arrays — requests one way, every
+:class:`~repro.service.types.ResultBlock` lane (error texts and
+monitor records included) the other — travel through a **slab**: one
+flat shared-memory mapping whose layout both sides compute identically
+from the same :class:`SlabLayout` spec.  Only tiny control messages
+(slot and sequence numbers) ride the pipe.
 
 Three pieces:
 

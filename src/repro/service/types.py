@@ -7,20 +7,30 @@ running service can never be reconfigured under its worker's feet.
 :class:`ServiceResult` is the structured per-request answer: every
 request gets exactly one, whatever happened to it; failure is a
 *status*, never an exception escaping the batch.
+:class:`ResultBlock` is one flush's answers as struct-of-arrays lanes,
+the only form they take between the executor and the
+:class:`ServiceResult`\\ s built from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+import math
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api import BATCH_ALGORITHMS, SolverConfig
 from repro.errors import ConfigurationError
+from repro.integrity.fde import STATUS_NAMES as VERDICT_NAMES
 from repro.integrity.fde import EpochVerdict, FdeConfig
 from repro.integrity.health import HealthConfig
-from repro.integrity.monitors import EpochMonitorVerdict, MonitorConfig
+from repro.integrity.monitors import (
+    SEVERITY_NOMINAL,
+    EpochMonitorVerdict,
+    MonitorConfig,
+    MonitorRecord,
+)
 from repro.telemetry.recorder import RecorderConfig
 from repro.telemetry.slo import SloConfig
 from repro.telemetry.trace import RequestTrace
@@ -280,3 +290,180 @@ class ServiceResult:
             "trace": None if self.trace is None else self.trace.to_dict(),
             "monitor": None if self.monitor is None else self.monitor.to_dict(),
         }
+
+
+#: :attr:`ResultBlock.status` codes index :data:`RESULT_STATUSES`.  A
+#: flush's execution answers ``ok``/``invalid``/``failed``;
+#: ``timeout`` is the service's deadline override.
+STATUS_OK, STATUS_INVALID, STATUS_FAILED, STATUS_TIMEOUT = range(4)
+
+#: :attr:`ResultBlock.solver` codes → suffix on the algorithm name.
+SOLVER_SUFFIXES: Tuple[str, ...] = ("", "/scalar", "/nr-fallback")
+SOLVER_BATCH, SOLVER_SCALAR, SOLVER_NR_FALLBACK = range(3)
+
+#: "No code" in the solver, verdict, excluded-PRN and error lanes.
+ABSENT = -1
+
+#: The row lanes of a :class:`ResultBlock` — name → (dtype, value when
+#: absent, per-row shape) — the one statement of the format the
+#: executor, the response slab and the router all read.  ``verdict``
+#: indexes :data:`repro.integrity.fde.STATUS_NAMES`, so "no verdict"
+#: stays distinct from ``unchecked``; ``errors`` indexes
+#: :attr:`ResultBlock.error_texts`.
+RESULT_LANES: Dict[str, Tuple[str, float, Tuple[int, ...]]] = {
+    "status": ("<i1", STATUS_OK, ()),
+    "solver": ("<i1", ABSENT, ()),
+    "positions": ("<f8", np.nan, (3,)),
+    "biases": ("<f8", np.nan, ()),
+    "verdict": ("<i1", ABSENT, ()),
+    "statistics": ("<f8", np.nan, ()),
+    "thresholds": ("<f8", np.nan, ()),
+    "excluded_prns": ("<i8", ABSENT, ()),
+    "errors": ("<i4", ABSENT, ()),
+}
+
+
+@dataclass(frozen=True)
+class ResultBlock:
+    """One flush's answers as struct-of-arrays lanes, one row per request.
+
+    The lanes are :data:`RESULT_LANES`, plus the distinct
+    ``error_texts`` and the monitor suite's
+    :class:`~repro.integrity.monitors.MonitorRecord` (``None`` when the
+    suite is disarmed or did not run).  The executor fills a block with
+    masks, a shard worker copies each lane once into its response slab
+    and the router copies them back out, and :meth:`results` is the one
+    place rows become :class:`ServiceResult`\\ s.
+    """
+
+    status: np.ndarray
+    solver: np.ndarray
+    positions: np.ndarray
+    biases: np.ndarray
+    verdict: np.ndarray
+    statistics: np.ndarray
+    thresholds: np.ndarray
+    excluded_prns: np.ndarray
+    errors: np.ndarray
+    error_texts: Tuple[str, ...] = ()
+    monitors: Optional[MonitorRecord] = None
+
+    def __len__(self) -> int:
+        return int(self.status.shape[0])
+
+    @classmethod
+    def empty(cls, count: int, status: int = STATUS_OK) -> "ResultBlock":
+        """``count`` rows of ``status`` with every other lane absent;
+        the lanes are fresh arrays the caller may fill in place."""
+        block = cls(
+            **{
+                lane: np.full((count,) + shape, absent, dtype=dtype)
+                for lane, (dtype, absent, shape) in RESULT_LANES.items()
+            }
+        )
+        block.status[:] = status
+        return block
+
+    def with_errors(self, errors: Dict[int, str]) -> "ResultBlock":
+        """This block with the ``row → text`` error lane, for a block
+        whose lane is still empty (``self`` when there are none)."""
+        if not errors:
+            return self
+        codes = np.full(len(self), ABSENT, dtype=np.int32)
+        texts: Dict[str, int] = {}
+        for row, text in errors.items():
+            codes[row] = texts.setdefault(text, len(texts))
+        return replace(self, errors=codes, error_texts=tuple(texts))
+
+    def expire(self, rows: Sequence[int], error: str) -> "ResultBlock":
+        """This block with ``rows`` answered ``timeout``: no fix, no
+        verdict, no monitor verdict, ``error`` as their text."""
+        status, verdict = self.status.copy(), self.verdict.copy()
+        errors = self.errors.copy()
+        status[rows], verdict[rows] = STATUS_TIMEOUT, ABSENT
+        errors[rows] = len(self.error_texts)
+        monitors = self.monitors
+        if monitors is not None:
+            severities = monitors.severities.copy()
+            severities[rows] = SEVERITY_NOMINAL
+            monitors = replace(monitors, severities=severities)
+        return replace(
+            self,
+            status=status,
+            verdict=verdict,
+            errors=errors,
+            error_texts=self.error_texts + (error,),
+            monitors=monitors,
+        )
+
+    def results(
+        self,
+        algorithm: str,
+        batch_size: int,
+        *,
+        solve_seconds: float = 0.0,
+        dispatched_at: Optional[float] = None,
+        completed_at: Optional[float] = None,
+        enqueued_at: Optional[Sequence[float]] = None,
+        traces: Optional[Sequence[Optional[RequestTrace]]] = None,
+    ) -> List[ServiceResult]:
+        """One :class:`ServiceResult` per row, in row order.
+
+        ``algorithm`` names the solver lineage (``"dlg"`` →
+        ``"dlg/scalar"``...); only ``ok`` rows carry a fix, bias and
+        solver.  ``enqueued_at`` and ``traces`` are per-row; a row's
+        ``wait_seconds`` runs from its ``enqueued_at`` to
+        ``dispatched_at``.  Each lane is converted to Python values
+        once per call, never per row.
+        """
+        count = len(self)
+        solvers = [algorithm + suffix for suffix in SOLVER_SUFFIXES]
+        monitors: List[Optional[EpochMonitorVerdict]] = [None] * count
+        if self.monitors is not None:
+            for row in np.flatnonzero(self.monitors.severities).tolist():
+                monitors[row] = self.monitors.verdict(row)
+        status, solver, verdict, prns, errors = (
+            lane.tolist()
+            for lane in (
+                self.status,
+                self.solver,
+                self.verdict,
+                self.excluded_prns,
+                self.errors,
+            )
+        )
+        biases, statistics, thresholds = (
+            lane.tolist() for lane in (self.biases, self.statistics, self.thresholds)
+        )
+        results: List[ServiceResult] = []
+        for row, position in enumerate(self.positions):
+            ok = status[row] == STATUS_OK
+            code = verdict[row]
+            enqueued = None if enqueued_at is None else enqueued_at[row]
+            results.append(
+                ServiceResult(
+                    RESULT_STATUSES[status[row]],
+                    position if ok else None,
+                    biases[row] if ok and math.isfinite(biases[row]) else None,
+                    solvers[solver[row]] if ok else None,
+                    self.error_texts[errors[row]] if errors[row] >= 0 else None,
+                    None,
+                    batch_size,
+                    0.0 if enqueued is None else max(0.0, dispatched_at - enqueued),
+                    solve_seconds,
+                    EpochVerdict(
+                        VERDICT_NAMES[code],
+                        statistics[row],
+                        thresholds[row],
+                        prns[row] if prns[row] >= 0 else None,
+                    )
+                    if code >= 0
+                    else None,
+                    enqueued,
+                    dispatched_at,
+                    completed_at,
+                    None if traces is None else traces[row],
+                    monitors[row],
+                )
+            )
+        return results

@@ -417,13 +417,13 @@ def run_monitor_chaos(
         # leak across scenarios.  Chunked at serving granularity.
         executor = BatchExecutor(service_config)
         biases = [scenario.clock_bias_meters] * len(stream)
-        outcomes = []
+        results = []
         for start in range(0, len(stream), config.batch_size):
             chunk = stream[start : start + config.batch_size]
-            chunk_outcomes, _meta = executor.execute(
+            block, _meta = executor.execute(
                 chunk, biases[start : start + config.batch_size]
             )
-            outcomes.extend(chunk_outcomes)
+            results.extend(block.results(executor.algorithm, len(chunk)))
 
         truth_position = np.asarray(
             scenario.epoch.truth.receiver_position, dtype=float
@@ -431,8 +431,8 @@ def run_monitor_chaos(
         detect_second: Optional[float] = None
         harm_second: Optional[float] = None
         flagged_epochs = 0
-        for t, outcome in enumerate(outcomes):
-            status, position, _bias, _solver, _error, _verdict, monitor = outcome
+        for t, result in enumerate(results):
+            status, position, monitor = result.status, result.position, result.monitor
             if monitor is not None:
                 flagged_epochs += 1
                 if detect_second is None and t >= config.onset_seconds:
@@ -451,7 +451,7 @@ def run_monitor_chaos(
 
         if family == ARM_CLEAN:
             clean_streams += 1
-            clean_epochs += len(outcomes)
+            clean_epochs += len(results)
             if flagged_epochs:
                 false_alarm_streams += 1
                 false_alarm_epochs += flagged_epochs

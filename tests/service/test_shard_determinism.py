@@ -1,14 +1,14 @@
 """Cross-process determinism: the shard's contract is bitwise parity.
 
 The same 50-seed scenario stream must produce *identical* fixes —
-statuses, positions (bitwise), clock biases, solver lineage, and FDE
-verdicts — whether it runs through the in-process asyncio
-``PositioningService``, the shard in inline mode (``workers=0``), one
-worker, or four workers.  Batch boundaries are fixed by
-``batch_size``, each batch executes whole on one worker, and the
-shared-memory transport round-trips float64/int64 exactly, so there is
-no tolerance anywhere in this file: every comparison is ``==`` or
-``np.array_equal``.
+statuses, positions (bitwise), clock biases, solver lineage, error
+texts, FDE and monitor verdicts — whether it runs through the
+in-process asyncio ``PositioningService``, the shard in inline mode
+(``workers=0``), one worker, or four workers.  Batch boundaries are
+fixed by ``batch_size``, each batch executes whole on one worker, and
+the shared-memory transport round-trips float64/int64 exactly, so there
+is no tolerance anywhere in this file: every comparison is ``==`` (of
+``repr`` for floats) or ``np.array_equal``.
 """
 
 import asyncio
@@ -114,26 +114,24 @@ def run_shard(epochs, config, workers, policy="hash", biases=None):
 
 
 def assert_identical(ours, theirs):
+    """Every field a :class:`~repro.service.types.ResultBlock` carries,
+    bitwise: status, solver, fix, clock bias, error text, FDE verdict
+    and monitor verdict.  Floats compare by ``repr``, which is exact
+    for float64 and keeps NaN (an ``unchecked`` statistic) comparable.
+    """
     assert len(ours) == len(theirs)
     for index, (a, b) in enumerate(zip(ours, theirs)):
         context = f"epoch {index}"
         assert a.status == b.status, context
         assert a.solver == b.solver, context
+        assert a.error == b.error, context
         if a.position is None or b.position is None:
             assert a.position is None and b.position is None, context
         else:
             assert np.array_equal(a.position, b.position), context
-        assert a.clock_bias_meters == b.clock_bias_meters, context
-        if a.integrity is None or b.integrity is None:
-            assert a.integrity is None and b.integrity is None, context
-        else:
-            assert a.integrity.status == b.integrity.status, context
-            assert a.integrity.excluded_prn == b.integrity.excluded_prn, context
-            for attr in ("test_statistic", "threshold"):
-                x = getattr(a.integrity, attr)
-                y = getattr(b.integrity, attr)
-                # NaN marks "unchecked" — it must survive the transport.
-                assert (x == y) or (np.isnan(x) and np.isnan(y)), context
+        assert repr(a.clock_bias_meters) == repr(b.clock_bias_meters), context
+        assert repr(a.integrity) == repr(b.integrity), context
+        assert repr(a.monitor) == repr(b.monitor), context
 
 
 @pytest.mark.parametrize("with_fde", [False, True], ids=["plain", "fde"])

@@ -17,13 +17,16 @@ processes and real ``SIGKILL``-grade deaths (``os._exit`` mid-fill):
   began (enumerated by prefix).
 """
 
+import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.service.shard as shard_module
 from repro.api import SolverConfig
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.service import (
     ServiceConfig,
     ShardConfig,
@@ -98,19 +101,70 @@ class TestCrashMidBatch:
             second = shard.solve_many(epochs)
         assert all(r.status == "ok" for r in second)
 
-    def test_crash_after_seal_is_salvaged(self):
-        """A worker that dies *after* sealing its response loses nothing.
+    def test_tear_covering_every_row_still_resurfaces_the_batch(self):
+        """A fill torn after its last row is still torn.
 
-        ``after_rows`` big enough to cover the batch still tears the
-        fill (chaos opens a second begin-stamp window), so the honest
-        signal here is the opposite case: a zero-row tear resurfaces
-        everything, proving the seqlock — not timing luck — decides.
+        The chaos hook writes every row of the batch and dies before
+        sealing, so the whole batch resurfaces ``retryable``: the
+        seqlock, not how many rows landed, decides.  (A worker that
+        dies *after* sealing is salvaged; see :class:`TestSalvage`.)
         """
         epochs = make_epochs(16)
         with ShardedPositioningService(shard_config(workers=1)) as shard:
             shard.inject_crash(0, after_rows=16)
             results = shard.solve_many(epochs)
         assert all(r.status == "retryable" for r in results)
+
+
+class TestSalvage:
+    def test_sealed_slot_of_a_dead_worker_decodes_whole(self, monkeypatch):
+        """A worker that dies right after sealing its response loses
+        nothing: the router salvages the slot through the same decode
+        as a collected one, error texts and monitor verdicts included,
+        and the rows equal an inline run field by field."""
+        from repro.integrity.monitors import MonitorConfig
+        from repro.validation.faults import NonFiniteMeasurement
+        from tests.service.test_monitor_integration import jammed_epochs
+        from tests.service.test_shard_determinism import assert_identical
+
+        original = shard_module.write_response
+
+        def seal_then_die(*args, **kwargs):
+            original(*args, **kwargs)
+            os._exit(23)
+
+        epochs = jammed_epochs()
+        epochs[3] = NonFiniteMeasurement().apply(
+            epochs[3], np.random.default_rng(3)
+        )
+        biases = [0.0] * len(epochs)
+        config = shard_config(
+            service=ServiceConfig(
+                solver=SolverConfig(algorithm="dlg"),
+                max_batch_size=32,
+                monitors=MonitorConfig(
+                    stationary=False, confirm_epochs=3, confirm_window=5
+                ),
+            ),
+            workers=1,
+            batch_size=32,
+            max_restarts=0,
+        )
+        with ShardedPositioningService(replace(config, workers=0)) as shard:
+            inline = shard.solve_many(epochs, bias_meters=biases)
+        assert inline[3].status == "invalid" and inline[3].error
+        assert {r.monitor.severity for r in inline if r.monitor} == {
+            "suspect",
+            "spoofed",
+        }
+        assert any(r.status == "failed" and r.monitor for r in inline)
+        # Patched before the fork, so the worker inherits it.
+        monkeypatch.setattr(shard_module, "write_response", seal_then_die)
+        with ShardedPositioningService(config) as shard:
+            salvaged = shard.solve_many(epochs, bias_meters=biases)
+            assert shard.live_workers == 0  # it really died
+        assert_identical(salvaged, inline)
+        assert [r.batch_size for r in salvaged] == [r.batch_size for r in inline]
 
 
 class TestExecutorException:
@@ -138,6 +192,36 @@ class TestExecutorException:
             assert result.status == "failed"
             assert result.error == "internal dispatch error: poison batch"
         assert process.exitcode == 0
+
+
+class TestBiasOverrideLength:
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "one-worker"])
+    def test_short_list_is_rejected_without_leaking_a_slot(self, workers):
+        """A ``bias_meters`` list shorter than the stream is refused up
+        front; no slab slot is taken, so the next call is served."""
+        epochs = make_epochs(8)
+        config = shard_config(workers=workers, slots_per_worker=1)
+        with ShardedPositioningService(config) as shard:
+            for _attempt in range(2):
+                with pytest.raises(ConfigurationError):
+                    shard.solve_many(epochs, bias_meters=[None] * 4)
+            assert all(worker.free_slots == [0] for worker in shard._workers)
+            results = shard.solve_many(epochs)
+        assert [r.status for r in results] == ["ok"] * len(epochs)
+
+    def test_batch_that_does_not_fit_returns_its_slot(self):
+        """A batch wider than the slab raises, and its slot is free
+        again for the next call."""
+        from repro.api import build_scene
+
+        config = shard_config(workers=1, slots_per_worker=1, slot_satellites=8)
+        wide = build_scene({"G": 10}, clock_bias_meters=0.0, seed=1)
+        with ShardedPositioningService(config) as shard:
+            with pytest.raises(ServiceError):
+                shard.solve_many([wide])
+            assert shard._workers[0].free_slots == [0]
+            results = shard.solve_many(make_epochs(8))
+        assert [r.status for r in results] == ["ok"] * 8
 
 
 class TestRestartBudget:

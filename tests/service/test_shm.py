@@ -196,51 +196,123 @@ class TestRequestLane:
             read_request(arrays, 2, 9)
 
 
-class TestResponseLane:
-    def test_outcomes_round_trip(self):
-        from repro.integrity.fde import EpochVerdict
-        from repro.integrity.monitors import EpochMonitorVerdict, MonitorVerdict
+def sample_block(names):
+    """Five rows over every lane: served, screened, failed, repaired
+    with a suspect monitor verdict, and unchecked on the scalar rung."""
+    from dataclasses import replace
 
-        arrays, _config = _arrays()
-        suspect = EpochMonitorVerdict(
-            severity="suspect",
-            monitors=(
-                MonitorVerdict("cn0_drop", "suspect", 9.5, 8.0, ("G07",)),
-            ),
+    from repro.integrity.monitors import MonitorRecord
+    from repro.service.types import ResultBlock
+
+    block = ResultBlock.empty(5)
+    block.status[:] = [0, 1, 2, 0, 0]
+    block.solver[:] = [0, -1, -1, 2, 1]
+    block.positions[[0, 3, 4]] = [[1.0, -2.0, 3.5], [7.0, 8.0, 9.0], [0.5, 0.25, 0.125]]
+    block.biases[[0, 3, 4]] = [12.25, -3.5, 0.0]
+    block.verdict[:] = [0, -1, -1, 1, 3]
+    block.statistics[[0, 3]] = [1.25, 30.0]
+    block.thresholds[[0, 3]] = [9.5, 9.5]
+    block.excluded_prns[3] = 17
+    k, width = len(names), 3
+    levels = np.zeros((k, 5), dtype=np.int8)
+    levels[1, 3] = 1
+    flagged = np.zeros((k, 5, width), dtype=bool)
+    flagged[1, 3, 0] = True
+    keys = np.full((5, width), -1, dtype=np.int64)
+    keys[3] = [7 * 4, 9 * 4, 2 * 4 + 2]
+    record = MonitorRecord(
+        names=names,
+        severities=levels.max(axis=0),
+        monitor_severities=levels,
+        statistics=np.full((k, 5), 0.5),
+        thresholds=np.full((k, 5), 8.0),
+        flagged=flagged,
+        keys=keys,
+    )
+    errors = {1: "epoch failed batch screening", 2: "no convergence \u2014 twice"}
+    return replace(block.with_errors(errors), monitors=record)
+
+
+class TestResponseLane:
+    def test_result_block_round_trips(self):
+        from repro.integrity.fde import EpochVerdict
+        from repro.integrity.monitors import (
+            EpochMonitorVerdict,
+            MonitorConfig,
+            MonitorVerdict,
         )
-        outcomes = [
-            ("ok", np.array([1.0, -2.0, 3.5]), 12.25, "dlg", None,
-             EpochVerdict("passed", 1.25, 9.5), None),
-            ("invalid", None, None, None, "epoch failed batch screening",
-             None, None),
-            ("failed", None, None, None, "no convergence", None, None),
-            ("ok", np.array([7.0, 8.0, 9.0]), -3.5, "dlg/nr-fallback", None,
-             EpochVerdict("repaired", 30.0, 9.5, excluded_prn=17), suspect),
-            ("ok", np.array([0.5, 0.25, 0.125]), 0.0, "dlg/scalar", None,
-             EpochVerdict("unchecked", float("nan"), float("nan")), None),
-        ]
-        errors, monitors = write_response(arrays, 3, 21, outcomes)
-        assert errors == {1: "epoch failed batch screening", 2: "no convergence"}
-        assert set(monitors) == {3}
-        results = read_response(
-            arrays, 3, 21, len(outcomes), errors, "dlg", 5, monitors
-        )
-        assert results[3].monitor == suspect
-        assert results[0].monitor is None
+        from repro.service import ServiceConfig
+        from repro.service.shard import monitor_names
+
+        config = ShardConfig(service=ServiceConfig(monitors=MonitorConfig()))
+        names = monitor_names(config)
+        arrays, _config = _arrays(config)
+        block = sample_block(names)
+        write_response(arrays, 3, 21, block)
+        decoded = read_response(arrays, 3, 21, len(block), names)
+        for lane in ("status", "solver", "positions", "biases", "verdict",
+                     "statistics", "thresholds", "excluded_prns", "errors"):
+            np.testing.assert_array_equal(
+                getattr(decoded, lane), getattr(block, lane), lane
+            )
+        assert decoded.error_texts == block.error_texts
+        for lane in ("severities", "monitor_severities", "statistics",
+                     "thresholds", "flagged", "keys"):
+            np.testing.assert_array_equal(
+                getattr(decoded.monitors, lane), getattr(block.monitors, lane), lane
+            )
+        assert decoded.monitors.names == names
+        results = decoded.results("dlg", 5)
+        assert [repr(r) for r in results] == [repr(r) for r in block.results("dlg", 5)]
         assert [r.status for r in results] == [
             "ok", "invalid", "failed", "ok", "ok"
         ]
-        assert np.array_equal(results[0].position, outcomes[0][1])
+        assert results[3].monitor == EpochMonitorVerdict(
+            severity="suspect",
+            monitors=(MonitorVerdict(names[1], "suspect", 0.5, 8.0, ("G07",)),),
+        )
+        assert results[0].monitor is None
+        assert np.array_equal(results[0].position, [1.0, -2.0, 3.5])
+        assert results[1].position is None
         assert results[0].clock_bias_meters == 12.25
+        assert results[1].clock_bias_meters is None
         assert results[0].solver == "dlg"
-        assert results[0].integrity.status == "passed"
-        assert results[0].integrity.test_statistic == 1.25
+        assert results[1].solver is None
+        assert results[0].integrity == EpochVerdict("passed", 1.25, 9.5)
+        assert results[1].integrity is None
         assert results[1].error == "epoch failed batch screening"
+        assert results[2].error == "no convergence \u2014 twice"
+        assert results[0].error is None
         assert results[3].solver == "dlg/nr-fallback"
         assert results[3].integrity.excluded_prn == 17
         assert results[4].solver == "dlg/scalar"
         assert results[4].integrity.status == "unchecked"
         assert np.isnan(results[4].integrity.test_statistic)
+        assert all(r.batch_size == 5 for r in results)
+
+    def test_block_without_monitors_round_trips(self):
+        from dataclasses import replace
+
+        arrays, _config = _arrays()
+        block = replace(sample_block(("a", "b")), monitors=None)
+        write_response(arrays, 0, 2, block)
+        decoded = read_response(arrays, 0, 2, len(block))
+        assert decoded.monitors is None
+        assert [repr(r) for r in decoded.results("dlg", 5)] == [
+            repr(r) for r in block.results("dlg", 5)
+        ]
+
+    def test_long_error_text_is_cut_at_a_character_boundary(self):
+        from repro.service.shard import TEXT_BYTES
+        from repro.service.types import STATUS_FAILED, ResultBlock
+
+        arrays, _config = _arrays()
+        text = "\u00e9" * TEXT_BYTES  # two UTF-8 bytes each
+        block = ResultBlock.empty(3, STATUS_FAILED).with_errors({0: text, 2: text})
+        write_response(arrays, 1, 4, block)
+        decoded = read_response(arrays, 1, 4, 3)
+        assert decoded.error_texts == (text[: (TEXT_BYTES - 1) // 2],)
+        assert decoded.errors.tolist() == [0, -1, 0]
 
     def test_torn_response_refused(self):
         arrays, _config = _arrays()
@@ -248,7 +320,7 @@ class TestResponseLane:
         stamp_begin(arrays["resp_begin"], 0, 4)
         arrays["resp_positions"][0, 0] = 1.0
         with pytest.raises(TornBatchError):
-            read_response(arrays, 0, 4, 3, {}, "dlg", 3)
+            read_response(arrays, 0, 4, 3)
 
 
 class TestMultiRequestLane:
