@@ -9,8 +9,8 @@ in three shapes:
   whitened norms the solver already computes, so this is the pure gate
   overhead every epoch pays;
 * **fde-faulted** — FDE armed with a fraction of epochs spiked: flagged
-  epochs additionally pay the stacked leave-one-out exclusion, which is
-  the worst-case integrity cost.
+  epochs additionally pay the closed-form leave-one-out exclusion,
+  which is the worst-case integrity cost.
 
 Results go to ``BENCH_integrity.json``; the run fails if the fault-free
 FDE throughput drops below ``--min-clean-ratio`` (default 0.60) of the

@@ -242,6 +242,16 @@ class EpochBlock:
         """Whether any row is narrower than the block width."""
         return self._padded
 
+    @property
+    def satellite_keys(self) -> np.ndarray:
+        """``(N, m)`` ``prn*4+system`` satellite identities (int64).
+
+        PRNs are unique only within a system; folding the 2-bit
+        system id in names a satellite across constellations.  Only
+        occupied slots carry a meaningful key.
+        """
+        return self.prns * 4 + self.systems.astype(np.int64)
+
     def time(self, index: int) -> GpsTime:
         """The :class:`~repro.timebase.GpsTime` of epoch ``index``."""
         return GpsTime(
@@ -378,9 +388,9 @@ class EpochBlock:
         finite = np.isfinite(self.positions).all(axis=2)
         finite &= np.isfinite(pseudoranges)
         finite &= pseudoranges > 0
-        # PRNs are unique per (system, prn); fold the 2-bit system id
-        # into the key so cross-system PRN reuse stays legal.
-        keys = self.prns * 4 + self.systems.astype(np.int64)
+        # PRNs are unique per (system, prn): duplicates are checked on
+        # the satellite keys so cross-system PRN reuse stays legal.
+        keys = self.satellite_keys
         if self.padded:
             padding = ~self.occupied
             finite |= padding

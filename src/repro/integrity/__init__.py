@@ -7,8 +7,8 @@ Three layers, stacked by time horizon:
   the reference implementation.
 * :mod:`repro.integrity.fde` — :class:`BatchFde`, the vectorized
   batch counterpart the engine and service actually run: chi-square
-  gate over stacked DLG solves, leave-one-out exclusion through one
-  stacked Sherman-Morrison GLS call.
+  gate over stacked DLG solves, leave-one-out exclusion priced in
+  closed form from the same solve.
 * :mod:`repro.integrity.health` — :class:`SatelliteHealthTracker`,
   cross-epoch exclusion memory with quarantine, probation, and
   reinstatement backoff.

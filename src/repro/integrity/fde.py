@@ -15,15 +15,17 @@ a high-rate stream:
   RAIM test quantity: ``(norm / sigma)^2`` is chi-square with ``m - 4``
   degrees of freedom under no fault.  The gate is one vectorized
   comparison against per-row thresholds (each row's own ``m``).
-* **Exclusion stays structured.**  Deleting one satellite from the
-  eq. 4-26 difference system preserves the diagonal-plus-rank-one
-  covariance shape (drop one diagonal entry for a non-base satellite;
-  promote satellite 1 to base when the base itself is dropped), so
-  every leave-one-out candidate solves through the same O(m)
-  Sherman-Morrison whitening — the candidates of all flagged epochs
-  (never their padded slots) stack into *one* padded
-  :func:`~repro.estimation.batched_gls_solve_diag_rank1` call instead
-  of the scalar monitor's m full re-solves per flagged epoch.
+* **Exclusion is closed form.**  The eq. 4-26 covariance is
+  ``D diag(rho^2) D^T`` for the differencing matrix ``D``, so the GLS
+  fix does not depend on which satellite is the base, and deleting
+  satellite ``i`` is the same as giving it a mean-shift unknown whose
+  design column is ``c_i = D e_i``: the unit row of a non-base
+  satellite, ``-1`` on every member row of its constellation for a
+  base.  Every leave-one-out candidate is therefore priced from the
+  parent solve's own difference system (:func:`leave_one_out`): one
+  Sherman-Morrison whitening of ``[A | C | r]`` and one small
+  normal-equation solve per flagged row, instead of the scalar
+  monitor's m full re-solves per flagged epoch.
 
 Candidate subsets are ranked by normalized margin ``statistic /
 threshold`` with a keep-first tie-break, matching the scalar
@@ -45,18 +47,16 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blocks import EpochBlock
-from repro.constellation.systems import SYSTEM_CODES
-from repro.errors import ConfigurationError, EstimationError, GeometryError
-from repro.estimation import batched_gls_solve_grouped_rank1
+from repro.errors import ConfigurationError
+from repro.estimation import batched_apply_inverse_grouped_rank1
 from repro.integrity.raim import chi_square_quantile
 from repro.observations import ObservationEpoch
 from repro.solvers.batch import (
     BatchDLGSolver,
     BatchMultiResult,
+    MultiDifferenceSystem,
     as_block,
-    build_multi_difference_systems,
-    solve_dlg_stack,
-    system_columns,
+    build_difference_systems,
 )
 from repro.telemetry import get_registry
 
@@ -69,8 +69,14 @@ STATUS_UNCHECKED = 3
 #: Code -> name, indexable by the int8 status.
 STATUS_NAMES: Tuple[str, ...] = ("passed", "repaired", "unusable", "unchecked")
 
-#: Sentinel for "no satellite excluded" in :attr:`FdeRecord.excluded_prns`.
+#: Sentinel for "no satellite excluded" in :attr:`FdeRecord.excluded_prns`
+#: and :attr:`FdeRecord.excluded_systems`.
 NO_EXCLUSION = -1
+
+#: A candidate whose residual-maker norm ``c^T Q c`` is below this
+#: fraction of ``c^T Psi^-1 c`` (leverage 1) leaves a rank-deficient
+#: subset: the satellite alone observes some direction of the fix.
+_DEGENERATE_LEVERAGE = 1e-9
 
 #: Exclusion-latency histogram bounds (seconds per flagged batch).
 _EXCLUSION_LATENCY_BUCKETS = (
@@ -157,7 +163,7 @@ class FdeRecord:
 
     Array-of-structs would cost a python object per epoch on the
     fault-free fast path; this struct-of-arrays form keeps the common
-    case (everything ``passed``) at four numpy arrays regardless of
+    case (everything ``passed``) at five numpy arrays regardless of
     stream length.
 
     Attributes
@@ -170,12 +176,17 @@ class FdeRecord:
     excluded_prns:
         ``(N,)`` int32 excluded PRNs, ``NO_EXCLUSION`` (-1) where no
         exclusion happened.
+    excluded_systems:
+        ``(N,)`` int8 system ids (``SYSTEM_CODES`` index) of the
+        excluded satellites, ``NO_EXCLUSION`` where none: a PRN alone
+        does not name a satellite once constellations mix.
     """
 
     statuses: np.ndarray
     statistics: np.ndarray
     thresholds: np.ndarray
     excluded_prns: np.ndarray
+    excluded_systems: np.ndarray
 
     def __len__(self) -> int:
         return int(self.statuses.shape[0])
@@ -226,6 +237,7 @@ class FdeRecord:
             statistics=np.full(count, np.nan),
             thresholds=np.full(count, np.nan),
             excluded_prns=np.full(count, NO_EXCLUSION, dtype=np.int32),
+            excluded_systems=np.full(count, NO_EXCLUSION, dtype=np.int8),
         )
 
     @classmethod
@@ -247,11 +259,94 @@ class FdeRecord:
             merged.statistics[idx] = record.statistics
             merged.thresholds[idx] = record.thresholds
             merged.excluded_prns[idx] = record.excluded_prns
+            merged.excluded_systems[idx] = record.excluded_systems
         return merged
 
 
+def leave_one_out(
+    system: MultiDifferenceSystem, solution: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every leave-one-out candidate of N solved rows, in closed form.
+
+    ``system`` holds the rows' difference systems in slot layout (one
+    equation row per satellite slot, base and padded rows zero with
+    infinite variance) and ``solution`` their ``(N, p)`` GLS solution,
+    NaN on unknowns a row does not observe.
+
+    Deleting satellite ``j`` is the parent model plus one mean-shift
+    column ``c_j`` (the unit row ``e_j`` for a non-base satellite,
+    ``-1`` on its constellation's member rows for a base), so with
+    ``G = A^T Psi^-1 A`` and ``r`` the parent residual
+
+        delta_j = c_j^T Psi^-1 r / c_j^T Q c_j,
+        x_(j)   = x - G^-1 A^T Psi^-1 c_j delta_j,
+        r'_j    = r + A G^-1 A^T Psi^-1 c_j delta_j - c_j delta_j,
+
+    where ``c^T Q c = c^T Psi^-1 c - c^T Psi^-1 A G^-1 A^T Psi^-1 c``.
+    The statistic is the candidate's own ``r'^T Psi^-1 r'``, not the
+    downdate ``r^T Psi^-1 r - delta^2 c^T Q c``, which loses the
+    relative precision a re-solve keeps.
+
+    Returns ``(statistics (N, m), solutions (N, m, p))``: slot ``j``'s
+    subset quantities.  A slot is no candidate (statistic ``+inf``)
+    when it is padding, when its constellation has only two
+    satellites (the survivor's bias would be unobservable), or when
+    its subset is degenerate (``c^T Q c`` vanishes).  A constellation
+    a row does not observe keeps a unit Gram diagonal and NaN
+    solutions.
+    """
+    design, groups, columns = system.design, system.groups, system.columns
+    _rows, m, p = design.shape
+    decoupled = system.decoupled
+    if decoupled is not None:
+        solution = np.where(decoupled, 0.0, solution)
+    member = groups >= 0
+    base = (columns >= 0) & ~member
+    candidates = np.where(
+        base[:, None, :],
+        -(groups[:, :, None] == columns[:, None, :]).astype(float),
+        np.eye(m) * member[:, None, :],
+    )  # (N, m rows, m candidates)
+    residuals = system.rhs - np.einsum("nki,ni->nk", design, solution)
+    white = batched_apply_inverse_grouped_rank1(
+        system.diag,
+        system.scales,
+        groups,
+        np.concatenate([design, candidates, residuals[..., None]], axis=2),
+    )
+    white_design = white[..., :p]
+    white_candidates = white[..., p : p + m]
+    white_residuals = white[..., p + m]
+    design_t = design.transpose(0, 2, 1)
+    gram = np.matmul(design_t, white_design)  # (N, p, p)
+    if decoupled is not None:
+        rows, unknowns = np.nonzero(decoupled)
+        gram[rows, unknowns, unknowns] = 1.0
+    cross = np.matmul(design_t, white_candidates)  # A^T Psi^-1 C, (N, p, m)
+    gain = np.linalg.solve(gram, cross)  # G^-1 A^T Psi^-1 C
+    c_psi_c = np.einsum("nkj,nkj->nj", candidates, white_candidates)
+    c_q_c = c_psi_c - np.einsum("npj,npj->nj", cross, gain)
+    group_sizes = (columns[:, :, None] == columns[:, None, :]).sum(axis=1)
+    priced = (columns >= 0) & (group_sizes > 2)
+    priced &= c_q_c > _DEGENERATE_LEVERAGE * c_psi_c
+    shift = np.einsum("nkj,nk->nj", candidates, white_residuals)
+    shift /= np.where(priced, c_q_c, 1.0)  # delta_j
+    solutions = solution[:, None, :] - (gain * shift[:, None, :]).transpose(0, 2, 1)
+    moved = (np.matmul(design, gain) - candidates) * shift[:, None, :]
+    white_moved = (np.matmul(white_design, gain) - white_candidates) * shift[:, None, :]
+    statistics = np.einsum(
+        "nkj,nkj->nj",
+        residuals[:, :, None] + moved,
+        white_residuals[:, :, None] + white_moved,
+    )
+    statistics[~priced] = np.inf
+    if decoupled is not None:
+        solutions[np.broadcast_to(decoupled[:, None, :], solutions.shape)] = np.nan
+    return statistics, solutions
+
+
 class BatchFde:
-    """Chi-square detection + stacked leave-one-out exclusion for DLG.
+    """Chi-square detection + closed-form leave-one-out exclusion for DLG.
 
     The gate is DLG-specific by design: only the GLS whitened residual
     norm is chi-square scaled (OLS residuals from DLO are not
@@ -278,6 +373,8 @@ class BatchFde:
         # points; the engine bypasses it and calls screen() with the
         # solve it already ran.
         self._solver = solver if solver is not None else BatchDLGSolver()
+        # chi2(1 - p_fa, dof) by dof, NaN at dof 0; grown on demand.
+        self._threshold_table = np.array([np.nan])
 
     @property
     def config(self) -> FdeConfig:
@@ -293,12 +390,11 @@ class BatchFde:
 
         The fault-free path costs one stacked DLG solve (the whitened
         norms it produces are the test statistics) plus one vectorized
-        comparison; only flagged epochs pay for exclusion, and all
-        their candidates solve in one additional stacked GLS call.
-        ``repaired`` rows hold the post-exclusion position;
-        ``unusable`` rows keep the full-set solution so callers can
-        apply their own trust policy.  Accepts an
-        :class:`~repro.blocks.EpochBlock` directly.
+        comparison; only flagged epochs pay for exclusion, priced in
+        closed form from the same solve.  ``repaired`` rows hold the
+        post-exclusion position; ``unusable`` rows keep the full-set
+        solution so callers can apply their own trust policy.  Accepts
+        an :class:`~repro.blocks.EpochBlock` directly.
         """
         block = as_block(epochs, "direct linearization")
         return self.solve_block(block, np.asarray(biases, dtype=float))
@@ -324,12 +420,14 @@ class BatchFde:
 
         This is the zero-copy entry point: the engine has already built
         the clock-corrected pseudoranges and run the base DLG solve
-        whose whitened ``norms`` double as the test statistics, so the
-        gate re-derives *nothing* — detection is one vectorized
-        comparison against per-row thresholds (each row's dof is its
-        own ``count - 4``), and only flagged epochs pay for the stacked
-        leave-one-out exclusion.  ``solutions`` is updated **in place**
-        for rows the exclusion repairs.
+        whose whitened ``norms`` double as the test statistics, so
+        detection is one vectorized comparison against per-row
+        thresholds (each row's dof is its own ``count - 4``).  Only
+        flagged rows with ``count >= 6`` pay for exclusion: their
+        difference systems are rebuilt in slot layout and every
+        candidate is priced by :func:`leave_one_out` against the
+        parent ``solutions``, which are updated **in place** for the
+        rows the exclusion repairs.
         """
         counts = block.counts
         record = self._detect(norms, counts - 4)
@@ -337,14 +435,16 @@ class BatchFde:
         if self._config.exclude:
             flagged &= counts >= 6
             if flagged.any():
-                self._timed_exclusion(
-                    self._exclude_flagged,
-                    np.flatnonzero(flagged),
+                rows = np.flatnonzero(flagged)
+                repaired, fixes = self._exclude(
+                    _single_system(block, corrected, rows),
+                    solutions[rows],
+                    rows,
+                    counts[rows] - 5,
                     block,
-                    corrected,
-                    solutions,
                     record,
                 )
+                solutions[repaired] = fixes
         self._count(record)
         return record
 
@@ -362,26 +462,48 @@ class BatchFde:
             statistics=statistics,
             thresholds=thresholds,
             excluded_prns=np.full(dof.shape, NO_EXCLUSION, dtype=np.int32),
+            excluded_systems=np.full(dof.shape, NO_EXCLUSION, dtype=np.int8),
         )
 
     def _thresholds(self, dof: np.ndarray) -> np.ndarray:
-        """``chi2(1 - p_fa, dof)`` per row, NaN where ``dof < 1``."""
-        thresholds = np.full(dof.shape, np.nan)
-        probability = 1.0 - self._config.p_false_alarm
-        for value in np.unique(dof[dof >= 1]):
-            thresholds[dof == value] = chi_square_quantile(probability, int(value))
-        return thresholds
+        """``chi2(1 - p_fa, dof)`` per row, NaN where ``dof < 1``.
 
-    def _timed_exclusion(self, exclude, *args) -> None:
+        Each dof's quantile is computed once per gate and then looked
+        up.
+        """
+        table = self._threshold_table
+        top = int(dof.max()) if dof.size else 0
+        if top >= table.shape[0]:
+            probability = 1.0 - self._config.p_false_alarm
+            grown = np.arange(table.shape[0], max(top + 1, 2 * table.shape[0]))
+            table = self._threshold_table = np.concatenate(
+                [table, [chi_square_quantile(probability, int(d)) for d in grown]]
+            )
+        return table[np.maximum(dof, 0)]
+
+    def _exclude(
+        self,
+        system: MultiDifferenceSystem,
+        solution: np.ndarray,
+        rows: np.ndarray,
+        sub_dof: np.ndarray,
+        block: EpochBlock,
+        record: FdeRecord,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Price and pick the exclusion of the flagged ``rows`` (whose
+        systems and solutions are given); returns the repaired stream
+        rows and their subset solutions."""
         registry = get_registry()
         started = time.perf_counter() if registry.enabled else 0.0
-        exclude(*args)
+        statistics, solutions = leave_one_out(system, solution)
+        repaired, chosen = self._pick(rows, statistics, sub_dof, block, record)
         if registry.enabled:
             registry.histogram(
                 "repro_integrity_exclusion_seconds",
                 "Leave-one-out exclusion latency per flagged batch.",
                 buckets=_EXCLUSION_LATENCY_BUCKETS,
             ).observe(time.perf_counter() - started)
+        return rows[repaired], solutions[repaired, chosen]
 
     # ------------------------------------------------------------------
     def solve_block_multi(
@@ -409,224 +531,71 @@ class BatchFde:
         equation per constellation and each constellation clock is an
         extra unknown), so the detection floor rises from 5 satellites
         to ``4 + 2K`` — per row, with that row's own ``m`` and ``K``.
-        Exclusion candidates that would leave a constellation with a
-        single satellite are skipped — their bias would be unobservable
-        — and a row's exclusion pass needs ``m >= 5 + 2K``.  The
-        result's ``positions`` and ``constellation_biases`` are updated
-        in place for repaired rows.
+        Exclusion prices its candidates from the difference system the
+        solve already built (``result.system``): no second system, no
+        kernel call.  A satellite whose constellation has only two
+        satellites is no candidate — its survivor's bias would be
+        unobservable — and a row's exclusion pass needs
+        ``m >= 5 + 2K``.  The result's ``positions`` and
+        ``constellation_biases`` are updated in place for repaired
+        rows.
         """
-        codes = np.array(
-            [SYSTEM_CODES.index(code) for code in result.systems], dtype=np.int64
-        )
-        columns, _codes = system_columns(block.systems, block.occupied, codes)
-        onehot = columns[:, :, None] == np.arange(codes.shape[0])
-        row_groups = onehot.any(axis=1).sum(axis=1)
-        dof = block.counts - 3 - 2 * row_groups
+        system = result.system
+        dof = block.counts - 3 - 2 * system.present.sum(axis=1)
         record = self._detect(result.norms, dof)
         flagged = record.statuses == STATUS_UNUSABLE
         if self._config.exclude:
             flagged &= dof >= 2
             if flagged.any():
-                self._timed_exclusion(
-                    self._exclude_flagged_multi,
-                    np.flatnonzero(flagged),
+                rows = np.flatnonzero(flagged)
+                repaired, fixes = self._exclude(
+                    system.take(rows),
+                    np.concatenate(
+                        [result.positions[rows], result.constellation_biases[rows]],
+                        axis=1,
+                    ),
+                    rows,
+                    dof[rows] - 1,
                     block,
-                    codes,
-                    onehot.sum(axis=1),
-                    columns,
-                    dof,
-                    result,
                     record,
                 )
+                result.positions[repaired] = fixes[:, :3]
+                result.constellation_biases[repaired] = fixes[:, 3:]
         self._count(record)
         return record
 
-    @staticmethod
-    def _candidates(block: EpochBlock, flagged_idx: np.ndarray):
-        """Leave-one-out subsets of the flagged rows.
-
-        ``keep[k]`` lists every slot but ``k``, so dropping a row's
-        slot shifts its remaining satellites (and padding) left by one:
-        the subsets are again rows of a padded block, one satellite
-        narrower.  Rebuilding each subset's difference system from its
-        surviving satellites handles both drop cases uniformly:
-        dropping a non-base satellite deletes one row (base
-        unchanged), dropping the base promotes the next satellite —
-        exactly the subsets the scalar monitor's first-satellite base
-        selection produces.  Padded slots are never candidates.
-        """
-        m = block.width
-        keep = np.array(
-            [[j for j in range(m) if j != k] for k in range(m)], dtype=int
-        )  # (m, m-1)
-        valid = np.arange(m) < block.counts[flagged_idx, None]  # (F, m)
-        rows, drops = np.nonzero(valid)
-        parents = flagged_idx[rows]
-        slots = keep[drops]  # (C, m-1)
-        return valid, parents, slots
-
     def _pick(
         self,
-        flagged_idx: np.ndarray,
-        valid: np.ndarray,
-        candidate_stats: np.ndarray,
-        sub_thresholds: np.ndarray,
+        rows: np.ndarray,
+        statistics: np.ndarray,
+        sub_dof: np.ndarray,
         block: EpochBlock,
         record: FdeRecord,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Best passing candidate per flagged row; records the repairs.
 
+        ``statistics`` holds each flagged row's ``(F, m)`` whitened
+        subset residuals (``+inf`` where a slot is no candidate).
         Candidates are ranked by normalized margin ``statistic /
         threshold`` with a keep-first tie-break (argmin's first
         minimum), matching the scalar monitor's selection exactly.
-        Returns the repaired stream rows and, for each, the index of
-        its chosen candidate (``candidate_stats`` order).
+        Returns the indices (into ``rows``) of the repaired rows and,
+        for each, the slot of its chosen candidate.
         """
-        f, m = valid.shape
-        sub_stats = np.full((f, m), np.inf)
-        sub_stats[valid] = candidate_stats
-        margins = sub_stats / sub_thresholds[:, None]
+        statistics = statistics / self._config.sigma_meters**2
+        thresholds = self._thresholds(sub_dof)
+        margins = statistics / thresholds[:, None]
         margins = np.where(margins <= 1.0, margins, np.inf)
-        best_k = np.argmin(margins, axis=1)
-        rows = np.arange(f)
-        repaired_rows = rows[np.isfinite(margins[rows, best_k])]
-        stream_rows = flagged_idx[repaired_rows]
-        chosen = best_k[repaired_rows]
+        best = np.argmin(margins, axis=1)
+        repaired = np.flatnonzero(np.isfinite(margins[np.arange(rows.size), best]))
+        chosen = best[repaired]
+        stream_rows = rows[repaired]
         record.statuses[stream_rows] = STATUS_REPAIRED
-        record.statistics[stream_rows] = sub_stats[repaired_rows, chosen]
-        record.thresholds[stream_rows] = sub_thresholds[repaired_rows]
+        record.statistics[stream_rows] = statistics[repaired, chosen]
+        record.thresholds[stream_rows] = thresholds[repaired]
         record.excluded_prns[stream_rows] = block.prns[stream_rows, chosen]
-        candidate_index = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
-        return stream_rows, candidate_index[repaired_rows, chosen]
-
-    def _exclude_flagged_multi(
-        self,
-        flagged_idx: np.ndarray,
-        block: EpochBlock,
-        codes: np.ndarray,
-        group_counts: np.ndarray,
-        columns: np.ndarray,
-        dof: np.ndarray,
-        result: BatchMultiResult,
-        record: FdeRecord,
-    ) -> None:
-        """Leave-one-out exclusion under the grouped covariance.
-
-        Every candidate subset of every flagged row stacks into *one*
-        grouped solve: each candidate row carries its own group layout
-        (re-derived from its surviving slots, so a dropped base is
-        promoted automatically), with the parent batch's bias columns.
-        Dropping a slot whose constellation has only two satellites is
-        not a candidate at all: the survivor would be a singleton with
-        an unobservable bias.
-        """
-        valid, parents, slots = self._candidates(block, flagged_idx)
-        dropped = valid.nonzero()[1]
-        drop_groups = columns[parents, dropped]
-        keep_candidate = group_counts[parents, drop_groups] > 2
-        valid[valid] = keep_candidate
-        parents, slots = parents[keep_candidate], slots[keep_candidate]
-        if not parents.size:
-            return  # every drop would leave a singleton constellation
-        rows = parents[:, None]
-        occupied = np.arange(slots.shape[1]) < (block.counts[parents] - 1)[:, None]
-        positions = block.positions[rows, slots]
-        pseudoranges = block.pseudoranges[rows, slots]
-        systems = block.systems[rows, slots]
-
-        def solve(pick):
-            system = build_multi_difference_systems(
-                positions[pick], pseudoranges[pick], systems[pick], occupied[pick], codes
-            )
-            solutions, norms = batched_gls_solve_grouped_rank1(
-                system.design,
-                system.rhs,
-                system.diag,
-                system.scales,
-                system.groups,
-                decoupled=system.decoupled,
-            )
-            return norms, solutions
-
-        norms, solutions = self._solve_candidates(solve, parents.size)
-        stream_rows, picked = self._pick(
-            flagged_idx,
-            valid,
-            (norms / self._config.sigma_meters) ** 2,
-            self._thresholds(dof[flagged_idx] - 1),
-            block,
-            record,
-        )
-        result.positions[stream_rows] = solutions[picked, :3]
-        result.constellation_biases[stream_rows] = solutions[picked, 3:]
-
-    @staticmethod
-    def _solve_candidates(solve, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``solve`` over all candidates at once, or one at a time.
-
-        One degenerate candidate poisons the stacked solve; the
-        fallback re-solves per candidate, pricing degenerate subsets
-        out of the selection (infinite statistic), which mirrors the
-        scalar monitor skipping subsets its solver rejects.
-        """
-        try:
-            return solve(np.arange(count))
-        except (EstimationError, GeometryError):
-            pass
-        norms = np.full(count, np.inf)
-        solutions = None
-        for i in range(count):
-            try:
-                norm, solution = solve(np.array([i]))
-            except (EstimationError, GeometryError):
-                continue
-            if solutions is None:
-                solutions = np.full((count, solution.shape[1]), np.nan)
-            norms[i], solutions[i] = norm[0], solution[0]
-        if solutions is None:
-            solutions = np.full((count, 3), np.nan)
-        return norms, solutions
-
-    # ------------------------------------------------------------------
-    def _exclude_flagged(
-        self,
-        flagged_idx: np.ndarray,
-        block: EpochBlock,
-        corrected: np.ndarray,
-        solutions: np.ndarray,
-        record: FdeRecord,
-    ) -> None:
-        """Stacked leave-one-out exclusion; mutates ``solutions`` and
-        ``record``.
-
-        All candidate subsets of all F flagged epochs become one
-        padded stack of one-satellite-narrower rows, solved in a
-        single DLG kernel call.
-        """
-        valid, parents, slots = self._candidates(block, flagged_idx)
-        rows = parents[:, None]
-        occupied = np.arange(slots.shape[1]) < (block.counts[parents] - 1)[:, None]
-        cand_positions = block.positions[rows, slots]
-        cand_corrected = corrected[rows, slots]
-
-        def solve(pick):
-            cand_solutions, cand_norms = solve_dlg_stack(
-                cand_positions[pick],
-                cand_corrected[pick],
-                None if occupied[pick].all() else occupied[pick],
-            )
-            return cand_norms, cand_solutions
-
-        norms, cand_solutions = self._solve_candidates(solve, parents.size)
-        stream_rows, picked = self._pick(
-            flagged_idx,
-            valid,
-            (norms / self._config.sigma_meters) ** 2,
-            self._thresholds(block.counts[flagged_idx] - 5),
-            block,
-            record,
-        )
-        solutions[stream_rows] = cand_solutions[picked]
+        record.excluded_systems[stream_rows] = block.systems[stream_rows, chosen]
+        return repaired, chosen
 
     # ------------------------------------------------------------------
     def _count(self, record: FdeRecord) -> None:
@@ -641,3 +610,29 @@ class BatchFde:
         for name, count in record.counts().items():
             if count:
                 counter.labels(status=name).inc(count)
+
+
+def _single_system(
+    block: EpochBlock, corrected: np.ndarray, rows: np.ndarray
+) -> MultiDifferenceSystem:
+    """The single-clock difference systems of ``rows`` in the slot
+    layout :func:`leave_one_out` takes: slot 0 is the base (a zero
+    equation row with infinite variance) and every occupied slot
+    belongs to the one clock group."""
+    occupied = block.occupied[rows]
+    ranges = corrected[rows]
+    design, rhs = build_difference_systems(block.positions[rows], ranges, occupied)
+    columns = np.where(occupied, 0, -1)
+    groups = columns.copy()
+    groups[:, 0] = -1
+    diag = np.where(groups == 0, ranges**2, np.inf)
+    return MultiDifferenceSystem(
+        design=np.concatenate([np.zeros_like(design[:, :1]), design], axis=1),
+        rhs=np.concatenate([np.zeros_like(rhs[:, :1]), rhs], axis=1),
+        diag=diag,
+        scales=ranges[:, :1] ** 2,
+        groups=groups,
+        codes=np.zeros(1, dtype=np.int64),
+        present=np.ones((rows.size, 1), dtype=bool),
+        columns=columns,
+    )

@@ -10,7 +10,7 @@ watched *probation* with exponential reinstatement backoff so a
 genuinely flapping satellite settles into long quarantines instead of
 oscillating in and out of the solution (flap suppression).
 
-State machine (per PRN)::
+State machine (per satellite)::
 
     healthy ──exclusion──▶ suspect ──threshold in window──▶ quarantined
        ▲                                                        │
@@ -29,7 +29,13 @@ identically to live ones and tests are deterministic.
 The tracker is intentionally solver-agnostic — it consumes exclusion
 events from any source (batch FDE verdicts, scalar RAIM results) and
 is shared by :class:`~repro.core.receiver.GpsReceiver` and the async
-service's circuit breaker.
+service's circuit breaker.  It keys its state by an opaque integer
+satellite identity that each caller chooses consistently: the service
+passes ``prn*4+system`` keys (:attr:`~repro.blocks.EpochBlock.
+satellite_keys`), because PRNs repeat across constellations and a
+fault on Galileo E1 must not quarantine GPS G1; the single-system
+receiver passes bare PRNs.  The ``prn`` parameters below are these
+identities.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from collections import deque
 from repro.errors import ConfigurationError
 from repro.telemetry import get_registry
 
-#: The four externally visible per-PRN states.
+#: The four externally visible per-satellite states.
 HEALTH_STATES: Tuple[str, ...] = ("healthy", "suspect", "quarantined", "probation")
 
 
@@ -114,7 +120,7 @@ class HealthConfig:
 
 
 class _PrnRecord:
-    """Mutable per-PRN bookkeeping (internal)."""
+    """Mutable per-satellite bookkeeping (internal)."""
 
     __slots__ = (
         "exclusion_epochs",

@@ -190,7 +190,7 @@ def _build_context(
     block = packed.block
     n, m_max = len(block), block.width
     times = block.weeks * _SECONDS_PER_WEEK + block.seconds_of_week
-    keys = block.prns * 4 + block.systems.astype(np.int64)
+    keys = block.satellite_keys
     system_ids = block.systems
     sat_positions = block.positions
     pseudoranges = block.pseudoranges

@@ -56,12 +56,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blocks import PackedStream, pack_stream
+from repro.constellation.systems import system_index
 from repro.engine import PositioningEngine
 from repro.errors import EstimationError, ReproError
 from repro.integrity.fde import STATUS_NAMES as FDE_STATUS_NAMES
 from repro.integrity.fde import STATUS_PASSED as FDE_PASSED
 from repro.integrity.fde import STATUS_REPAIRED as FDE_REPAIRED
 from repro.integrity.fde import STATUS_UNUSABLE as FDE_UNUSABLE
+from repro.integrity.fde import FdeRecord
 from repro.integrity.health import SatelliteHealthTracker
 from repro.integrity.monitors import (
     MonitorRecord,
@@ -167,7 +169,10 @@ class BatchExecutor:
     (with the FDE gate armed when ``config.integrity`` is set).
     ``health_tracker`` may be injected to share satellite-health state
     with other consumers; by default one is built from
-    ``config.health`` when the integrity rung is armed.
+    ``config.health`` when the integrity rung is armed.  The executor
+    names satellites to it by their ``prn*4+system`` keys
+    (:attr:`~repro.blocks.EpochBlock.satellite_keys`), so a fault on
+    Galileo E1 never quarantines GPS G1.
     """
 
     def __init__(
@@ -257,18 +262,19 @@ class BatchExecutor:
         """
         block = packed.block
         admit = self._tracker.admit
+        keys = block.satellite_keys
         banned_rows: Dict[int, Tuple[int, ...]] = {}
-        for row, (prns, count) in enumerate(
-            zip(block.prns.tolist(), block.counts.tolist())
+        for row, (row_keys, count) in enumerate(
+            zip(keys.tolist(), block.counts.tolist())
         ):
-            banned = admit(prns[:count])
+            banned = admit(row_keys[:count])
             if banned:
                 banned_rows[row] = banned
         if not banned_rows:
             return packed, epochs
         keep = block.occupied.copy()
         for row, banned in banned_rows.items():
-            keep[row] &= ~np.isin(block.prns[row], banned)
+            keep[row] &= ~np.isin(keys[row], banned)
         if epochs is not None:
             epochs = list(epochs)
             for row, banned in banned_rows.items():
@@ -280,10 +286,11 @@ class BatchExecutor:
             )
         return replace(packed, block=block.compact(keep)), epochs
 
-    def _observe_verdicts(self, packed: PackedStream, block: ResultBlock) -> None:
+    def _observe_verdicts(
+        self, packed: PackedStream, verdicts: np.ndarray, fde: FdeRecord
+    ) -> None:
         """Feed one flush's FDE verdicts to telemetry and, row by row
-        in stream order, to the health tracker."""
-        verdicts = block.verdict
+        in stream order, to the health tracker (by satellite key)."""
         metrics = self._telemetry()
         if metrics is not None:
             checked = verdicts[verdicts >= 0]
@@ -291,17 +298,18 @@ class BatchExecutor:
         tracker = self._tracker
         if tracker is None:
             return
-        for prns, count, code, excluded in zip(
-            packed.block.prns.tolist(),
+        excluded_keys = fde.excluded_prns * 4 + fde.excluded_systems
+        for keys, count, code, excluded in zip(
+            packed.block.satellite_keys.tolist(),
             packed.block.counts.tolist(),
             verdicts.tolist(),
-            block.excluded_prns.tolist(),
+            excluded_keys.tolist(),
         ):
             if code == FDE_REPAIRED:
                 tracker.record_exclusion(excluded)
-                tracker.record_clean(prn for prn in prns[:count] if prn != excluded)
+                tracker.record_clean(key for key in keys[:count] if key != excluded)
             elif code == FDE_PASSED:
-                tracker.record_clean(prns[:count])
+                tracker.record_clean(keys[:count])
         tracker.publish()
 
     # -- execution ----------------------------------------------------
@@ -405,7 +413,7 @@ class BatchExecutor:
             # the receiver the attacker is already blinding.
             for index in np.flatnonzero(record.severities == SEVERITY_SPOOFED):
                 for key in record.flagged_keys(int(index), SEVERITY_SPOOFED):
-                    self._tracker.record_monitor_strike(key >> 2)
+                    self._tracker.record_monitor_strike(key)
         return record
 
     def _stream_block(self, stream, packed, epochs, monitors=None) -> ResultBlock:
@@ -434,7 +442,7 @@ class BatchExecutor:
             block.statistics[:] = fde.statistics
             block.thresholds[:] = fde.thresholds
             block.excluded_prns[:] = fde.excluded_prns
-            self._observe_verdicts(packed, block)
+            self._observe_verdicts(packed, verdict, fde)
             unusable = np.flatnonzero(verdict == FDE_UNUSABLE)
             status[unusable] = STATUS_FAILED
             for row in unusable.tolist():
@@ -581,14 +589,16 @@ def _override(biases: Optional[np.ndarray], index: int) -> Optional[float]:
 def _without(
     epoch: ObservationEpoch, banned: Sequence[int]
 ) -> ObservationEpoch:
-    """``epoch`` less the ``banned`` satellites.
+    """``epoch`` less the ``banned`` satellites (``prn*4+system`` keys).
 
     An epoch the validating constructor rejects (duplicate PRNs) is
     returned whole: the screen reports it invalid either way.
     """
     try:
         return epoch.with_observations(
-            obs for obs in epoch.observations if obs.prn not in banned
+            obs
+            for obs in epoch.observations
+            if obs.prn * 4 + system_index(obs.system) not in banned
         )
     except ReproError:
         return epoch

@@ -856,14 +856,21 @@ class ShardedPositioningService:
                     else:
                         break  # hash affinity: wait for this worker
                 pending.pop()
-                self._dispatch(
-                    worker,
-                    offset,
-                    count,
-                    epochs,
-                    bias_meters,
-                    pack_stream,
-                )
+                try:
+                    self._dispatch(
+                        worker,
+                        offset,
+                        count,
+                        epochs,
+                        bias_meters,
+                        pack_stream,
+                    )
+                except Exception:
+                    # This call's earlier batches are already in
+                    # flight: retire them before the error surfaces so
+                    # their answers never land in a later call.
+                    self._drain(results, epochs)
+                    raise
                 if metrics is not None:
                     metrics.batches.inc()
                 dispatched = True
@@ -878,6 +885,12 @@ class ShardedPositioningService:
             else ServiceResult(status="retryable", error="lost in dispatch")
             for result in results
         ]
+
+    def _drain(self, results, epochs) -> None:
+        """Collect every in-flight batch into ``results``."""
+        while any(worker.inflight for worker in self._workers):
+            self._reap_dead(results, epochs)
+            self._collect(results, epochs, timeout=0.05)
 
     def _dispatch(
         self,

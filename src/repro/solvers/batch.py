@@ -32,7 +32,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -134,23 +134,18 @@ def _occupancy(block: EpochBlock) -> Optional[np.ndarray]:
 
 
 def system_columns(
-    systems: np.ndarray,
-    occupied: np.ndarray,
-    codes: Optional[np.ndarray] = None,
+    systems: np.ndarray, occupied: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bias column of every slot, and the system ids the columns hold.
 
     Columns follow the first appearance of each system in the batch
     (rows in order, slots in order), so relabeling the systems never
-    changes the arithmetic.  ``codes`` fixes the column order instead
-    (exclusion candidates reuse their parent batch's).  Padded slots
-    get column ``-1``.
+    changes the arithmetic.  Padded slots get column ``-1``.
     """
-    if codes is None:
-        tags = systems[occupied]
-        present = np.flatnonzero(np.bincount(tags, minlength=len(SYSTEM_CODES)))
-        first = [int(np.argmax(tags == code)) for code in present]
-        codes = present[np.argsort(first)]
+    tags = systems[occupied]
+    present = np.flatnonzero(np.bincount(tags, minlength=len(SYSTEM_CODES)))
+    first = [int(np.argmax(tags == code)) for code in present]
+    codes = present[np.argsort(first)]
     lookup = np.full(len(SYSTEM_CODES), -1, dtype=np.int64)
     lookup[codes] = np.arange(codes.shape[0])
     columns = np.where(occupied, lookup.take(systems, mode="clip"), -1)
@@ -180,8 +175,9 @@ class MultiDifferenceSystem:
         ``(K,)`` system ids of the bias columns.
     present:
         ``(N, K)`` which constellations each row observes.
-    first_columns:
-        ``(N,)`` bias column of each row's slot-0 constellation.
+    columns:
+        ``(N, m)`` bias column of every slot, base slots included;
+        ``-1`` on padded slots.
     """
 
     design: np.ndarray
@@ -191,7 +187,20 @@ class MultiDifferenceSystem:
     groups: np.ndarray
     codes: np.ndarray
     present: np.ndarray
-    first_columns: np.ndarray
+    columns: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "MultiDifferenceSystem":
+        """The systems of ``rows`` only (same bias columns)."""
+        return replace(
+            self,
+            design=self.design[rows],
+            rhs=self.rhs[rows],
+            diag=self.diag[rows],
+            scales=self.scales[rows],
+            groups=self.groups[rows],
+            present=self.present[rows],
+            columns=self.columns[rows],
+        )
 
     @property
     def decoupled(self) -> Optional[np.ndarray]:
@@ -209,7 +218,6 @@ def build_multi_difference_systems(
     pseudoranges: np.ndarray,
     systems: np.ndarray,
     occupied: np.ndarray,
-    codes: Optional[np.ndarray] = None,
 ) -> MultiDifferenceSystem:
     """Vectorized per-constellation difference construction for a batch.
 
@@ -225,7 +233,7 @@ def build_multi_difference_systems(
     unknowns of this system, nothing is removed up front.
     """
     n, m = pseudoranges.shape
-    columns, codes = system_columns(systems, occupied, codes)
+    columns, codes = system_columns(systems, occupied)
     k_groups = int(codes.shape[0])
     in_group = [columns == g for g in range(k_groups)]  # K x (N, m)
     group_counts = np.bincount(
@@ -277,7 +285,7 @@ def build_multi_difference_systems(
         groups=np.where(member, columns, -1),
         codes=codes,
         present=present,
-        first_columns=columns[:, 0],
+        columns=columns,
     )
 
 
@@ -299,16 +307,22 @@ class BatchMultiResult:
     norms:
         ``(N,)`` residual norms — whitened (Mahalanobis) for DLG, raw
         differenced-domain for DLO.
-    first_columns:
-        ``(N,)`` bias column of each row's first constellation (the
-        system of its slot 0).
+    system:
+        The difference system the batch was solved from; the FDE gate
+        prices its exclusion candidates from it.
     """
 
     positions: np.ndarray
     constellation_biases: np.ndarray
     systems: Tuple[str, ...]
     norms: np.ndarray
-    first_columns: np.ndarray
+    system: MultiDifferenceSystem
+
+    @property
+    def first_columns(self) -> np.ndarray:
+        """``(N,)`` bias column of each row's first constellation (the
+        system of its slot 0)."""
+        return self.system.columns[:, 0]
 
     @property
     def primary_biases(self) -> np.ndarray:
@@ -334,7 +348,7 @@ def _finish_multi_batch(
         constellation_biases=solutions[:, 3:].copy(),
         systems=tuple(system_code(int(code)) for code in system.codes),
         norms=norms,
-        first_columns=system.first_columns,
+        system=system,
     )
 
 

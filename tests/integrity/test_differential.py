@@ -1,15 +1,17 @@
 """Differential proof: the batch FDE gate equals its scalar reference.
 
 Two independent implementations of the same integrity rule —
-:class:`RaimMonitor` (per-epoch, dense re-solves) and
-:class:`BatchFde` (stacked Sherman-Morrison) — are driven over the
-same seeded scenario population, clean and spiked, and must agree on
-every verdict, every excluded PRN, and the test statistics themselves.
+:class:`RaimMonitor` (per-epoch, re-solving every leave-one-out
+subset) and :class:`BatchFde` (every candidate priced in closed form
+from the parent solve) — are driven over the same seeded scenario
+population, clean and spiked, and must agree on every verdict, every
+excluded PRN, and the test statistics themselves.
 
-A second layer checks the linear algebra under the exclusion path: the
-stacked leave-one-out subsets solved through the O(m) diag+rank-one
+A second layer checks the linear algebra the scalar reference runs:
+each leave-one-out subset solved through the O(m) diag+rank-one
 Sherman-Morrison whitening must match a dense Cholesky GLS re-solve of
-the same subset at 1e-9 relative.
+the same subset at 1e-9 relative, and the position the batch gate
+serves for a repaired epoch must be that subset's dense solution.
 """
 
 from dataclasses import replace

@@ -136,12 +136,14 @@ class TestFdeRecord:
             statistics=np.array([1.0, 2.0]),
             thresholds=np.array([9.0, 9.0]),
             excluded_prns=np.array([NO_EXCLUSION, 7], dtype=np.int32),
+            excluded_systems=np.array([NO_EXCLUSION, 0], dtype=np.int8),
         )
         bucket_b = FdeRecord(
             statuses=np.array([STATUS_UNUSABLE], dtype=np.int8),
             statistics=np.array([30.0]),
             thresholds=np.array([9.0]),
             excluded_prns=np.array([NO_EXCLUSION], dtype=np.int32),
+            excluded_systems=np.array([NO_EXCLUSION], dtype=np.int8),
         )
         merged = FdeRecord.scatter([((0, 3), bucket_a), ((1,), bucket_b)], total=4)
         assert len(merged) == 4
@@ -150,6 +152,7 @@ class TestFdeRecord:
         assert merged.verdict(2).status == "unchecked"  # unclaimed row
         assert merged.verdict(3).status == "repaired"
         assert merged.verdict(3).excluded_prn == 7
+        assert merged.excluded_systems.tolist() == [NO_EXCLUSION] * 3 + [0]
         assert np.isnan(merged.statistics[2])
 
     def test_counts_and_to_dict(self):
@@ -160,6 +163,7 @@ class TestFdeRecord:
             statistics=np.array([1.0, 2.0, 3.0]),
             thresholds=np.array([9.0, 7.0, 7.0]),
             excluded_prns=np.array([NO_EXCLUSION, 5, 5], dtype=np.int32),
+            excluded_systems=np.array([NO_EXCLUSION, 0, 0], dtype=np.int8),
         )
         assert record.counts() == {
             "passed": 1, "repaired": 2, "unusable": 0, "unchecked": 0

@@ -7,12 +7,20 @@ partition the population, and the gates must be pure functions of the
 counts.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.validation import FdeChaosConfig, FdeChaosReport, run_fde_chaos
 
 SMALL = FdeChaosConfig(scenarios=40, start_seed=0)
+
+#: ``repro-gps fuzz --inject spike --fde --seed 0 --scenarios 400
+#: --fde-out`` as written before exclusion became closed form; the
+#: chaos-smoke CI job compares its own output against it with ``cmp``.
+GOLDEN = Path(__file__).parent / "data" / "fde-chaos-verdict.json"
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,13 @@ class TestDeterminism:
         assert report.faulted == 0
         assert report.clean == 10
         assert report.identification_rate == 1.0  # vacuous gate holds
+
+
+class TestGoldenVerdict:
+    def test_seed_0_population_reproduces_the_golden_byte_for_byte(self):
+        report = run_fde_chaos(FdeChaosConfig(scenarios=400, start_seed=0))
+        written = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        assert written == GOLDEN.read_text()
 
 
 class TestGateArithmetic:

@@ -226,7 +226,9 @@ class TestMonitorStrikesFeedBreaker:
             flagged.update(result.monitor.flagged)
         assert {"G03", "G05"} <= flagged
         # Persistent confirmed flags crossed the quarantine threshold.
-        assert {3, 5} <= set(quarantined)
+        # The service's tracker names satellites by prn*4+system keys
+        # (GPS is system 0).
+        assert {3 * 4, 5 * 4} <= set(quarantined)
 
 
 class TestShardParity:

@@ -223,6 +223,29 @@ class TestBiasOverrideLength:
             results = shard.solve_many(make_epochs(8))
         assert [r.status for r in results] == ["ok"] * 8
 
+    def test_refused_later_batch_leaks_no_stale_results(self):
+        """A call whose *second* batch does not fit raises after its
+        first batch is already in flight; that batch is retired before
+        the error surfaces, so the next call answers exactly its own
+        epochs."""
+        from repro.api import build_scene
+
+        config = shard_config(workers=1, batch_size=4, slot_satellites=10)
+        narrow = make_epochs(4)
+        wide = build_scene({"G": 12}, clock_bias_meters=0.0, seed=1)
+        follow_up = make_epochs(6)[4:]
+        with ShardedPositioningService(config) as shard:
+            with pytest.raises(ServiceError):
+                shard.solve_many(narrow + [wide])
+            assert not shard._workers[0].inflight
+            results = shard.solve_many(follow_up)
+        assert len(results) == len(follow_up)
+        local = BatchExecutor(config.service)
+        for epoch, result in zip(follow_up, results):
+            (alone,) = local.execute([epoch])[0].results(local.algorithm, 1)
+            assert result.status == alone.status == "ok"
+            np.testing.assert_array_equal(result.position, alone.position)
+
 
 class TestRestartBudget:
     def test_exhaustion_degrades_to_remaining_workers(self):
