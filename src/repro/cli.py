@@ -618,7 +618,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return _cmd_fuzz_spoof(args)
 
     if args.replay:
-        recorded = json.loads(open(args.replay).read())
+        with open(args.replay) as handle:
+            recorded = json.load(handle)
         result = replay_artifact(args.replay)
         reproduced = (
             result.status == recorded.get("status")

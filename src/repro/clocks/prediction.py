@@ -36,6 +36,26 @@ class ClockBiasPredictor(ABC):
     def predict_bias_meters(self, time: GpsTime) -> float:
         """Predicted receiver clock bias ``eps_hat_R`` in meters."""
 
+    def predict_block(
+        self, weeks: np.ndarray, seconds_of_week: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`predict_bias_meters` for each ``(week,
+        seconds_of_week)`` pair, as one float lane.
+
+        The default predicts row by row; a predictor whose prediction
+        does not depend on the time fills the lane in one call.
+        """
+        return np.array(
+            [
+                self.predict_bias_meters(GpsTime(week=week, seconds_of_week=sow))
+                for week, sow in zip(
+                    np.asarray(weeks, dtype=np.int64).tolist(),
+                    np.asarray(seconds_of_week, dtype=float).tolist(),
+                )
+            ],
+            dtype=float,
+        )
+
     def reanchor(self, time: GpsTime, bias_meters: float) -> None:
         """Unconditionally re-align the prediction to a trusted bias.
 
@@ -67,6 +87,11 @@ class ZeroClockBiasPredictor(ClockBiasPredictor):
     def predict_bias_meters(self, time: GpsTime) -> float:
         return 0.0
 
+    def predict_block(
+        self, weeks: np.ndarray, seconds_of_week: np.ndarray
+    ) -> np.ndarray:
+        return np.zeros(len(weeks))
+
     @property
     def is_ready(self) -> bool:
         return True
@@ -91,6 +116,11 @@ class ConstantClockBiasPredictor(ClockBiasPredictor):
 
     def predict_bias_meters(self, time: GpsTime) -> float:
         return self._bias_meters
+
+    def predict_block(
+        self, weeks: np.ndarray, seconds_of_week: np.ndarray
+    ) -> np.ndarray:
+        return np.full(len(weeks), self._bias_meters)
 
     @property
     def is_ready(self) -> bool:

@@ -333,12 +333,7 @@ class PositioningEngine:
         if biases is not None:
             return biases
         if self._predictor is not None:
-            return np.array(
-                [
-                    self._predictor.predict_bias_meters(block.time(i))
-                    for i in range(len(block))
-                ]
-            )
+            return self._predictor.predict_block(block.weeks, block.seconds_of_week)
         return np.zeros(len(block))
 
     def _solve_block(

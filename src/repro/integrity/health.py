@@ -41,14 +41,21 @@ identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from collections import deque
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.telemetry import get_registry
 
 #: The four externally visible per-satellite states.
 HEALTH_STATES: Tuple[str, ...] = ("healthy", "suspect", "quarantined", "probation")
+
+#: :meth:`SatelliteHealthTracker.record_block`'s ``excluded`` lane: a
+#: row that passed with nothing excluded, and a row with no usable
+#: verdict (satellite identities are never negative).
+CLEAN, UNJUDGED = -1, -2
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,12 @@ class SatelliteHealthTracker:
         keeps at least ``min_satellites`` satellites.
         """
         self._epoch += 1
+        return self._ban(prns, len(prns))
+
+    def _ban(self, prns: Iterable[int], count: int) -> Tuple[int, ...]:
+        """The bans of the epoch just admitted: ``count`` satellites,
+        among them ``prns``, which name at least every quarantined one
+        (in slot order)."""
         candidates = []
         for prn in prns:
             record = self._records.get(prn)
@@ -189,13 +202,73 @@ class SatelliteHealthTracker:
         # Admission floor: keep the epoch solvable and testable.  The
         # most-struck satellites stay excluded; the tie-break on PRN
         # keeps trimming deterministic.
-        budget = len(prns) - self._config.min_satellites
+        budget = count - self._config.min_satellites
         if budget <= 0:
             return ()
         if len(candidates) > budget:
             candidates.sort(key=lambda prn: (-self._records[prn].strikes, prn))
             candidates = candidates[:budget]
         return tuple(sorted(candidates))
+
+    def admit_block(
+        self, keys: np.ndarray, counts: np.ndarray
+    ) -> Dict[int, Tuple[int, ...]]:
+        """:meth:`admit` for every row of a padded block, in row order.
+
+        Row ``i`` names ``keys[i, :counts[i]]``; the tracker advances
+        one epoch per row, and the result maps each row that has bans
+        to what :meth:`admit` would have returned for it.  Admission
+        only touches quarantined satellites, and none is quarantined
+        here, so a row naming no currently quarantined satellite just
+        advances the clock: with no quarantine active the pass is
+        O(tracked satellites), and otherwise only the quarantined
+        members of a row are looked at.
+        """
+        quarantined = [
+            prn for prn, record in self._records.items() if record.quarantined
+        ]
+        start = self._epoch
+        banned_rows: Dict[int, Tuple[int, ...]] = {}
+        if quarantined:
+            widths = counts.tolist()
+            for row, members in _members(keys, counts, quarantined).items():
+                self._epoch = start + row + 1
+                banned = self._ban(members, widths[row])
+                if banned:
+                    banned_rows[row] = banned
+        self._epoch = start + len(counts)
+        return banned_rows
+
+    def record_block(
+        self, keys: np.ndarray, counts: np.ndarray, excluded: np.ndarray
+    ) -> None:
+        """One flush's FDE verdicts, in row order, at the current epoch.
+
+        ``excluded`` holds per row the satellite a ``repaired`` verdict
+        excluded, :data:`CLEAN` for a ``passed`` row and
+        :data:`UNJUDGED` for a row without a usable verdict.  Row by
+        row this is :meth:`record_exclusion` of the excluded satellite
+        (if any) then :meth:`record_clean` of the row's other
+        satellites.  Only probation satellites gain from a clean epoch
+        and none enters probation outside admission, so with no
+        probation active only the repaired rows are visited, and
+        otherwise those plus the probation members of the other rows.
+        """
+        probation = [
+            prn for prn, record in self._records.items() if record.probation_left > 0
+        ]
+        repaired = np.flatnonzero(excluded >= 0).tolist()
+        excluded_list = excluded.tolist()
+        if not probation:
+            for row in repaired:
+                self.record_exclusion(excluded_list[row])
+            return
+        served = _members(keys, np.where(excluded != UNJUDGED, counts, 0), probation)
+        for row in sorted(served.keys() | set(repaired)):
+            prn = excluded_list[row]
+            if prn >= 0:
+                self.record_exclusion(prn)
+            self.record_clean(key for key in served.get(row, ()) if key != prn)
 
     # ------------------------------------------------------------------
     def record_exclusion(self, prn: int) -> None:
@@ -318,3 +391,16 @@ class SatelliteHealthTracker:
         horizon = self._epoch - self._config.window_epochs
         while record.exclusion_epochs and record.exclusion_epochs[0] <= horizon:
             record.exclusion_epochs.popleft()
+
+
+def _members(
+    keys: np.ndarray, counts: np.ndarray, prns: Sequence[int]
+) -> Dict[int, List[int]]:
+    """Row → the members of ``prns`` among ``keys[row, :counts[row]]``,
+    in slot order; rows with none are left out."""
+    hits = np.isin(keys, prns) & (np.arange(keys.shape[1]) < counts[:, None])
+    rows, slots = np.nonzero(hits)
+    members: Dict[int, List[int]] = {}
+    for row, key in zip(rows.tolist(), keys[rows, slots].tolist()):
+        members.setdefault(row, []).append(key)
+    return members

@@ -347,8 +347,9 @@ class Cn0DropMonitor(StreamingMonitor):
     signal — a step down (then up) in C/N0 no elevation change
     explains.  Satellites are matched to the previous epoch by
     ``(system, prn)`` identity; the common case of a stable
-    constellation compares lanes elementwise, and rows whose satellite
-    set changed fall back to a keyed match.
+    constellation compares lanes elementwise, and the rows whose
+    satellite set changed are matched by key in one vectorized pass
+    (an ``(R, m, m')`` key-equality cube), never row by row.
     """
 
     name = "cn0_drop"
@@ -364,63 +365,76 @@ class Cn0DropMonitor(StreamingMonitor):
         self._last_keys = None
         self._last_cn0 = None
 
-    @staticmethod
-    def _keyed_drop(
-        drops: np.ndarray,
-        row: int,
-        keys: np.ndarray,
-        cn0: np.ndarray,
-        prev_keys: np.ndarray,
-        prev_cn0: np.ndarray,
-    ) -> None:
-        """Slow path: match the previous epoch's satellites by key."""
-        lookup = {
-            int(k): float(prev_cn0[j]) for j, k in enumerate(prev_keys) if k >= 0
-        }
-        for j, k in enumerate(keys[row]):
-            if k >= 0 and int(k) in lookup:
-                drops[row, j] = lookup[int(k)] - cn0[row, j]
-
     def observe(self, ctx: StreamContext) -> MonitorOutput:
+        drops = self.drops(ctx)
+        flagged = drops > self.drop_db
+        return MonitorOutput(
+            breach=flagged.any(axis=1),
+            statistic=_masked_max(drops),
+            threshold=np.full(len(ctx), self.drop_db),
+            flagged=flagged,
+        )
+
+    def drops(self, ctx: StreamContext) -> np.ndarray:
+        """``(N, m)`` C/N0 fall of every slot's satellite since the
+        previous epoch (NaN where it was not in view), advancing the
+        carried state."""
         n, width = len(ctx), ctx.width
         drops = np.full((n, width), np.nan)
         keys, cn0 = ctx.keys, ctx.cn0
         if n and width:
+            # Row i diffs against row i-1, row 0 against the carried
+            # previous epoch, so batch boundaries cannot change the
+            # verdict.  Rows whose satellite set is unchanged compare
+            # lanes elementwise (the hot path: plain slice arithmetic);
+            # the others are matched by key all at once.
+            changed = np.zeros(n, dtype=bool)
             if self._last_keys is not None:
-                # Row 0 diffs against the carried previous epoch — by
-                # lane when the satellite set is unchanged, by key
-                # otherwise, exactly as a mid-call transition would, so
-                # batch boundaries cannot change the verdict.
                 if self._last_keys.shape[0] == width and bool(
                     (self._last_keys == keys[0]).all()
                 ):
                     drops[0] = self._last_cn0 - cn0[0]
                 else:
-                    self._keyed_drop(
-                        drops, 0, keys, cn0, self._last_keys, self._last_cn0
-                    )
+                    changed[0] = True
             if n > 1:
                 aligned = (keys[1:] == keys[:-1]).all(axis=1)
                 if aligned.all():
-                    # Stable constellation (the hot path): plain slice
-                    # arithmetic, no gather.
                     drops[1:] = cn0[:-1] - cn0[1:]
                 else:
                     rows = np.flatnonzero(aligned) + 1
                     drops[rows] = cn0[rows - 1] - cn0[rows]
-                    for row in np.flatnonzero(~aligned) + 1:
-                        self._keyed_drop(
-                            drops, row, keys, cn0, keys[row - 1], cn0[row - 1]
-                        )
+                    changed[1:] = ~aligned
+            if changed.any():
+                self._keyed_drops(drops, np.flatnonzero(changed), keys, cn0)
             self._last_keys = keys[-1].copy()
             self._last_cn0 = cn0[-1].copy()
-        flagged = drops > self.drop_db
-        return MonitorOutput(
-            breach=flagged.any(axis=1),
-            statistic=_masked_max(drops),
-            threshold=np.full(n, self.drop_db),
-            flagged=flagged,
-        )
+        return drops
+
+    def _keyed_drops(
+        self, drops: np.ndarray, rows: np.ndarray, keys: np.ndarray, cn0: np.ndarray
+    ) -> None:
+        """Match ``rows``' satellites to their previous epochs' by key.
+
+        One ``(R, m, m')`` key-equality cube over every changed row:
+        a slot takes the drop from the previous epoch's slot with its
+        key, the last one when the key repeats; padding (``-1``) never
+        matches, and NaN C/N0 propagates into the drop.
+        """
+        width = keys.shape[1]
+        carried = 0 if rows[0] else len(self._last_keys)
+        previous_keys = np.full((len(rows), max(width, carried)), -1)
+        previous_cn0 = np.full(previous_keys.shape, np.nan)
+        later = rows > 0
+        previous_keys[later, :width] = keys[rows[later] - 1]
+        previous_cn0[later, :width] = cn0[rows[later] - 1]
+        if carried:
+            previous_keys[0, :carried] = self._last_keys
+            previous_cn0[0, :carried] = self._last_cn0
+        match = keys[rows][:, :, np.newaxis] == previous_keys[:, np.newaxis, :]
+        match &= previous_keys[:, np.newaxis, :] >= 0
+        hit, slot = np.nonzero(match.any(axis=2))
+        last = match.shape[2] - 1 - match[hit, slot, ::-1].argmax(axis=1)
+        drops[rows[hit], slot] = previous_cn0[hit, last] - cn0[rows[hit], slot]
 
 
 class Cn0ConsistencyMonitor(StreamingMonitor):

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks import PackedStream, pack_stream
+from repro.blocks import EpochBlock, PackedStream, pack_stream
 from repro.constellation.systems import system_index
 from repro.engine import PositioningEngine
 from repro.errors import EstimationError, ReproError
@@ -64,7 +64,7 @@ from repro.integrity.fde import STATUS_PASSED as FDE_PASSED
 from repro.integrity.fde import STATUS_REPAIRED as FDE_REPAIRED
 from repro.integrity.fde import STATUS_UNUSABLE as FDE_UNUSABLE
 from repro.integrity.fde import FdeRecord
-from repro.integrity.health import SatelliteHealthTracker
+from repro.integrity.health import CLEAN, UNJUDGED, SatelliteHealthTracker
 from repro.integrity.monitors import (
     MonitorRecord,
     MonitorSuite,
@@ -84,6 +84,7 @@ from repro.service.types import (
     ResultBlock,
 )
 from repro.telemetry import get_registry
+from repro.telemetry.recorder import block_payload, epoch_payload
 
 #: The error text of a row the batch screen kept out of the solve
 #: when nothing more specific is known.
@@ -114,7 +115,8 @@ class BatchMeta:
     that side retains epoch objects.  ``counts`` holds each flush
     row's satellite count when the batched kernel answered, ``-1`` for
     rows the screen kept out of it (the lineage a trace reports next
-    to the row's flush position).
+    to the row's flush position).  ``block`` is the post-admission
+    block the batched kernel solved (see :meth:`capture`).
     """
 
     rung: str  # "batch" (engine answered) or "scalar" (ladder ran)
@@ -122,6 +124,20 @@ class BatchMeta:
     stage_seconds: Optional[Dict[str, float]] = None
     counts: Optional[np.ndarray] = None
     resolved_biases: Optional[np.ndarray] = None
+    block: Optional[EpochBlock] = None
+
+    def capture(self, index: int) -> Dict:
+        """Row ``index``'s epoch as the flight recorder captures it.
+
+        A row the batched kernel solved is read off :attr:`block`'s
+        lanes (:func:`~repro.telemetry.recorder.block_payload`); a row
+        screened out of the solve, whose block row may differ from its
+        epoch, is walked from its epoch object.  The JSON is the same
+        bytes either way.
+        """
+        if self.block is not None and int(self.counts[index]) >= 0:
+            return block_payload(self.block, index)
+        return epoch_payload(self.epochs[index])
 
     def bias(self, index: int) -> Optional[float]:
         """The clock bias the solve consumed for row ``index``."""
@@ -251,25 +267,19 @@ class BatchExecutor:
     ) -> Tuple[PackedStream, Optional[List[ObservationEpoch]]]:
         """Circuit breaker: pre-exclude quarantined satellites.
 
-        One :meth:`~repro.integrity.health.SatelliteHealthTracker.admit`
-        tick per block row, in stream order; the tracker's admission
-        floor guarantees a trimmed row stays solvable and RAIM-testable.
-        Only when the tracker trims does anything get rebuilt: the
-        block drops the banned slots (:meth:`~repro.blocks.EpochBlock.
-        compact`, so a row the validating constructors would reject
-        keeps its place and its verdict), and the caller's epoch
-        objects, when there are any, drop the same observations.
+        One :meth:`~repro.integrity.health.SatelliteHealthTracker.
+        admit_block` pass over the block: the tracker ticks once per
+        row, in stream order, and its admission floor guarantees a
+        trimmed row stays solvable and RAIM-testable.  Only when the
+        tracker trims does anything get rebuilt: the block drops the
+        banned slots (:meth:`~repro.blocks.EpochBlock.compact`, so a
+        row the validating constructors would reject keeps its place
+        and its verdict), and the caller's epoch objects, when there
+        are any, drop the same observations.
         """
         block = packed.block
-        admit = self._tracker.admit
         keys = block.satellite_keys
-        banned_rows: Dict[int, Tuple[int, ...]] = {}
-        for row, (row_keys, count) in enumerate(
-            zip(keys.tolist(), block.counts.tolist())
-        ):
-            banned = admit(row_keys[:count])
-            if banned:
-                banned_rows[row] = banned
+        banned_rows = self._tracker.admit_block(keys, block.counts)
         if not banned_rows:
             return packed, epochs
         keep = block.occupied.copy()
@@ -289,8 +299,10 @@ class BatchExecutor:
     def _observe_verdicts(
         self, packed: PackedStream, verdicts: np.ndarray, fde: FdeRecord
     ) -> None:
-        """Feed one flush's FDE verdicts to telemetry and, row by row
-        in stream order, to the health tracker (by satellite key)."""
+        """Feed one flush's FDE verdicts to telemetry and, in one
+        :meth:`~repro.integrity.health.SatelliteHealthTracker.
+        record_block` pass in stream order, to the health tracker (by
+        satellite key)."""
         metrics = self._telemetry()
         if metrics is not None:
             checked = verdicts[verdicts >= 0]
@@ -298,18 +310,13 @@ class BatchExecutor:
         tracker = self._tracker
         if tracker is None:
             return
-        excluded_keys = fde.excluded_prns * 4 + fde.excluded_systems
-        for keys, count, code, excluded in zip(
-            packed.block.satellite_keys.tolist(),
-            packed.block.counts.tolist(),
-            verdicts.tolist(),
-            excluded_keys.tolist(),
-        ):
-            if code == FDE_REPAIRED:
-                tracker.record_exclusion(excluded)
-                tracker.record_clean(key for key in keys[:count] if key != excluded)
-            elif code == FDE_PASSED:
-                tracker.record_clean(keys[:count])
+        block = packed.block
+        excluded = np.where(
+            verdicts == FDE_REPAIRED,
+            fde.excluded_prns * 4 + fde.excluded_systems,
+            np.where(verdicts == FDE_PASSED, CLEAN, UNJUDGED),
+        )
+        tracker.record_block(block.satellite_keys, block.counts, excluded)
         tracker.publish()
 
     # -- execution ----------------------------------------------------
@@ -386,6 +393,7 @@ class BatchExecutor:
             stage_seconds=stream.stage_seconds,
             counts=np.where(block.status == STATUS_INVALID, -1, packed.block.counts),
             resolved_biases=stream.clock_biases,
+            block=packed.block,
         )
 
     # -- shared internals ----------------------------------------------
@@ -479,7 +487,11 @@ class BatchExecutor:
     def _override_array(
         self, packed: PackedStream, biases: np.ndarray
     ) -> np.ndarray:
-        """NaN-padded overrides resolved against the config predictor."""
+        """NaN-padded overrides resolved against the config predictor.
+
+        An unpackable row has no time to predict at; it is screened out
+        of the solve, so its entry stays NaN.
+        """
         resolved = np.array(biases, dtype=float)
         missing = ~np.isfinite(resolved)
         if missing.any():
@@ -487,10 +499,11 @@ class BatchExecutor:
             if predictor is None:
                 resolved[missing] = 0.0
             else:
-                for row in np.flatnonzero(missing):
-                    resolved[row] = predictor.predict_bias_meters(
-                        packed.block.time(int(row))
-                    )
+                block = packed.block
+                missing &= np.isfinite(block.seconds_of_week)
+                resolved[missing] = predictor.predict_block(
+                    block.weeks[missing], block.seconds_of_week[missing]
+                )
         return resolved
 
     @staticmethod

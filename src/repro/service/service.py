@@ -777,7 +777,11 @@ class PositioningService:
                 )
             # The captured epoch is the expensive part; only triggered
             # records (the ones that can dump) carry it.
-            epoch_dict = epoch_payload(epoch)
+            epoch_dict = (
+                meta.capture(index)
+                if meta is not None and index is not None
+                else epoch_payload(epoch)
+            )
             solver_spec = {
                 "algorithm": self._engine.algorithm,
                 "clock_bias_meters": resolved_bias,

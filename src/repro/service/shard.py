@@ -529,7 +529,8 @@ def worker_main(
                     time.sleep(3600)
             packed, biases = read_request(arrays, slot, sequence)
             try:
-                block, _meta = executor.execute_packed(packed, biases)
+                # The meta is dropped at once: its block views the slab.
+                block = executor.execute_packed(packed, biases)[0]
             except Exception as exc:  # one poison batch must not kill the worker
                 error = f"internal dispatch error: {exc}"
                 block = ResultBlock.empty(len(packed), STATUS_FAILED).with_errors(

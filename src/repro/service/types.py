@@ -415,8 +415,26 @@ class ResultBlock:
         ``wait_seconds`` runs from its ``enqueued_at`` to
         ``dispatched_at``.  Each lane is converted to Python values
         once per call, never per row.
+
+        The block is validated once, as a whole, with the checks
+        :class:`ServiceResult`'s constructor makes per row: the
+        position lane must be ``(count, 3)`` (converted to float once)
+        and every status code must index :data:`RESULT_STATUSES` (no
+        negative code wraps around); either failure raises
+        :class:`~repro.errors.ConfigurationError`.  The rows are then
+        built without re-checking each one, and compare, print, pickle
+        and ``to_dict()`` exactly like constructor-built results.
         """
         count = len(self)
+        positions = np.asarray(self.positions, dtype=float)
+        if positions.shape != (count, 3):
+            raise ConfigurationError("result position must be a 3-vector")
+        bad = (self.status < 0) | (self.status >= len(RESULT_STATUSES))
+        if bad.any():
+            raise ConfigurationError(
+                f"status must be one of {'/'.join(RESULT_STATUSES)}, "
+                f"got code {int(self.status[np.argmax(bad)])}"
+            )
         solvers = [algorithm + suffix for suffix in SOLVER_SUFFIXES]
         monitors: List[Optional[EpochMonitorVerdict]] = [None] * count
         if self.monitors is not None:
@@ -435,35 +453,72 @@ class ResultBlock:
         biases, statistics, thresholds = (
             lane.tolist() for lane in (self.biases, self.statistics, self.thresholds)
         )
+        if enqueued_at is None:
+            enqueued_at = [None] * count
+        if traces is None:
+            traces = [None] * count
+        error_texts = self.error_texts
         results: List[ServiceResult] = []
-        for row, position in enumerate(self.positions):
+        for row, position in enumerate(positions):
             ok = status[row] == STATUS_OK
             code = verdict[row]
-            enqueued = None if enqueued_at is None else enqueued_at[row]
+            enqueued = enqueued_at[row]
             results.append(
-                ServiceResult(
-                    RESULT_STATUSES[status[row]],
-                    position if ok else None,
-                    biases[row] if ok and math.isfinite(biases[row]) else None,
-                    solvers[solver[row]] if ok else None,
-                    self.error_texts[errors[row]] if errors[row] >= 0 else None,
-                    None,
-                    batch_size,
-                    0.0 if enqueued is None else max(0.0, dispatched_at - enqueued),
-                    solve_seconds,
-                    EpochVerdict(
-                        VERDICT_NAMES[code],
-                        statistics[row],
-                        thresholds[row],
-                        prns[row] if prns[row] >= 0 else None,
-                    )
-                    if code >= 0
-                    else None,
-                    enqueued,
-                    dispatched_at,
-                    completed_at,
-                    None if traces is None else traces[row],
-                    monitors[row],
+                _trusted(
+                    ServiceResult,
+                    {
+                        "status": RESULT_STATUSES[status[row]],
+                        "position": position if ok else None,
+                        "clock_bias_meters": (
+                            biases[row] if ok and math.isfinite(biases[row]) else None
+                        ),
+                        "solver": solvers[solver[row]] if ok else None,
+                        "error": (
+                            error_texts[errors[row]] if errors[row] >= 0 else None
+                        ),
+                        "retry_after_seconds": None,
+                        "batch_size": batch_size,
+                        "wait_seconds": (
+                            0.0
+                            if enqueued is None
+                            else max(0.0, dispatched_at - enqueued)
+                        ),
+                        "solve_seconds": solve_seconds,
+                        "integrity": (
+                            _trusted(
+                                EpochVerdict,
+                                {
+                                    "status": VERDICT_NAMES[code],
+                                    "test_statistic": statistics[row],
+                                    "threshold": thresholds[row],
+                                    "excluded_prn": (
+                                        prns[row] if prns[row] >= 0 else None
+                                    ),
+                                },
+                            )
+                            if code >= 0
+                            else None
+                        ),
+                        "enqueued_at": enqueued,
+                        "dispatched_at": dispatched_at,
+                        "completed_at": completed_at,
+                        "trace": traces[row],
+                        "monitor": monitors[row],
+                    },
                 )
             )
         return results
+
+
+def _trusted(cls, fields: Dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``
+    (every field, in declaration order), bypassing its constructor.
+
+    Only for values already validated in bulk: the instance is the
+    one ``cls(**fields)`` would build — its ``__dict__`` is the same
+    mapping in the same order — so ``==``, ``repr``, pickling and
+    :func:`dataclasses.replace` cannot tell them apart.
+    """
+    instance = object.__new__(cls)
+    object.__setattr__(instance, "__dict__", fields)
+    return instance

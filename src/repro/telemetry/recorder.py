@@ -39,6 +39,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.constellation.systems import SYSTEM_CODES
 from repro.errors import ConfigurationError
 from repro.telemetry.trace import TraceContext, format_request_id
 
@@ -119,23 +120,48 @@ def epoch_payload(epoch) -> Dict:
 
     ``repr``-roundtrip-exact: json serializes Python floats at full
     precision, so the replayed epoch is bit-identical to the captured
-    one.
+    one.  Each lane of the epoch's dense arrays converts with one
+    ``tolist()``.
     """
     positions, pseudoranges, prns, system_ids = epoch.dense()
+    return _payload(
+        int(epoch.time.week),
+        float(epoch.time.seconds_of_week),
+        prns,
+        pseudoranges,
+        positions,
+        system_ids,
+    )
+
+
+def block_payload(block, row: int) -> Dict:
+    """:func:`epoch_payload` of the epoch packed into ``block`` row
+    ``row``, read straight off the block's lanes (the same dict, so the
+    same JSON bytes), without walking any observation objects."""
+    count = int(block.counts[row])
+    return _payload(
+        int(block.weeks[row]),
+        float(block.seconds_of_week[row]),
+        block.prns[row, :count],
+        block.pseudoranges[row, :count],
+        block.positions[row, :count],
+        block.systems[row, :count],
+    )
+
+
+def _payload(week, seconds_of_week, prns, pseudoranges, positions, system_ids):
     payload = {
-        "week": int(epoch.time.week),
-        "seconds_of_week": float(epoch.time.seconds_of_week),
-        "prns": [int(p) for p in prns],
-        "pseudoranges": [float(r) for r in pseudoranges],
-        "positions": [[float(c) for c in row] for row in positions],
+        "week": week,
+        "seconds_of_week": seconds_of_week,
+        "prns": prns.tolist(),
+        "pseudoranges": pseudoranges.tolist(),
+        "positions": positions.tolist(),
     }
     # The systems lane is recorded only when a non-GPS satellite is
     # present: all-GPS payloads (and their digests) stay byte-identical
     # to what earlier recorder versions captured.
-    if any(int(s) for s in system_ids):
-        from repro.constellation.systems import system_code
-
-        payload["systems"] = [system_code(int(s)) for s in system_ids]
+    if system_ids.any():
+        payload["systems"] = [SYSTEM_CODES[s] for s in system_ids.tolist()]
     return payload
 
 

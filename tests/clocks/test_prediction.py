@@ -1,8 +1,11 @@
 """Unit tests for clock bias predictors."""
 
+import numpy as np
 import pytest
 
 from repro.clocks import (
+    ConstantClockBiasPredictor,
+    KalmanClockBiasPredictor,
     LinearClockBiasPredictor,
     OracleClockBiasPredictor,
     SteeringClock,
@@ -189,3 +192,45 @@ class TestReanchor:
         predictor.reanchor(EPOCH, 10.0)
         predictor.reanchor(EPOCH + 1.0, 11.0)
         assert predictor.is_ready
+
+
+def _trained(predictor, clock):
+    for i in range(40):
+        t = EPOCH + 10.0 * i
+        predictor.observe(t, SPEED_OF_LIGHT * clock.bias_seconds(t))
+    return predictor
+
+
+class TestPredictBlock:
+    """A flush's bias lane equals the per-row predictions exactly."""
+
+    CLOCK = ThresholdClock(
+        epoch=EPOCH, initial_offset_seconds=2e-4, drift=4e-7, threshold_seconds=1e-3
+    )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ZeroClockBiasPredictor,
+            lambda: ConstantClockBiasPredictor(-37.125),
+            lambda: OracleClockBiasPredictor(TestPredictBlock.CLOCK),
+            lambda: _trained(LinearClockBiasPredictor(), TestPredictBlock.CLOCK),
+            lambda: _trained(
+                LinearClockBiasPredictor(mode="threshold"), TestPredictBlock.CLOCK
+            ),
+            lambda: _trained(KalmanClockBiasPredictor(), TestPredictBlock.CLOCK),
+        ],
+        ids=["zero", "constant", "oracle", "linear", "linear-threshold", "kalman"],
+    )
+    def test_block_equals_per_row(self, build):
+        predictor = build()
+        times = [EPOCH + 17.5 * i for i in range(9)] + [
+            GpsTime(week=1541, seconds_of_week=604799.5)
+        ]
+        weeks = np.array([t.week for t in times], dtype=np.int64)
+        seconds = np.array([t.seconds_of_week for t in times])
+        block = predictor.predict_block(weeks, seconds)
+        per_row = np.array([predictor.predict_bias_meters(t) for t in times])
+        assert block.dtype == np.float64 and block.shape == (len(times),)
+        assert block.tobytes() == per_row.tobytes()
+        assert predictor.predict_block(weeks[:0], seconds[:0]).shape == (0,)

@@ -129,7 +129,8 @@ class TestArtifacts:
             )
         ).run()
         (path,) = report.artifact_paths
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.load(handle)
         assert payload["status"] == "explained"
         assert payload["fault"]["name"] == "spike"
         assert payload["scenario_config"] == ScenarioConfig().to_dict()
@@ -144,7 +145,8 @@ class TestArtifacts:
             )
         ).run()
         for path in report.artifact_paths:
-            recorded = json.loads(open(path).read())
+            with open(path) as handle:
+                recorded = json.load(handle)
             result = replay_artifact(path)
             assert result.seed == recorded["seed"]
             assert result.status == recorded["status"]

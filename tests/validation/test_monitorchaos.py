@@ -1,6 +1,7 @@
 """Tests for the spoof chaos campaign (``repro-gps fuzz --spoof``)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ from repro.validation.monitorchaos import (
     run_monitor_chaos,
 )
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
+
+
+#: ``repro-gps fuzz --spoof --seed 0 --scenarios 400 --spoof-out``;
+#: the monitor-chaos-smoke CI job compares its own output against it
+#: with ``cmp``.
+GOLDEN = (
+    Path(__file__).parents[1] / "integrity" / "data" / "spoof-chaos-verdict.json"
+)
 
 
 def small_config(**overrides):
@@ -257,3 +266,10 @@ class TestSpoofCli:
         code = main(["fuzz", "--spoof", "--fde"])
         assert code == 1
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestGoldenVerdict:
+    def test_seed_0_population_reproduces_the_golden_byte_for_byte(self):
+        report = run_monitor_chaos(MonitorChaosConfig(scenarios=400, start_seed=0))
+        written = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        assert written == GOLDEN.read_text()
