@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence
 
 from repro.engine import PositioningEngine
 from repro.errors import ServiceError
@@ -55,19 +55,13 @@ from repro.integrity.health import SatelliteHealthTracker
 from repro.observations import ObservationEpoch
 from repro.service.batcher import Flush, MicroBatcher
 from repro.service.executor import BatchExecutor, BatchMeta
-from repro.service.types import ServiceConfig, ServiceResult
+from repro.service.types import ResultBlock, ServiceConfig, ServiceResult
 from repro.telemetry import get_registry, get_tracer
 from repro.telemetry.recorder import (
-    TRIGGER_DEADLINE_MISS,
-    TRIGGER_DEGRADED,
-    TRIGGER_FDE_EXCLUSION,
-    TRIGGER_FDE_UNREPAIRED,
-    TRIGGER_MONITOR,
-    FixRecord,
     FlightRecorder,
+    FlushEntry,
+    RecordSpec,
     config_hash,
-    epoch_payload,
-    now_seconds,
 )
 from repro.telemetry.slo import SloTracker
 from repro.telemetry.trace import (
@@ -100,28 +94,8 @@ _LATENCY_BUCKETS = (
 )
 
 
-def _anomaly_trigger(result: ServiceResult) -> Optional[str]:
-    """The flight-recorder trigger ``result`` raises, or ``None``.
-
-    In order of precedence: a deadline miss, a degraded solver rung
-    ("dlg/scalar", "dlg/nr-fallback"), an FDE exclusion or unrepaired
-    verdict, a raised signal-plausibility verdict.  A triggered fix
-    builds its record (and dump) eagerly; everything else defers
-    construction to the recorder's read paths.
-    """
-    if result.status == "timeout":
-        return TRIGGER_DEADLINE_MISS
-    if result.solver is not None and "/" in result.solver:
-        return TRIGGER_DEGRADED
-    integrity = result.integrity
-    if integrity is not None:
-        if integrity.status == "repaired":
-            return TRIGGER_FDE_EXCLUSION
-        if integrity.status == "unusable":
-            return TRIGGER_FDE_UNREPAIRED
-    if result.monitor is not None:
-        return TRIGGER_MONITOR
-    return None
+#: The error of a request whose deadline expired before its dispatch.
+_QUEUED_TIMEOUT = "deadline expired while queued"
 
 
 @dataclass
@@ -253,25 +227,24 @@ class PositioningService:
         self._slo = (
             SloTracker(self._config.slo) if self._config.slo is not None else None
         )
-        # Fallback record ids for trace-off recording ("fix-<n>").
-        self._fix_sequence = 0
-        # Shared solver spec for untriggered fix records: only
-        # triggered records are replayable (they capture the epoch), so
-        # only they pay for a per-request spec with the resolved bias.
-        self._base_solver_spec = {
-            "algorithm": solver_config.algorithm,
-            "clock_bias_meters": solver_config.clock_bias_meters,
-        }
-        self._fde_spec = (
+        fde_spec = (
             self._config.integrity.to_dict()
             if self._config.integrity is not None
             else None
         )
-        self._config_hash = config_hash(
-            {"algorithm": self._config.solver.algorithm},
-            self._fde_spec,
-            nr_fallback=self._config.nr_fallback,
-            max_batch_size=self._config.max_batch_size,
+        self._record_spec = RecordSpec(
+            algorithm=self._engine.algorithm,
+            config_hash=config_hash(
+                {"algorithm": solver_config.algorithm},
+                fde_spec,
+                nr_fallback=self._config.nr_fallback,
+                max_batch_size=self._config.max_batch_size,
+            ),
+            solver_spec={
+                "algorithm": solver_config.algorithm,
+                "clock_bias_meters": solver_config.clock_bias_meters,
+            },
+            fde_spec=fde_spec,
         )
 
     def _telemetry_handles(self) -> Optional[_MetricHandles]:
@@ -483,7 +456,10 @@ class PositioningService:
 
         # Screen out requests nobody is waiting for anymore.
         live: List[_PendingRequest] = []
-        for request in flush.items:
+        rows: List[int] = []
+        stale: List[int] = []
+        stale_traces = []
+        for row, request in enumerate(flush.items):
             if request.future.cancelled():
                 self._finish(
                     request,
@@ -493,13 +469,29 @@ class PositioningService:
                 )
             elif request.deadline is not None and now >= request.deadline:
                 result = self._screened_result(
-                    "timeout", "deadline expired while queued", request, now, flush
+                    "timeout", _QUEUED_TIMEOUT, request, now, flush
                 )
                 self._finish(request, result, handles, now)
-                if self._recorder is not None:
-                    self._record_fix(request, result, request.epoch, None, flush)
+                stale.append(row)
+                stale_traces.append(result.trace)
             else:
                 live.append(request)
+                rows.append(row)
+        if stale and self._recorder is not None:
+            # Their own entry, retained before the solve: these rows
+            # have no part in the flush's result block.
+            requests = [flush.items[row] for row in stale]
+            self._record(
+                ResultBlock.empty(len(stale)).expire(
+                    range(len(stale)), _QUEUED_TIMEOUT
+                ),
+                BatchMeta(rung="screened", epochs=[r.epoch for r in requests]),
+                flush,
+                stale,
+                stale_traces if self._config.trace else None,
+                [r.bias_meters for r in requests],
+                0,
+            )
         if not live:
             return
 
@@ -512,9 +504,9 @@ class PositioningService:
             algorithm=self._engine.algorithm,
         ):
             # The process-agnostic core shard workers run too.
+            biases = [request.bias_meters for request in live]
             block, meta = self._executor.execute(
-                [request.epoch for request in live],
-                [request.bias_meters for request in live],
+                [request.epoch for request in live], biases
             )
         solve_seconds = loop.time() - solve_started
 
@@ -586,32 +578,6 @@ class PositioningService:
                 else None
                 for index, request in enumerate(live)
             ]
-        # Per-flush flight-recorder constants (stamp, shared attributes
-        # and stage split), hoisted off the per-request path.
-        recording = self._recorder is not None
-        if recording:
-            record_stamp = now_seconds()
-            record_stages = meta.stage_seconds if meta.stage_seconds else {}
-            record_attributes = {
-                "batch_sequence": flush.sequence,
-                "batch_size": batch_size,
-                "flush_reason": flush.reason,
-                "rung": meta.rung,
-            }
-            # The shared half of every lazy flush entry (see
-            # FlightRecorder.record_flush): uneventful fixes ride the
-            # ring as tuples over these constants plus the live
-            # result/epoch, and only anomalies build a FixRecord here.
-            record_shared = (
-                record_stamp,
-                self._config_hash,
-                record_attributes,
-                record_stages,
-                self._base_solver_spec,
-                self._fde_spec,
-            )
-            record_entries: List = []
-            record_triggered: List[FixRecord] = []
         slo = self._slo
         observing = handles is not None or slo is not None
         statuses: List[str] = []
@@ -625,11 +591,11 @@ class PositioningService:
             enqueued_at=[request.submitted_at for request in live],
             traces=traces,
         )
-        for index, (request, result) in enumerate(zip(live, results)):
+        for request, result in zip(live, results):
             # Resolve the caller's future inline; the metric, SLO, and
             # flight-recorder accounting for the whole flush is batched
             # after the loop (one counter increment per status, one
-            # histogram lock, one recorder pass — not one each per
+            # histogram lock, one recorder entry — not one each per
             # request).
             future = request.future
             if not future.done():
@@ -642,41 +608,6 @@ class PositioningService:
             if observing:
                 statuses.append(effective)
                 latencies.append(resolved_at - request.submitted_at)
-            if recording:
-                trigger = _anomaly_trigger(result)
-                if trigger is not None:
-                    record = self._build_fix_record(
-                        request,
-                        result,
-                        trigger,
-                        meta.epochs[index],
-                        meta,
-                        flush,
-                        index,
-                        record_stamp,
-                        record_attributes,
-                        record_stages,
-                    )
-                    record_entries.append(record)
-                    record_triggered.append(record)
-                else:
-                    # The entry carries the record-relevant *fields*,
-                    # not the result: retaining whole results in the
-                    # ring makes their (cold) deallocation a recorder
-                    # cost a few flushes later.
-                    record_entries.append(
-                        (
-                            record_shared,
-                            request.trace,
-                            result.status,
-                            result.solver,
-                            result.error,
-                            result.integrity,
-                            result.trace,
-                            meta.epochs[index],
-                            index,
-                        )
-                    )
         if observing:
             if handles is not None:
                 for effective, count in Counter(statuses).items():
@@ -684,8 +615,37 @@ class PositioningService:
                 handles.latency.observe_many(latencies)
             if slo is not None:
                 slo.observe_batch(statuses, latencies)
-        if recording:
-            self._recorder.record_flush(record_entries, record_triggered)
+        if self._recorder is not None:
+            self._record(block, meta, flush, rows, traces, biases, batch_size)
+
+    def _record(
+        self,
+        block: ResultBlock,
+        meta: BatchMeta,
+        flush: Flush,
+        rows: List[int],
+        traces: Optional[List[Optional[RequestTrace]]],
+        biases: Sequence[Optional[float]],
+        batch_size: int,
+    ) -> None:
+        """Retain ``block``'s rows (``rows`` of ``flush``) in the
+        flight recorder as one entry."""
+        self._recorder.record_flush(
+            FlushEntry(
+                block,
+                meta,
+                rows,
+                traces,
+                biases,
+                {
+                    "batch_sequence": flush.sequence,
+                    "batch_size": batch_size,
+                    "flush_reason": flush.reason,
+                    "rung": meta.rung,
+                },
+                self._record_spec,
+            )
+        )
 
     def _screened_result(
         self,
@@ -716,127 +676,3 @@ class PositioningService:
             completed_at=now,
             trace=trace,
         )
-
-    def _record_fix(
-        self,
-        request: _PendingRequest,
-        result: ServiceResult,
-        epoch: ObservationEpoch,
-        meta: Optional[BatchMeta],
-        flush: Flush,
-    ) -> None:
-        """Retain one screened-out fix in the flight recorder."""
-        self._recorder.record(
-            self._build_fix_record(
-                request, result, _anomaly_trigger(result), epoch, meta, flush
-            )
-        )
-
-    def _build_fix_record(
-        self,
-        request: _PendingRequest,
-        result: ServiceResult,
-        trigger: Optional[str],
-        epoch: ObservationEpoch,
-        meta: Optional[BatchMeta],
-        flush: Flush,
-        index: Optional[int] = None,
-        recorded_at: Optional[float] = None,
-        attributes: Optional[Dict] = None,
-        stages: Optional[Dict[str, float]] = None,
-    ) -> FixRecord:
-        """The flight-recorder record for one served fix.
-
-        ``trigger`` is the result's :func:`_anomaly_trigger`.
-        ``recorded_at``/``attributes``/``stages`` are supplied per
-        flush by ``_dispatch`` so the per-request work here stays at
-        one :class:`FixRecord` construction; only triggered records —
-        the replayable ones — pay for the epoch capture and the
-        resolved per-request solver spec.
-        """
-        verdict_dict = (
-            result.integrity.to_dict() if result.integrity is not None else None
-        )
-        monitor_dict = (
-            result.monitor.to_dict() if result.monitor is not None else None
-        )
-        if trigger is None:
-            epoch_dict = None
-            solver_spec = self._base_solver_spec
-        else:
-            resolved_bias = (
-                meta.bias(index)
-                if meta is not None and index is not None
-                else None
-            )
-            if resolved_bias is None:
-                resolved_bias = (
-                    result.clock_bias_meters
-                    if result.clock_bias_meters is not None
-                    else request.bias_meters
-                )
-            # The captured epoch is the expensive part; only triggered
-            # records (the ones that can dump) carry it.
-            epoch_dict = (
-                meta.capture(index)
-                if meta is not None and index is not None
-                else epoch_payload(epoch)
-            )
-            solver_spec = {
-                "algorithm": self._engine.algorithm,
-                "clock_bias_meters": resolved_bias,
-            }
-        if attributes is None:
-            attributes = {
-                "batch_sequence": flush.sequence,
-                "batch_size": result.batch_size,
-                "flush_reason": flush.reason,
-                "rung": meta.rung if meta is not None else "screened",
-            }
-        # The materialized context (ids resolve lazily from it inside
-        # FixRecord).  request.trace is just a number; the trace on the
-        # result — built whenever tracing is armed — owns the lazy
-        # materialization, and this path only runs for triggered or
-        # screened fixes, never per uneventful request.
-        context = result.trace.context if result.trace is not None else None
-        self._fix_sequence += 1
-        # Positional FixRecord construction (parameter order matches
-        # recorder.FixRecord.__init__): keyword passing of 17 fields is
-        # measurable at once-per-served-fix rates.  stage_seconds is
-        # shared with every record of the flush and never mutated; the
-        # digest hashes lazily off epoch_ref, and when a trace context
-        # exists the id *strings* resolve lazily from it at read time.
-        return FixRecord(
-            (
-                None
-                if context is not None
-                else f"fix-{self._fix_sequence}"
-            ),  # request_id: lazy via context when traced
-            result.status,
-            result.solver or "",
-            recorded_at if recorded_at is not None else now_seconds(),
-            self._config_hash,
-            "",  # inputs_digest: lazy, via epoch_ref
-            None if context is not None else "",  # trace_id: lazy
-            trigger,
-            (
-                stages
-                if stages is not None
-                else (
-                    meta.stage_seconds
-                    if meta is not None and meta.stage_seconds
-                    else {}
-                )
-            ),
-            verdict_dict,
-            result.error,
-            epoch_dict,
-            solver_spec,
-            self._fde_spec,
-            result.trace,
-            attributes,
-            epoch,  # epoch_ref
-            context,
-            monitor_dict,
-        )
-

@@ -23,6 +23,8 @@ import numpy as np
 from repro.api import BATCH_ALGORITHMS, SolverConfig
 from repro.errors import ConfigurationError
 from repro.integrity.fde import STATUS_NAMES as VERDICT_NAMES
+from repro.integrity.fde import STATUS_REPAIRED as VERDICT_REPAIRED
+from repro.integrity.fde import STATUS_UNUSABLE as VERDICT_UNUSABLE
 from repro.integrity.fde import EpochVerdict, FdeConfig
 from repro.integrity.health import HealthConfig
 from repro.integrity.monitors import (
@@ -31,7 +33,15 @@ from repro.integrity.monitors import (
     MonitorConfig,
     MonitorRecord,
 )
-from repro.telemetry.recorder import RecorderConfig
+from repro.telemetry.recorder import (
+    TRIGGER_DEADLINE_MISS,
+    TRIGGER_DEGRADED,
+    TRIGGER_FDE_EXCLUSION,
+    TRIGGER_FDE_UNREPAIRED,
+    TRIGGER_MONITOR,
+    TRIGGERS,
+    RecorderConfig,
+)
 from repro.telemetry.slo import SloConfig
 from repro.telemetry.trace import RequestTrace
 
@@ -106,10 +116,11 @@ class ServiceConfig:
     recorder:
         Arm the anomaly flight recorder with this
         :class:`~repro.telemetry.recorder.RecorderConfig`: the service
-        retains a ring of compact per-fix records and dumps replayable
-        incident artifacts on FDE exclusions/unrepaired faults,
-        degradation-ladder fallbacks, and deadline misses.  ``None``
-        (default) records nothing.
+        retains its last ``capacity`` fixes, one ring entry per flush,
+        and dumps replayable incident artifacts on FDE
+        exclusions/unrepaired faults, degradation-ladder fallbacks,
+        deadline misses and monitor alerts.  ``None`` (default) records
+        nothing.
     slo:
         Arm the SLO engine with this
         :class:`~repro.telemetry.slo.SloConfig`: windowed latency
@@ -395,6 +406,29 @@ class ResultBlock:
             error_texts=self.error_texts + (error,),
             monitors=monitors,
         )
+
+    def triggers(self) -> np.ndarray:
+        """Each row's flight-recorder trigger as an index into
+        :data:`~repro.telemetry.recorder.TRIGGERS`, :data:`ABSENT` for
+        an uneventful row.
+
+        In order of precedence: a ``timeout`` row is a deadline miss,
+        an ``ok`` row the scalar or NR rung answered is degraded, a
+        ``repaired`` / ``unusable`` verdict is an FDE exclusion /
+        unrepaired fault, and a raised monitor severity is an alert.
+        """
+        # Lowest precedence first: each later assignment overrides.
+        codes = np.full(len(self), ABSENT, dtype=np.int8)
+        if self.monitors is not None:
+            codes[self.monitors.severities != SEVERITY_NOMINAL] = TRIGGERS.index(
+                TRIGGER_MONITOR
+            )
+        codes[self.verdict == VERDICT_UNUSABLE] = TRIGGERS.index(TRIGGER_FDE_UNREPAIRED)
+        codes[self.verdict == VERDICT_REPAIRED] = TRIGGERS.index(TRIGGER_FDE_EXCLUSION)
+        degraded = (self.solver == SOLVER_SCALAR) | (self.solver == SOLVER_NR_FALLBACK)
+        codes[degraded & (self.status == STATUS_OK)] = TRIGGERS.index(TRIGGER_DEGRADED)
+        codes[self.status == STATUS_TIMEOUT] = TRIGGERS.index(TRIGGER_DEADLINE_MISS)
+        return codes
 
     def results(
         self,

@@ -80,14 +80,9 @@ from repro.telemetry.recorder import (
     TRIGGERS,
     FixRecord,
     FlightRecorder,
-    NullRecorder,
-    NULL_RECORDER,
     RecorderConfig,
-    get_recorder,
-    install_recorder,
     replay_incident,
     solve_captured,
-    uninstall_recorder,
 )
 from repro.telemetry.slo import (
     QuantileSketch,
@@ -147,7 +142,7 @@ def _reinit_after_fork() -> None:
 
     A forked worker inherits the parent's installed registry/tracer
     (its metrics would silently diverge from the parent's scrape), the
-    active flight recorder, the trace id prefix and request counter
+    trace id prefix and request counter
     (its ids would *collide* with the parent's), and the facade's
     one-slot solver cache (whose predictor state is mid-stream).  None
     of these are meaningful across the fork boundary, so the child
@@ -161,10 +156,8 @@ def _reinit_after_fork() -> None:
     global _active_registry, _active_tracer
     _active_registry = NULL_REGISTRY
     _active_tracer = NULL_TRACER
-    from repro.telemetry import recorder as _recorder_module
     from repro.telemetry import trace as _trace_module
 
-    _recorder_module._active_recorder = NULL_RECORDER
     _trace_module.reset_trace_identity()
     # The api facade may not be imported (telemetry has no dependency
     # on it); reset its solver cache only if it already exists.
@@ -231,11 +224,6 @@ __all__ = [
     "RecorderConfig",
     "FixRecord",
     "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "get_recorder",
-    "install_recorder",
-    "uninstall_recorder",
     "replay_incident",
     "solve_captured",
     # SLO engine

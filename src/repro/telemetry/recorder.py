@@ -1,12 +1,16 @@
 """The anomaly flight recorder: bounded capture, replayable dumps.
 
-A :class:`FlightRecorder` keeps the last N fixes as compact
-:class:`FixRecord` entries (inputs digest, config hash, stage timings,
-verdicts — no arrays beyond one epoch's observations) in a ring
-buffer, and when a fix carries a **trigger** — an FDE exclusion or
-unrepaired fault, a degradation-ladder fallback, a deadline miss, a
-monitor alert — it dumps a self-contained JSON **incident artifact**
-to disk.
+A :class:`FlightRecorder` keeps the last N fixes in a ring buffer and,
+when a fix carries a **trigger** — an FDE exclusion or unrepaired
+fault, a degradation-ladder fallback, a deadline miss, a monitor
+alert — dumps a self-contained JSON **incident artifact** to disk.
+
+The ring holds one :class:`FlushEntry` per flush: the flush's answers
+as the service already has them (its result block, batch metadata and
+request traces), with each row's trigger read off the block's lanes in
+one pass.  A compact :class:`FixRecord` (inputs digest, config hash,
+stage timings, verdicts) is built from an entry's row only when
+something reads the ring or a triggered row is dumped.
 
 The artifact speaks the validation subsystem's replay protocol: it
 records a ``status``/``kind``/``detail`` verdict computed by
@@ -18,12 +22,6 @@ failing fuzz seed — and a mismatch localizes what a code change
 altered.  (Wall-clock circumstances — the queue wait that missed a
 deadline — are recorded as context but are not part of the replayed
 verdict; physics and verdict logic are.)
-
-Like the registry and tracer, the recorder has an installed-state
-seam for library-level hooks: :func:`get_recorder` returns the active
-recorder and defaults to a shared no-op — an unarmed hook pays one
-attribute check.  The service builds and owns its own
-instance instead (per-service ring, no global state).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,7 +39,6 @@ import numpy as np
 
 from repro.constellation.systems import SYSTEM_CODES
 from repro.errors import ConfigurationError
-from repro.telemetry.trace import TraceContext, format_request_id
 
 #: The incident artifact format marker dispatched on by
 #: :func:`repro.validation.fuzzer.replay_artifact`.
@@ -233,6 +230,7 @@ def config_hash(
     return _digest({"solver": dict(solver_spec), "fde": fde_spec, **extra})
 
 
+@dataclass(frozen=True)
 class FixRecord:
     """One fix's compact flight-record entry.
 
@@ -240,134 +238,28 @@ class FixRecord:
     is ``None`` for uneventful fixes and one of :data:`TRIGGERS` for
     anomalies.  ``epoch`` is the captured observation payload
     (:func:`epoch_payload`) — the one part big enough to matter, and
-    the part that makes the record replayable.
-
-    Hot-path construction happens once per served fix, so this is a
-    plain ``__slots__`` class (dataclass construction is measurable at
-    the service's per-request budget) and the inputs digest is lazy:
-    pass the live epoch object as ``epoch_ref`` and :attr:`digest`
-    hashes it on first read (snapshot, dump, inspect) instead of on
-    the serving path.  Treat instances as immutable.
+    the part that makes the record replayable; only triggered records
+    carry it.  ``trace`` is a dict, or any object with ``to_dict()``
+    (a :class:`~repro.telemetry.trace.RequestTrace`).
     """
 
-    __slots__ = (
-        "_request_id",
-        "status",
-        "solver",
-        "recorded_at",
-        "config_hash",
-        "inputs_digest",
-        "_trace_id",
-        "trigger",
-        "stage_seconds",
-        "verdict",
-        "error",
-        "epoch",
-        "solver_spec",
-        "fde_spec",
-        "trace",
-        "attributes",
-        "epoch_ref",
-        "context",
-        "monitor",
-    )
-
-    def __init__(
-        self,
-        request_id: Optional[str],
-        status: str,
-        solver: str,
-        recorded_at: float,
-        config_hash: str,
-        inputs_digest: str = "",
-        trace_id: Optional[str] = "",
-        trigger: Optional[str] = None,
-        stage_seconds: Optional[Dict[str, float]] = None,
-        verdict: Optional[Dict] = None,
-        error: Optional[str] = None,
-        epoch: Optional[Dict] = None,
-        solver_spec: Optional[Dict] = None,
-        fde_spec: Optional[Dict] = None,
-        trace: Optional[object] = None,
-        attributes: Optional[Dict] = None,
-        epoch_ref: Optional[object] = None,
-        context: Optional[object] = None,
-        monitor: Optional[Dict] = None,
-    ) -> None:
-        self._request_id = request_id
-        self.status = status
-        self.solver = solver
-        self.recorded_at = recorded_at
-        self.config_hash = config_hash
-        self.inputs_digest = inputs_digest
-        self._trace_id = trace_id
-        self.trigger = trigger
-        self.stage_seconds = {} if stage_seconds is None else stage_seconds
-        self.verdict = verdict
-        self.error = error
-        self.epoch = epoch
-        self.solver_spec = {} if solver_spec is None else solver_spec
-        self.fde_spec = fde_spec
-        # A dict, or any object with to_dict() (e.g. a RequestTrace) —
-        # serialized lazily so the serving path never renders span
-        # trees.
-        self.trace = trace
-        self.attributes = {} if attributes is None else attributes
-        # Live epoch for lazy digesting; never serialized (the
-        # replayable form is `epoch`, captured only for triggered
-        # records).
-        self.epoch_ref = epoch_ref
-        # TraceContext for lazy id resolution; when request_id/trace_id
-        # are None the strings format here on first read instead of on
-        # the serving path.
-        self.context = context
-        # The signal-plausibility verdict dict, set only when a monitor
-        # raised on this fix (nominal epochs carry None).
-        self.monitor = monitor
-
-    @property
-    def request_id(self) -> str:
-        value = self._request_id
-        if value is None:
-            context = self.context
-            value = context.request_id if context is not None else ""
-            self._request_id = value
-        return value
-
-    @property
-    def trace_id(self) -> str:
-        value = self._trace_id
-        if value is None:
-            context = self.context
-            value = context.trace_id if context is not None else ""
-            self._trace_id = value
-        return value
-
-    def __repr__(self) -> str:
-        return (
-            f"FixRecord(request_id={self.request_id!r}, "
-            f"status={self.status!r}, solver={self.solver!r}, "
-            f"trigger={self.trigger!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FixRecord)
-            and self.to_dict() == other.to_dict()
-        )
-
-    __hash__ = None  # mutable digest cache inside; not hashable
-
-    @property
-    def digest(self) -> str:
-        """The inputs digest, hashed from ``epoch_ref`` on first read."""
-        if self.inputs_digest:
-            return self.inputs_digest
-        if self.epoch_ref is not None:
-            value = epoch_digest(self.epoch_ref)
-            self.inputs_digest = value
-            return value
-        return ""
+    request_id: str
+    status: str
+    solver: str
+    recorded_at: float
+    config_hash: str
+    inputs_digest: str = ""
+    trace_id: str = ""
+    trigger: Optional[str] = None
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    verdict: Optional[Dict] = None
+    error: Optional[str] = None
+    epoch: Optional[Dict] = None
+    solver_spec: Dict = field(default_factory=dict)
+    fde_spec: Optional[Dict] = None
+    trace: Optional[object] = None
+    attributes: Dict = field(default_factory=dict)
+    monitor: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -377,7 +269,7 @@ class FixRecord:
             "solver": self.solver,
             "trigger": self.trigger,
             "recorded_at": self.recorded_at,
-            "inputs_digest": self.digest,
+            "inputs_digest": self.inputs_digest,
             "config_hash": self.config_hash,
             "stage_seconds": dict(self.stage_seconds),
             "verdict": self.verdict,
@@ -393,6 +285,139 @@ class FixRecord:
             "attributes": dict(self.attributes),
             "monitor": self.monitor,
         }
+
+
+@dataclass(frozen=True)
+class RecordSpec:
+    """The half of every record that is fixed per service.
+
+    ``solver_spec`` is what an uneventful record names; a triggered,
+    replayable record names ``algorithm`` (the engine's) with the clock
+    bias its solve consumed.
+    """
+
+    algorithm: str
+    config_hash: str
+    solver_spec: Dict
+    fde_spec: Optional[Dict] = None
+
+
+class FlushEntry:
+    """One flush's fixes as the flight recorder's ring holds them.
+
+    Everything here exists once the flush is answered: its
+    :class:`~repro.service.types.ResultBlock` and
+    :class:`~repro.service.executor.BatchMeta` (neither changes after
+    the flush), each row's request trace (``traces`` is ``None`` when
+    tracing is off), clock-bias override and position in the flush
+    (``rows``, which names untraced records ``fix-<sequence>-<row>``),
+    and the ``attributes`` every record of the flush shares.  Serving
+    builds nothing per row: :meth:`records` is the one place a
+    :class:`FixRecord` is built, when the ring is read or a triggered
+    row is dumped.
+    """
+
+    __slots__ = (
+        "block",
+        "meta",
+        "rows",
+        "traces",
+        "biases",
+        "attributes",
+        "spec",
+        "recorded_at",
+        "_triggers",
+    )
+
+    def __init__(
+        self,
+        block,
+        meta,
+        rows: Sequence[int],
+        traces: Optional[Sequence],
+        biases: Sequence[Optional[float]],
+        attributes: Dict,
+        spec: RecordSpec,
+    ) -> None:
+        self.block = block
+        self.meta = meta
+        self.rows = rows
+        self.traces = traces
+        self.biases = biases
+        self.attributes = attributes
+        self.spec = spec
+        self.recorded_at = now_seconds()
+        self._triggers: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def triggers(self) -> np.ndarray:
+        """Each row's trigger as an index into :data:`TRIGGERS`
+        (negative: none), read off the block's lanes on first use."""
+        if self._triggers is None:
+            self._triggers = self.block.triggers()
+        return self._triggers
+
+    def request_id(self, row: int) -> str:
+        """Row ``row``'s record id, without building the record."""
+        if self.traces is not None:
+            return self.traces[row].request_id
+        return f"fix-{self.attributes['batch_sequence']}-{self.rows[row]}"
+
+    def records(self, start: int = 0) -> List[FixRecord]:
+        """The records of rows ``start`` onward, in row order.
+
+        A triggered row's record captures its epoch and names the
+        clock bias its solve consumed — the one the batched solve
+        resolved, else the fix's own, else the request's override.
+        """
+        meta, spec = self.meta, self.spec
+        results = self.block.results(spec.algorithm, len(self), traces=self.traces)
+        triggers = self.triggers.tolist()
+        stages = meta.stage_seconds or {}
+        records = []
+        for row in range(start, len(self)):
+            result = results[row]
+            if triggers[row] < 0:
+                trigger, epoch, solver_spec = None, None, spec.solver_spec
+            else:
+                bias = meta.bias(row)
+                if bias is None:
+                    bias = (
+                        result.clock_bias_meters
+                        if result.clock_bias_meters is not None
+                        else self.biases[row]
+                    )
+                trigger, epoch = TRIGGERS[triggers[row]], meta.capture(row)
+                solver_spec = {"algorithm": spec.algorithm, "clock_bias_meters": bias}
+            records.append(
+                FixRecord(
+                    request_id=self.request_id(row),
+                    status=result.status,
+                    solver=result.solver or "",
+                    recorded_at=self.recorded_at,
+                    config_hash=spec.config_hash,
+                    inputs_digest=epoch_digest(meta.epochs[row]),
+                    trace_id=(
+                        "" if result.trace is None else result.trace.context.trace_id
+                    ),
+                    trigger=trigger,
+                    stage_seconds=stages,
+                    verdict=(
+                        None if result.integrity is None else result.integrity.to_dict()
+                    ),
+                    error=result.error,
+                    epoch=epoch,
+                    solver_spec=solver_spec,
+                    fde_spec=spec.fde_spec,
+                    trace=result.trace,
+                    attributes=self.attributes,
+                    monitor=None if result.monitor is None else result.monitor.to_dict(),
+                )
+            )
+        return records
 
 
 # -- deterministic replay ----------------------------------------------
@@ -470,7 +495,7 @@ def build_incident_payload(record: FixRecord) -> Dict:
     return {
         "format": INCIDENT_FORMAT,
         # Replay-protocol fields (compared by `repro-gps fuzz --replay`):
-        "seed": int((record.digest or "0")[:8], 16),
+        "seed": int((record.inputs_digest or "0")[:8], 16),
         "status": status,
         "kind": f"incident:{record.trigger}",
         "detail": list(detail),
@@ -503,86 +528,26 @@ def replay_incident(payload: Mapping):
     )
 
 
-def _entry_request_id(entry) -> str:
-    """A lazy flush entry's request id, without materializing it."""
-    shared = entry[0]
-    context = entry[1]
-    if context is not None:
-        # The service stores a bare request number per entry; format
-        # the id directly rather than materializing a context for it.
-        if type(context) is int:
-            return format_request_id(context)
-        return context.request_id
-    return f"fix-{shared[2].get('batch_sequence', 0)}-{entry[8]}"
-
-
-def _materialize_entry(entry) -> FixRecord:
-    """Build the :class:`FixRecord` a lazy flush entry stands for."""
-    if type(entry) is FixRecord:
-        return entry
-    (
-        shared,
-        context,
-        status,
-        solver,
-        error,
-        integrity,
-        trace,
-        epoch,
-        index,
-    ) = entry
-    recorded_at, cfg_hash, attributes, stages, solver_spec, fde_spec = shared
-    if type(context) is int:
-        # Materialize the number the service stored: through the
-        # request's trace when one rode along (it carries the
-        # deadline), directly otherwise.
-        context = (
-            trace.context
-            if trace is not None
-            else TraceContext.from_number(context)
-        )
-    return FixRecord(
-        (
-            None
-            if context is not None
-            else f"fix-{attributes.get('batch_sequence', 0)}-{index}"
-        ),
-        status,
-        solver or "",
-        recorded_at,
-        cfg_hash,
-        "",  # inputs_digest: lazy, via epoch_ref
-        None if context is not None else "",
-        None,  # lazy entries are untriggered by construction
-        stages,
-        integrity.to_dict() if integrity is not None else None,
-        error,
-        None,  # no captured epoch payload for uneventful fixes
-        solver_spec,
-        fde_spec,
-        trace,
-        attributes,
-        epoch,  # epoch_ref
-        context,
-    )
-
-
 # -- the recorder -------------------------------------------------------
 class FlightRecorder:
-    """Bounded per-fix capture with triggered incident dumps."""
+    """Bounded per-flush capture with triggered incident dumps.
 
-    enabled = True
+    The ring holds :class:`FlushEntry`\\ s but is bounded by *fixes*:
+    it keeps the newest ``capacity`` rows, so its oldest entry may be
+    partly evicted.
+    """
 
     def __init__(self, config: Optional[RecorderConfig] = None) -> None:
         self._config = config if config is not None else RecorderConfig()
-        self._ring: Deque[FixRecord] = deque(maxlen=self._config.capacity)
+        self._ring: Deque[FlushEntry] = deque()
+        # Rows of the entries in the ring, evicted rows of the oldest
+        # included.
+        self._held = 0
         self._dump_paths: List[str] = []
         self._dump_failures = 0
         self._lock = threading.Lock()
-        # Per-registry cached counter children; record() runs once per
-        # served fix, so the name->metric->child lookups are hoisted
-        # out of the hot path (invalidated when the installed registry
-        # changes, e.g. across tests).
+        # Per-registry cached counter children (rebound when the
+        # installed registry changes, e.g. across tests).
         self._handles_registry: Optional[object] = None
         self._fixes_untriggered = None
         self._fixes_triggered = None
@@ -608,127 +573,58 @@ class FlightRecorder:
         with self._lock:
             return tuple(self._dump_paths)
 
-    def record(self, record: FixRecord) -> Optional[str]:
-        """Retain one fix; dump it if triggered.  Returns the artifact
-        path when a dump was written."""
-        # Lock-free hot path: deque.append is atomic under the GIL and
-        # the config fields are immutable, so the only state needing
-        # the lock (dump bookkeeping) lives on the triggered branch.
-        self._ring.append(record)
-        registry = _get_registry()
-        if registry.enabled:
-            if registry is not self._handles_registry:
-                self._bind_fix_counters(registry)
-            if record.trigger is not None:
-                self._fixes_triggered.inc()
-            else:
-                self._fixes_untriggered.inc()
-        if record.trigger is None:
-            return None
-        return self._maybe_dump(record, registry)
-
-    def record_batch(self, records: Sequence[FixRecord]) -> List[str]:
-        """Retain one flush's fixes; dump the triggered ones.
-
-        The serving path resolves a whole batch at once, so the counter
-        arithmetic runs once per flush (two increments) instead of once
-        per fix.  Returns the artifact paths written, in record order.
-        """
-        ring_append = self._ring.append
-        triggered: Optional[List[FixRecord]] = None
-        for record in records:
-            ring_append(record)
-            if record.trigger is not None:
-                if triggered is None:
-                    triggered = [record]
-                else:
-                    triggered.append(record)
-        registry = _get_registry()
-        if registry.enabled:
-            if registry is not self._handles_registry:
-                self._bind_fix_counters(registry)
-            n_triggered = 0 if triggered is None else len(triggered)
-            if n_triggered:
-                self._fixes_triggered.inc(n_triggered)
-            if len(records) > n_triggered:
-                self._fixes_untriggered.inc(len(records) - n_triggered)
-        if triggered is None:
-            return []
-        paths = []
-        for record in triggered:
-            path = self._maybe_dump(record, registry)
-            if path is not None:
-                paths.append(path)
-        return paths
-
-    def record_flush(
-        self, entries: Sequence, triggered: Sequence[FixRecord]
-    ) -> List[str]:
-        """Retain one flush, mostly as *lazy* entries.
-
-        ``entries`` is the flush in request order: uneventful fixes as
-        ``(shared, context, status, solver, error, integrity, trace,
-        epoch, index)`` tuples over values the dispatch loop already
-        holds (``context`` may be a bare request *number* — the
-        service's cheapest identity — a :class:`TraceContext`, or
-        ``None``), anomalies as eager :class:`FixRecord` instances
-        (``triggered`` lists exactly those).  A lazy entry materializes
-        into a record on first read (:meth:`find`, :meth:`records`,
-        :meth:`snapshot`), so the serving path pays one tuple per fix
-        and one C-level ring extend per flush.  Deliberately *not*
-        retained: the ``ServiceResult`` itself.  An entry holds the
-        five scalar-ish fields a record needs, so the bulky result
-        graph (position array, per-request timing) dies with the
-        caller while still cache-hot — a ring that pins the last N
-        result graphs pays their deallocation a few flushes later,
-        against cold memory, which measures as the recorder's largest
-        hot-path cost.
-        """
-        self._ring.extend(entries)
+    def record_flush(self, entry: FlushEntry) -> List[str]:
+        """Retain one flush; dump its triggered rows the dump policy
+        allows.  Returns the artifact paths written, in row order."""
+        with self._lock:
+            self._ring.append(entry)
+            self._held += len(entry)
+            while self._held - len(self._ring[0]) >= self._config.capacity:
+                self._held -= len(self._ring.popleft())
+        codes = entry.triggers
+        triggered = np.flatnonzero(codes >= 0).tolist()
         registry = _get_registry()
         if registry.enabled:
             if registry is not self._handles_registry:
                 self._bind_fix_counters(registry)
             if triggered:
                 self._fixes_triggered.inc(len(triggered))
-            if len(entries) > len(triggered):
-                self._fixes_untriggered.inc(len(entries) - len(triggered))
-        if not triggered:
+            if len(entry) > len(triggered):
+                self._fixes_untriggered.inc(len(entry) - len(triggered))
+        if self._config.dump_dir is None:
             return []
+        dumping = [
+            row for row in triggered if TRIGGERS[codes[row]] in self._config.triggers
+        ]
+        if not dumping:
+            return []
+        records = entry.records()
         paths = []
-        for record in triggered:
-            path = self._maybe_dump(record, registry)
-            if path is not None:
-                paths.append(path)
+        for row in dumping:
+            with self._lock:
+                if len(self._dump_paths) >= self._config.max_dumps:
+                    break
+            path = self._dump(records[row])
+            if path is None:
+                continue
+            paths.append(path)
+            if registry.enabled:
+                registry.counter(
+                    "repro_recorder_dumps_total",
+                    "Incident artifacts written, by trigger.",
+                    labels=("trigger",),
+                ).labels(trigger=records[row].trigger).inc()
         return paths
 
-    def _maybe_dump(self, record: FixRecord, registry) -> Optional[str]:
-        """Write the incident artifact for a triggered record, if the
-        dump policy allows one."""
-        if (
-            record.trigger not in self._config.triggers
-            or record.epoch is None
-            or self._config.dump_dir is None
-        ):
-            return None
-        with self._lock:
-            if len(self._dump_paths) >= self._config.max_dumps:
-                return None
-        path = self._dump(record)
-        if path is not None and registry.enabled:
-            registry.counter(
-                "repro_recorder_dumps_total",
-                "Incident artifacts written, by trigger.",
-                labels=("trigger",),
-            ).labels(trigger=record.trigger).inc()
-        return path
+    #: Alias of :meth:`record_flush`.
+    record = record_flush
 
     def _dump(self, record: FixRecord) -> Optional[str]:
         try:
             payload = build_incident_payload(record)
             directory = Path(self._config.dump_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            name = f"incident-{record.trigger}-{record.request_id or record.digest}.json"
+            name = f"incident-{record.trigger}-{record.request_id or record.inputs_digest}.json"
             path = directory / name
             path.write_text(json.dumps(payload, indent=2, sort_keys=True))
         except Exception:
@@ -742,32 +638,37 @@ class FlightRecorder:
         return str(path)
 
     # -- inspection ----------------------------------------------------
+    def _retained(self) -> Tuple[List[FlushEntry], int]:
+        """The ring's entries, oldest first, and how many leading rows
+        of the oldest were evicted."""
+        with self._lock:
+            return list(self._ring), max(0, self._held - self._config.capacity)
+
     def records(self, last: Optional[int] = None) -> List[FixRecord]:
         """The most recent ``last`` records (all, oldest-first, when
         ``None``)."""
-        with self._lock:
-            items = list(self._ring)
-        if last is not None:
-            items = items[-last:]
-        return [_materialize_entry(entry) for entry in items]
+        entries, evicted = self._retained()
+        records: List[FixRecord] = []
+        for entry in entries:
+            records.extend(entry.records(evicted))
+            evicted = 0
+        return records if last is None else records[-last:]
 
     def find(self, request_id: str) -> Optional[FixRecord]:
         """The retained record for ``request_id`` (newest wins)."""
-        with self._lock:
-            for entry in reversed(self._ring):
-                if type(entry) is FixRecord:
-                    if entry.request_id == request_id:
-                        return entry
-                elif _entry_request_id(entry) == request_id:
-                    return _materialize_entry(entry)
+        entries, evicted = self._retained()
+        for index in range(len(entries) - 1, -1, -1):
+            entry = entries[index]
+            first = evicted if index == 0 else 0
+            for row in range(len(entry) - 1, first - 1, -1):
+                if entry.request_id(row) == request_id:
+                    return entry.records(row)[0]
         return None
 
     def snapshot(self) -> Dict:
         """JSON-ready view (the ``/records`` endpoint, inspect)."""
+        records = [record.to_dict() for record in self.records()]
         with self._lock:
-            records = [
-                _materialize_entry(entry).to_dict() for entry in self._ring
-            ]
             dumps = list(self._dump_paths)
             failures = self._dump_failures
         return {
@@ -782,49 +683,6 @@ class FlightRecorder:
             "dump_failures": failures,
             "records": records,
         }
-
-
-class NullRecorder:
-    """The no-op recorder installed by default: one attribute check."""
-
-    enabled = False
-
-    def record(self, record) -> None:
-        return None
-
-    def records(self, last: Optional[int] = None) -> List:
-        return []
-
-    def find(self, request_id: str) -> None:
-        return None
-
-    def snapshot(self) -> Dict:
-        return {"capacity": 0, "retained": 0, "dump_dir": None,
-                "dumps": [], "dump_failures": 0, "records": []}
-
-
-NULL_RECORDER = NullRecorder()
-
-_active_recorder = NULL_RECORDER
-
-
-def get_recorder():
-    """The process-wide recorder library hooks report to (no-op by
-    default)."""
-    return _active_recorder
-
-
-def install_recorder(recorder: Optional[FlightRecorder] = None) -> FlightRecorder:
-    """Install a recorder process-wide and return it."""
-    global _active_recorder
-    _active_recorder = recorder if recorder is not None else FlightRecorder()
-    return _active_recorder
-
-
-def uninstall_recorder() -> None:
-    """Back to the no-op recorder."""
-    global _active_recorder
-    _active_recorder = NULL_RECORDER
 
 
 def now_seconds() -> float:

@@ -5,7 +5,9 @@ constructor's per-row checks; here every row must come out the result
 the public constructor builds from the same lanes — equal, with the
 same ``repr``, ``to_dict()``, pickle bytes and ``dataclasses.replace``
 — and a block the per-row checks would have refused is still refused
-with a :class:`~repro.errors.ConfigurationError`.
+with a :class:`~repro.errors.ConfigurationError`.  The block's
+flight-recorder triggers must name, row for row, what the per-result
+trigger rule says of the rows it builds.
 """
 
 import json
@@ -29,6 +31,14 @@ from repro.service.types import (
     STATUS_OK,
     ResultBlock,
     ServiceResult,
+)
+from repro.telemetry.recorder import (
+    TRIGGER_DEADLINE_MISS,
+    TRIGGER_DEGRADED,
+    TRIGGER_FDE_EXCLUSION,
+    TRIGGER_FDE_UNREPAIRED,
+    TRIGGER_MONITOR,
+    TRIGGERS,
 )
 from repro.telemetry.trace import assemble_request_trace, mint_request_number
 
@@ -223,6 +233,42 @@ def test_rows_match_the_public_constructor(
         block.results("dlg", len(rows), **kwargs),
         reference_results(block, "dlg", len(rows), **kwargs),
     )
+
+
+def reference_trigger(result):
+    """The flight-recorder trigger one result raises, or ``None``: the
+    per-result rule the block's lane pass replaces, in its order of
+    precedence."""
+    if result.status == "timeout":
+        return TRIGGER_DEADLINE_MISS
+    if result.solver is not None and "/" in result.solver:
+        return TRIGGER_DEGRADED
+    integrity = result.integrity
+    if integrity is not None:
+        if integrity.status == "repaired":
+            return TRIGGER_FDE_EXCLUSION
+        if integrity.status == "unusable":
+            return TRIGGER_FDE_UNREPAIRED
+    if result.monitor is not None:
+        return TRIGGER_MONITOR
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(row_strategy, min_size=1, max_size=8),
+    with_monitors=st.booleans(),
+    expired=st.lists(st.integers(0, 7), max_size=3, unique=True),
+)
+def test_triggers_match_the_per_result_rule(rows, with_monitors, expired):
+    block = build_block(rows, with_monitors)
+    expired = [row for row in expired if row < len(rows)]
+    if expired:
+        block = block.expire(expired, "deadline expired mid-batch")
+    codes = block.triggers().tolist()
+    assert [None if code < 0 else TRIGGERS[code] for code in codes] == [
+        reference_trigger(result) for result in block.results("dlg", len(rows))
+    ]
 
 
 def test_every_status_and_solver_reaches_the_rows():

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.api import SolverConfig
 from repro.errors import ConfigurationError, ServiceError
 from repro.observations import ObservationEpoch, SatelliteObservation
@@ -26,6 +27,7 @@ from repro.service import (
     ServiceConfig,
     ServiceResult,
 )
+from repro.telemetry import MetricsRegistry
 from repro.timebase import GpsTime
 
 
@@ -295,6 +297,53 @@ class TestEdgeCases:
         assert result.status == "failed"
         assert result.position is None
         assert result.error  # structured, not an escaped exception
+
+
+class TestInternalDispatchError:
+    def test_executor_exception_fails_its_flush_and_next_flush_is_served(
+        self, make_stream, monkeypatch
+    ):
+        """An executor exception answers every request of its flush
+        ``failed``, counts each once, and leaves the worker serving."""
+        epochs = make_stream(6)
+        service = PositioningService(fast_config(max_batch_size=3))
+        execute = service.executor.execute
+        calls = []
+
+        def poison_first(epochs, biases=None):
+            calls.append(len(epochs))
+            if len(calls) == 1:
+                raise RuntimeError("poison batch")
+            return execute(epochs, biases)
+
+        monkeypatch.setattr(service.executor, "execute", poison_first)
+
+        async def scenario():
+            async with service:
+                first = await asyncio.gather(
+                    *(service.submit(e) for e in epochs[:3])
+                )
+                second = await asyncio.gather(
+                    *(service.submit(e) for e in epochs[3:])
+                )
+                return first, second
+
+        registry = MetricsRegistry()
+        with telemetry.capture(registry):
+            first, second = asyncio.run(scenario())
+        assert calls == [3, 3]
+        for result in first:
+            assert result.status == "failed"
+            assert result.error == "internal dispatch error: poison batch"
+            assert result.batch_size == 3
+        assert [r.status for r in second] == ["ok"] * 3
+        requests = registry.counter(
+            "repro_service_requests_total",
+            "Requests by final status.",
+            labels=("status",),
+        )
+        assert requests.labels(status="failed").value == 3.0
+        assert requests.labels(status="ok").value == 3.0
 
 
 class TestResultShape:

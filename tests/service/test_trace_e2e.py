@@ -175,3 +175,41 @@ class TestAnomalyFlightRecords:
             (CLEAN_REQUESTS + 1) / (CLEAN_REQUESTS + 2)
         )
         assert slo["window_samples"] == CLEAN_REQUESTS + 2
+
+
+class TestUntracedRecordIds:
+    def test_every_untraced_record_is_named_by_flush_row(self, make_epoch):
+        """With tracing off, every record of a flush is
+        ``fix-<sequence>-<row>`` (row: the request's place in the
+        flush), triggered or not, screened or solved."""
+        config = ServiceConfig(
+            solver=SolverConfig(algorithm="dlg", clock_bias_meters=0.0),
+            max_batch_size=64,
+            max_wait_seconds=0.05,
+            integrity=FdeConfig(),
+            recorder=RecorderConfig(),
+        )
+        service = PositioningService(config)
+
+        async def scenario():
+            async with service:
+                await asyncio.gather(
+                    *[
+                        service.submit(
+                            spike(make_epoch(seed=row))
+                            if row == 3
+                            else make_epoch(seed=row)
+                        )
+                        for row in range(6)
+                    ],
+                    service.submit(make_epoch(seed=6), timeout=0.005),
+                )
+
+        asyncio.run(scenario())
+        recorder = service.recorder
+        records = {r.request_id: r for r in recorder.records()}
+        assert sorted(records) == [f"fix-0-{row}" for row in range(7)]
+        assert records["fix-0-3"].trigger == "fde_exclusion"
+        assert records["fix-0-6"].trigger == "deadline_miss"
+        assert recorder.find("fix-0-3").trigger == "fde_exclusion"
+

@@ -1,12 +1,12 @@
 """Fork-safety: module-level mutable state resets in forked children.
 
 The shard tier forks workers from a router that may already be
-warm — registry installed, solver cache primed, request ids minted,
-flight recorder armed.  None of that state is meaningful across the
-fork boundary (and trace ids would *collide* if inherited), so
-``os.register_at_fork`` resets it: the child starts with the no-op
-registry/tracer/recorder, a fresh trace identity, and an empty solver
-cache, while the parent keeps everything.
+warm — registry installed, solver cache primed, request ids minted.
+None of that state is meaningful across the fork boundary (and trace
+ids would *collide* if inherited), so ``os.register_at_fork`` resets
+it: the child starts with the no-op registry/tracer, a fresh trace
+identity, and an empty solver cache, while the parent keeps
+everything.
 
 The real-fork tests run their assertions in the child and report back
 through the exit code (pytest machinery does not cross ``fork``), so
@@ -20,9 +20,7 @@ import pytest
 
 from repro import telemetry
 from repro.api import SolverConfig, solve
-from repro.telemetry import recorder as recorder_module
 from repro.telemetry import trace as trace_module
-from repro.telemetry.recorder import NULL_RECORDER, install_recorder
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.telemetry.trace import mint_request_number, reset_trace_identity
 from repro.validation.scenarios import ScenarioGenerator
@@ -53,21 +51,18 @@ def run_in_fork(child_assertions) -> None:
 def warm_parent():
     """A parent with every piece of process state warmed up."""
     registry, tracer = telemetry.install()
-    recorder = install_recorder()
     epoch = ScenarioGenerator().generate(3).epoch
     fix = solve(epoch, SolverConfig(algorithm="dlg"))  # primes _LAST_BUILT
     minted = [mint_request_number() for _ in range(5)]
     yield {
         "registry": registry,
         "tracer": tracer,
-        "recorder": recorder,
         "epoch": epoch,
         "fix": fix,
         "minted": minted,
         "prefix": trace_module._ID_PREFIX,
     }
     telemetry.uninstall()
-    recorder_module.uninstall_recorder()
     reset_trace_identity()
 
 
@@ -82,7 +77,6 @@ class TestForkReset:
         def child():
             assert telemetry.get_registry() is NULL_REGISTRY
             assert not telemetry.is_enabled()
-            assert recorder_module.get_recorder() is NULL_RECORDER
             # Fresh trace identity: new prefix, counter back at 1.
             assert trace_module._ID_PREFIX != parent_prefix
             assert mint_request_number() == 1
@@ -100,7 +94,6 @@ class TestForkReset:
         run_in_fork(lambda: None)
         # Nothing about the parent moved.
         assert telemetry.get_registry() is warm_parent["registry"]
-        assert recorder_module.get_recorder() is warm_parent["recorder"]
         assert trace_module._ID_PREFIX == warm_parent["prefix"]
         assert api_module._LAST_BUILT[0] is not None
         # The request counter continues where the parent left off.

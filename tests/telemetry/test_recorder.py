@@ -1,5 +1,5 @@
 """Tests for the anomaly flight recorder: ring, triggers, replayable
-dumps, and the lazy flush entries the serving path hands it."""
+dumps, and the per-flush entries the serving path hands it."""
 
 import json
 
@@ -7,11 +7,22 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.integrity.fde import STATUS_REPAIRED
+from repro.service.executor import BatchMeta
+from repro.service.types import (
+    ABSENT,
+    SOLVER_BATCH,
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    ResultBlock,
+)
 from repro.telemetry import (
     FixRecord,
     FlightRecorder,
     MetricsRegistry,
     RecorderConfig,
+    RequestTrace,
     TRIGGERS,
     TraceContext,
     format_request_id,
@@ -19,9 +30,18 @@ from repro.telemetry import (
     replay_incident,
 )
 from repro.telemetry.recorder import (
+    FlushEntry,
+    RecordSpec,
     build_incident_payload,
+    epoch_digest,
     epoch_payload,
     payload_epoch,
+)
+
+SPEC = RecordSpec(
+    algorithm="dlg",
+    config_hash="cfg0",
+    solver_spec={"algorithm": "dlg", "clock_bias_meters": 0.0},
 )
 
 
@@ -39,6 +59,39 @@ def make_record(request_id="r-test-1", trigger=None, epoch=None, **overrides):
     )
     kwargs.update(overrides)
     return FixRecord(**kwargs)
+
+
+def make_entry(
+    epochs, ids=None, sequence=0, status=STATUS_OK, verdict=ABSENT, rows=None
+):
+    """One flush's recorder entry, one row per epoch, shaped like the
+    service's: traced with request ``ids`` (ids or minted numbers) when
+    given, untraced otherwise.  ``status`` and ``verdict`` are codes,
+    one for every row or one per row."""
+    count = len(epochs)
+    block = ResultBlock.empty(count)
+    block.status[:] = status
+    block.solver[block.status == STATUS_OK] = SOLVER_BATCH
+    block.verdict[:] = verdict
+    traces = None
+    if ids is not None:
+        traces = [
+            RequestTrace(
+                TraceContext(f"t-{id_}", id_) if isinstance(id_, str) else id_,
+                0.0,
+                0.0,
+            )
+            for id_ in ids
+        ]
+    return FlushEntry(
+        block,
+        BatchMeta(rung="batch", epochs=list(epochs)),
+        list(range(count)) if rows is None else rows,
+        traces,
+        [0.0] * count,
+        {"batch_sequence": sequence, "batch_size": count},
+        SPEC,
+    )
 
 
 class TestRecorderConfig:
@@ -59,19 +112,11 @@ class TestRecorderConfig:
 
 
 class TestFixRecord:
-    def test_lazy_ids_resolve_from_context(self):
-        context = TraceContext.new(origin="test")
-        record = make_record(request_id=None, trace_id=None, context=context)
-        assert record.request_id == context.request_id
-        assert record.trace_id == context.trace_id
-
-    def test_lazy_digest_hashes_epoch_ref_once(self, make_epoch):
+    def test_record_digests_its_epoch(self, make_epoch):
         epoch = make_epoch()
-        record = make_record(epoch_ref=epoch)
-        assert record.inputs_digest == ""
-        digest = record.digest
-        assert len(digest) == 16
-        assert record.inputs_digest == digest
+        (record,) = make_entry([epoch]).records()
+        assert record.inputs_digest == epoch_digest(epoch)
+        assert len(record.inputs_digest) == 16
 
     def test_to_dict_serializes_trace_object(self, make_epoch):
         trace = telemetry.assemble_request_trace(
@@ -84,25 +129,48 @@ class TestFixRecord:
 
 
 class TestRing:
-    def test_ring_is_bounded_oldest_out(self):
+    def test_ring_is_bounded_oldest_out(self, make_epoch):
         recorder = FlightRecorder(RecorderConfig(capacity=3))
         for i in range(5):
-            recorder.record(make_record(request_id=f"r-{i}"))
+            recorder.record_flush(make_entry([make_epoch()], ids=[f"r-{i}"]))
         assert [r.request_id for r in recorder.records()] == [
             "r-2", "r-3", "r-4",
         ]
 
-    def test_find_newest_wins(self):
+    def test_ring_evicts_by_fix_count_across_flushes(self, make_epoch):
+        recorder = FlightRecorder(RecorderConfig(capacity=5))
+        for sequence in range(4):
+            recorder.record_flush(
+                make_entry([make_epoch()] * 3, sequence=sequence)
+            )
+        # 12 fixes in 3-row flushes: the oldest retained flush is cut
+        # to its newest 2 rows, so exactly `capacity` fixes remain.
+        assert [r.request_id for r in recorder.records()] == [
+            "fix-2-1", "fix-2-2", "fix-3-0", "fix-3-1", "fix-3-2",
+        ]
+        assert recorder.snapshot()["retained"] == 5
+        assert recorder.find("fix-2-0") is None
+        assert recorder.find("fix-2-1").request_id == "fix-2-1"
+
+    def test_flush_larger_than_capacity_keeps_its_newest_rows(self, make_epoch):
+        recorder = FlightRecorder(RecorderConfig(capacity=2))
+        recorder.record_flush(make_entry([make_epoch()] * 5, sequence=7))
+        assert [r.request_id for r in recorder.records()] == ["fix-7-3", "fix-7-4"]
+
+    def test_find_newest_wins(self, make_epoch):
         recorder = FlightRecorder()
-        recorder.record(make_record(request_id="r-dup", status="ok"))
-        recorder.record(make_record(request_id="r-dup", status="failed"))
+        recorder.record_flush(make_entry([make_epoch()], ids=["r-dup"]))
+        recorder.record_flush(
+            make_entry([make_epoch()], ids=["r-dup"], status=STATUS_FAILED)
+        )
         assert recorder.find("r-dup").status == "failed"
         assert recorder.find("r-missing") is None
 
-    def test_records_last_n(self):
+    def test_records_last_n(self, make_epoch):
         recorder = FlightRecorder()
-        for i in range(4):
-            recorder.record(make_record(request_id=f"r-{i}"))
+        recorder.record_flush(
+            make_entry([make_epoch()] * 4, ids=[f"r-{i}" for i in range(4)])
+        )
         assert [r.request_id for r in recorder.records(last=2)] == ["r-2", "r-3"]
 
 
@@ -110,13 +178,13 @@ class TestDumps:
     def test_triggered_record_dumps_replayable_artifact(self, make_epoch, tmp_path):
         epoch = make_epoch()
         recorder = FlightRecorder(RecorderConfig(dump_dir=tmp_path))
-        path = recorder.record(
-            make_record(trigger="fde_exclusion", epoch=epoch_payload(epoch))
+        (path,) = recorder.record_flush(
+            make_entry([epoch], ids=["r-spiked"], verdict=STATUS_REPAIRED)
         )
-        assert path is not None
         payload = json.loads((tmp_path / path.split("/")[-1]).read_text())
         assert payload["format"] == "repro-flight-record-v1"
         assert payload["kind"] == "incident:fde_exclusion"
+        assert payload["record"]["epoch"] == epoch_payload(epoch)
         # The replay guarantee: re-solving the captured epoch on the
         # current code reproduces the recorded status and detail.
         result = replay_incident(payload)
@@ -125,32 +193,27 @@ class TestDumps:
 
     def test_untriggered_record_never_dumps(self, make_epoch, tmp_path):
         recorder = FlightRecorder(RecorderConfig(dump_dir=tmp_path))
-        assert recorder.record(make_record()) is None
+        assert recorder.record_flush(make_entry([make_epoch()])) == []
         assert recorder.dump_paths == ()
 
     def test_max_dumps_caps_artifacts_ring_keeps_all(self, make_epoch, tmp_path):
-        epoch = epoch_payload(make_epoch())
         recorder = FlightRecorder(RecorderConfig(dump_dir=tmp_path, max_dumps=2))
-        for i in range(4):
-            recorder.record(
-                make_record(
-                    request_id=f"r-{i}", trigger="deadline_miss", epoch=epoch
-                )
-            )
+        recorder.record_flush(
+            make_entry([make_epoch()] * 4, status=STATUS_TIMEOUT)
+        )
         assert len(recorder.dump_paths) == 2
         assert len(recorder.records()) == 4
 
     def test_trigger_filter_respected(self, make_epoch, tmp_path):
-        epoch = epoch_payload(make_epoch())
         recorder = FlightRecorder(
             RecorderConfig(dump_dir=tmp_path, triggers=("deadline_miss",))
         )
-        assert recorder.record(
-            make_record(trigger="fde_exclusion", epoch=epoch)
-        ) is None
-        assert recorder.record(
-            make_record(trigger="deadline_miss", epoch=epoch)
-        ) is not None
+        assert recorder.record_flush(
+            make_entry([make_epoch()], verdict=STATUS_REPAIRED)
+        ) == []
+        assert recorder.record_flush(
+            make_entry([make_epoch()], status=STATUS_TIMEOUT)
+        ) != []
 
     def test_incident_payload_requires_captured_epoch(self):
         with pytest.raises(ConfigurationError, match="captured epoch"):
@@ -168,49 +231,35 @@ class TestEpochPayload:
             assert (a.position == b.position).all()
 
 
-def lazy_entry(context, epoch, index=0, batch_sequence=4, status="ok"):
-    """A flush entry shaped like the service's dispatch loop emits."""
-    shared = (
-        123.0,                        # recorded_at
-        "cfg-hash",                   # config hash
-        {"batch_sequence": batch_sequence},  # attributes
-        {"solve": 0.01},              # stage seconds
-        {"algorithm": "dlg", "clock_bias_meters": 0.0},
-        None,                         # fde spec
-    )
-    # status, solver, error, integrity verdict, trace — the record's
-    # per-fix fields, carried instead of the whole ServiceResult.
-    return (shared, context, status, "dlg", None, None, None, epoch, index)
-
-
 class TestLazyFlushEntries:
     def test_find_materializes_lazy_entry(self, make_epoch):
         context = TraceContext.new()
         recorder = FlightRecorder()
-        recorder.record_flush([lazy_entry(context, make_epoch())], [])
+        recorder.record_flush(make_entry([make_epoch()], ids=[context]))
         record = recorder.find(context.request_id)
         assert isinstance(record, FixRecord)
         assert record.request_id == context.request_id
         assert record.trace_id == context.trace_id
         assert record.trigger is None
-        assert record.config_hash == "cfg-hash"
+        assert record.config_hash == "cfg0"
 
     def test_number_context_entry_resolves_ids(self, make_epoch):
-        # The service stores a bare request number per entry; find()
-        # matches it without materializing, and the materialized
-        # record resolves its ids from the rebuilt context.
+        # The service's traces carry a bare request number; the record
+        # resolves its ids from the context it stands for.
         number = mint_request_number()
         recorder = FlightRecorder()
-        recorder.record_flush([lazy_entry(number, make_epoch())], [])
+        recorder.record_flush(make_entry([make_epoch()], ids=[number]))
         record = recorder.find(format_request_id(number))
         assert record is not None
         assert record.request_id == format_request_id(number)
         assert record.trace_id.startswith("t-")
 
     def test_untraced_entry_gets_sequence_fallback_id(self, make_epoch):
+        # Rows are flush positions: a row screened out of the entry
+        # (here flush row 1) leaves a gap, never a reused id.
         recorder = FlightRecorder()
         recorder.record_flush(
-            [lazy_entry(None, make_epoch(), index=2, batch_sequence=9)], []
+            make_entry([make_epoch()] * 2, sequence=9, rows=[0, 2])
         )
         record = recorder.find("fix-9-2")
         assert record is not None
@@ -219,37 +268,36 @@ class TestLazyFlushEntries:
     def test_records_and_snapshot_materialize(self, make_epoch):
         context = TraceContext.new()
         recorder = FlightRecorder()
-        recorder.record_flush([lazy_entry(context, make_epoch())], [])
+        recorder.record_flush(make_entry([make_epoch()], ids=[context]))
         (record,) = recorder.records()
         assert record.status == "ok"
-        assert len(record.digest) == 16  # hashed from the live epoch
+        assert len(record.inputs_digest) == 16
         snapshot = recorder.snapshot()
         assert snapshot["retained"] == 1
         assert snapshot["records"][0]["request_id"] == context.request_id
 
+    def test_triggered_row_names_its_trigger_and_captures_epoch(self, make_epoch):
+        epochs = [make_epoch(seed=1), make_epoch(seed=2)]
+        entry = make_entry(epochs, status=[STATUS_OK, STATUS_TIMEOUT])
+        clean, missed = entry.records()
+        assert (clean.trigger, clean.epoch) == (None, None)
+        assert clean.solver_spec == SPEC.solver_spec
+        assert missed.trigger == "deadline_miss"
+        assert missed.epoch == epoch_payload(epochs[1])
+        assert missed.solver_spec == {"algorithm": "dlg", "clock_bias_meters": 0.0}
+
     def test_counter_parity_with_per_fix_record(self, make_epoch):
-        epoch = make_epoch()
+        # One three-row entry counts what three one-row entries count.
+        epochs = [make_epoch()] * 3
+        statuses = [STATUS_OK, STATUS_TIMEOUT, STATUS_OK]
         flush_registry = MetricsRegistry()
         with telemetry.capture(flush_registry):
-            recorder = FlightRecorder()
-            triggered = make_record(
-                request_id="r-bad", trigger="deadline_miss", status="timeout"
-            )
-            recorder.record_flush(
-                [lazy_entry(TraceContext.new(), epoch), triggered,
-                 lazy_entry(TraceContext.new(), epoch, index=2)],
-                [triggered],
-            )
+            FlightRecorder().record_flush(make_entry(epochs, status=statuses))
         per_fix_registry = MetricsRegistry()
         with telemetry.capture(per_fix_registry):
             recorder = FlightRecorder()
-            recorder.record(make_record(request_id="r-0"))
-            recorder.record(
-                make_record(
-                    request_id="r-bad", trigger="deadline_miss", status="timeout"
-                )
-            )
-            recorder.record(make_record(request_id="r-1"))
+            for epoch, status in zip(epochs, statuses):
+                recorder.record(make_entry([epoch], status=status))
 
         def counts(registry):
             counter = registry.counter(

@@ -15,7 +15,7 @@ from repro.telemetry import (
     to_json_snapshot,
     to_prometheus_fleet_text,
 )
-from tests.telemetry.test_recorder import make_record
+from tests.telemetry.test_recorder import make_entry
 
 
 def worker_registry(requests: int, latency: float) -> MetricsRegistry:
@@ -104,12 +104,12 @@ class TestStatusServer:
         assert status.endswith("200 OK")
         assert 'repro_requests_total{status="ok"} 5' in body
 
-    def test_metrics_json_and_slo_and_records(self):
+    def test_metrics_json_and_slo_and_records(self, make_epoch):
         registry = worker_registry(2, 0.01)
         slo = SloTracker()
         slo.observe("ok", 0.01)
         recorder = FlightRecorder()
-        recorder.record(make_record(request_id="r-seen"))
+        recorder.record_flush(make_entry([make_epoch()], ids=["r-seen"]))
         server = StatusServer(lambda: [registry], slo=slo, recorder=recorder)
         responses = self._serve_and_get(
             server, "/metrics.json", "/slo", "/records", "/healthz"
