@@ -70,6 +70,9 @@ _SYSTEM_IDS = {
 #: Duplicate-check key of padded slots (minus the slot index).
 _PAD_KEY = np.iinfo(np.int64).max
 
+#: Why a row :func:`pack_stream` could not pack is invalid.
+UNPACKABLE_ERROR = "epoch could not be packed into dense arrays"
+
 #: What a malformed observation raises while its lanes are built.
 _PACK_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
 
@@ -466,6 +469,17 @@ class PackedStream:
 
     def __len__(self) -> int:
         return len(self.block)
+
+    def row_integrity_error(
+        self, index: int, min_satellites: int = 4
+    ) -> Optional[str]:
+        """Why stream epoch ``index`` violates the solver contract, or
+        ``None``: :data:`UNPACKABLE_ERROR` for a row that could not be
+        packed, else the block row's
+        :meth:`EpochBlock.row_integrity_error`."""
+        if index in self.unpackable:
+            return UNPACKABLE_ERROR
+        return self.block.row_integrity_error(index, min_satellites)
 
 
 def _flat_lanes(epochs: Sequence[ObservationEpoch]):

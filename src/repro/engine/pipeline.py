@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.solvers.batch import (
 )
 from repro.errors import ConfigurationError, EstimationError, GeometryError
 from repro.integrity.fde import BatchFde, FdeConfig, FdeRecord
-from repro.observations import ObservationEpoch, epoch_integrity_error
+from repro.observations import ObservationEpoch
 from repro.telemetry import get_registry, get_tracer
 
 _log = logging.getLogger(__name__)
@@ -448,14 +448,12 @@ class PositioningEngine:
                 f"on_undersized must be 'raise' or 'drop', got {on_undersized!r}"
             )
         stage_started = perf_counter()
-        source: Optional[List[ObservationEpoch]] = None
         if isinstance(epochs, PackedStream):
             packed = epochs
         elif isinstance(epochs, EpochBlock):
             packed = PackedStream(epochs)
         else:
-            source = list(epochs)
-            packed = pack_stream(source)
+            packed = pack_stream(epochs)
         block = packed.block
         total = len(block)
         if total == 0:
@@ -476,7 +474,7 @@ class PositioningEngine:
             raise GeometryError(
                 f"stream contains {len(invalid_indices)} structurally invalid "
                 f"epoch(s) (first at index {first}: "
-                f"{self._invalid_detail(first, source, packed)}); "
+                f"{packed.row_integrity_error(first, min_satellites=1)}); "
                 f"filter or repair them before solving"
             )
         if invalid_indices:
@@ -622,25 +620,3 @@ class PositioningEngine:
         spread = np.full((total,) + values.shape[1:], np.nan)
         spread[rows] = values
         return spread
-
-    @staticmethod
-    def _invalid_detail(
-        index: int,
-        source: Optional[List[ObservationEpoch]],
-        packed: PackedStream,
-    ) -> str:
-        """Human-readable reason stream epoch ``index`` is invalid.
-
-        Only materialized on the raise path — the vectorized screen
-        never builds per-epoch messages for streams it accepts.
-        """
-        if source is not None:
-            message = epoch_integrity_error(source[index], min_satellites=1)
-            if message is not None:
-                return message
-        if index in packed.unpackable:
-            return "epoch could not be packed into dense arrays"
-        message = packed.block.row_integrity_error(index, min_satellites=1)
-        if message is not None:
-            return message
-        return "epoch violates the solver input contract"

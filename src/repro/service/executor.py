@@ -14,18 +14,19 @@ exactly the core that must run identically
   that arrived as shared-memory struct-of-arrays views
   (:mod:`repro.service.shm`) rather than epoch objects.
 
-One flush body serves every transport.  :meth:`execute_packed` takes
-the flush as one padded :class:`~repro.blocks.PackedStream` and runs
-admission, the batched solve and the scalar ladder on it.
-:meth:`execute` is the epoch-object entry (the asyncio dispatch loop,
-the inline router, the chaos runners): it packs the flush with
-:func:`~repro.blocks.pack_stream` and delegates, handing
-its epochs along so the ladder solves them, screened rows report their
-own integrity error and :attr:`BatchMeta.epochs` carries them for the
-flight recorder.  The shard worker calls :meth:`execute_packed`
-directly on a block viewed out of its slab; epoch objects are rebuilt
-from block rows only when the whole flush degrades to the scalar
-ladder.
+One flush body serves every transport, and it takes one input: the
+flush as a padded :class:`~repro.blocks.PackedStream`.
+:meth:`execute_packed` runs admission, the batched solve and the
+scalar ladder on the block alone; epoch objects stop at
+:func:`~repro.blocks.pack_stream`.  :meth:`execute` is the
+epoch-object convenience (the asyncio dispatch loop, the inline
+router, the chaos runners): it packs the flush and delegates.  The
+shard worker calls :meth:`execute_packed` directly on a block viewed
+out of its slab.  So a row's answer, error text included, depends on
+the request alone, never on which process served it: a screened row
+reports :meth:`~repro.blocks.PackedStream.row_integrity_error` (an
+unpackable one :data:`~repro.blocks.UNPACKABLE_ERROR`), and the
+scalar ladder rebuilds its epochs from the block rows.
 
 Every flush returns ``(ResultBlock, BatchMeta)``: the
 :class:`~repro.service.types.ResultBlock` holds the answers as
@@ -56,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blocks import EpochBlock, PackedStream, pack_stream
-from repro.constellation.systems import system_index
 from repro.engine import PositioningEngine
 from repro.errors import EstimationError, ReproError
 from repro.integrity.fde import STATUS_NAMES as FDE_STATUS_NAMES
@@ -72,7 +72,7 @@ from repro.integrity.monitors import (
     SEVERITY_NOMINAL,
     SEVERITY_SPOOFED,
 )
-from repro.observations import ObservationEpoch, epoch_integrity_error
+from repro.observations import ObservationEpoch
 from repro.service.types import (
     ABSENT,
     SOLVER_BATCH,
@@ -84,11 +84,6 @@ from repro.service.types import (
     ResultBlock,
 )
 from repro.telemetry import get_registry
-from repro.telemetry.recorder import block_payload, epoch_payload
-
-#: The error text of a row the batch screen kept out of the solve
-#: when nothing more specific is known.
-SCREENED_ERROR = "epoch failed batch screening"
 
 
 def bias_lane(
@@ -109,35 +104,19 @@ class BatchMeta:
 
     Carried back to the dispatching tier so traces and flight-recorder
     entries can name the stage split, the batch lineage, and the
-    resolved biases without re-deriving anything.  ``epochs`` is the
-    post-admission epoch list when the caller provided epoch objects;
-    the columnar (shard-worker) path leaves it ``None`` — nothing on
-    that side retains epoch objects.  ``counts`` holds each flush
-    row's satellite count when the batched kernel answered, ``-1`` for
-    rows the screen kept out of it (the lineage a trace reports next
-    to the row's flush position).  ``block`` is the post-admission
-    block the batched kernel solved (see :meth:`capture`).
+    resolved biases without re-deriving anything.  ``block`` is the
+    post-admission block the flush was answered from, on every rung:
+    the flight recorder captures and digests rows off its lanes.
+    ``counts`` holds each flush row's satellite count when the batched
+    kernel answered, ``-1`` for rows the screen kept out of it (the
+    lineage a trace reports next to the row's flush position).
     """
 
     rung: str  # "batch" (engine answered) or "scalar" (ladder ran)
-    epochs: Optional[List[ObservationEpoch]] = None
+    block: EpochBlock
     stage_seconds: Optional[Dict[str, float]] = None
     counts: Optional[np.ndarray] = None
     resolved_biases: Optional[np.ndarray] = None
-    block: Optional[EpochBlock] = None
-
-    def capture(self, index: int) -> Dict:
-        """Row ``index``'s epoch as the flight recorder captures it.
-
-        A row the batched kernel solved is read off :attr:`block`'s
-        lanes (:func:`~repro.telemetry.recorder.block_payload`); a row
-        screened out of the solve, whose block row may differ from its
-        epoch, is walked from its epoch object.  The JSON is the same
-        bytes either way.
-        """
-        if self.block is not None and int(self.counts[index]) >= 0:
-            return block_payload(self.block, index)
-        return epoch_payload(self.epochs[index])
 
     def bias(self, index: int) -> Optional[float]:
         """The clock bias the solve consumed for row ``index``."""
@@ -260,41 +239,32 @@ class BatchExecutor:
 
     # -- admission -----------------------------------------------------
 
-    def _admit(
-        self,
-        packed: PackedStream,
-        epochs: Optional[List[ObservationEpoch]],
-    ) -> Tuple[PackedStream, Optional[List[ObservationEpoch]]]:
+    def _admit(self, packed: PackedStream) -> PackedStream:
         """Circuit breaker: pre-exclude quarantined satellites.
 
         One :meth:`~repro.integrity.health.SatelliteHealthTracker.
         admit_block` pass over the block: the tracker ticks once per
         row, in stream order, and its admission floor guarantees a
         trimmed row stays solvable and RAIM-testable.  Only when the
-        tracker trims does anything get rebuilt: the block drops the
-        banned slots (:meth:`~repro.blocks.EpochBlock.compact`, so a
-        row the validating constructors would reject keeps its place
-        and its verdict), and the caller's epoch objects, when there
-        are any, drop the same observations.
+        tracker trims is the block rebuilt: it drops the banned slots
+        (:meth:`~repro.blocks.EpochBlock.compact`, so a row the
+        validating constructors would reject keeps its place and its
+        verdict).
         """
         block = packed.block
         keys = block.satellite_keys
         banned_rows = self._tracker.admit_block(keys, block.counts)
         if not banned_rows:
-            return packed, epochs
+            return packed
         keep = block.occupied.copy()
         for row, banned in banned_rows.items():
             keep[row] &= ~np.isin(keys[row], banned)
-        if epochs is not None:
-            epochs = list(epochs)
-            for row, banned in banned_rows.items():
-                epochs[row] = _without(epochs[row], banned)
         metrics = self._telemetry()
         if metrics is not None:
             metrics.preexclusions.inc(
                 sum(len(banned) for banned in banned_rows.values())
             )
-        return replace(packed, block=block.compact(keep)), epochs
+        return replace(packed, block=block.compact(keep))
 
     def _observe_verdicts(
         self, packed: PackedStream, verdicts: np.ndarray, fde: FdeRecord
@@ -331,41 +301,29 @@ class BatchExecutor:
         ``bias_overrides`` carries per-request clock-bias overrides
         (``None`` entries defer to the config's predictor).  Packs the
         flush into one padded block here, at the request/array
-        boundary, and hands it to :meth:`execute_packed` together with
-        ``epochs``.  Returns one :class:`ResultBlock` row per epoch, in
-        order.
+        boundary, and hands it to :meth:`execute_packed`.  Returns one
+        :class:`ResultBlock` row per epoch, in order.
         """
-        return self.execute_packed(
-            pack_stream(epochs), bias_lane(bias_overrides), epochs
-        )
+        return self.execute_packed(pack_stream(epochs), bias_lane(bias_overrides))
 
     def execute_packed(
         self,
         packed: PackedStream,
         biases: Optional[np.ndarray] = None,
-        epochs: Optional[List[ObservationEpoch]] = None,
     ) -> Tuple[ResultBlock, BatchMeta]:
         """One formed batch of columnar epochs through the full ladder.
 
         The flush body every transport runs: admission, the batched
         solve (the block's arrays flow straight through the engine,
         the solvers, FDE and the monitor suite), the per-epoch
-        scalar→NR ladder when the engine rejects the whole flush, and
-        the :class:`ResultBlock` of answers.  ``biases`` uses NaN
-        entries for "no override" (a shared-memory array cannot carry
+        scalar→NR ladder over epochs rebuilt from the block rows when
+        the engine rejects the whole flush, and the
+        :class:`ResultBlock` of answers.  ``biases`` uses NaN entries
+        for "no override" (a shared-memory array cannot carry
         ``None``).
-
-        ``epochs``, when the caller holds the flush as epoch objects,
-        are the objects ``packed`` was packed from: the ladder solves
-        them, screened rows report their
-        :func:`~repro.observations.epoch_integrity_error`, and
-        :attr:`BatchMeta.epochs` carries them post-admission.  Without
-        them (the shard worker) the ladder rebuilds epochs from the
-        block rows and screened rows report
-        :meth:`~repro.blocks.EpochBlock.row_integrity_error`.
         """
         if self._tracker is not None:
-            packed, epochs = self._admit(packed, epochs)
+            packed = self._admit(packed)
         stream_biases = None
         if biases is not None:
             biases = np.asarray(biases, dtype=float)
@@ -379,21 +337,19 @@ class BatchExecutor:
             # Rung 2/3: the batched solve rejects the whole flush, so
             # one poisoned epoch fails its batchmates here.  Re-solve
             # per-epoch so every request gets its own verdict.
-            rows = epochs if epochs is not None else self.materialize(packed)
             return (
-                self._solve_scalar(rows, biases),
-                BatchMeta(rung="scalar", epochs=epochs),
+                self._solve_scalar(packed, biases),
+                BatchMeta(rung="scalar", block=packed.block),
             )
         block = self._stream_block(
-            stream, packed, epochs, self._observe_monitors(packed, stream)
+            stream, packed, self._observe_monitors(packed, stream)
         )
         return block, BatchMeta(
             rung="batch",
-            epochs=epochs,
+            block=packed.block,
             stage_seconds=stream.stage_seconds,
             counts=np.where(block.status == STATUS_INVALID, -1, packed.block.counts),
             resolved_biases=stream.clock_biases,
-            block=packed.block,
         )
 
     # -- shared internals ----------------------------------------------
@@ -424,7 +380,7 @@ class BatchExecutor:
                     self._tracker.record_monitor_strike(key)
         return record
 
-    def _stream_block(self, stream, packed, epochs, monitors=None) -> ResultBlock:
+    def _stream_block(self, stream, packed, monitors=None) -> ResultBlock:
         """One engine result as a :class:`ResultBlock`, filled by masks.
 
         Screened rows are ``invalid``; an ``unusable`` FDE verdict, or
@@ -438,10 +394,9 @@ class BatchExecutor:
         diagnostics = stream.diagnostics
         screened = list(diagnostics.invalid_indices + diagnostics.dropped_indices)
         status[screened] = STATUS_INVALID
-        errors = {
-            row: _screen_detail(packed, epochs, row) or SCREENED_ERROR
-            for row in sorted(screened)
-        }
+        # The engine screens with the block's own contract checks, so
+        # every screened row has a text.
+        errors = {row: packed.row_integrity_error(row) for row in sorted(screened)}
         fde = diagnostics.fde
         if fde is not None:
             verdict = block.verdict
@@ -506,44 +461,27 @@ class BatchExecutor:
                 )
         return resolved
 
-    @staticmethod
-    def materialize(
-        packed: PackedStream,
-    ) -> List[Optional[ObservationEpoch]]:
-        """Epoch objects for every packable row, in stream order.
-
-        The inverse boundary crossing, used only off the hot path (the
-        shard worker's degradation rungs).  Structurally invalid rows
-        (the validating constructors reject them) and unpackable rows
-        come back ``None``.
-        """
-        block = packed.block
-        unpackable = frozenset(packed.unpackable)
-        epochs: List[Optional[ObservationEpoch]] = []
-        for row in range(len(block)):
-            try:
-                epochs.append(None if row in unpackable else block.epoch(row))
-            except ReproError:
-                epochs.append(None)
-        return epochs
-
     def _solve_scalar(
-        self,
-        rows: Sequence[Optional[ObservationEpoch]],
-        biases: Optional[np.ndarray],
+        self, packed: PackedStream, biases: Optional[np.ndarray]
     ) -> ResultBlock:
         """Degradation rungs row by row: scalar primary, then NR.
 
-        ``None`` rows (not rebuildable from the block) and rows the
-        integrity screen rejects come back ``invalid``.
+        Each row is screened with
+        :meth:`~repro.blocks.PackedStream.row_integrity_error` and
+        comes back ``invalid`` with its text if it fails; the rest are
+        rebuilt from the block (:meth:`~repro.blocks.EpochBlock.epoch`)
+        and solved.
         """
         algorithm = self._config.solver.algorithm
-        block = ResultBlock.empty(len(rows), STATUS_FAILED)
+        block = ResultBlock.empty(len(packed), STATUS_FAILED)
         errors: Dict[int, str] = {}
-        for row, epoch in enumerate(rows):
-            detail = (
-                SCREENED_ERROR if epoch is None else epoch_integrity_error(epoch)
-            )
+        for row in range(len(packed)):
+            detail = packed.row_integrity_error(row)
+            if detail is None:
+                try:
+                    epoch = packed.block.epoch(row)
+                except ReproError as exc:  # e.g. a slab time GpsTime refuses
+                    detail = str(exc)
             if detail is not None:
                 block.status[row] = STATUS_INVALID
                 errors[row] = detail
@@ -578,43 +516,11 @@ class BatchExecutor:
         return block.with_errors(errors)
 
 
-def _screen_detail(
-    packed: PackedStream,
-    epochs: Optional[List[ObservationEpoch]],
-    index: int,
-) -> Optional[str]:
-    """Why row ``index`` failed the batch screen: the caller's epoch's
-    integrity error when there are epochs, else the block row's."""
-    if epochs is not None:
-        return epoch_integrity_error(epochs[index])
-    if index in packed.unpackable:
-        return None
-    return packed.block.row_integrity_error(index)
-
-
 def _override(biases: Optional[np.ndarray], index: int) -> Optional[float]:
     """Row ``index``'s clock-bias override, ``None`` where NaN."""
     if biases is None or not np.isfinite(biases[index]):
         return None
     return float(biases[index])
-
-
-def _without(
-    epoch: ObservationEpoch, banned: Sequence[int]
-) -> ObservationEpoch:
-    """``epoch`` less the ``banned`` satellites (``prn*4+system`` keys).
-
-    An epoch the validating constructor rejects (duplicate PRNs) is
-    returned whole: the screen reports it invalid either way.
-    """
-    try:
-        return epoch.with_observations(
-            obs
-            for obs in epoch.observations
-            if obs.prn * 4 + system_index(obs.system) not in banned
-        )
-    except ReproError:
-        return epoch
 
 
 def _finite(fix):

@@ -49,6 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.blocks import pack_stream
 from repro.engine import PositioningEngine
 from repro.errors import ServiceError
 from repro.integrity.health import SatelliteHealthTracker
@@ -403,8 +404,12 @@ class PositioningService:
             try:
                 self._dispatch(flush)
             except Exception as exc:  # never strand a caller's future
+                # Only the futures the dispatch left open: the ones it
+                # resolved (or screened) were counted there.
                 handles = self._telemetry_handles()
                 for request in flush.items:
+                    if request.future.done():
+                        continue
                     self._finish(
                         request,
                         ServiceResult(
@@ -485,7 +490,10 @@ class PositioningService:
                 ResultBlock.empty(len(stale)).expire(
                     range(len(stale)), _QUEUED_TIMEOUT
                 ),
-                BatchMeta(rung="screened", epochs=[r.epoch for r in requests]),
+                BatchMeta(
+                    rung="screened",
+                    block=pack_stream([r.epoch for r in requests]).block,
+                ),
                 flush,
                 stale,
                 stale_traces if self._config.trace else None,

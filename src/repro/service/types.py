@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api import BATCH_ALGORITHMS, SolverConfig
+from repro.core.selection import HighestElevationSelector
 from repro.errors import ConfigurationError
 from repro.integrity.fde import STATUS_NAMES as VERDICT_NAMES
 from repro.integrity.fde import STATUS_REPAIRED as VERDICT_REPAIRED
@@ -67,7 +68,11 @@ class ServiceConfig:
         Which solver the service runs, as a facade
         :class:`~repro.api.SolverConfig`.  Must name a batchable
         algorithm (``nr``/``dlo``/``dlg``) — micro-batching *is* the
-        service.
+        service — and read no satellite elevations: flushes are
+        answered from packed blocks, which carry none, so
+        ``elevation_weighted`` and a
+        :class:`~repro.core.selection.HighestElevationSelector` base
+        are refused.
     max_batch_size:
         Flush the aggregator as soon as this many requests are pending.
     max_wait_seconds:
@@ -166,6 +171,14 @@ class ServiceConfig:
             raise ConfigurationError(
                 "the integrity rung needs chi-square-scaled residuals, which "
                 f"only DLG provides; got solver.algorithm={self.solver.algorithm!r}"
+            )
+        if self.solver.elevation_weighted or isinstance(
+            self.solver.base_selector, HighestElevationSelector
+        ):
+            raise ConfigurationError(
+                "the service answers from packed blocks, which carry no "
+                "satellite elevations; drop elevation_weighted and the "
+                "HighestElevationSelector base"
             )
         if self.health is not None and self.integrity is None and self.monitors is None:
             raise ConfigurationError(
@@ -452,9 +465,10 @@ class ResultBlock:
 
         The block is validated once, as a whole, with the checks
         :class:`ServiceResult`'s constructor makes per row: the
-        position lane must be ``(count, 3)`` (converted to float once)
-        and every status code must index :data:`RESULT_STATUSES` (no
-        negative code wraps around); either failure raises
+        position lane must be ``(count, 3)`` (converted to float once),
+        every status code must index :data:`RESULT_STATUSES` and every
+        ``ok`` row's solver code :data:`SOLVER_SUFFIXES` (no negative
+        code wraps around); any failure raises
         :class:`~repro.errors.ConfigurationError`.  The rows are then
         built without re-checking each one, and compare, print, pickle
         and ``to_dict()`` exactly like constructor-built results.
@@ -468,6 +482,14 @@ class ResultBlock:
             raise ConfigurationError(
                 f"status must be one of {'/'.join(RESULT_STATUSES)}, "
                 f"got code {int(self.status[np.argmax(bad)])}"
+            )
+        bad = (self.status == STATUS_OK) & (
+            (self.solver < 0) | (self.solver >= len(SOLVER_SUFFIXES))
+        )
+        if bad.any():
+            raise ConfigurationError(
+                "an ok row must name the solver that answered it, "
+                f"got code {int(self.solver[np.argmax(bad)])}"
             )
         solvers = [algorithm + suffix for suffix in SOLVER_SUFFIXES]
         monitors: List[Optional[EpochMonitorVerdict]] = [None] * count

@@ -206,13 +206,42 @@ def epoch_digest(epoch) -> str:
     The hot-path variant of :func:`inputs_digest`: hashing array bytes
     skips the JSON rendering, so the flight recorder can digest every
     fix it retains, not just the ones it dumps.  (The two digests use
-    different encodings and are not interchangeable; records carry
-    whichever function produced them.)
+    different encodings and are not interchangeable.)  The recorder
+    reads the same digest off the flush's block
+    (:func:`block_digest`).
     """
     positions, pseudoranges, prns, system_ids = epoch.dense()
+    return _lanes_digest(
+        epoch.time.week,
+        epoch.time.seconds_of_week,
+        prns,
+        pseudoranges,
+        positions,
+        system_ids,
+    )
+
+
+def block_digest(block, row: int) -> str:
+    """:func:`epoch_digest` of the epoch packed into ``block`` row
+    ``row``, read off the block's lanes (the dtypes of
+    ``epoch.dense()``, so the same bytes).  A row
+    :func:`~repro.blocks.pack_stream` could not pack digests as the
+    empty row it holds."""
+    count = int(block.counts[row])
+    return _lanes_digest(
+        block.weeks[row],
+        block.seconds_of_week[row],
+        block.prns[row, :count],
+        block.pseudoranges[row, :count],
+        block.positions[row, :count],
+        block.systems[row, :count],
+    )
+
+
+def _lanes_digest(week, seconds_of_week, prns, pseudoranges, positions, system_ids):
     digest = hashlib.sha256()
-    digest.update(np.asarray([epoch.time.week], dtype=np.int64).tobytes())
-    digest.update(np.asarray([epoch.time.seconds_of_week]).tobytes())
+    digest.update(np.asarray([week], dtype=np.int64).tobytes())
+    digest.update(np.asarray([seconds_of_week], dtype=float).tobytes())
     digest.update(np.ascontiguousarray(prns).tobytes())
     digest.update(np.ascontiguousarray(pseudoranges).tobytes())
     digest.update(np.ascontiguousarray(positions).tobytes())
@@ -369,9 +398,10 @@ class FlushEntry:
     def records(self, start: int = 0) -> List[FixRecord]:
         """The records of rows ``start`` onward, in row order.
 
-        A triggered row's record captures its epoch and names the
-        clock bias its solve consumed — the one the batched solve
-        resolved, else the fix's own, else the request's override.
+        A triggered row's record captures the row the solve saw, off
+        the flush block's lanes, and names the clock bias its solve
+        consumed — the one the batched solve resolved, else the fix's
+        own, else the request's override.
         """
         meta, spec = self.meta, self.spec
         results = self.block.results(spec.algorithm, len(self), traces=self.traces)
@@ -390,7 +420,7 @@ class FlushEntry:
                         if result.clock_bias_meters is not None
                         else self.biases[row]
                     )
-                trigger, epoch = TRIGGERS[triggers[row]], meta.capture(row)
+                trigger, epoch = TRIGGERS[triggers[row]], block_payload(meta.block, row)
                 solver_spec = {"algorithm": spec.algorithm, "clock_bias_meters": bias}
             records.append(
                 FixRecord(
@@ -399,7 +429,7 @@ class FlushEntry:
                     solver=result.solver or "",
                     recorded_at=self.recorded_at,
                     config_hash=spec.config_hash,
-                    inputs_digest=epoch_digest(meta.epochs[row]),
+                    inputs_digest=block_digest(meta.block, row),
                     trace_id=(
                         "" if result.trace is None else result.trace.context.trace_id
                     ),

@@ -53,7 +53,7 @@ def test_repeated_e1_exclusions_quarantine_e1_only():
 
     # Admission drops E1 alone: the epoch keeps all 8 GPS satellites.
     _block, meta = run.execute([sky_with_spiked_e1(3)])
-    (admitted,) = meta.epochs
+    admitted = meta.block.epoch(0)
     satellites = {(obs.system, obs.prn) for obs in admitted.observations}
     assert len(satellites) == 14
     assert ("E", 1) not in satellites and ("G", 1) in satellites

@@ -27,7 +27,9 @@ from repro.integrity.monitors import SEVERITY_NAMES, MonitorRecord
 from repro.service.types import (
     ABSENT,
     RESULT_STATUSES,
+    SOLVER_BATCH,
     SOLVER_SUFFIXES,
+    STATUS_FAILED,
     STATUS_OK,
     ResultBlock,
     ServiceResult,
@@ -117,7 +119,7 @@ statistic = st.one_of(finite, st.just(math.nan))
 row_strategy = st.fixed_dictionaries(
     {
         "status": st.integers(0, len(RESULT_STATUSES) - 1),
-        "solver": st.integers(0, len(SOLVER_SUFFIXES) - 1),
+        "solver": st.integers(ABSENT, len(SOLVER_SUFFIXES) - 1),
         "position": st.tuples(finite, finite, finite),
         "bias": st.one_of(finite, st.just(math.nan)),
         "verdict": st.integers(ABSENT, len(VERDICT_NAMES) - 1),
@@ -229,10 +231,19 @@ def test_rows_match_the_public_constructor(
         if stamped
         else {}
     )
+    if unnamed_ok_rows(block).any():
+        with pytest.raises(ConfigurationError, match="solver"):
+            block.results("dlg", len(rows), **kwargs)
+        return
     assert_same_rows(
         block.results("dlg", len(rows), **kwargs),
         reference_results(block, "dlg", len(rows), **kwargs),
     )
+
+
+def unnamed_ok_rows(block):
+    """``ok`` rows whose solver lane names no solver (ABSENT)."""
+    return (block.status == STATUS_OK) & (block.solver == ABSENT)
 
 
 def reference_trigger(result):
@@ -266,6 +277,15 @@ def test_triggers_match_the_per_result_rule(rows, with_monitors, expired):
     if expired:
         block = block.expire(expired, "deadline expired mid-batch")
     codes = block.triggers().tolist()
+    unnamed = unnamed_ok_rows(block)
+    if unnamed.any():
+        # Such a block builds no results; its rows trigger as the rows
+        # the batched rung answered.
+        with pytest.raises(ConfigurationError, match="solver"):
+            block.results("dlg", len(rows))
+        solver = block.solver.copy()
+        solver[unnamed] = SOLVER_BATCH
+        block = replace(block, solver=solver)
     assert [None if code < 0 else TRIGGERS[code] for code in codes] == [
         reference_trigger(result) for result in block.results("dlg", len(rows))
     ]
@@ -302,6 +322,22 @@ def test_out_of_range_status_is_refused(code):
     block.status[1] = code
     with pytest.raises(ConfigurationError, match="status must be one of"):
         block.results("dlg", 3)
+
+
+@pytest.mark.parametrize("code", [ABSENT, -7, len(SOLVER_SUFFIXES)])
+def test_ok_row_without_a_solver_is_refused(code):
+    block = ResultBlock.empty(1)
+    block.positions[0] = (1.0, 2.0, 3.0)
+    block.biases[0] = 4.0
+    block.solver[0] = code
+    with pytest.raises(ConfigurationError, match="solver"):
+        block.results("dlg", 1)
+
+
+def test_solver_lane_is_read_on_ok_rows_only():
+    block = ResultBlock.empty(2, STATUS_FAILED)
+    (first, second) = block.results("dlg", 2)
+    assert first.solver is None and second.solver is None
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3, 1), (3,)])

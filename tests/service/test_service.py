@@ -19,6 +19,7 @@ import pytest
 
 from repro import telemetry
 from repro.api import SolverConfig
+from repro.core.selection import HighestElevationSelector
 from repro.errors import ConfigurationError, ServiceError
 from repro.observations import ObservationEpoch, SatelliteObservation
 from repro.service import (
@@ -27,7 +28,7 @@ from repro.service import (
     ServiceConfig,
     ServiceResult,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, RecorderConfig
 from repro.timebase import GpsTime
 
 
@@ -67,6 +68,20 @@ class TestConfigValidation:
     def test_rejects_nonpositive_queue_depth(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(max_queue_depth=0)
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            SolverConfig(algorithm="dlg", elevation_weighted=True),
+            SolverConfig(algorithm="dlg", base_selector=HighestElevationSelector()),
+        ],
+        ids=["elevation-weighted", "highest-elevation-base"],
+    )
+    def test_rejects_solver_options_that_read_elevations(self, solver):
+        # Flushes are answered from packed blocks, which carry no
+        # satellite elevations.
+        with pytest.raises(ConfigurationError, match="elevation"):
+            ServiceConfig(solver=solver)
 
 
 class TestLifecycle:
@@ -344,6 +359,38 @@ class TestInternalDispatchError:
         )
         assert requests.labels(status="failed").value == 3.0
         assert requests.labels(status="ok").value == 3.0
+
+    def test_error_after_resolving_counts_each_request_once(
+        self, make_stream, monkeypatch
+    ):
+        """A dispatch that raises after resolving its futures (here the
+        flight-recorder step) leaves the answers standing and counts
+        every request once."""
+        epochs = make_stream(3)
+        service = PositioningService(
+            fast_config(max_batch_size=3, recorder=RecorderConfig())
+        )
+
+        def broken_recorder(entry):
+            raise RuntimeError("recorder down")
+
+        monkeypatch.setattr(service.recorder, "record_flush", broken_recorder)
+
+        async def scenario():
+            async with service:
+                return await asyncio.gather(*(service.submit(e) for e in epochs))
+
+        registry = MetricsRegistry()
+        with telemetry.capture(registry):
+            results = asyncio.run(scenario())
+        assert [r.status for r in results] == ["ok"] * 3
+        requests = registry.counter(
+            "repro_service_requests_total",
+            "Requests by final status.",
+            labels=("status",),
+        )
+        assert requests.labels(status="ok").value == 3.0
+        assert requests.labels(status="failed").value == 0.0
 
 
 class TestResultShape:

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.api import SolverConfig
+from repro.blocks import UNPACKABLE_ERROR
 from repro.integrity.fde import FdeConfig
+from repro.observations import ObservationEpoch, SatelliteObservation
 from repro.service import (
     AsyncPositioningClient,
     PositioningService,
@@ -26,7 +28,13 @@ from repro.service import (
     ShardConfig,
     ShardedPositioningService,
 )
-from repro.validation.faults import DuplicateSatellite, NonFiniteMeasurement
+from repro.timebase import GpsTime
+from repro.validation.faults import (
+    DuplicateSatellite,
+    NonFiniteMeasurement,
+    _unvalidated_epoch,
+    _unvalidated_observation,
+)
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
 
 SEEDS = range(50)
@@ -261,3 +269,57 @@ class TestRoutingInvariance:
         for index, result in enumerate(biased):
             if overrides[index] is not None and result.status == "ok":
                 assert result.clock_bias_meters == 125.0
+
+
+def coplanar_epoch():
+    """Satellites in one plane: DLG degenerate (the whole batched solve
+    is rejected), NR solvable."""
+    truth = np.array([3623420.0, -5214015.0, 602359.0])
+    rng = np.random.default_rng(3)
+    observations = []
+    for prn in range(1, 8):
+        xy = truth[:2] + rng.uniform(-1.5e7, 1.5e7, size=2)
+        position = np.array([xy[0], xy[1], truth[2] + 2.0e7])
+        observations.append(
+            SatelliteObservation(
+                prn=prn,
+                position=position,
+                pseudorange=float(np.linalg.norm(position - truth)),
+            )
+        )
+    return ObservationEpoch(
+        time=GpsTime(week=1540, seconds_of_week=0.0), observations=tuple(observations)
+    )
+
+
+def unpackable(epoch):
+    """``epoch`` with one satellite position that is not a 3-vector."""
+    observations = list(epoch.observations)
+    observations[0] = _unvalidated_observation(
+        observations[0], position=np.array([1.0, 2.0])
+    )
+    return _unvalidated_epoch(epoch, observations)
+
+
+class TestTransportParity:
+    def test_scalar_ladder_reports_the_same_errors_on_every_transport(self):
+        """One flush the batched solve rejects whole (a degenerate row)
+        drops to the per-epoch ladder; its malformed rows must name
+        their own fault whichever process serves them."""
+        epochs, _biases = make_epochs(with_fde=False)
+        epochs = epochs[:BATCH]
+        rng = np.random.default_rng
+        epochs[2] = coplanar_epoch()
+        epochs[5] = DuplicateSatellite().apply(epochs[5], rng(5))
+        epochs[7] = NonFiniteMeasurement().apply(epochs[7], rng(7))
+        epochs[9] = unpackable(epochs[9])
+        config = service_config(with_fde=False)
+        baseline = run_in_process(epochs, config)
+        assert baseline[2].solver == "dlg/nr-fallback"
+        assert baseline[0].solver == "dlg/scalar"
+        assert baseline[5].error.startswith("epoch contains duplicate PRNs")
+        assert "non-finite" in baseline[7].error
+        assert baseline[9].error == UNPACKABLE_ERROR
+        assert [r.status for r in baseline].count("invalid") == 3
+        assert_identical(run_shard(epochs, config, workers=0), baseline)
+        assert_identical(run_shard(epochs, config, workers=1), baseline)

@@ -356,17 +356,14 @@ class TestMultiRequestLane:
             )
 
     def test_materialize_restores_system_codes(self):
-        from repro.service.executor import BatchExecutor
-
         epochs = self.mixed_epochs()
         packed = pack_stream(epochs)
         arrays, _config = _arrays()
         write_request(arrays, 1, 7, packed, None)
         rebuilt, _biases = read_request(arrays, 1, 7)
-        restored = BatchExecutor.materialize(rebuilt)
+        restored = rebuilt.block.to_epochs()
         assert len(restored) == len(epochs)
         for original, epoch in zip(epochs, restored):
-            assert epoch is not None
             assert [obs.system for obs in epoch.observations] == [
                 obs.system for obs in original.observations
             ]

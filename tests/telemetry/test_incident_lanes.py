@@ -5,8 +5,9 @@ batched kernel solved (:func:`~repro.telemetry.recorder.block_payload`)
 instead of walking the epoch's observation objects.  The JSON must be
 byte-identical to the per-element form the recorder always wrote —
 all-GPS payloads without a ``systems`` key — for GPS-only and mixed
-skies, for padded rows and for rows the circuit breaker trimmed, and a
-dumped incident must still replay.
+skies, for padded rows and for rows the circuit breaker trimmed (a
+screened row included: it is captured as the trimmed row the solve
+saw), and a dumped incident must still replay.
 """
 
 import asyncio
@@ -23,8 +24,14 @@ from repro.integrity import FdeConfig, HealthConfig
 from repro.service import PositioningService, ServiceConfig
 from repro.service.executor import BatchExecutor
 from repro.telemetry import RecorderConfig, replay_incident
-from repro.telemetry.recorder import block_payload, epoch_payload, payload_epoch
-from repro.validation.faults import DuplicateSatellite
+from repro.telemetry.recorder import (
+    block_digest,
+    block_payload,
+    epoch_digest,
+    epoch_payload,
+    payload_epoch,
+)
+from repro.validation.faults import DuplicateSatellite, _unvalidated_epoch
 
 GPS_SKY = {"G": 9}
 MIXED_SKY = {"G": 8, "E": 7}
@@ -82,7 +89,7 @@ def test_block_rows_capture_byte_identical_payloads(sky):
 
 
 @pytest.mark.parametrize("sky", [GPS_SKY, MIXED_SKY], ids=["gps", "mixed"])
-def test_solved_rows_of_quarantined_flushes_capture_the_admitted_epoch(sky):
+def test_rows_of_quarantined_flushes_capture_the_admitted_row(sky):
     # The same satellite faulted in every epoch: it is excluded,
     # quarantined and then trimmed from later flushes at admission.
     config = ServiceConfig(
@@ -91,20 +98,28 @@ def test_solved_rows_of_quarantined_flushes_capture_the_admitted_epoch(sky):
         health=HealthConfig(exclusion_threshold=2, window_epochs=20),
     )
     executor = BatchExecutor(config)
-    trimmed = 0
+    trimmed = set()
     for flush in range(4):
         epochs = [spiked(epoch) for epoch in sky_stream(sky, 5)]
-        # A duplicate satellite: screened, so captured from its epoch
-        # object, which keeps the quarantined satellite the block row
-        # loses.
+        # A duplicate satellite: screened out of the solve, yet trimmed
+        # like its batchmates, so it is captured as the row the solve
+        # saw, not as the epoch that was submitted.
         epochs[1] = DuplicateSatellite().apply(epochs[1], np.random.default_rng(flush))
         _block, meta = executor.execute(epochs)
         assert meta.rung == "batch"
         assert meta.counts[1] == -1
-        for row, epoch in enumerate(meta.epochs):
-            trimmed += len(epoch.observations) < len(epochs[row].observations)
-            assert dumps(meta.capture(row)) == dumps(reference_payload(epoch))
-    assert trimmed
+        for row, epoch in enumerate(epochs):
+            faulty = (epoch.observations[0].system, epoch.observations[0].prn)
+            admitted = epoch
+            if meta.block.counts[row] < len(epoch.observations):
+                admitted = _unvalidated_epoch(
+                    epoch,
+                    [obs for obs in epoch.observations if (obs.system, obs.prn) != faulty],
+                )
+                trimmed.add(row)
+            assert dumps(block_payload(meta.block, row)) == dumps(reference_payload(admitted))
+            assert block_digest(meta.block, row) == epoch_digest(admitted)
+    assert {0, 1} <= trimmed
 
 
 def test_captured_lanes_replay_bit_exactly():

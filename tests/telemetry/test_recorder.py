@@ -1,13 +1,20 @@
 """Tests for the anomaly flight recorder: ring, triggers, replayable
 dumps, and the per-flush entries the serving path hands it."""
 
+import asyncio
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.api import SolverConfig
+from repro.blocks import pack_stream
 from repro.errors import ConfigurationError
+from repro.integrity.fde import FdeConfig
 from repro.integrity.fde import STATUS_REPAIRED
+from repro.service import PositioningService, ServiceConfig
 from repro.service.executor import BatchMeta
 from repro.service.types import (
     ABSENT,
@@ -37,6 +44,7 @@ from repro.telemetry.recorder import (
     epoch_payload,
     payload_epoch,
 )
+from repro.validation.faults import _unvalidated_epoch, _unvalidated_observation
 
 SPEC = RecordSpec(
     algorithm="dlg",
@@ -85,7 +93,7 @@ def make_entry(
         ]
     return FlushEntry(
         block,
-        BatchMeta(rung="batch", epochs=list(epochs)),
+        BatchMeta(rung="batch", block=pack_stream(epochs).block),
         list(range(count)) if rows is None else rows,
         traces,
         [0.0] * count,
@@ -311,3 +319,62 @@ class TestLazyFlushEntries:
             )
 
         assert counts(flush_registry) == counts(per_fix_registry) == (2.0, 1.0)
+
+
+class TestUnpackableRows:
+    def test_flush_holding_an_unpackable_epoch_stays_readable(
+        self, make_epoch, tmp_path
+    ):
+        """An epoch ``pack_stream`` cannot stack (a 2-vector satellite
+        position) is recorded as the empty row its block holds: the
+        ring still reads, every packable row digests as its epoch, and
+        the flush's triggered row still dumps a replayable incident."""
+        broken = make_epoch(seed=2)
+        observations = list(broken.observations)
+        observations[0] = _unvalidated_observation(
+            observations[0], position=np.array([1.0, 2.0])
+        )
+        spiked = make_epoch(seed=3)
+        observations_3 = list(spiked.observations)
+        observations_3[0] = dataclasses.replace(
+            observations_3[0], pseudorange=observations_3[0].pseudorange + 400.0
+        )
+        epochs = [
+            make_epoch(seed=1),
+            _unvalidated_epoch(broken, observations),
+            spiked.with_observations(observations_3),
+        ]
+        config = ServiceConfig(
+            solver=SolverConfig(algorithm="dlg", clock_bias_meters=0.0),
+            max_batch_size=len(epochs),
+            integrity=FdeConfig(),
+            trace=True,
+            recorder=RecorderConfig(dump_dir=tmp_path),
+        )
+
+        async def scenario():
+            async with PositioningService(config) as service:
+                results = await asyncio.gather(*(service.submit(e) for e in epochs))
+                return results, service.recorder
+
+        results, recorder = asyncio.run(scenario())
+        assert [r.status for r in results] == ["ok", "invalid", "ok"]
+        assert results[2].integrity.status == "repaired"
+        snapshot = recorder.snapshot()
+        assert snapshot["retained"] == 3
+        assert snapshot["dump_failures"] == 0
+        records = recorder.records()
+        assert [r.status for r in records] == ["ok", "invalid", "ok"]
+        for row in (0, 2):
+            assert records[row].inputs_digest == epoch_digest(epochs[row])
+        for result, record in zip(results, records):
+            found = recorder.find(result.trace.context.request_id)
+            assert found.to_dict() == record.to_dict()
+        (path,) = recorder.dump_paths
+        with open(path) as handle:
+            payload = json.load(handle)
+        replayed = replay_incident(payload)
+        assert (replayed.status, list(replayed.detail)) == (
+            payload["status"],
+            payload["detail"],
+        )
