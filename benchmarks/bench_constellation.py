@@ -9,12 +9,13 @@ epoch sizes (``n`` satellites per epoch) and constellation counts
   ratio the paper's Section 5.3 comparison is about, now with
   ``3 + K`` unknowns;
 * **batched DLG** — the whole stream through
-  :meth:`~repro.solvers.BatchDLGSolver.solve_block` (``K=1``, the
-  diag+rank-1 Sherman-Morrison path) or
+  :meth:`~repro.solvers.BatchDLGSolver.solve_block` (``K=1``, one
+  centered segment per row) or
   :meth:`~repro.solvers.BatchDLGSolver.solve_block_multi` (``K>1``,
-  the grouped diag+rank-K path) on a pre-built
-  :class:`~repro.blocks.EpochBlock`, so the decode boundary stays off
-  the measured hot path exactly as in ``bench_engine_throughput.py``.
+  one segment per constellation) — both the centered weighted least
+  squares — on a pre-built :class:`~repro.blocks.EpochBlock`, so the
+  decode boundary stays off the measured hot path exactly as in
+  ``bench_engine_throughput.py``.
 
 Scenes come from :func:`repro.api.build_scene`; each (n, K) cell uses
 one deterministic stream with known truth, and the batched-vs-scalar
@@ -25,13 +26,21 @@ Combos the differenced multi solvers cannot admit (``n < 3 + 2K``)
 are recorded as skipped rather than silently dropped.
 
 Results are written to ``BENCH_constellation.json``.  The
-``--perf-baseline`` gate compares the ``K=1`` batched DLG per-fix time
-against the committed ``BENCH_engine.json`` batched DLG number: adding
-constellation lanes must not tax the single-constellation fast path.
+``--perf-baseline`` gate takes committed records and gates each batched
+DLG cell one of them holds:
+
+* a ``BENCH_engine.json`` gates the ``(8, 1)`` cell against its batched
+  DLG number: adding constellation lanes must not tax the
+  single-constellation fast path;
+* a ``BENCH_constellation.json`` gates the ``(32, 4)`` cell against
+  its own committed cell: the large four-constellation sky must not
+  lose what the centered kernel won there.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_constellation.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_constellation.py --quick \
+        --output smoke.json --perf-baseline BENCH_engine.json BENCH_constellation.json
 """
 
 from __future__ import annotations
@@ -65,6 +74,9 @@ CONSTELLATION_COUNTS = (1, 2, 4)
 #: against the committed single-constellation engine baseline; n=8
 #: sits inside the engine benchmark's 7-11 satellite band.
 GATE_CELL = (8, 1)
+
+#: The large-sky cell gated against its own committed matrix cell.
+LARGE_GATE_CELL = (32, 4)
 
 
 def _lane_counts(satellites: int, constellations: int) -> Dict[str, int]:
@@ -165,8 +177,8 @@ def _bench_cell(
     # The block is built once outside the timed region (the decode
     # boundary belongs to pack_stream's line in the engine benchmark),
     # and the mode-specific block entry point is timed directly so K=1
-    # measures the Sherman-Morrison rank-1 path and K>1 the grouped
-    # rank-K path with zero dispatch in between.  Batched passes are
+    # measures the one-segment path and K>1 the per-constellation
+    # segments with zero dispatch in between.  Batched passes are
     # cheap, so best-of-many keeps the perf gate stable on noisy boxes.
     block = EpochBlock.from_epochs(epochs)
     batch_solver = dlg_config.build_batch_solver()
@@ -242,26 +254,44 @@ def run(epoch_count: int, repeats: int, output: str) -> Dict:
                 f"agree {cell['dlg_batched_vs_scalar_max_disagreement_m']:.2e} m"
             )
 
-    gate_cell = next(
-        (
-            cell
-            for cell in results["matrix"]
-            if (cell["satellites"], cell["constellations"]) == GATE_CELL
-        ),
-        None,
-    )
+    gate_cell = batched_dlg_best(results, GATE_CELL)
     if gate_cell is not None:
         results["gate"] = {
             "cell": {"satellites": GATE_CELL[0], "constellations": GATE_CELL[1]},
-            "batched_dlg_per_fix_ns_best": gate_cell["batched"]["DLG"][
-                "per_fix_ns"
-            ]["best"],
+            "batched_dlg_per_fix_ns_best": gate_cell,
         }
 
     with open(output, "w") as handle:
         json.dump(results, handle, indent=2)
     print(f"wrote {output}")
     return results
+
+
+def batched_dlg_best(results: Dict, cell) -> Optional[float]:
+    """Best batched DLG per-fix ns of one (n, K) cell, or ``None``."""
+    for entry in results.get("matrix", []):
+        if (entry["satellites"], entry["constellations"]) == tuple(cell):
+            return entry["batched"]["DLG"]["per_fix_ns"]["best"]
+    return None
+
+
+def perf_gates(results: Dict, baseline_paths: List[str]) -> List:
+    """``(label, current_ns, baseline_ns, path)`` for every gated cell a
+    baseline record holds: an engine record's batched DLG number gates
+    ``GATE_CELL``, a constellation matrix gates ``LARGE_GATE_CELL``."""
+    gates = []
+    for path in baseline_paths:
+        with open(path) as handle:
+            baseline = json.load(handle)
+        if "matrix" in baseline:
+            cell = LARGE_GATE_CELL
+            baseline_best = batched_dlg_best(baseline, cell)
+        else:
+            cell = GATE_CELL
+            baseline_best = baseline["batched"]["DLG"]["per_fix_ns"]["best"]
+        label = f"n={cell[0]} K={cell[1]} batched DLG"
+        gates.append((label, batched_dlg_best(results, cell), baseline_best, path))
+    return gates
 
 
 def main(argv=None) -> int:
@@ -287,17 +317,20 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--perf-baseline",
+        nargs="+",
         default=None,
-        help="path to a committed BENCH_engine.json; fail if the K=1 "
-        "batched DLG per-fix time regresses past --max-perf-regression "
-        "vs its batched DLG number",
+        help="committed records to gate against: a BENCH_engine.json "
+        "gates the n=8 K=1 batched DLG per-fix time, a "
+        "BENCH_constellation.json the n=32 K=4 one; fail if either "
+        "regresses past --max-perf-regression",
     )
     parser.add_argument(
         "--max-perf-regression",
         type=float,
         default=0.25,
-        help="allowed fractional slowdown of K=1 batched DLG best per-fix "
-        "ns vs --perf-baseline before failing (default 0.25)",
+        help="allowed fractional slowdown of a gated cell's batched DLG "
+        "best per-fix ns vs its --perf-baseline before failing "
+        "(default 0.25)",
     )
     args = parser.parse_args(argv)
     if args.quick:
@@ -321,26 +354,25 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.perf_baseline:
-        with open(args.perf_baseline) as handle:
-            baseline = json.load(handle)
-        baseline_best = baseline["batched"]["DLG"]["per_fix_ns"]["best"]
-        current_best = results["gate"]["batched_dlg_per_fix_ns_best"]
+    failed = False
+    for label, current_best, baseline_best, path in perf_gates(
+        results, args.perf_baseline or []
+    ):
         regression = current_best / baseline_best - 1.0
         print(
-            f"perf gate: K=1 batched DLG {current_best / 1e3:.2f} us/fix vs "
-            f"engine baseline {baseline_best / 1e3:.2f} us/fix "
+            f"perf gate: {label} {current_best / 1e3:.2f} us/fix vs "
+            f"{path} {baseline_best / 1e3:.2f} us/fix "
             f"({regression:+.1%}, budget +{args.max_perf_regression * 100.0:.0f}%)"
         )
         if regression > args.max_perf_regression:
             print(
-                f"ERROR: K=1 batched DLG per-fix time regressed "
-                f"{regression:+.1%} vs {args.perf_baseline}, over the "
+                f"ERROR: {label} per-fix time regressed {regression:+.1%} "
+                f"vs {path}, over the "
                 f"{args.max_perf_regression * 100.0:.0f}% budget",
                 file=sys.stderr,
             )
-            return 1
-    return 0
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Two layers, composable but independently useful:
 
 * :mod:`repro.engine.pipeline` — :class:`PositioningEngine`: a whole
   mixed stream packed into one padded block and solved in one
-  vectorized kernel call (batched NR / DLO / DLG with the
-  Sherman-Morrison covariance fast path; padded slots carry zero
-  weight, so mixed satellite counts and constellation patterns need
-  no bucketing).
+  vectorized kernel call (batched NR / DLO / DLG, the last as one
+  centered weighted least squares; padded slots carry zero weight, so
+  mixed satellite counts and constellation patterns need no
+  bucketing).
 * :mod:`repro.engine.parallel` — :class:`ParallelReplay`, chunked
   multi-core replay of long datasets through full
   :class:`~repro.core.receiver.GpsReceiver` pipelines.

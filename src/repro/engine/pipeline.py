@@ -583,7 +583,6 @@ class PositioningEngine:
             invalid_indices=invalid_indices,
             fde=fde_record,
         )
-        self._dlg.workspace.flush_telemetry()
         if metrics is not None:
             metrics.streams.inc()
             metrics.epochs.inc(total)

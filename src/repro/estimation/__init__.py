@@ -4,8 +4,9 @@ The paper leans on two estimators: *ordinary* least squares (OLS,
 optimal under i.i.d. residuals — used inside NR and by DLO) and
 *general* least squares (GLS, optimal under correlated residuals with a
 known covariance — the key to DLG, Theorem 4.2).  This package provides
-both, plus weighted LS and the linear-algebra diagnostics the solvers
-use to fail loudly on degenerate geometry.
+both, plus weighted LS (the batched DLG's centered form) and the
+linear-algebra diagnostics the solvers use to fail loudly on
+degenerate geometry.
 """
 
 from repro.estimation.linalg import (
@@ -25,15 +26,13 @@ from repro.estimation.leastsquares import (
 from repro.estimation.structured import (
     apply_inverse_diag_rank1,
     apply_inverse_grouped_rank1,
-    batched_apply_inverse_diag_rank1,
-    batched_apply_inverse_grouped_rank1,
-    batched_gls_solve_diag_rank1,
+    batched_centered_wls,
     batched_gls_solve_grouped_rank1,
+    center_segments,
     gls_solve_diag_rank1,
     gls_solve_grouped_rank1,
     grouped_covariance,
 )
-from repro.estimation.workspace import KernelWorkspace
 
 __all__ = [
     "cholesky_solve",
@@ -48,12 +47,10 @@ __all__ = [
     "gls_solve_full",
     "apply_inverse_diag_rank1",
     "apply_inverse_grouped_rank1",
-    "batched_apply_inverse_diag_rank1",
-    "batched_apply_inverse_grouped_rank1",
-    "batched_gls_solve_diag_rank1",
+    "batched_centered_wls",
     "batched_gls_solve_grouped_rank1",
+    "center_segments",
     "gls_solve_diag_rank1",
     "gls_solve_grouped_rank1",
     "grouped_covariance",
-    "KernelWorkspace",
 ]

@@ -1,34 +1,43 @@
-"""Structured-covariance least squares: the diagonal-plus-rank-one path.
+"""Structured least squares for the paper's DLG (eq. 4-21/4-26).
 
 The eq. 4-26 difference covariance is not an arbitrary dense matrix:
 every off-diagonal entry is the shared base-satellite variance, so
 
     Psi = diag(d) + s * 1 1^T,   d_j = rho_j^2,  s = rho_base^2.
 
-That structure admits the Sherman-Morrison identity
+The scalar solvers apply ``Psi^-1`` through the Sherman-Morrison
+identity
 
     Psi^-1 = D^-1 - (s / (1 + s * sum(1/d))) * D^-1 1 1^T D^-1,
 
-so applying ``Psi^-1`` costs O(k) per vector instead of the O(k^3)
-Cholesky factorization that a dense GLS solve pays — and, unlike a
-factorization, it vectorizes trivially across a whole ``(N, k)`` stack
-of epochs.  This module is the shared fast path behind the scalar
-:class:`~repro.solvers.direct_linear.DLGSolver` and the batch engine's
-:class:`~repro.solvers.batch.BatchDLGSolver`.
+one rank-one block per constellation (:func:`gls_solve_diag_rank1`,
+:func:`gls_solve_grouped_rank1`): the paper-faithful reference behind
+:class:`~repro.solvers.direct_linear.DLGSolver`.
+
+The batched path never forms the differences.  Differencing is an
+invertible row transform, so GLS under eq. 4-26 is the *undifferenced*
+weighted least squares
+
+    s_i^T x - rho_i b_c - w_c = (|s_i|^2 - rho_i^2) / 2,   weight 1/rho_i^2,
+
+with one nuisance unknown ``w_c`` per constellation (segment).  By
+Frisch-Waugh-Lovell, weighted centering inside each segment removes
+``w_c`` exactly, so :func:`batched_centered_wls` solves every row of a
+padded ``(N, m, p)`` stack with diagonal weights, segment sums and one
+small normal-equation solve: no base satellite, no rank-one
+correction.  It returns the same fix and the same whitened residual norm as the
+eq. 4-26 GLS.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError
 from repro.estimation.linalg import cholesky_solve
 from repro.telemetry import get_registry
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.estimation.workspace import KernelWorkspace
 
 
 # Per-registry cached counter children for _count_gls_path: it runs
@@ -40,9 +49,9 @@ _GLS_PATH_CACHE: Tuple[object, Dict[str, object]] = (None, {})
 def _count_gls_path(path: str, solves: int = 1) -> None:
     """Record which GLS implementation answered (telemetry only).
 
-    The Sherman-Morrison fast path and the dense-Cholesky fallback
-    produce identical answers, so *which one ran* is invisible without
-    this counter — yet it is exactly what a perf investigation needs.
+    The structured paths and the dense-Cholesky fallback produce
+    identical answers, so *which one ran* is invisible without this
+    counter — yet it is exactly what a perf investigation needs.
     """
     global _GLS_PATH_CACHE
     registry = get_registry()
@@ -141,121 +150,6 @@ def gls_solve_diag_rank1(
     return solution, float(np.sqrt(max(mahalanobis_sq, 0.0)))
 
 
-def batched_apply_inverse_diag_rank1(
-    diag: np.ndarray,
-    scale: np.ndarray,
-    stack: np.ndarray,
-) -> np.ndarray:
-    """Batched ``Psi^-1 @ v`` for N independent diag+rank-one systems.
-
-    Parameters
-    ----------
-    diag:
-        ``(N, k)`` positive diagonals.
-    scale:
-        ``(N,)`` non-negative rank-one scales.
-    stack:
-        ``(N, k)`` vectors or ``(N, k, p)`` matrices.
-    """
-    d = np.asarray(diag, dtype=float)
-    s = np.asarray(scale, dtype=float)
-    v = np.asarray(stack, dtype=float)
-    _validate_components(d, s)
-    inv_d = 1.0 / d  # (N, k)
-    denominator = 1.0 + s * inv_d.sum(axis=1)  # (N,)
-    if v.ndim == 3:
-        u = v * inv_d[:, :, None]
-        correction = (s / denominator)[:, None] * u.sum(axis=1)  # (N, p)
-        return u - inv_d[:, :, None] * correction[:, None, :]
-    u = v * inv_d
-    correction = (s / denominator) * u.sum(axis=1)  # (N,)
-    return u - inv_d * correction[:, None]
-
-
-def batched_gls_solve_diag_rank1(
-    design: np.ndarray,
-    observations: np.ndarray,
-    diag: np.ndarray,
-    scale: np.ndarray,
-    workspace: "Optional[KernelWorkspace]" = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One stacked GLS solve for N diag+rank-one systems.
-
-    Parameters
-    ----------
-    design:
-        ``(N, k, p)`` stacked design matrices.
-    observations:
-        ``(N, k)`` stacked right-hand sides.
-    diag, scale:
-        ``(N, k)`` diagonals and ``(N,)`` rank-one scales of the per-
-        system covariances.  A ``+inf`` diagonal entry gives its row
-        zero weight (its design and right-hand-side rows must be zero):
-        the padded slots of a padded block solve exactly like the
-        narrower system without them.
-    workspace:
-        Optional :class:`~repro.estimation.workspace.KernelWorkspace`
-        supplying the whitening scratch tensors, so repeated solves of
-        the same block shape allocate nothing.  Results are bitwise
-        independent of whether a workspace is passed.
-
-    Returns
-    -------
-    (solutions, whitened_norms)
-        ``(N, p)`` solutions and ``(N,)`` Mahalanobis residual norms.
-
-    The design and right-hand side are whitened as one fused ``[A | b]``
-    stack: the Sherman-Morrison correction is column-independent
-    (elementwise scaling plus a per-column axis-k reduction), so the
-    fused pass is bitwise identical to whitening them separately while
-    touching the diagonal/denominator arithmetic once instead of twice.
-    """
-    a = np.asarray(design, dtype=float)
-    b = np.asarray(observations, dtype=float)
-    if a.ndim != 3 or b.shape != a.shape[:2]:
-        raise EstimationError(
-            f"batched design {a.shape} and observations {b.shape} are inconsistent"
-        )
-    d = np.asarray(diag, dtype=float)
-    s = np.asarray(scale, dtype=float)
-    _validate_components(d, s)
-    _count_gls_path("sherman_morrison_batched", solves=a.shape[0])
-    n, k, p = a.shape
-
-    def _scratch(name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        if workspace is not None:
-            return workspace.buffer(name, shape, a.dtype)
-        return np.empty(shape, dtype=a.dtype)
-
-    # Fused [A | b] whitening through the Sherman-Morrison identity.
-    ab = _scratch("gls_ab", (n, k, p + 1))
-    ab[..., :p] = a
-    ab[..., p] = b
-    inv_d = 1.0 / d  # (N, k)
-    coefficient = s / (1.0 + s * inv_d.sum(axis=1))  # (N,)
-    whitened = np.multiply(ab, inv_d[:, :, None], out=_scratch("gls_u", (n, k, p + 1)))
-    correction = coefficient[:, None] * whitened.sum(axis=1)  # (N, p+1)
-    whitened -= np.multiply(
-        inv_d[:, :, None], correction[:, None, :], out=ab
-    )
-    # One contraction gives the normal equations' [gram | moment]
-    # (matmul: the stacked small products run far faster than einsum).
-    normal = np.matmul(a.transpose(0, 2, 1), whitened)  # (N, p, p+1)
-    try:
-        solutions = np.linalg.solve(normal[..., :p], normal[..., p:])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            "a batched GLS system is degenerate (rank-deficient design)"
-        ) from exc
-    residuals = b - np.einsum("nki,ni->nk", a, solutions)
-    # r^T Psi^-1 r through the same Sherman-Morrison pass (no
-    # re-validation, inverse diagonal and coefficient reused).
-    scaled = residuals * inv_d
-    scaled -= inv_d * (coefficient * scaled.sum(axis=1))[:, None]
-    mahalanobis_sq = np.einsum("nk,nk->n", residuals, scaled)
-    return solutions, np.sqrt(np.maximum(mahalanobis_sq, 0.0))
-
-
 # ----------------------------------------------------------------------
 # Grouped (diag + rank-K block) structure: the multi-constellation
 # generalization.  Differencing each constellation against its own base
@@ -304,12 +198,6 @@ def _validate_grouped(
             "grouped covariance needs non-negative finite rank-one scales"
         )
     return k_groups
-
-
-def _group_indicator(groups: np.ndarray, k_groups: int) -> np.ndarray:
-    """One-hot membership (float64, for matmul): ``(k, K)`` for a shared
-    layout, ``(N, k, K)`` for per-row layouts (``-1`` rows all zero)."""
-    return (groups[..., None] == np.arange(k_groups)).astype(float)
 
 
 def grouped_covariance(
@@ -361,7 +249,12 @@ def apply_inverse_grouped_rank1(
     coefficient = s / denominator  # (K,)
     if v.ndim == 2:
         u = v * inv_d[:, None]
-        group_sums = _group_indicator(g, k_groups).T @ u  # (K, p)
+        p = u.shape[1]
+        group_sums = np.bincount(
+            (g[:, None] * p + np.arange(p)).ravel(),
+            weights=u.ravel(),
+            minlength=k_groups * p,
+        ).reshape(k_groups, p)
         return u - inv_d[:, None] * (coefficient[g, None] * group_sums[g, :])
     u = v * inv_d
     group_sums = np.bincount(g, weights=u, minlength=k_groups)  # (K,)
@@ -417,83 +310,23 @@ def gls_solve_grouped_rank1(
     return solution, float(np.sqrt(max(mahalanobis_sq, 0.0)))
 
 
-def _batched_grouped_whiten(
-    inv_d: np.ndarray,
-    scales: np.ndarray,
-    indicator: np.ndarray,
-    stack: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``Psi^-1 @ stack`` for ``(N, k, q)`` stacks under per-row group
-    layouts given as an ``(N, k, K)`` one-hot ``indicator``."""
-    inv_sums = np.matmul(inv_d[:, None, :], indicator)[:, 0, :]  # (N, K)
-    coefficient = scales / (1.0 + scales * inv_sums)  # (N, K)
-    u = np.multiply(stack, inv_d[:, :, None], out=out)
-    group_sums = np.matmul(indicator.transpose(0, 2, 1), u)  # (N, K, q)
-    # Each row's own group's correction: the one-hot product picks it
-    # (one non-zero term per row, so no rounding enters).
-    correction = np.matmul(indicator, coefficient[:, :, None] * group_sums)
-    u -= inv_d[:, :, None] * correction
-    return u
-
-
-def batched_apply_inverse_grouped_rank1(
-    diag: np.ndarray,
-    scales: np.ndarray,
-    groups: np.ndarray,
-    stack: np.ndarray,
-) -> np.ndarray:
-    """Batched ``Psi^-1 @ v`` for N grouped diag+rank-one systems.
-
-    Parameters
-    ----------
-    diag:
-        ``(N, k)`` positive diagonals (``+inf`` for zero-weight rows).
-    scales:
-        ``(N, K)`` non-negative per-group scales.
-    groups:
-        ``(k,)`` layout shared by the batch, or ``(N, k)`` per-row
-        layouts (``-1`` for zero-weight rows).
-    stack:
-        ``(N, k)`` vectors or ``(N, k, p)`` matrices.
-    """
-    d = np.asarray(diag, dtype=float)
-    s = np.asarray(scales, dtype=float)
-    g = np.asarray(groups, dtype=np.int64)
-    v = np.asarray(stack, dtype=float)
-    k_groups = _validate_grouped(d, s, g)
-    g = np.broadcast_to(g, d.shape)
-    whitened = _batched_grouped_whiten(
-        1.0 / d, s, _group_indicator(g, k_groups), v if v.ndim == 3 else v[..., None]
-    )
-    return whitened if v.ndim == 3 else whitened[..., 0]
-
-
 def batched_gls_solve_grouped_rank1(
     design: np.ndarray,
     observations: np.ndarray,
     diag: np.ndarray,
     scales: np.ndarray,
     groups: np.ndarray,
-    workspace: "Optional[KernelWorkspace]" = None,
-    method: str = "auto",
     decoupled: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One stacked GLS solve for N grouped diag+rank-one systems.
+    """Dense-Cholesky GLS for N grouped diag+rank-one systems.
 
-    The rank-K generalization of :func:`batched_gls_solve_diag_rank1`:
-    same fused ``[A | b]`` whitening, with the per-column axis-k
-    reduction replaced by K per-group reductions through an
-    ``(N, k, K)`` one-hot membership, so every row may carry its own
-    group layout (``groups`` of shape ``(N, k)``; a shared ``(k,)``
-    layout is broadcast).  ``method="dense"`` runs the batched
-    dense-Cholesky fallback instead — O(k^3) per epoch, finite
-    diagonals only, used as the structured path's oracle.
-
-    ``decoupled`` optionally marks ``(N, p)`` unknowns a row does not
-    observe at all (a constellation absent from that epoch, whose
-    design column is zero): each gets a unit Gram diagonal, so it
-    decouples from the rest of the row's system, and a NaN solution.
+    Materializes every ``diag(d) + sum_g s_g 1_g 1_g^T`` covariance and
+    factorizes it: O(k^3) per epoch, finite diagonals only.  This is
+    the oracle the centered kernel (:func:`batched_centered_wls`) is
+    tested against, not a serving path.  ``groups`` is a shared
+    ``(k,)`` layout or ``(N, k)`` per-row layouts; ``decoupled`` marks
+    ``(N, p)`` unknowns a row does not observe (see
+    :func:`solve_normal_equations`), which solve to NaN.
 
     Returns ``(solutions (N, p), whitened_norms (N,))``.
     """
@@ -506,67 +339,148 @@ def batched_gls_solve_grouped_rank1(
     d = np.asarray(diag, dtype=float)
     s = np.asarray(scales, dtype=float)
     g = np.asarray(groups, dtype=np.int64)
-    k_groups = _validate_grouped(d, s, g)
-    if method not in ("auto", "sherman_morrison", "dense"):
-        raise EstimationError(f"unknown grouped GLS method {method!r}")
-    n, k, p = a.shape
+    _validate_grouped(d, s, g)
+    n, k, _p = a.shape
     g = np.broadcast_to(g, (n, k))
-    if method == "dense":
-        _count_gls_path("dense_cholesky_batched", solves=n)
-        same_group = (g[:, :, None] == g[:, None, :]) & (g[:, :, None] >= 0)
-        group_scales = np.take_along_axis(s, np.maximum(g, 0), axis=1)
-        psi = np.where(same_group, group_scales[:, None, :], 0.0)
-        psi[:, np.arange(k), np.arange(k)] += d
-        try:
-            chol = np.linalg.cholesky(psi)
-            white_a = np.linalg.solve(chol, a)
-            white_b = np.linalg.solve(chol, b[..., None])[..., 0]
-            gram = np.einsum("nki,nkj->nij", white_a, white_a)
-            moment = np.einsum("nki,nk->ni", white_a, white_b)
-            solutions = solve_normal_equations(gram, moment, decoupled)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                "a batched grouped GLS system is degenerate"
-            ) from exc
-        residuals = b - np.einsum("nki,ni->nk", a, solutions)
-        white_r = np.linalg.solve(chol, residuals[..., None])[..., 0]
-        norms = np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
-        return _mark_decoupled(solutions, decoupled), norms
-    _count_gls_path("grouped_sherman_morrison_batched", solves=n)
-
-    def _scratch(name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        if workspace is not None:
-            return workspace.buffer(name, shape, a.dtype)
-        return np.empty(shape, dtype=a.dtype)
-
-    indicator = _group_indicator(g, k_groups)  # (N, k, K)
-    inv_d = 1.0 / d  # (N, k); 0 on zero-weight rows
-    ab = _scratch("grouped_gls_ab", (n, k, p + 1))
-    ab[..., :p] = a
-    ab[..., p] = b
-    whitened = _batched_grouped_whiten(
-        inv_d, s, indicator, ab, out=_scratch("grouped_gls_u", (n, k, p + 1))
-    )
-    # (einsum over a contiguous copy: on the strided slice it runs an
-    # order of magnitude slower, with the same reduction order)
-    gram = np.einsum("nki,nkj->nij", a, np.ascontiguousarray(whitened[..., :p]))
-    moment = np.einsum("nki,nk->ni", a, whitened[..., p])
+    _count_gls_path("dense_cholesky_batched", solves=n)
+    same_group = (g[:, :, None] == g[:, None, :]) & (g[:, :, None] >= 0)
+    group_scales = np.take_along_axis(s, np.maximum(g, 0), axis=1)
+    psi = np.where(same_group, group_scales[:, None, :], 0.0)
+    psi[:, np.arange(k), np.arange(k)] += d
     try:
+        chol = np.linalg.cholesky(psi)
+        white_a = np.linalg.solve(chol, a)
+        white_b = np.linalg.solve(chol, b[..., None])[..., 0]
+        gram = np.einsum("nki,nkj->nij", white_a, white_a)
+        moment = np.einsum("nki,nk->ni", white_a, white_b)
         solutions = solve_normal_equations(gram, moment, decoupled)
     except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            "a batched grouped GLS system is degenerate (rank-deficient design)"
-        ) from exc
+        raise EstimationError("a batched grouped GLS system is degenerate") from exc
     residuals = b - np.einsum("nki,ni->nk", a, solutions)
-    mahalanobis_sq = np.einsum(
-        "nk,nk->n",
-        residuals,
-        _batched_grouped_whiten(inv_d, s, indicator, residuals[..., None])[..., 0],
+    white_r = np.linalg.solve(chol, residuals[..., None])[..., 0]
+    norms = np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
+    return _mark_decoupled(solutions, decoupled), norms
+
+
+def center_segments(
+    stack: np.ndarray,
+    weights: np.ndarray,
+    segments: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weighted centering of ``(N, m, q)`` rows inside each segment,
+    in place.
+
+    ``segments`` gives the ``(N, m)`` segment of every slot (ids in
+    ``[0, K)``; ``None`` puts each row's slots in one segment).  Every
+    column loses its weighted mean over the slot's own (row, segment),
+    which projects out one nuisance constant per segment.  Zero-weight
+    slots enter no mean.
+
+    The mean is taken of the differences to the segment's first
+    weighted slot, so a column that is constant inside a segment
+    centers to exactly zero: a degenerate geometry (coplanar
+    satellites) stays exactly singular instead of rounding into a
+    meaningless solve.
+
+    Returns ``(stack, totals)``, ``stack`` now centered and ``totals``
+    the weight sum of each slot's segment: ``(N, m)``, or ``(N, 1)``
+    when each row is one segment.
+    """
+    n, m, q = stack.shape
+    live = weights > 0
+    rows = np.arange(n)[:, None]
+    if segments is None:
+        stack -= stack[rows, live.argmax(axis=1)[:, None]]
+        totals = weights.sum(axis=1, keepdims=True)
+        sums = np.matmul(weights[:, None, :], stack)  # (N, 1, q)
+        stack -= sums / np.where(totals > 0, totals, 1.0)[:, :, None]
+        return stack, totals
+    k = int(segments.max()) + 1 if segments.size else 1
+    index = rows * k + segments  # (N, m)
+    # (flat takes: several times faster than fancy indexing here)
+    firsts = (
+        (segments[:, None, :] == np.arange(k)[:, None]) & live[:, None, :]
+    ).argmax(axis=2)  # (N, K) first weighted slot of each segment
+    references = (rows * m + firsts.ravel().take(index)).ravel()
+    stack -= stack.reshape(n * m, q).take(references, axis=0).reshape(n, m, q)
+    totals = np.bincount(index.ravel(), weights=weights.ravel(), minlength=n * k)
+    # One bincount over (row, segment, column) gives every segment sum.
+    sums = np.bincount(
+        (index[..., None] * q + np.arange(q)).ravel(),
+        weights=(stack * weights[..., None]).ravel(),
+        minlength=n * k * q,
+    ).reshape(n * k, q)
+    stack -= (sums / np.where(totals > 0, totals, 1.0)[:, None]).take(index, axis=0)
+    return stack, totals.take(index)
+
+
+def batched_centered_wls(
+    design: np.ndarray,
+    observations: np.ndarray,
+    weights: np.ndarray,
+    segments: Optional[np.ndarray] = None,
+    decoupled: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One stacked weighted least squares with a free constant per segment.
+
+    Solves, for each of N rows, ``observations ~ design @ x + w_c`` with
+    diagonal ``weights`` and one nuisance constant ``w_c`` per segment
+    (:func:`center_segments` removes it, so it never becomes a column).
+    This is the batched DLG: with undifferenced range rows and weights
+    ``1/rho^2`` it returns the eq. 4-26 GLS fix and whitened norm.
+
+    Parameters
+    ----------
+    design:
+        ``(N, m, p)`` design rows.
+    observations:
+        ``(N, m)`` right-hand sides.
+    weights:
+        ``(N, m)`` non-negative weights; a zero-weight slot (padding)
+        takes no part, its design and right-hand side must be finite.
+    segments:
+        ``(N, m)`` non-negative segment ids, or ``None`` for one
+        segment per row.
+    decoupled:
+        ``(N, p)`` unknowns a row does not observe (a column that
+        centers to zero): they solve to NaN.
+
+    Returns
+    -------
+    (solutions, whitened_norms)
+        ``(N, p)`` solutions and ``(N,)`` norms ``sqrt(r^T W r)`` of
+        the centered residuals.
+    """
+    a = np.asarray(design, dtype=float)
+    b = np.asarray(observations, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if a.ndim != 3 or b.shape != a.shape[:2] or w.shape != b.shape:
+        raise EstimationError(
+            f"batched design {a.shape}, observations {b.shape} and "
+            f"weights {w.shape} are inconsistent"
+        )
+    if not np.all(w >= 0):
+        raise EstimationError("weighted least squares needs non-negative weights")
+    n, _m, p = a.shape
+    _count_gls_path("centered_wls_batched", solves=n)
+    # Center [A | b] in one fresh buffer, then whiten it in place by
+    # sqrt(W): one (N, m, p+1) allocation per call.
+    white, _totals = center_segments(
+        np.concatenate([a, b[..., None]], axis=2), w, segments
     )
-    return (
-        _mark_decoupled(solutions, decoupled),
-        np.sqrt(np.maximum(mahalanobis_sq, 0.0)),
-    )
+    white *= np.sqrt(w)[..., None]
+    # One contraction gives the normal equations' [gram | moment].
+    normal = np.matmul(white[..., :p].transpose(0, 2, 1), white)  # (N, p, p+1)
+    try:
+        solutions = solve_normal_equations(normal[..., :p], normal[..., p], decoupled)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            "a batched weighted least-squares system is degenerate "
+            "(rank-deficient design)"
+        ) from exc
+    residuals = white[..., p] - np.einsum("nki,ni->nk", white[..., :p], solutions)
+    norms = np.sqrt(np.einsum("nk,nk->n", residuals, residuals))
+    return _mark_decoupled(solutions, decoupled), norms
 
 
 def solve_normal_equations(

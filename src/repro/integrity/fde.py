@@ -10,20 +10,19 @@ Two structural facts make this cheap enough to run on every epoch of
 a high-rate stream:
 
 * **Detection is free.**  The whitened (Mahalanobis) residual norm the
-  Sherman-Morrison GLS path already computes — and
-  :class:`~repro.solvers.batch.BatchDLGSolver` discards — *is* the
-  RAIM test quantity: ``(norm / sigma)^2`` is chi-square with ``m - 4``
-  degrees of freedom under no fault.  The gate is one vectorized
-  comparison against per-row thresholds (each row's own ``m``).
-* **Exclusion is closed form.**  The eq. 4-26 covariance is
-  ``D diag(rho^2) D^T`` for the differencing matrix ``D``, so the GLS
-  fix does not depend on which satellite is the base, and deleting
-  satellite ``i`` is the same as giving it a mean-shift unknown whose
-  design column is ``c_i = D e_i``: the unit row of a non-base
-  satellite, ``-1`` on every member row of its constellation for a
-  base.  Every leave-one-out candidate is therefore priced from the
-  parent solve's own difference system (:func:`leave_one_out`): one
-  Sherman-Morrison whitening of ``[A | C | r]`` and one small
+  batched DLG solve already computes — ``sqrt(r^T W r)`` of its
+  centered weighted least squares, equal to the eq. 4-26 GLS norm — *is*
+  the RAIM test quantity: ``(norm / sigma)^2`` is chi-square with
+  ``m - 4`` degrees of freedom under no fault.  The gate is one
+  vectorized comparison against per-row thresholds (each row's own
+  ``m``).
+* **Exclusion is closed form.**  The batched solve keeps every
+  satellite as its own undifferenced, diagonally weighted row
+  (:class:`~repro.solvers.batch.RangeSystem`), so deleting satellite
+  ``j`` is the same as giving that one row a mean-shift unknown.  No
+  satellite is a base, so no candidate spans a constellation.  Every
+  leave-one-out candidate is priced from the parent solve's own
+  system (:func:`leave_one_out`): per-row leverages and one small
   normal-equation solve per flagged row, instead of the scalar
   monitor's m full re-solves per flagged epoch.
 
@@ -48,15 +47,15 @@ import numpy as np
 
 from repro.blocks import EpochBlock
 from repro.errors import ConfigurationError
-from repro.estimation import batched_apply_inverse_grouped_rank1
+from repro.estimation import center_segments
 from repro.integrity.raim import chi_square_quantile
 from repro.observations import ObservationEpoch
 from repro.solvers.batch import (
     BatchDLGSolver,
     BatchMultiResult,
-    MultiDifferenceSystem,
+    RangeSystem,
     as_block,
-    build_difference_systems,
+    build_range_systems,
 )
 from repro.telemetry import get_registry
 
@@ -264,28 +263,34 @@ class FdeRecord:
 
 
 def leave_one_out(
-    system: MultiDifferenceSystem, solution: np.ndarray
+    system: RangeSystem, solution: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every leave-one-out candidate of N solved rows, in closed form.
 
-    ``system`` holds the rows' difference systems in slot layout (one
-    equation row per satellite slot, base and padded rows zero with
-    infinite variance) and ``solution`` their ``(N, p)`` GLS solution,
-    NaN on unknowns a row does not observe.
+    ``system`` holds the rows' range equations (one row per satellite
+    slot, padded slots of zero weight) and ``solution`` their ``(N, p)``
+    weighted least-squares solution, NaN on unknowns a row does not
+    observe.
 
     Deleting satellite ``j`` is the parent model plus one mean-shift
-    column ``c_j`` (the unit row ``e_j`` for a non-base satellite,
-    ``-1`` on its constellation's member rows for a base), so with
-    ``G = A^T Psi^-1 A`` and ``r`` the parent residual
+    column.  After the segment centering that removes each
+    constellation's nuisance constant, that column is
+    ``c_j = e_j - (w_j / W_c) 1_c`` (``W_c`` the weight sum of ``j``'s
+    constellation ``c``), and because the centered design ``A`` and
+    residual ``r`` have zero weighted sum inside every segment,
 
-        delta_j = c_j^T Psi^-1 r / c_j^T Q c_j,
-        x_(j)   = x - G^-1 A^T Psi^-1 c_j delta_j,
-        r'_j    = r + A G^-1 A^T Psi^-1 c_j delta_j - c_j delta_j,
+        c^T W c = w_j - w_j^2 / W_c,  A^T W c = w_j A_j,  c^T W r = w_j r_j.
 
-    where ``c^T Q c = c^T Psi^-1 c - c^T Psi^-1 A G^-1 A^T Psi^-1 c``.
-    The statistic is the candidate's own ``r'^T Psi^-1 r'``, not the
-    downdate ``r^T Psi^-1 r - delta^2 c^T Q c``, which loses the
-    relative precision a re-solve keeps.
+    With ``G = A^T W A`` and the leverage ``h_j = A_j G^-1 A_j^T``:
+
+        c^T Q c = c^T W c - w_j^2 h_j,
+        delta_j = w_j r_j / c^T Q c,
+        x_(j)   = x - delta_j w_j G^-1 A_j^T,
+        r'_j    = r + delta_j (w_j A G^-1 A_j^T - c_j).
+
+    The statistic is the candidate's own ``r'^T W r'``, not the
+    downdate ``r^T W r - delta^2 c^T Q c``, which loses the relative
+    precision a re-solve keeps.
 
     Returns ``(statistics (N, m), solutions (N, m, p))``: slot ``j``'s
     subset quantities.  A slot is no candidate (statistic ``+inf``)
@@ -295,50 +300,40 @@ def leave_one_out(
     a row does not observe keeps a unit Gram diagonal and NaN
     solutions.
     """
-    design, groups, columns = system.design, system.groups, system.columns
-    _rows, m, p = design.shape
+    weights, columns = system.weights, system.columns
+    p = system.design.shape[2]
     decoupled = system.decoupled
     if decoupled is not None:
         solution = np.where(decoupled, 0.0, solution)
-    member = groups >= 0
-    base = (columns >= 0) & ~member
-    candidates = np.where(
-        base[:, None, :],
-        -(groups[:, :, None] == columns[:, None, :]).astype(float),
-        np.eye(m) * member[:, None, :],
-    )  # (N, m rows, m candidates)
-    residuals = system.rhs - np.einsum("nki,ni->nk", design, solution)
-    white = batched_apply_inverse_grouped_rank1(
-        system.diag,
-        system.scales,
-        groups,
-        np.concatenate([design, candidates, residuals[..., None]], axis=2),
+    centered, totals = center_segments(
+        np.concatenate([system.design, system.rhs[..., None]], axis=2),
+        weights,
+        system.segments,
     )
-    white_design = white[..., :p]
-    white_candidates = white[..., p : p + m]
-    white_residuals = white[..., p + m]
+    design = centered[..., :p]
+    residuals = centered[..., p] - np.einsum("nki,ni->nk", design, solution)
     design_t = design.transpose(0, 2, 1)
-    gram = np.matmul(design_t, white_design)  # (N, p, p)
+    gram = np.matmul(design_t, design * weights[..., None])  # (N, p, p)
     if decoupled is not None:
         rows, unknowns = np.nonzero(decoupled)
         gram[rows, unknowns, unknowns] = 1.0
-    cross = np.matmul(design_t, white_candidates)  # A^T Psi^-1 C, (N, p, m)
-    gain = np.linalg.solve(gram, cross)  # G^-1 A^T Psi^-1 C
-    c_psi_c = np.einsum("nkj,nkj->nj", candidates, white_candidates)
-    c_q_c = c_psi_c - np.einsum("npj,npj->nj", cross, gain)
-    group_sizes = (columns[:, :, None] == columns[:, None, :]).sum(axis=1)
-    priced = (columns >= 0) & (group_sizes > 2)
-    priced &= c_q_c > _DEGENERATE_LEVERAGE * c_psi_c
-    shift = np.einsum("nkj,nk->nj", candidates, white_residuals)
-    shift /= np.where(priced, c_q_c, 1.0)  # delta_j
-    solutions = solution[:, None, :] - (gain * shift[:, None, :]).transpose(0, 2, 1)
-    moved = (np.matmul(design, gain) - candidates) * shift[:, None, :]
-    white_moved = (np.matmul(white_design, gain) - white_candidates) * shift[:, None, :]
-    statistics = np.einsum(
-        "nkj,nkj->nj",
-        residuals[:, :, None] + moved,
-        white_residuals[:, :, None] + white_moved,
-    )
+    gain = np.linalg.solve(gram, design_t)  # G^-1 A_j^T, (N, p, m)
+    hat = np.matmul(design, gain)  # A G^-1 A^T, (N, m, m)
+    leverage = np.diagonal(hat, axis1=1, axis2=2)
+    share = weights / np.where(totals > 0, totals, 1.0)  # w_j / W_c
+    c_w_c = weights * (1.0 - share)
+    c_q_c = c_w_c - weights**2 * leverage
+    same = columns[:, :, None] == columns[:, None, :]  # (N, m rows, m candidates)
+    priced = (columns >= 0) & (same.sum(axis=1) > 2)
+    priced &= c_q_c > _DEGENERATE_LEVERAGE * c_w_c
+    shift = weights * residuals / np.where(priced, c_q_c, 1.0)  # delta_j
+    pull = shift * weights  # delta_j w_j
+    solutions = solution[:, None, :] - (gain * pull[:, None, :]).transpose(0, 2, 1)
+    # r'_(i, j) = r_i + delta_j (w_j hat_ij - [i == j] + share_j [i in c_j])
+    moved = hat * pull[:, None, :] + same * (share * shift)[:, None, :]
+    moved[:, np.arange(moved.shape[1]), np.arange(moved.shape[1])] -= shift
+    subset = residuals[:, :, None] + moved
+    statistics = np.einsum("nk,nkj->nj", weights, subset * subset)
     statistics[~priced] = np.inf
     if decoupled is not None:
         solutions[np.broadcast_to(decoupled[:, None, :], solutions.shape)] = np.nan
@@ -423,11 +418,10 @@ class BatchFde:
         whose whitened ``norms`` double as the test statistics, so
         detection is one vectorized comparison against per-row
         thresholds (each row's dof is its own ``count - 4``).  Only
-        flagged rows with ``count >= 6`` pay for exclusion: their
-        difference systems are rebuilt in slot layout and every
-        candidate is priced by :func:`leave_one_out` against the
-        parent ``solutions``, which are updated **in place** for the
-        rows the exclusion repairs.
+        flagged rows with ``count >= 6`` pay for exclusion: their range
+        systems are rebuilt and every candidate is priced by
+        :func:`leave_one_out` against the parent ``solutions``, which
+        are updated **in place** for the rows the exclusion repairs.
         """
         counts = block.counts
         record = self._detect(norms, counts - 4)
@@ -437,7 +431,9 @@ class BatchFde:
             if flagged.any():
                 rows = np.flatnonzero(flagged)
                 repaired, fixes = self._exclude(
-                    _single_system(block, corrected, rows),
+                    build_range_systems(
+                        block.positions[rows], corrected[rows], block.occupied[rows]
+                    ),
                     solutions[rows],
                     rows,
                     counts[rows] - 5,
@@ -483,7 +479,7 @@ class BatchFde:
 
     def _exclude(
         self,
-        system: MultiDifferenceSystem,
+        system: RangeSystem,
         solution: np.ndarray,
         rows: np.ndarray,
         sub_dof: np.ndarray,
@@ -526,14 +522,13 @@ class BatchFde:
         """Chi-square detection + exclusion for a per-constellation solve.
 
         The multi-constellation counterpart of :meth:`screen`: the
-        whitened norms of the grouped GLS solve are chi-square with
-        ``m - 3 - 2K`` degrees of freedom (differencing consumes one
-        equation per constellation and each constellation clock is an
-        extra unknown), so the detection floor rises from 5 satellites
-        to ``4 + 2K`` — per row, with that row's own ``m`` and ``K``.
-        Exclusion prices its candidates from the difference system the
-        solve already built (``result.system``): no second system, no
-        kernel call.  A satellite whose constellation has only two
+        whitened norms of the per-constellation solve are chi-square
+        with ``m - 3 - 2K`` degrees of freedom (each constellation's
+        nuisance constant and clock are two extra unknowns), so the
+        detection floor rises from 5 satellites to ``4 + 2K`` — per
+        row, with that row's own ``m`` and ``K``.  Exclusion prices its
+        candidates from the range system the solve already built
+        (``result.system``): no second system, no kernel call.  A satellite whose constellation has only two
         satellites is no candidate — its survivor's bias would be
         unobservable — and a row's exclusion pass needs
         ``m >= 5 + 2K``.  The result's ``positions`` and
@@ -611,28 +606,3 @@ class BatchFde:
             if count:
                 counter.labels(status=name).inc(count)
 
-
-def _single_system(
-    block: EpochBlock, corrected: np.ndarray, rows: np.ndarray
-) -> MultiDifferenceSystem:
-    """The single-clock difference systems of ``rows`` in the slot
-    layout :func:`leave_one_out` takes: slot 0 is the base (a zero
-    equation row with infinite variance) and every occupied slot
-    belongs to the one clock group."""
-    occupied = block.occupied[rows]
-    ranges = corrected[rows]
-    design, rhs = build_difference_systems(block.positions[rows], ranges, occupied)
-    columns = np.where(occupied, 0, -1)
-    groups = columns.copy()
-    groups[:, 0] = -1
-    diag = np.where(groups == 0, ranges**2, np.inf)
-    return MultiDifferenceSystem(
-        design=np.concatenate([np.zeros_like(design[:, :1]), design], axis=1),
-        rhs=np.concatenate([np.zeros_like(rhs[:, :1]), rhs], axis=1),
-        diag=diag,
-        scales=ranges[:, :1] ** 2,
-        groups=groups,
-        codes=np.zeros(1, dtype=np.int64),
-        present=np.ones((rows.size, 1), dtype=bool),
-        columns=columns,
-    )

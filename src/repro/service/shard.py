@@ -253,8 +253,9 @@ def write_request(
 
     One slab copy per lane: the flush's padded block lands in the
     slot's ``[:n, :m]`` corner as-is, padding included, and
-    ``req_sats`` carries the per-row counts (0 for unpackable rows,
-    which the worker reports invalid without touching their lanes).
+    ``req_sats`` carries the per-row counts (-1 for unpackable rows,
+    which the worker reports invalid without touching their lanes; an
+    empty but packable epoch keeps its 0).
     Raises :class:`~repro.errors.ServiceError` if the batch does not
     fit the slot.
     """
@@ -269,6 +270,7 @@ def write_request(
     stamp_begin(arrays["req_begin"], slot, sequence)
     arrays["req_count"][slot] = n
     arrays["req_sats"][slot, :n] = block.counts
+    arrays["req_sats"][slot, list(packed.unpackable)] = -1
     arrays["req_positions"][slot, :n, :m] = block.positions
     arrays["req_pseudoranges"][slot, :n, :m] = block.pseudoranges
     # Slots are reused: a block without C/N0 must still overwrite the
@@ -304,11 +306,12 @@ def read_request(
         raise ServiceError(
             f"slot {slot} claims {n} epochs; its capacity is {capacity}"
         )
-    counts = arrays["req_sats"][slot, :n]
-    if n and (counts.min() < 0 or counts.max() > width):
+    sats = arrays["req_sats"][slot, :n]
+    if n and (sats.min() < -1 or sats.max() > width):
         raise ServiceError(
-            f"slot {slot} claims satellite counts outside [0, {width}]"
+            f"slot {slot} claims satellite counts outside [-1, {width}]"
         )
+    counts = np.maximum(sats, 0)
     m = int(counts.max()) if n else 0
     cn0 = arrays["req_cn0"][slot, :n, :m]
     try:
@@ -330,7 +333,7 @@ def read_request(
         raise ServiceError(f"slot {slot} holds a malformed batch: {exc}") from exc
     overrides = arrays["req_biases"][slot, :n]
     biases = overrides.copy() if np.isfinite(overrides).any() else None
-    unpackable = tuple(int(row) for row in np.flatnonzero(counts == 0))
+    unpackable = tuple(int(row) for row in np.flatnonzero(sats == -1))
     return PackedStream(block=block, unpackable=unpackable), biases
 
 

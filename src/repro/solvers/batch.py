@@ -3,18 +3,20 @@
 The paper's third future-work item: "optimize the matrix operations in
 the context of our problem so the computation time may be further
 reduced".  The closed-form structure of DLO/DLG makes them unusually
-batchable: N epochs can be built and solved as one stacked
-``(N, m-1, 3)`` tensor operation, amortizing the per-call dispatch
-overhead that dominates small solves.
+batchable: N epochs can be built and solved as one stacked tensor
+operation, amortizing the per-call dispatch overhead that dominates
+small solves.  DLO stacks the paper's differenced ``(N, m-1, 3)``
+systems; DLG, whose GLS fix does not depend on the base, stacks the
+undifferenced range equations of :class:`RangeSystem` and solves them
+as one centered weighted least squares.
 
 Epochs need not share a satellite count.  A padded
 :class:`~repro.blocks.EpochBlock` keeps row ``i``'s satellites in
 slots ``[0, counts[i])``, and every solver gives the padded slots zero
-weight: DLG an infinite variance (a zero in the Sherman-Morrison
-``D^-1``) with zero design and right-hand-side rows, DLO and NR zero
-rows in their normal equations.  A row then solves exactly like its
-own narrower system, up to float reassociation, so one kernel call
-answers a whole mixed flush.
+weight: DLG a zero weight with zero design and right-hand-side rows,
+DLO and NR zero rows in their normal equations.  A row then solves
+exactly like its own narrower system, up to float reassociation, so
+one kernel call answers a whole mixed flush.
 
 This is exactly the optimization a high-rate tracking server (the
 paper's motivating "object moving at high speed" positioned many times
@@ -40,12 +42,8 @@ import numpy as np
 from repro.blocks import EpochBlock
 from repro.constellation.systems import SYSTEM_CODES, system_code
 from repro.errors import ConfigurationError, ConvergenceError, EstimationError, GeometryError
-from repro.estimation import (
-    batched_gls_solve_diag_rank1,
-    batched_gls_solve_grouped_rank1,
-)
+from repro.estimation import batched_centered_wls
 from repro.estimation.structured import solve_normal_equations
-from repro.estimation.workspace import KernelWorkspace
 from repro.observations import ObservationEpoch
 from repro.solvers.direct_linear import CONSTELLATION_MODES, check_multi_admissibility
 
@@ -152,25 +150,59 @@ def system_columns(
     return columns, codes
 
 
+def _decoupled(present: np.ndarray) -> Optional[np.ndarray]:
+    """``(N, 3+K)`` unknowns a row does not observe, or ``None``."""
+    absent = ~present
+    if not absent.any():
+        return None
+    return np.concatenate(
+        [np.zeros((absent.shape[0], 3), dtype=bool), absent], axis=1
+    )
+
+
+def _constellation_layout(
+    systems: np.ndarray, occupied: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(columns, codes, present)`` of a batch solved per constellation.
+
+    ``columns`` and ``codes`` are :func:`system_columns`' and
+    ``present`` ``(N, K)`` marks the constellations each row observes.
+    Raises :class:`~repro.errors.GeometryError` for the first row the
+    per-constellation system cannot solve: every constellation needs
+    two satellites and a row ``3 + 2K`` in all.
+    """
+    n = systems.shape[0]
+    columns, codes = system_columns(systems, occupied)
+    k_groups = int(codes.shape[0])
+    group_counts = np.bincount(
+        (np.arange(n)[:, None] * k_groups + columns)[occupied],
+        minlength=n * k_groups,
+    ).reshape(n, k_groups)
+    present = group_counts > 0  # (N, K)
+    row_groups = present.sum(axis=1)
+    bad = (present & (group_counts < 2)).any(axis=1) | (
+        occupied.sum(axis=1) - row_groups < 3 + row_groups
+    )
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        live = columns[row][occupied[row]]
+        layout = np.unique(live, return_inverse=True)
+        check_multi_admissibility(layout[1], codes[layout[0]])
+    return columns, codes, present
+
+
 @dataclass(frozen=True)
 class MultiDifferenceSystem:
-    """Per-constellation difference systems of a padded batch.
+    """Per-constellation difference systems of a padded batch (DLO).
 
     One equation row per slot: each constellation is differenced
-    against its own base (its first slot in that row), and base and
-    padded slots keep zero rows with infinite variance.
+    against its own base (its first slot in that row); base and padded
+    slots keep zero rows.
 
     Attributes
     ----------
     design, rhs:
         ``(N, m, 3+K)`` designs and ``(N, m)`` right-hand sides.
-    diag, scales:
-        ``(N, m)`` diagonal (``rho_j^2``; ``+inf`` on zero rows) and
-        ``(N, K)`` per-group rank-one scales (``rho_base^2``; 0 for a
-        constellation the row lacks) of the grouped covariance.
-    groups:
-        ``(N, m)`` group (bias column) of every equation row, ``-1``
-        on zero rows.
     codes:
         ``(K,)`` system ids of the bias columns.
     present:
@@ -182,35 +214,14 @@ class MultiDifferenceSystem:
 
     design: np.ndarray
     rhs: np.ndarray
-    diag: np.ndarray
-    scales: np.ndarray
-    groups: np.ndarray
     codes: np.ndarray
     present: np.ndarray
     columns: np.ndarray
 
-    def take(self, rows: np.ndarray) -> "MultiDifferenceSystem":
-        """The systems of ``rows`` only (same bias columns)."""
-        return replace(
-            self,
-            design=self.design[rows],
-            rhs=self.rhs[rows],
-            diag=self.diag[rows],
-            scales=self.scales[rows],
-            groups=self.groups[rows],
-            present=self.present[rows],
-            columns=self.columns[rows],
-        )
-
     @property
     def decoupled(self) -> Optional[np.ndarray]:
         """``(N, 3+K)`` unknowns a row does not observe, or ``None``."""
-        absent = ~self.present
-        if not absent.any():
-            return None
-        return np.concatenate(
-            [np.zeros((absent.shape[0], 3), dtype=bool), absent], axis=1
-        )
+        return _decoupled(self.present)
 
 
 def build_multi_difference_systems(
@@ -222,35 +233,20 @@ def build_multi_difference_systems(
     """Vectorized per-constellation difference construction for a batch.
 
     The batched counterpart of :func:`~repro.solvers.direct_linear.
-    build_multi_difference_system`, with a per-row group layout: every
-    row differences each of its constellations against that
+    build_multi_difference_system`, with a per-row layout: every row
+    differences each of its constellations against that
     constellation's first slot, so rows with different system
-    patterns share one stacked system through per-row group
-    memberships.  Raises :class:`~repro.errors.GeometryError` for the
-    first row whose layout the per-constellation system cannot solve.
+    patterns share one stacked system.  Raises
+    :class:`~repro.errors.GeometryError` for the first row whose layout
+    the per-constellation system cannot solve.
 
     ``pseudoranges`` are *raw*: the per-constellation biases are
     unknowns of this system, nothing is removed up front.
     """
     n, m = pseudoranges.shape
-    columns, codes = system_columns(systems, occupied)
+    columns, codes, present = _constellation_layout(systems, occupied)
     k_groups = int(codes.shape[0])
     in_group = [columns == g for g in range(k_groups)]  # K x (N, m)
-    group_counts = np.bincount(
-        (np.arange(n)[:, None] * k_groups + columns)[occupied],
-        minlength=n * k_groups,
-    ).reshape(n, k_groups)
-    present = group_counts > 0  # (N, K)
-    row_groups = present.sum(axis=1)
-    counts = occupied.sum(axis=1)
-    bad = (present & (group_counts < 2)).any(axis=1) | (
-        counts - row_groups < 3 + row_groups
-    )
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        live = columns[row][occupied[row]]
-        layout = np.unique(live, return_inverse=True)
-        check_multi_admissibility(layout[1], codes[layout[0]])
     # (N, K) first slot of each group
     bases = np.stack([mask.argmax(axis=1) for mask in in_group], axis=1)
     rows = np.arange(n)[:, None]
@@ -278,14 +274,129 @@ def build_multi_difference_systems(
         0.0,
     )
     return MultiDifferenceSystem(
+        design=design, rhs=rhs, codes=codes, present=present, columns=columns
+    )
+
+
+@dataclass(frozen=True)
+class RangeSystem:
+    """The undifferenced DLG range equations of a padded batch.
+
+    One equation row per satellite slot ``i`` of constellation ``c``:
+
+        s_i^T x - rho_i b_c - w_c = (|s_i|^2 - rho_i^2) / 2,
+        weight 1 / rho_i^2,
+
+    where ``w_c = (|x|^2 - b_c^2) / 2`` is a nuisance constant of the
+    row's segment ``c`` that :func:`~repro.estimation.
+    batched_centered_wls` projects out.  Differencing against a base
+    is an invertible row transform, so this weighted least squares is
+    the paper's eq. 4-26 GLS: same fix, same whitened residual norm,
+    for any base.  On the single-clock path ``rho`` is the
+    clock-corrected range and the unknowns are ``x`` alone; per
+    constellation ``rho`` is raw and the unknowns are ``[x, b_1..b_K]``.
+    Padded slots are zero rows of zero weight.
+
+    Attributes
+    ----------
+    design, rhs, weights:
+        ``(N, m, p)`` designs, ``(N, m)`` right-hand sides and weights.
+    columns:
+        ``(N, m)`` segment (constellation column) of every slot, ``-1``
+        on padded slots.
+    codes, present:
+        ``(K,)`` system ids of the segments and ``(N, K)`` which of
+        them each row observes.
+    """
+
+    design: np.ndarray
+    rhs: np.ndarray
+    weights: np.ndarray
+    columns: np.ndarray
+    codes: np.ndarray
+    present: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "RangeSystem":
+        """The systems of ``rows`` only (same segments)."""
+        return replace(
+            self,
+            design=self.design[rows],
+            rhs=self.rhs[rows],
+            weights=self.weights[rows],
+            columns=self.columns[rows],
+            present=self.present[rows],
+        )
+
+    @property
+    def segments(self) -> Optional[np.ndarray]:
+        """Segment ids for :func:`~repro.estimation.center_segments`:
+        ``None`` when every row is one segment."""
+        if self.codes.shape[0] == 1:
+            return None
+        return np.maximum(self.columns, 0)
+
+    @property
+    def decoupled(self) -> Optional[np.ndarray]:
+        """``(N, p)`` unknowns a row does not observe, or ``None``."""
+        return _decoupled(self.present)
+
+    def solve(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(solutions (N, p), whitened norms (N,))`` of every row."""
+        try:
+            return batched_centered_wls(
+                self.design, self.rhs, self.weights, self.segments, self.decoupled
+            )
+        except EstimationError as exc:
+            raise EstimationError(_DEGENERATE) from exc
+
+
+def build_range_systems(
+    positions: np.ndarray,
+    ranges: np.ndarray,
+    occupied: Optional[np.ndarray] = None,
+    systems: Optional[np.ndarray] = None,
+) -> RangeSystem:
+    """Vectorized :class:`RangeSystem` construction for a batch.
+
+    Without ``systems`` the ``(N, m)`` ``ranges`` are clock-corrected
+    and every row is one segment with unknowns ``x``.  With the
+    ``(N, m)`` system ids the ranges are raw pseudoranges, each
+    constellation is its own segment and gets a bias column, and
+    rows the per-constellation system cannot solve raise
+    :class:`~repro.errors.GeometryError` (see
+    :func:`_constellation_layout`).  ``occupied`` marks the live slots
+    of a padded batch (``None``: all).
+    """
+    n, m = ranges.shape
+    if systems is None:
+        live = np.ones((n, m), dtype=bool) if occupied is None else occupied
+        columns = np.where(live, 0, -1)
+        codes = np.zeros(1, dtype=np.int64)
+        present = np.ones((n, 1), dtype=bool)
+        design = positions
+    else:
+        live = occupied
+        columns, codes, present = _constellation_layout(systems, occupied)
+        design = np.zeros((n, m, 3 + codes.shape[0]))
+        design[:, :, :3] = positions
+        np.put_along_axis(
+            design, 3 + np.maximum(columns, 0)[..., None], -ranges[..., None], axis=2
+        )
+    squared = ranges**2
+    rhs = 0.5 * (np.einsum("nmi,nmi->nm", positions, positions) - squared)
+    if occupied is None:
+        weights = 1.0 / squared
+    else:
+        design = np.where(live[:, :, None], design, 0.0)
+        rhs = np.where(live, rhs, 0.0)
+        weights = np.where(live, 1.0 / np.where(live, squared, 1.0), 0.0)
+    return RangeSystem(
         design=design,
         rhs=rhs,
-        diag=np.where(member, pseudoranges**2, np.inf),
-        scales=np.where(present, pseudoranges[rows, bases] ** 2, 0.0),
-        groups=np.where(member, columns, -1),
+        weights=weights,
+        columns=columns,
         codes=codes,
         present=present,
-        columns=columns,
     )
 
 
@@ -308,15 +419,16 @@ class BatchMultiResult:
         ``(N,)`` residual norms — whitened (Mahalanobis) for DLG, raw
         differenced-domain for DLO.
     system:
-        The difference system the batch was solved from; the FDE gate
-        prices its exclusion candidates from it.
+        The system the batch was solved from: a :class:`RangeSystem`
+        for DLG (the FDE gate prices its exclusion candidates from it),
+        a :class:`MultiDifferenceSystem` for DLO.
     """
 
     positions: np.ndarray
     constellation_biases: np.ndarray
     systems: Tuple[str, ...]
     norms: np.ndarray
-    system: MultiDifferenceSystem
+    system: Union[RangeSystem, MultiDifferenceSystem]
 
     @property
     def first_columns(self) -> np.ndarray:
@@ -341,7 +453,9 @@ def _check_constellations(constellations: str) -> str:
 
 
 def _finish_multi_batch(
-    solutions: np.ndarray, system: MultiDifferenceSystem, norms: np.ndarray
+    solutions: np.ndarray,
+    system: Union[RangeSystem, MultiDifferenceSystem],
+    norms: np.ndarray,
 ) -> BatchMultiResult:
     return BatchMultiResult(
         positions=solutions[:, :3].copy(),
@@ -349,12 +463,6 @@ def _finish_multi_batch(
         systems=tuple(system_code(int(code)) for code in system.codes),
         norms=norms,
         system=system,
-    )
-
-
-def _multi_system(block: EpochBlock) -> MultiDifferenceSystem:
-    return build_multi_difference_systems(
-        block.positions, block.pseudoranges, block.systems, block.occupied
     )
 
 
@@ -420,7 +528,9 @@ class BatchDLOSolver:
         difference systems; rows may mix satellite counts and system
         patterns freely.
         """
-        system = _multi_system(block)
+        system = build_multi_difference_systems(
+            block.positions, block.pseudoranges, block.systems, block.occupied
+        )
         design, rhs = system.design, system.rhs
         gram, moment = _normal_equations(design, rhs)
         decoupled = system.decoupled
@@ -442,15 +552,15 @@ class BatchDLOSolver:
 
 
 class BatchDLGSolver:
-    """Vectorized DLG: stacked GLS with the eq. 4-26 covariances.
+    """Vectorized DLG: the eq. 4-26 GLS of N epochs in one stacked solve.
 
-    The eq. 4-26 covariance is diagonal-plus-rank-one
-    (``Psi = diag(rho_j^2) + rho_base^2 * 11^T``), so instead of
-    factorizing N dense ``(m-1, m-1)`` matrices the whole stack is
-    whitened through the O(m)-per-epoch Sherman-Morrison identity
-    (:func:`~repro.estimation.batched_gls_solve_diag_rank1`) — the same
-    fast path the scalar :class:`~repro.solvers.direct_linear.DLGSolver`
-    uses, vectorized across all N epochs at once.
+    GLS on base-differenced rows does not depend on the base, so the
+    stack is solved undifferenced: every satellite keeps its own range
+    equation with weight ``1/rho^2``, and weighted centering per
+    constellation removes the nuisance term differencing would cancel
+    (:class:`RangeSystem`, :func:`~repro.estimation.batched_centered_wls`).
+    The scalar :class:`~repro.solvers.direct_linear.DLGSolver` stays
+    the differenced, paper-faithful reference.
 
     ``constellations="per_constellation"`` estimates one clock bias
     per constellation (see :meth:`solve_block_multi`).
@@ -460,12 +570,6 @@ class BatchDLGSolver:
 
     def __init__(self, constellations: str = "single") -> None:
         self.constellations = _check_constellations(constellations)
-        self._workspace = KernelWorkspace()
-
-    @property
-    def workspace(self) -> KernelWorkspace:
-        """The preallocated scratch buffers this solver reuses."""
-        return self._workspace
 
     def solve_batch(
         self,
@@ -499,26 +603,14 @@ class BatchDLGSolver:
     def solve_block_multi(self, block: EpochBlock) -> BatchMultiResult:
         """Per-constellation solve of an already-columnar block.
 
-        The grouped generalization of :meth:`solve_block_full`: the
-        block-diagonal eq. 4-26 covariance (one diag+rank-one block per
-        constellation) is applied through
-        :func:`~repro.estimation.batched_gls_solve_grouped_rank1` with
-        each row's own group layout, so the whole stack whitens in
-        O(m) per epoch with no factorization and no bucketing.
+        Unknowns ``[x, b_1..b_K]``; each row centers within its own
+        constellations, so rows of any width and system pattern share
+        one stacked solve with no bucketing.
         """
-        system = _multi_system(block)
-        try:
-            solutions, norms = batched_gls_solve_grouped_rank1(
-                system.design,
-                system.rhs,
-                system.diag,
-                system.scales,
-                system.groups,
-                workspace=self._workspace,
-                decoupled=system.decoupled,
-            )
-        except EstimationError as exc:
-            raise EstimationError(_DEGENERATE) from exc
+        system = build_range_systems(
+            block.positions, block.pseudoranges, block.occupied, block.systems
+        )
+        solutions, norms = system.solve()
         return _finish_multi_batch(solutions, system, norms)
 
     def solve_block(self, block: EpochBlock, biases: np.ndarray) -> np.ndarray:
@@ -531,13 +623,13 @@ class BatchDLGSolver:
         """Solve a block, returning ``(solutions, norms, corrected)``.
 
         ``norms`` are the whitened (Mahalanobis) residual norms — the
-        RAIM/FDE test quantities the GLS whitening produces for free —
-        and ``corrected`` the clock-corrected pseudoranges, so the
-        integrity gate can screen the batch without re-deriving either.
+        RAIM/FDE test quantities — and ``corrected`` the clock-corrected
+        pseudoranges, so the integrity gate can screen the batch without
+        re-deriving either.
         """
         corrected = _corrected_pseudoranges(block, biases)
         solutions, norms = solve_dlg_stack(
-            block.positions, corrected, _occupancy(block), self._workspace
+            block.positions, corrected, _occupancy(block)
         )
         return solutions, norms, corrected
 
@@ -546,24 +638,13 @@ def solve_dlg_stack(
     positions: np.ndarray,
     corrected: np.ndarray,
     occupied: Optional[np.ndarray] = None,
-    workspace: Optional[KernelWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Single-constellation DLG over stacked (optionally padded) epochs.
 
     Returns ``(solutions (N, 3), whitened norms (N,))``.  Padded slots
-    (``occupied`` false) get infinite variance — zero weight.
+    (``occupied`` false) get zero weight.
     """
-    design, rhs = build_difference_systems(positions, corrected, occupied)
-    # Batched eq. 4-26 in structured form: diag rho_j^2, scale rho_base^2.
-    diag = corrected[:, 1:] ** 2
-    if occupied is not None:
-        diag = np.where(occupied[:, 1:], diag, np.inf)
-    try:
-        return batched_gls_solve_diag_rank1(
-            design, rhs, diag, corrected[:, 0] ** 2, workspace=workspace
-        )
-    except EstimationError as exc:
-        raise EstimationError(_DEGENERATE) from exc
+    return build_range_systems(positions, corrected, occupied).solve()
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,8 @@ def difference_covariance_components(
     differenced system shares the base-satellite error, and nothing
     else couples rows.  Returning the two components instead of the
     materialized matrix lets GLS run through the O(m) Sherman-Morrison
-    whitening (:func:`~repro.estimation.gls_solve_diag_rank1`) — the
-    fast path shared by the scalar :class:`DLGSolver` and the batch
-    engine.
+    whitening (:func:`~repro.estimation.gls_solve_diag_rank1`) of the
+    scalar :class:`DLGSolver`.
 
     Returns
     -------

@@ -24,8 +24,9 @@ from repro.observations import ObservationEpoch
 BIAS = 4_321.5
 SYSTEM_BIASES = {"G": 120.0, "R": -45.0, "E": 3_000.0, "C": -2_500.0}
 
-#: Per-constellation rows: K = 1..4, varied slot orders, and rows that
-#: lack a constellation the rest of the flush observes.
+#: Per-constellation rows: K = 1..4, varied slot orders, rows that
+#: lack a constellation the rest of the flush observes, and the large
+#: four-constellation skies (up to 11 satellites each, 44 in all).
 MULTI_LAYOUTS = (
     {"G": 6, "R": 5},
     {"R": 4, "G": 5},
@@ -34,7 +35,17 @@ MULTI_LAYOUTS = (
     {"G": 4, "E": 4},
     {"C": 3, "R": 3, "G": 3},
     {"E": 7},
+    {"G": 11, "R": 11, "E": 11, "C": 11},
+    {"C": 11, "E": 8, "R": 10, "G": 7},
 )
+
+#: Any per-constellation sky up to four constellations of 11.
+LAYOUT = st.dictionaries(
+    st.sampled_from(["G", "R", "E", "C"]),
+    st.integers(min_value=2, max_value=11),
+    min_size=1,
+    max_size=4,
+).filter(lambda layout: sum(layout.values()) >= 3 + 2 * len(layout))
 
 
 def single_flush():
@@ -176,6 +187,33 @@ class TestPerConstellation:
                 fix.clock_bias_meters, abs=1e-4
             )
 
+    @given(
+        layouts=st.lists(LAYOUT, min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_any_layout_mix_matches_one_row_flushes(self, layouts, seed):
+        epochs = [
+            build_scene(
+                layout,
+                clock_bias_meters={code: SYSTEM_BIASES[code] for code in layout},
+                seed=seed + row,
+                noise_sigma=0.5,
+            )
+            for row, layout in enumerate(layouts)
+        ]
+        engine = PositioningEngine(algorithm="dlg", constellations="per_constellation")
+        flush = engine.solve_stream(epochs)
+        for row, epoch in enumerate(epochs):
+            alone = engine.solve_stream([epoch])
+            np.testing.assert_allclose(
+                flush.positions[row], alone.positions[0], atol=1e-6
+            )
+            for code, lane in alone.constellation_biases.items():
+                assert flush.constellation_biases[code][row] == pytest.approx(
+                    lane[0], abs=1e-4
+                )
+
     def test_absent_constellations_get_nan_lanes(self):
         epochs = multi_flush()
         config = SolverConfig(algorithm="dlg", constellations="per_constellation")
@@ -196,6 +234,7 @@ class TestPerConstellation:
         epochs = multi_flush()
         epochs[0] = spiked(epochs[0], 2, 300.0)
         epochs[2] = spiked(epochs[2], 0, -250.0)
+        epochs[7] = spiked(epochs[7], 25, 300.0)
         engine = PositioningEngine(
             algorithm="dlg",
             constellations="per_constellation",
@@ -214,3 +253,5 @@ class TestPerConstellation:
         assert record.verdict(2).status == "repaired"
         assert record.verdict(3).status != "unchecked"  # E3G4R3C3: dof 2
         assert record.verdict(5).status == "unchecked"  # C3R3G3: dof 0
+        assert record.verdict(7).status == "repaired"  # 44 satellites
+        assert record.verdict(7).excluded_prn == epochs[7].observations[25].prn

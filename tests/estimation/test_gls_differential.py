@@ -1,8 +1,9 @@
 """Differential regression: Sherman-Morrison GLS vs dense Cholesky.
 
-The eq. 4-26 fast path (:func:`gls_solve_diag_rank1`) and the dense
-:func:`gls_solve_whitened` answer the *same* mathematical problem by
-different factorizations; this suite pins their agreement across 50
+The eq. 4-26 fast path (:func:`gls_solve_diag_rank1`), the batched
+centered weighted least squares (:func:`batched_centered_wls`) and the
+dense :func:`gls_solve_whitened` answer the *same* mathematical problem
+by different factorizations; this suite pins their agreement across 50
 seeded random diag-plus-rank-one covariances, at GPS-realistic scales,
 so a refactor of either path that silently changes the answer fails
 loudly here before it shows up as a positioning drift.
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.estimation import (
-    batched_gls_solve_diag_rank1,
+    batched_centered_wls,
     gls_solve,
     gls_solve_diag_rank1,
     gls_solve_whitened,
 )
+from tests.estimation.test_grouped_gls import centered_form
 
 #: ISSUE acceptance bound: both paths agree to 1e-9 (relative).  The
 #: two factorizations share O(eps * cond) rounding, so with the mild
@@ -67,17 +69,20 @@ class TestShermanMorrisonVsDenseCholesky:
         assert fast_norm == pytest.approx(dense_norm, rel=AGREEMENT_RTOL)
 
     def test_batched_path_matches_dense_per_row(self):
-        # The vectorized stack must agree with N independent dense
-        # solves — same bound, so the three implementations pin each
-        # other pairwise.
+        # The batched centered weighted least squares (the system's
+        # member rows plus one zero row of variance ``scale``) must
+        # agree with N independent dense solves — same bound, so the
+        # three implementations pin each other pairwise.
         n, k = 12, 8
         rng = np.random.default_rng(123)
         design = rng.uniform(-2.0, 2.0, size=(n, k, 3))
         observations = rng.uniform(-1.0, 1.0, size=(n, k)) * 1.0e5
         diag = rng.uniform(0.5, 4.0, size=(n, k)) * 1.0e14
         scale = rng.uniform(0.5, 4.0, size=n) * 1.0e14
-        solutions, norms = batched_gls_solve_diag_rank1(
-            design, observations, diag, scale
+        solutions, norms = batched_centered_wls(
+            *centered_form(
+                design, observations, diag, scale[:, None], np.zeros(k, dtype=int)
+            )
         )
         for row in range(n):
             expected, expected_norm = gls_solve_whitened(

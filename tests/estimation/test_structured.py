@@ -1,4 +1,5 @@
-"""Tests for the diag-plus-rank-one (Sherman-Morrison) GLS fast path."""
+"""Tests for the diag-plus-rank-one (Sherman-Morrison) GLS fast path
+and the batched centered form that answers the same problem."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from repro.errors import EstimationError
 from repro.estimation import (
     apply_inverse_diag_rank1,
-    batched_apply_inverse_diag_rank1,
-    batched_gls_solve_diag_rank1,
+    batched_centered_wls,
     gls_solve_diag_rank1,
     gls_solve_whitened,
 )
+from tests.estimation.test_grouped_gls import centered_form
 
 
 def _random_system(rng, k=8, p=3):
@@ -78,6 +79,10 @@ class TestScalarSolve:
 
 
 class TestBatchedSolve:
+    """The batched DLG solves the same problem as a centered weighted
+    least squares (a diag+rank-one system is its member rows plus one
+    zero row of variance ``s``); it must match the scalar fast path."""
+
     def test_matches_scalar_solve_per_system(self):
         rng = np.random.default_rng(10)
         systems = [_random_system(rng) for _ in range(6)]
@@ -85,28 +90,18 @@ class TestBatchedSolve:
         observations = np.stack([s[1] for s in systems])
         diag = np.stack([s[2] for s in systems])
         scale = np.array([s[3] for s in systems])
-        solutions, norms = batched_gls_solve_diag_rank1(
-            design, observations, diag, scale
+        solutions, norms = batched_centered_wls(
+            *centered_form(
+                design, observations, diag, scale[:, None], np.zeros(8, dtype=int)
+            )
         )
         for i, (a, b, d, s) in enumerate(systems):
             x, norm = gls_solve_diag_rank1(a, b, d, s)
             np.testing.assert_allclose(solutions[i], x, rtol=1e-8)
             assert norms[i] == pytest.approx(norm, rel=1e-8)
 
-    def test_batched_apply_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        design, _, diag, scale = _random_system(rng)
-        stacked = batched_apply_inverse_diag_rank1(
-            diag[None, :], np.array([scale]), design[None, :, :]
-        )
-        np.testing.assert_allclose(
-            stacked[0], apply_inverse_diag_rank1(diag, scale, design), rtol=1e-12
-        )
-
     def test_rejects_degenerate_design(self):
         design = np.zeros((2, 5, 3))
         observations = np.ones((2, 5))
         with pytest.raises(EstimationError, match="degenerate"):
-            batched_gls_solve_diag_rank1(
-                design, observations, np.ones((2, 5)), np.ones(2)
-            )
+            batched_centered_wls(design, observations, np.ones((2, 5)))

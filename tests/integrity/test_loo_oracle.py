@@ -3,9 +3,10 @@
 :func:`~repro.integrity.fde.leave_one_out` prices every exclusion
 candidate of a flagged row from the parent solve alone.  Here every
 candidate of every row — single- and per-constellation, padded
-mixed-width blocks included — is re-solved from scratch as its own
-subset with the batch kernels, and the closed form must reproduce the
-subset's whitened residual square and its fix.  Slots that are no
+mixed-width blocks and four-constellation skies of up to 44 satellites
+included — is re-solved from scratch as its own subset with the batched
+centered weighted least squares, and the closed form must reproduce
+the subset's whitened residual square and its fix.  Slots that are no
 candidate (padding, a 2-satellite constellation's members, a subset
 whose geometry is degenerate) must be priced at ``+inf``.
 """
@@ -20,11 +21,14 @@ from repro.api import build_scene
 from repro.blocks import EpochBlock
 from repro.constellation.systems import system_code
 from repro.errors import EstimationError, GeometryError
-from repro.estimation import batched_gls_solve_grouped_rank1
 from repro.integrity import BatchFde, FdeConfig, FdeRecord
-from repro.integrity.fde import _single_system, leave_one_out
-from repro.solvers import BatchDLGSolver, build_multi_difference_systems
-from repro.solvers.batch import build_difference_systems, solve_dlg_stack
+from repro.integrity.fde import leave_one_out
+from repro.solvers import BatchDLGSolver
+from repro.solvers.batch import (
+    build_difference_systems,
+    build_range_systems,
+    solve_dlg_stack,
+)
 
 BIAS = 1_234.5
 SYSTEM_BIASES = {"G": 120.0, "R": -45.0, "E": 3_000.0, "C": -2_500.0}
@@ -35,9 +39,9 @@ STAT_RTOL = 1e-9
 STAT_ATOL = 1e-8  # m^2
 FIX_ATOL = 1e-5  # meters
 # A constellation left with two satellites has its bias fixed by one
-# differenced equation with coefficient rho_a - rho_b, which can be
-# small: there even the Sherman-Morrison and dense-Cholesky re-solves
-# of the same subset disagree at the 0.1 mm level.
+# equation with coefficient rho_a - rho_b, which can be small: there
+# even two exact re-solves of the same subset (different
+# factorizations) disagree at the 0.1 mm level.
 BIAS_ATOL = 1e-2  # meters
 
 
@@ -60,7 +64,7 @@ def assert_statistic(closed, oracle, context):
 
 
 def single_oracle(positions, corrected, keep):
-    """The subset's DLG ``(fix, r^T Psi^-1 r)``, or ``(None, inf)``
+    """The subset's DLG ``(fix, r^T W r)``, or ``(None, inf)``
     when its differenced design is rank-deficient."""
     positions, corrected = positions[keep][None], corrected[keep][None]
     design, _rhs = build_difference_systems(positions, corrected)
@@ -72,10 +76,9 @@ def single_oracle(positions, corrected, keep):
 
 def check_single_block(block, biases):
     solutions, _norms, corrected = BatchDLGSolver().solve_block_full(block, biases)
-    rows = np.arange(len(block))
-    system = _single_system(block, corrected, rows)
+    system = build_range_systems(block.positions, corrected, block.occupied)
     statistics, fixes = leave_one_out(system, solutions)
-    for row in rows:
+    for row in range(len(block)):
         count = int(block.counts[row])
         positions = block.positions[row, :count]
         ranges = corrected[row, :count]
@@ -101,8 +104,8 @@ class TestSingleConstellation:
     )
     @settings(max_examples=25, deadline=None)
     def test_every_candidate_matches_its_subset_resolve(self, counts, seed, spike_at):
-        # Mixed widths make a padded block; slot 0 is every row's base,
-        # so each row exercises the base's own candidate too.
+        # Mixed widths make a padded block; the spike may land on any
+        # slot, slot 0 (the scalar solver's base) included.
         epochs = [
             build_scene(count, clock_bias_meters=BIAS, seed=seed + row, noise_sigma=1.0)
             for row, count in enumerate(counts)
@@ -139,7 +142,7 @@ class TestSingleConstellation:
         )
         np.testing.assert_allclose(solutions[0], receiver, atol=1e-3)
         statistics, _fixes = leave_one_out(
-            _single_system(block, corrected, np.arange(1)), solutions
+            build_range_systems(block.positions, corrected, block.occupied), solutions
         )
         assert np.isinf(statistics[0, 5])
         assert np.isfinite(statistics[0, :5]).all()
@@ -155,31 +158,24 @@ def biases(layout):
 
 LAYOUT = st.dictionaries(
     st.sampled_from(["G", "R", "E", "C"]),
-    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=11),
     min_size=1,
-    max_size=3,
+    max_size=4,
 ).filter(lambda layout: sum(layout.values()) - 3 - 2 * len(layout) >= 2)
 
 
 def grouped_oracle(block, row, keep, parent_codes):
-    """The subset's grouped DLG fix (biases in the parent's column
-    order) and ``r^T Psi^-1 r``, or ``(None, inf)``."""
+    """The subset's per-constellation DLG fix (biases in the parent's
+    column order) and ``r^T W r``, or ``(None, inf)``."""
     occupied = np.ones(int(keep.sum()), dtype=bool)[None]
     try:
-        system = build_multi_difference_systems(
+        system = build_range_systems(
             block.positions[row][keep][None],
             block.pseudoranges[row][keep][None],
-            block.systems[row][keep][None],
             occupied,
+            block.systems[row][keep][None],
         )
-        solution, norm = batched_gls_solve_grouped_rank1(
-            system.design,
-            system.rhs,
-            system.diag,
-            system.scales,
-            system.groups,
-            decoupled=system.decoupled,
-        )
+        solution, norm = system.solve()
     except (EstimationError, GeometryError):
         return None, np.inf
     fix = np.full(3 + parent_codes.shape[0], np.nan)
@@ -193,7 +189,7 @@ class TestPerConstellation:
     @given(
         layouts=st.lists(LAYOUT, min_size=1, max_size=4),
         seed=st.integers(min_value=0, max_value=10_000),
-        spike_at=st.integers(min_value=0, max_value=17),
+        spike_at=st.integers(min_value=0, max_value=43),
     )
     @settings(max_examples=25, deadline=None)
     def test_every_candidate_matches_its_subset_resolve(self, layouts, seed, spike_at):
@@ -226,6 +222,19 @@ class TestPerConstellation:
         e_lane = 3 + [system_code(int(code)) for code in system.codes].index("E")
         assert np.isnan(fixes[0, :7, e_lane]).all()
         assert np.isinf(statistics[1, 9:]).all()  # padded slots
+
+    def test_forty_four_satellites_over_four_constellations(self):
+        # The large-constellation sky: 11 satellites in each of four
+        # systems, beside a narrower row that lacks two of them.
+        layouts = ({"G": 11, "R": 11, "E": 11, "C": 11}, {"C": 9, "G": 5})
+        epochs = [
+            build_scene(layout, clock_bias_meters=biases(layout), seed=seed + 7)
+            for seed, layout in enumerate(layouts)
+        ]
+        epochs[0] = spiked(epochs[0], 30, 250.0)
+        statistics, _fixes, _system = self.check_block(EpochBlock.from_epochs(epochs))
+        assert np.isfinite(statistics[0]).all()
+        assert int(np.argmin(statistics[0])) == 30
 
     def check_block(self, block):
         result = BatchDLGSolver(constellations="per_constellation").solve_block_multi(

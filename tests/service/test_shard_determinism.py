@@ -323,3 +323,17 @@ class TestTransportParity:
         assert [r.status for r in baseline].count("invalid") == 3
         assert_identical(run_shard(epochs, config, workers=0), baseline)
         assert_identical(run_shard(epochs, config, workers=1), baseline)
+
+    def test_empty_epoch_reads_the_same_on_every_transport(self):
+        """An epoch with no satellites packs (as an empty row): it must
+        report its satellite count, not the unpackable text, whichever
+        process serves it."""
+        epochs, _biases = make_epochs(with_fde=False)
+        good = epochs[0]
+        flush = [good, _unvalidated_epoch(good, []), good]
+        config = service_config(with_fde=False)
+        baseline = run_in_process(flush, config)
+        assert [r.status for r in baseline] == ["ok", "invalid", "ok"]
+        assert baseline[1].error.startswith("epoch has 0 satellites")
+        assert_identical(run_shard(flush, config, workers=0), baseline)
+        assert_identical(run_shard(flush, config, workers=1), baseline)

@@ -41,12 +41,6 @@ TOPOLOGY_FAMILIES = {
     "repro_shard_worker_restarts_total",
     "repro_shard_workers_up",
     "repro_shard_worker_batches_total",
-    # Workspace-cache families count per-process warm-up behaviour
-    # (each worker allocates its own scratch buffers once), so their
-    # totals scale with process count by design, not with the stream.
-    "repro_kernel_workspace_requests_total",
-    "repro_kernel_workspace_block_bytes",
-    "repro_kernel_workspace_resident_bytes",
 }
 
 

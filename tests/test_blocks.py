@@ -1,6 +1,6 @@
 """Tests for the columnar epoch store and the zero-copy hot path.
 
-Three layers of confidence in the struct-of-arrays refactor:
+Two layers of confidence in the struct-of-arrays refactor:
 
 * **Losslessness** — property tests prove the
   ``ObservationEpoch ⇄ EpochBlock`` round trip is bit-exact for the
@@ -13,8 +13,6 @@ Three layers of confidence in the struct-of-arrays refactor:
   bit-identical across its three input forms (epoch list,
   pre-packed stream, raw block) over 50 seeded mixed scenarios, and
   stays within the documented 1.8e-7 m of the scalar DLG solver.
-* **Kernel machinery** — the preallocated workspace actually reuses
-  its buffers.
 """
 
 from dataclasses import replace
@@ -25,7 +23,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
-    BatchDLGSolver,
     BatchFde,
     ConfigurationError,
     DLGSolver,
@@ -34,7 +31,6 @@ from repro import (
     PositioningEngine,
     pack_stream,
 )
-from repro.estimation import KernelWorkspace
 from repro.observations import (
     EpochTruth,
     ObservationEpoch,
@@ -404,32 +400,6 @@ class TestColumnarDifferential:
         # bench stream (7-11 satellites) sits at 1.8e-7 m, these harsher
         # scenarios include 5-satellite epochs with worse conditioning.
         assert scalar_bound <= 1e-6
-
-
-class TestKernelWorkspace:
-    def test_buffers_are_reused_across_solves(self):
-        solver = BatchDLGSolver()
-        block = EpochBlock.from_epochs([_build_epoch(8, seed=i) for i in range(6)])
-        biases = np.zeros(len(block))
-        solver.solve_block_full(block, biases)
-        allocated = solver.workspace.allocated
-        assert allocated > 0
-        assert solver.workspace.resident_bytes > 0
-        solver.solve_block_full(block, biases)
-        assert solver.workspace.allocated == allocated
-        assert solver.workspace.reused >= allocated
-
-    def test_buffers_are_keyed_by_name_shape_dtype(self):
-        workspace = KernelWorkspace()
-        first = workspace.buffer("a", (4, 3))
-        assert workspace.buffer("a", (4, 3)) is first
-        assert workspace.buffer("a", (5, 3)) is not first
-        assert workspace.buffer("b", (4, 3)) is not first
-        assert workspace.buffer("a", (4, 3), dtype=np.float32) is not first
-        assert workspace.reused == 1
-        assert workspace.allocated == 4
-        workspace.clear()
-        assert workspace.resident_bytes == 0
 
 
 class TestFdeBlockPath:
