@@ -59,13 +59,13 @@ from repro.timebase import GpsTime
 #: Block-size histogram buckets (epochs per packed block).
 _BLOCK_SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
 
-#: System code -> compact id, the table :func:`pack_stream` maps every
-#: observation's tag through (lower case accepted, like
+#: Byte -> compact system id (``-1``: no system), the table
+#: :func:`pack_stream` maps every observation's one-letter tag through
+#: (lower case accepted, like
 #: :func:`~repro.constellation.systems.normalize_system`).
-_SYSTEM_IDS = {
-    **{code: index for index, code in enumerate(SYSTEM_CODES)},
-    **{code.lower(): index for index, code in enumerate(SYSTEM_CODES)},
-}
+_SYSTEM_IDS = np.full(256, -1, dtype=np.int8)
+for _index, _code in enumerate(SYSTEM_CODES):
+    _SYSTEM_IDS[ord(_code)] = _SYSTEM_IDS[ord(_code.lower())] = _index
 
 #: Duplicate-check key of padded slots (minus the slot index).
 _PAD_KEY = np.iinfo(np.int64).max
@@ -75,6 +75,12 @@ UNPACKABLE_ERROR = "epoch could not be packed into dense arrays"
 
 #: What a malformed observation raises while its lanes are built.
 _PACK_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
+
+
+def satellite_label(key: int) -> str:
+    """A ``prn*4+system`` satellite key (:attr:`EpochBlock.
+    satellite_keys`) as its ``G07``-style label."""
+    return f"{system_code(int(key) & 3)}{int(key) >> 2:02d}"
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -140,6 +146,9 @@ class EpochBlock:
         default=None, init=False, repr=False, compare=False
     )
     _padded: bool = field(default=False, init=False, repr=False, compare=False)
+    _keys: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -221,10 +230,14 @@ class EpochBlock:
         )
         object.__setattr__(self, "counts", _read_only(counts))
         padded = occupied is not None and bool(n) and int(counts.min()) < m
-        if not padded:
+        keys = prns * 4 + systems
+        if padded:
+            keys[~occupied] = -1
+        else:
             occupied = np.ones((n, m), dtype=bool)
         object.__setattr__(self, "_occupied", _read_only(occupied))
         object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "_keys", _read_only(keys))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -250,10 +263,11 @@ class EpochBlock:
         """``(N, m)`` ``prn*4+system`` satellite identities (int64).
 
         PRNs are unique only within a system; folding the 2-bit
-        system id in names a satellite across constellations.  Only
-        occupied slots carry a meaningful key.
+        system id in names a satellite across constellations.  Padded
+        slots read ``-1``.  Built once with the block: admission, the
+        health tracker and the monitors all read the same lane.
         """
-        return self.prns * 4 + self.systems.astype(np.int64)
+        return self._keys
 
     def time(self, index: int) -> GpsTime:
         """The :class:`~repro.timebase.GpsTime` of epoch ``index``."""
@@ -388,7 +402,9 @@ class EpochBlock:
         """
         valid = self.counts >= min_satellites
         pseudoranges = self.pseudoranges
-        finite = np.isfinite(self.positions).all(axis=2)
+        coordinates = np.isfinite(self.positions)
+        # (three strided ANDs beat a reduction over the length-3 axis)
+        finite = coordinates[..., 0] & coordinates[..., 1] & coordinates[..., 2]
         finite &= np.isfinite(pseudoranges)
         finite &= pseudoranges > 0
         # PRNs are unique per (system, prn): duplicates are checked on
@@ -509,16 +525,19 @@ def _flat_lanes(epochs: Sequence[ObservationEpoch]):
         [obs.pseudorange for obs in flat], dtype=float, count=total
     )
     prns = np.fromiter([obs.prn for obs in flat], dtype=np.int64, count=total)
-    systems = np.fromiter(
-        [_SYSTEM_IDS[obs.system] for obs in flat], dtype=np.int8, count=total
-    )
+    tags = [obs.system for obs in flat]
+    letters = "".join(tags)
+    # No empty tag and one letter per observation: every tag is one
+    # letter, so the byte table maps the joined string in one take.
+    if len(letters) != total or "" in tags:
+        raise ValueError("system tags must be single letters")
+    systems = _SYSTEM_IDS[np.frombuffer(letters.encode("ascii"), dtype=np.uint8)]
+    if total and systems.min() < 0:
+        raise ValueError("unknown system tag")
     cn0_values = [obs.cn0_dbhz for obs in flat]
     cn0 = None
     if cn0_values.count(None) != total:
-        cn0 = np.array(
-            [np.nan if value is None else value for value in cn0_values],
-            dtype=float,
-        )
+        cn0 = np.array(cn0_values, dtype=float)  # None -> NaN
     return counts, positions, pseudoranges, prns, systems, cn0
 
 

@@ -391,13 +391,13 @@ class PositioningEngine:
             solver = self._dlo if self._algorithm == "dlo" else self._dlg
             solutions = solver.solve_block(block, biases)
             return solutions, biases, None, perf_counter() - started, 0.0, None
-        solutions, norms, corrected = self._dlg.solve_block_full(block, biases)
+        solutions, norms, system = self._dlg.solve_block_full(block, biases)
         solve_seconds = perf_counter() - started
         started = perf_counter()
-        # screen() reuses the solve's own whitened norms and corrected
-        # pseudoranges — no repacking, no re-solve — and repairs
-        # flagged rows of `solutions` in place.
-        fde_record = self._fde.screen(block, corrected, solutions, norms)
+        # screen() reuses the solve's own whitened norms and centered
+        # system — no repacking, no re-centering, no re-solve — and
+        # repairs flagged rows of `solutions` in place.
+        fde_record = self._fde.screen(block, system, solutions, norms)
         return (
             solutions,
             biases,

@@ -461,15 +461,31 @@ def batched_centered_wls(
         )
     if not np.all(w >= 0):
         raise EstimationError("weighted least squares needs non-negative weights")
-    n, _m, p = a.shape
-    _count_gls_path("centered_wls_batched", solves=n)
-    # Center [A | b] in one fresh buffer, then whiten it in place by
-    # sqrt(W): one (N, m, p+1) allocation per call.
-    white, _totals = center_segments(
+    centered, _totals = center_segments(
         np.concatenate([a, b[..., None]], axis=2), w, segments
     )
-    white *= np.sqrt(w)[..., None]
-    # One contraction gives the normal equations' [gram | moment].
+    return solve_centered_wls(centered, w, decoupled)
+
+
+def solve_centered_wls(
+    centered: np.ndarray,
+    weights: np.ndarray,
+    decoupled: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The solve half of :func:`batched_centered_wls`.
+
+    ``centered`` is the ``(N, m, p+1)`` stack ``[A | b]`` already
+    centered by :func:`center_segments` with the same ``(N, m)``
+    ``weights``; it is read, never written, so a caller can keep it
+    (the FDE gate prices its exclusion candidates from it).  Returns
+    ``(solutions (N, p), whitened_norms (N,))``.
+    """
+    n, _m, q = centered.shape
+    p = q - 1
+    _count_gls_path("centered_wls_batched", solves=n)
+    # Whiten a copy by sqrt(W); one contraction gives the normal
+    # equations' [gram | moment].
+    white = centered * np.sqrt(weights)[..., None]
     normal = np.matmul(white[..., :p].transpose(0, 2, 1), white)  # (N, p, p+1)
     try:
         solutions = solve_normal_equations(normal[..., :p], normal[..., p], decoupled)

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.blocks import EpochBlock
 from repro.errors import ConfigurationError
-from repro.estimation import center_segments
 from repro.integrity.raim import chi_square_quantile
 from repro.observations import ObservationEpoch
 from repro.solvers.batch import (
@@ -55,7 +54,6 @@ from repro.solvers.batch import (
     BatchMultiResult,
     RangeSystem,
     as_block,
-    build_range_systems,
 )
 from repro.telemetry import get_registry
 
@@ -267,10 +265,10 @@ def leave_one_out(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every leave-one-out candidate of N solved rows, in closed form.
 
-    ``system`` holds the rows' range equations (one row per satellite
-    slot, padded slots of zero weight) and ``solution`` their ``(N, p)``
-    weighted least-squares solution, NaN on unknowns a row does not
-    observe.
+    ``system`` holds the rows' centered range equations (one row per
+    satellite slot, padded slots of zero weight), the stack their solve
+    read, and ``solution`` their ``(N, p)`` weighted least-squares
+    solution, NaN on unknowns a row does not observe.
 
     Deleting satellite ``j`` is the parent model plus one mean-shift
     column.  After the segment centering that removes each
@@ -301,15 +299,11 @@ def leave_one_out(
     solutions.
     """
     weights, columns = system.weights, system.columns
-    p = system.design.shape[2]
+    centered, totals = system.centered, system.totals
+    p = centered.shape[2] - 1
     decoupled = system.decoupled
     if decoupled is not None:
         solution = np.where(decoupled, 0.0, solution)
-    centered, totals = center_segments(
-        np.concatenate([system.design, system.rhs[..., None]], axis=2),
-        weights,
-        system.segments,
-    )
     design = centered[..., :p]
     residuals = centered[..., p] - np.einsum("nki,ni->nk", design, solution)
     design_t = design.transpose(0, 2, 1)
@@ -324,14 +318,15 @@ def leave_one_out(
     c_w_c = weights * (1.0 - share)
     c_q_c = c_w_c - weights**2 * leverage
     same = columns[:, :, None] == columns[:, None, :]  # (N, m rows, m candidates)
-    priced = (columns >= 0) & (same.sum(axis=1) > 2)
+    priced = (columns >= 0) & (same.sum(axis=2) > 2)  # symmetric: row sums
     priced &= c_q_c > _DEGENERATE_LEVERAGE * c_w_c
     shift = weights * residuals / np.where(priced, c_q_c, 1.0)  # delta_j
     pull = shift * weights  # delta_j w_j
     solutions = solution[:, None, :] - (gain * pull[:, None, :]).transpose(0, 2, 1)
     # r'_(i, j) = r_i + delta_j (w_j hat_ij - [i == j] + share_j [i in c_j])
     moved = hat * pull[:, None, :] + same * (share * shift)[:, None, :]
-    moved[:, np.arange(moved.shape[1]), np.arange(moved.shape[1])] -= shift
+    m = moved.shape[1]
+    moved.reshape(-1, m * m)[:, :: m + 1] -= shift  # the diagonal, as a view
     subset = residuals[:, :, None] + moved
     statistics = np.einsum("nk,nkj->nj", weights, subset * subset)
     statistics[~priced] = np.inf
@@ -398,30 +393,28 @@ class BatchFde:
         self, block: EpochBlock, biases: np.ndarray
     ) -> "tuple[np.ndarray, FdeRecord]":
         """Base DLG solve plus :meth:`screen` for a columnar block."""
-        solutions, norms, corrected = self._solver.solve_block_full(
-            block, biases
-        )
-        record = self.screen(block, corrected, solutions, norms)
+        solutions, norms, system = self._solver.solve_block_full(block, biases)
+        record = self.screen(block, system, solutions, norms)
         return solutions, record
 
     def screen(
         self,
         block: EpochBlock,
-        corrected: np.ndarray,
+        system: RangeSystem,
         solutions: np.ndarray,
         norms: np.ndarray,
     ) -> FdeRecord:
         """Chi-square detection + exclusion over an already-solved block.
 
-        This is the zero-copy entry point: the engine has already built
-        the clock-corrected pseudoranges and run the base DLG solve
-        whose whitened ``norms`` double as the test statistics, so
-        detection is one vectorized comparison against per-row
-        thresholds (each row's dof is its own ``count - 4``).  Only
-        flagged rows with ``count >= 6`` pay for exclusion: their range
-        systems are rebuilt and every candidate is priced by
-        :func:`leave_one_out` against the parent ``solutions``, which
-        are updated **in place** for the rows the exclusion repairs.
+        This is the zero-copy entry point: the engine has already run
+        the base DLG solve whose whitened ``norms`` double as the test
+        statistics, so detection is one vectorized comparison against
+        per-row thresholds (each row's dof is its own ``count - 4``).
+        Only flagged rows with ``count >= 6`` pay for exclusion: every
+        candidate is priced by :func:`leave_one_out` from their rows of
+        the solve's own centered ``system`` against the parent
+        ``solutions``, which are updated **in place** for the rows the
+        exclusion repairs.
         """
         counts = block.counts
         record = self._detect(norms, counts - 4)
@@ -431,9 +424,7 @@ class BatchFde:
             if flagged.any():
                 rows = np.flatnonzero(flagged)
                 repaired, fixes = self._exclude(
-                    build_range_systems(
-                        block.positions[rows], corrected[rows], block.occupied[rows]
-                    ),
+                    system.take(rows),
                     solutions[rows],
                     rows,
                     counts[rows] - 5,
@@ -582,7 +573,7 @@ class BatchFde:
         margins = statistics / thresholds[:, None]
         margins = np.where(margins <= 1.0, margins, np.inf)
         best = np.argmin(margins, axis=1)
-        repaired = np.flatnonzero(np.isfinite(margins[np.arange(rows.size), best]))
+        repaired = np.flatnonzero(np.isfinite(margins.min(axis=1)))
         chosen = best[repaired]
         stream_rows = rows[repaired]
         record.statuses[stream_rows] = STATUS_REPAIRED

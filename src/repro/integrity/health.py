@@ -46,6 +46,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.blocks import satellite_label
 from repro.errors import ConfigurationError
 from repro.telemetry import get_registry
 
@@ -356,11 +357,15 @@ class SatelliteHealthTracker:
         )
 
     def to_dict(self) -> Dict:
-        """JSON-ready snapshot for diagnostics and chaos artifacts."""
+        """JSON-ready snapshot for diagnostics and chaos artifacts.
+
+        Quarantined satellites are listed by label (``G01``, ``E11``),
+        read from the service's ``prn*4+system`` keys.
+        """
         return {
             "epoch": self._epoch,
             "state_counts": self.state_counts(),
-            "quarantined_prns": list(self.quarantined_prns()),
+            "quarantined": [satellite_label(key) for key in self.quarantined_prns()],
             "config": self._config.to_dict(),
         }
 

@@ -41,13 +41,14 @@ geometry monitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.blocks import PackedStream
-from repro.constellation.systems import SYSTEM_CODES, system_code
+from repro.blocks import PackedStream, satellite_label
+from repro.constellation.systems import SYSTEM_CODES
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -82,11 +83,6 @@ SEVERITY_SPOOFED = 2
 SEVERITY_NAMES: Tuple[str, ...] = ("nominal", "suspect", "spoofed")
 
 _SECONDS_PER_WEEK = 604800.0
-
-
-def _key_label(key: int) -> str:
-    """``prn*4+system`` identity key to a ``G07``-style label."""
-    return f"{system_code(int(key) & 3)}{int(key) >> 2:02d}"
 
 
 @dataclass(frozen=True)
@@ -140,6 +136,59 @@ class EpochMonitorVerdict:
         }
 
 
+class LaneStats:
+    """NaN-quiet reductions of one ``(N, m)`` lane over its finite
+    entries (no RuntimeWarnings on all-NaN rows).
+
+    Each reduction is computed on first use and then shared, so the
+    monitors reading one lane pay for its mask, counts and sums once.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    @cached_property
+    def finite(self) -> np.ndarray:
+        return np.isfinite(self.values)
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        return self.finite.sum(axis=-1)
+
+    @cached_property
+    def sum(self) -> np.ndarray:
+        return np.where(self.finite, self.values, 0.0).sum(axis=-1)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return np.where(self.count > 0, self.sum / np.maximum(self.count, 1), np.nan)
+
+    @cached_property
+    def min(self) -> np.ndarray:
+        return self._extreme(np.inf, np.min)
+
+    @cached_property
+    def max(self) -> np.ndarray:
+        return self._extreme(-np.inf, np.max)
+
+    def _extreme(self, fill: float, reduce) -> np.ndarray:
+        values = self.values
+        if not values.shape[-1]:
+            return np.full(values.shape[:-1], np.nan)
+        # Only a row with no finite entry reduces to the fill itself.
+        extreme = reduce(np.where(self.finite, values, fill), axis=-1)
+        return np.where(extreme == fill, np.nan, extreme)
+
+    def std(self, min_count: int = 2) -> np.ndarray:
+        """Population standard deviation, NaN below ``min_count``."""
+        safe = np.maximum(self.count, 1)
+        centered = np.where(
+            self.finite, self.values - (self.sum / safe)[..., np.newaxis], 0.0
+        )
+        variance = (centered**2).sum(axis=-1) / safe
+        return np.where(self.count >= min_count, np.sqrt(variance), np.nan)
+
+
 @dataclass
 class StreamContext:
     """Stream-ordered columnar lanes of one solved packed stream.
@@ -149,7 +198,9 @@ class StreamContext:
     lanes of the flush's padded block, NaN/-1 on padded slots;
     ``receiver_positions`` are the *solved* fixes (NaN rows where the
     solve failed), which is deliberate — the monitors judge what the
-    service is about to serve, not what the simulator knows.
+    service is about to serve, not what the simulator knows.  What more
+    than one monitor needs (the C/N0 reductions, the key alignment, the
+    per-system clock residuals) is computed on first use, once.
     """
 
     times: np.ndarray  # (N,) seconds (week*604800 + sow)
@@ -161,7 +212,6 @@ class StreamContext:
     sat_positions: np.ndarray  # (N, m_max, 3) ECEF, NaN-padded
     pseudoranges: np.ndarray  # (N, m_max) meters, NaN-padded
     ranges: np.ndarray  # (N, m_max) |sat - fix| meters, NaN-padded
-    _cn0_deviation: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -170,12 +220,45 @@ class StreamContext:
     def width(self) -> int:
         return int(self.cn0.shape[1])
 
-    @property
+    @cached_property
+    def cn0_stats(self) -> LaneStats:
+        return LaneStats(self.cn0)
+
+    @cached_property
     def cn0_deviation(self) -> np.ndarray:
-        """``cn0 - nominal_cn0``, computed once and shared."""
-        if self._cn0_deviation is None:
-            self._cn0_deviation = self.cn0 - self.nominal_cn0
-        return self._cn0_deviation
+        """``cn0 - nominal_cn0``."""
+        return self.cn0 - self.nominal_cn0
+
+    @cached_property
+    def deviation_stats(self) -> LaneStats:
+        return LaneStats(self.cn0_deviation)
+
+    @cached_property
+    def keys_aligned(self) -> np.ndarray:
+        """``(N-1,)`` whether row ``i+1`` holds row ``i``'s satellites
+        in the same slots."""
+        return (self.keys[1:] == self.keys[:-1]).all(axis=1)
+
+    @cached_property
+    def system_biases(self) -> np.ndarray:
+        """``(N, len(SYSTEM_CODES))`` mean ``pseudorange - range`` of
+        each system's satellites per row, NaN where it has none.
+
+        One bincount over ``row*K + system``.  While the fix is near the
+        receiver, each pseudorange is within a factor of two of its
+        range, so the residual is an exact difference (Sterbenz), a
+        multiple of the ranges' ulp, and a row's sum of them needs far
+        fewer than 53 bits: it is exact, and the summation order does
+        not change its bits.
+        """
+        n, k = len(self), len(SYSTEM_CODES)
+        residuals = self.pseudoranges - self.ranges
+        finite = np.isfinite(residuals)  # padding, failed fixes
+        index = (np.arange(n)[:, np.newaxis] * k + self.system_ids)[finite]
+        sums = np.bincount(index, weights=residuals[finite], minlength=n * k)
+        counts = np.bincount(index, minlength=n * k)
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return means.reshape(n, k)
 
 
 def _build_context(
@@ -190,15 +273,14 @@ def _build_context(
     block = packed.block
     n, m_max = len(block), block.width
     times = block.weeks * _SECONDS_PER_WEEK + block.seconds_of_week
-    keys = block.satellite_keys
+    keys = block.satellite_keys  # -1 on padded slots already
     system_ids = block.systems
     sat_positions = block.positions
     pseudoranges = block.pseudoranges
     cn0 = block.cn0 if block.cn0 is not None else np.full((n, m_max), np.nan)
     if block.padded:
         occupied = block.occupied
-        keys = np.where(occupied, keys, -1)
-        system_ids = np.where(occupied, system_ids, -1).astype(np.int8)
+        system_ids = np.where(occupied, system_ids, np.int8(-1))
         sat_positions = np.where(occupied[:, :, np.newaxis], sat_positions, np.nan)
         pseudoranges = np.where(occupied, pseudoranges, np.nan)
         if block.cn0 is not None:
@@ -225,7 +307,7 @@ def _build_context(
         # gain curve instead of round-tripping through the angle.  NaN
         # lanes (padded satellites, failed fixes) propagate through the
         # clip, so no explicit finite mask is needed.
-        gain = np.clip(sin_el, 0.0, 1.0)
+        gain = np.minimum(np.maximum(sin_el, 0.0), 1.0)  # clip, minus its overhead
         nominal = horizon_dbhz + (zenith_dbhz - horizon_dbhz) * gain
     else:
         ranges = np.full((n, 0), np.nan)
@@ -243,52 +325,15 @@ def _build_context(
     )
 
 
-# ----------------------------------------------------------------------
-# NaN-quiet reductions (no RuntimeWarnings on all-NaN rows).
-
-
-def _masked_min(values: np.ndarray) -> np.ndarray:
-    mask = np.isfinite(values)
-    filled = np.where(mask, values, np.inf)
-    result = filled.min(axis=-1) if values.shape[-1] else np.full(
-        values.shape[:-1], np.inf
-    )
-    return np.where(mask.any(axis=-1), result, np.nan)
-
-
-def _masked_max(values: np.ndarray) -> np.ndarray:
-    mask = np.isfinite(values)
-    filled = np.where(mask, values, -np.inf)
-    result = filled.max(axis=-1) if values.shape[-1] else np.full(
-        values.shape[:-1], -np.inf
-    )
-    return np.where(mask.any(axis=-1), result, np.nan)
-
-
-def _masked_mean(values: np.ndarray) -> np.ndarray:
-    mask = np.isfinite(values)
-    counts = mask.sum(axis=-1)
-    sums = np.where(mask, values, 0.0).sum(axis=-1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-
-def _masked_std(values: np.ndarray, min_count: int = 2) -> np.ndarray:
-    mask = np.isfinite(values)
-    counts = mask.sum(axis=-1)
-    safe = np.maximum(counts, 1)
-    means = np.where(mask, values, 0.0).sum(axis=-1) / safe
-    centered = np.where(mask, values - means[..., np.newaxis], 0.0)
-    variance = (centered**2).sum(axis=-1) / safe
-    return np.where(counts >= min_count, np.sqrt(variance), np.nan)
-
-
 @dataclass
 class MonitorOutput:
     """Raw, unconfirmed per-epoch output of one monitor."""
 
     breach: np.ndarray  # (N,) bool
     statistic: np.ndarray  # (N,) float
-    threshold: np.ndarray  # (N,) float (adaptive monitors vary per epoch)
+    # (N,) float for adaptive monitors, a float shared by every epoch
+    # for fixed ones.
+    threshold: Union[np.ndarray, float]
     flagged: Optional[np.ndarray] = None  # (N, m_max) bool, None = no flags
 
 
@@ -334,8 +379,8 @@ class Cn0ThresholdMonitor(StreamingMonitor):
         breach = flagged.sum(axis=1) >= self.min_flagged
         return MonitorOutput(
             breach=breach,
-            statistic=_masked_min(ctx.cn0),
-            threshold=np.full(len(ctx), self.threshold_dbhz),
+            statistic=ctx.cn0_stats.min,
+            threshold=self.threshold_dbhz,
             flagged=flagged,
         )
 
@@ -370,8 +415,8 @@ class Cn0DropMonitor(StreamingMonitor):
         flagged = drops > self.drop_db
         return MonitorOutput(
             breach=flagged.any(axis=1),
-            statistic=_masked_max(drops),
-            threshold=np.full(len(ctx), self.drop_db),
+            statistic=LaneStats(drops).max,
+            threshold=self.drop_db,
             flagged=flagged,
         )
 
@@ -397,7 +442,7 @@ class Cn0DropMonitor(StreamingMonitor):
                 else:
                     changed[0] = True
             if n > 1:
-                aligned = (keys[1:] == keys[:-1]).all(axis=1)
+                aligned = ctx.keys_aligned
                 if aligned.all():
                     drops[1:] = cn0[:-1] - cn0[1:]
                 else:
@@ -458,11 +503,11 @@ class Cn0ConsistencyMonitor(StreamingMonitor):
         self.min_satellites = int(min_satellites)
 
     def observe(self, ctx: StreamContext) -> MonitorOutput:
-        statistic = _masked_std(ctx.cn0_deviation, min_count=self.min_satellites)
+        statistic = ctx.deviation_stats.std(self.min_satellites)
         return MonitorOutput(
             breach=statistic > self.spread_db,
             statistic=statistic,
-            threshold=np.full(len(ctx), self.spread_db),
+            threshold=self.spread_db,
         )
 
 
@@ -483,11 +528,11 @@ class Cn0AgcProxyMonitor(StreamingMonitor):
         self.suppression_db = float(suppression_db)
 
     def observe(self, ctx: StreamContext) -> MonitorOutput:
-        statistic = _masked_mean(ctx.cn0_deviation)
+        statistic = ctx.deviation_stats.mean
         return MonitorOutput(
             breach=statistic < -self.suppression_db,
             statistic=statistic,
-            threshold=np.full(len(ctx), -self.suppression_db),
+            threshold=-self.suppression_db,
         )
 
 
@@ -531,57 +576,37 @@ class ClockDriftRateMonitor(StreamingMonitor):
     def observe(self, ctx: StreamContext) -> MonitorOutput:
         n = len(ctx)
         k = len(SYSTEM_CODES)
-        biases = np.full((n, k), np.nan)
-        if ctx.width:
-            residuals = ctx.pseudoranges - ctx.ranges
-            # Bounded membership tests instead of np.unique: unique
-            # sorts the whole (N, m) id array, which dwarfs four
-            # equality scans on the serving hot path.
-            for sid in range(k):
-                members = ctx.system_ids == sid
-                if not members.any():
-                    continue
-                if members.all():
-                    # Uniform single-system stream: with every fix
-                    # solved (the serving hot path) the masked mean
-                    # reduces to the plain row mean, same bits — and
-                    # no other system can be present, so stop scanning.
-                    if np.isfinite(residuals).all():
-                        biases[:, sid] = residuals.mean(axis=-1)
-                    else:
-                        biases[:, sid] = _masked_mean(residuals)
-                    break
-                masked = np.where(members, residuals, np.nan)
-                biases[:, sid] = _masked_mean(masked)
         times = np.concatenate([self._carry_times, ctx.times])
-        series = np.concatenate([self._carry_biases, biases])
+        series = np.concatenate([self._carry_biases, ctx.system_biases])
         offset = len(self._carry_times)
         rates = np.full((n, k), np.nan)
-        ref = np.arange(n) + offset - self.window_epochs
-        valid_ref = ref >= 0
-        if valid_ref.any():
-            rows = np.flatnonzero(valid_ref)
-            dt = ctx.times[rows] - times[ref[rows]]
+        # Row i's baseline is series row i + offset - window: rows from
+        # `start` on have one, and theirs are one contiguous slice.
+        start = max(0, self.window_epochs - offset)
+        if start < n:
+            lag = offset - self.window_epochs
+            base = slice(start + lag, n + lag)
+            dt = ctx.times[start:] - times[base]
             # A window-long baseline may legitimately span up to
             # window_epochs nominal intervals; beyond that the stream
             # gapped and the rate is meaningless.
             max_span = self.max_gap_seconds * self.window_epochs
             ok = np.isfinite(dt) & (dt > 0) & (dt <= max_span)
             with np.errstate(invalid="ignore", divide="ignore"):
-                rates[rows] = np.where(
+                rates[start:] = np.where(
                     ok[:, np.newaxis],
-                    (series[rows + offset] - series[ref[rows]])
+                    (series[start + offset :] - series[base])
                     / np.where(ok, dt, 1.0)[:, np.newaxis],
                     np.nan,
                 )
         keep = min(len(times), self.window_epochs)
         self._carry_times = times[len(times) - keep :].copy()
         self._carry_biases = series[len(series) - keep :].copy()
-        statistic = _masked_max(np.abs(rates))
+        statistic = LaneStats(np.abs(rates)).max
         return MonitorOutput(
             breach=statistic > self.max_rate_mps,
             statistic=statistic,
-            threshold=np.full(n, self.max_rate_mps),
+            threshold=self.max_rate_mps,
         )
 
 
@@ -750,7 +775,9 @@ class StationaryVelocityMonitor(StreamingMonitor):
             ):
                 # Armed hot path: every fix and stamp finite, so the
                 # last-finite predecessor is just the previous row.
-                prev_fix = np.vstack([self._last_fix, tail_positions[:-1]])
+                prev_fix = np.concatenate(
+                    [self._last_fix[np.newaxis], tail_positions[:-1]]
+                )
                 prev_time = np.concatenate([[self._last_time], tail_times[:-1]])
                 dt = tail_times - prev_time
                 step = np.sqrt(((tail_positions - prev_fix) ** 2).sum(axis=1))
@@ -857,19 +884,19 @@ class MOfNFiltered(StreamingMonitor):
         self._monitor = monitor
         self._required = int(required)
         self._window = int(window)
-        self._history = np.zeros(0, dtype=bool)
+        self._history = np.zeros((1, 0), dtype=bool)
 
     def reset(self) -> None:
         self._monitor.reset()
-        self._history = np.zeros(0, dtype=bool)
+        self._history = np.zeros((1, 0), dtype=bool)
 
     def observe(self, ctx: StreamContext) -> MonitorOutput:
         output = self._monitor.observe(ctx)
         confirmed, self._history = _windowed_confirm(
-            output.breach, self._history, self._required, self._window
+            output.breach[np.newaxis], self._history, self._required, self._window
         )
         return MonitorOutput(
-            breach=confirmed,
+            breach=confirmed[0],
             statistic=output.statistic,
             threshold=output.threshold,
             flagged=output.flagged,
@@ -877,57 +904,30 @@ class MOfNFiltered(StreamingMonitor):
 
 
 def _windowed_confirm(
-    breach: np.ndarray, history: np.ndarray, required: int, window: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(confirmed, new_history)`` for an M-of-N sliding count.
-
-    ``confirmed[i]`` is true when epoch ``i`` itself breaches and at
-    least ``required`` of the trailing ``window`` epochs (ending at
-    ``i``) breached.  ``history`` carries the last ``window - 1``
-    breach bits between calls.
-    """
-    extended = np.concatenate([history, breach]).astype(np.int64)
-    cumulative = np.concatenate([[0], np.cumsum(extended)])
-    n = len(breach)
-    offset = len(history)
-    ends = np.arange(n) + offset + 1
-    starts = np.maximum(ends - window, 0)
-    counts = cumulative[ends] - cumulative[starts]
-    confirmed = breach & (counts >= required)
-    keep = min(len(extended), window - 1) if window > 1 else 0
-    new_history = extended[len(extended) - keep :].astype(bool) if keep else (
-        np.zeros(0, dtype=bool)
-    )
-    return confirmed, new_history
-
-
-def _windowed_confirm_all(
     breaches: np.ndarray, history: np.ndarray, required: int, window: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_windowed_confirm` for all monitors at once.
+    """``(confirmed, new_history)`` for M-of-N sliding counts.
 
-    ``breaches`` is ``(K, N)``, ``history`` ``(K, H)`` — every monitor
-    of a suite shares the confirmation config, so their histories stay
-    the same length and one cumulative sum covers all of them.
+    ``breaches`` is ``(K, N)``: one row per monitor, all sharing the
+    confirmation config, so one cumulative sum covers every row.
+    ``confirmed[k, i]`` is true when epoch ``i`` itself breaches and at
+    least ``required`` of the trailing ``window`` epochs (ending at
+    ``i``) breached.  ``history`` (``(K, H)``) carries the last
+    ``window - 1`` breach bits between calls.
     """
-    k = breaches.shape[0]
-    extended = np.concatenate([history, breaches], axis=1).astype(np.int64)
-    cumulative = np.concatenate(
-        [np.zeros((k, 1), dtype=np.int64), np.cumsum(extended, axis=1)], axis=1
-    )
-    n = breaches.shape[1]
+    k, n = breaches.shape
     offset = history.shape[1]
-    ends = np.arange(n) + offset + 1
-    starts = np.maximum(ends - window, 0)
-    counts = cumulative[:, ends] - cumulative[:, starts]
-    confirmed = breaches & (counts >= required)
-    keep = min(extended.shape[1], window - 1) if window > 1 else 0
-    new_history = (
-        extended[:, extended.shape[1] - keep :].astype(bool)
-        if keep
-        else np.zeros((k, 0), dtype=bool)
-    )
-    return confirmed, new_history
+    extended = np.concatenate([history, breaches], axis=1)
+    cumulative = np.zeros((k, offset + n + 1), dtype=np.int64)
+    np.cumsum(extended, axis=1, out=cumulative[:, 1:])
+    low = offset + 1 - window  # the first epoch's window start
+    if low >= 0:  # every window is whole: two slices
+        counts = cumulative[:, offset + 1 :] - cumulative[:, low : low + n]
+    else:
+        ends = np.arange(offset + 1, offset + n + 1)
+        counts = cumulative[:, ends] - cumulative[:, np.maximum(ends - window, 0)]
+    keep = min(offset + n, window - 1)
+    return breaches & (counts >= required), extended[:, offset + n - keep :]
 
 
 @dataclass(frozen=True)
@@ -964,7 +964,7 @@ class MonitorRecord:
                 continue
             flags = self.flagged[k, index]
             labels = tuple(
-                _key_label(key)
+                satellite_label(key)
                 for key in sorted(self.keys[index][flags])
                 if key >= 0
             )
@@ -1062,27 +1062,7 @@ class MonitorConfig:
             raise ConfigurationError("clock_drift_window must be at least 1")
 
     def to_dict(self) -> Dict:
-        return {
-            "cn0_threshold_dbhz": self.cn0_threshold_dbhz,
-            "cn0_min_flagged": self.cn0_min_flagged,
-            "cn0_drop_db": self.cn0_drop_db,
-            "cn0_spread_db": self.cn0_spread_db,
-            "agc_suppression_db": self.agc_suppression_db,
-            "clock_drift_max_mps": self.clock_drift_max_mps,
-            "clock_drift_window": self.clock_drift_window,
-            "stationary": self.stationary,
-            "learn_epochs": self.learn_epochs,
-            "position_floor_meters": self.position_floor_meters,
-            "position_sigma_multiplier": self.position_sigma_multiplier,
-            "velocity_floor_mps": self.velocity_floor_mps,
-            "velocity_sigma_multiplier": self.velocity_sigma_multiplier,
-            "max_gap_seconds": self.max_gap_seconds,
-            "confirm_epochs": self.confirm_epochs,
-            "confirm_window": self.confirm_window,
-            "zenith_dbhz": self.zenith_dbhz,
-            "horizon_dbhz": self.horizon_dbhz,
-            "block_spoofed": self.block_spoofed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MonitorConfig":
@@ -1187,25 +1167,30 @@ class MonitorSuite:
         )
         n = len(ctx)
         k = len(self._monitors)
+        # Every monitor writes its row of the suite's (K, N) lanes; a
+        # fixed threshold broadcasts along its row.
+        breaches = np.empty((k, n), dtype=bool)
+        statistics = np.empty((k, n))
+        thresholds = np.empty((k, n))
         flagged = np.zeros((k, n, ctx.width), dtype=bool)
-        outputs = [monitor.observe(ctx) for monitor in self._monitors]
-        breaches = np.stack([output.breach for output in outputs])
-        statistics = np.stack([output.statistic for output in outputs])
-        thresholds = np.stack([output.threshold for output in outputs])
-        # One confirmation pass for the whole suite: every monitor
-        # shares the M-of-N config, so their histories stay aligned.
-        confirmed, self._history = _windowed_confirm_all(
-            breaches, self._history, self._confirm_epochs, self._confirm_window
-        )
-        monitor_severities = breaches.astype(np.int8)
-        monitor_severities[confirmed] = SEVERITY_SPOOFED
-        for index, output in enumerate(outputs):
+        for index, monitor in enumerate(self._monitors):
+            output = monitor.observe(ctx)
+            breaches[index] = output.breach
+            statistics[index] = output.statistic
+            thresholds[index] = output.threshold
             # Flags only count on breaching epochs: a sub-threshold
             # per-satellite wobble is not evidence against the PRN.
             # No breach anywhere (the clean hot path) masks every flag
             # off, so the zero plane stands as-is.
             if output.flagged is not None and output.breach.any():
                 flagged[index] = output.flagged & output.breach[:, np.newaxis]
+        # One confirmation pass for the whole suite: every monitor
+        # shares the M-of-N config, so their histories stay aligned.
+        confirmed, self._history = _windowed_confirm(
+            breaches, self._history, self._confirm_epochs, self._confirm_window
+        )
+        monitor_severities = breaches.astype(np.int8)
+        monitor_severities[confirmed] = SEVERITY_SPOOFED
         severities = (
             monitor_severities.max(axis=0)
             if k

@@ -388,23 +388,28 @@ class BatchExecutor:
         is set, fails its row; every other row is served.  Only the
         rows that carry an error text are visited one by one.
         """
-        count = len(stream.positions)
-        block = ResultBlock.empty(count)
-        status = block.status
         diagnostics = stream.diagnostics
         screened = list(diagnostics.invalid_indices + diagnostics.dropped_indices)
+        fde = diagnostics.fde
+        # The FDE lanes are the record's own arrays (the verdict lane a
+        # copy with the screened rows absent), never filled twice.
+        lanes = {}
+        if fde is not None:
+            verdict = fde.statuses.copy()
+            verdict[screened] = ABSENT
+            lanes = dict(
+                verdict=verdict,
+                statistics=fde.statistics,
+                thresholds=fde.thresholds,
+                excluded_prns=fde.excluded_prns.astype(np.int64),
+            )
+        block = ResultBlock.empty(len(stream.positions), monitors=monitors, **lanes)
+        status = block.status
         status[screened] = STATUS_INVALID
         # The engine screens with the block's own contract checks, so
         # every screened row has a text.
         errors = {row: packed.row_integrity_error(row) for row in sorted(screened)}
-        fde = diagnostics.fde
         if fde is not None:
-            verdict = block.verdict
-            verdict[:] = fde.statuses
-            verdict[screened] = ABSENT
-            block.statistics[:] = fde.statistics
-            block.thresholds[:] = fde.thresholds
-            block.excluded_prns[:] = fde.excluded_prns
             self._observe_verdicts(packed, verdict, fde)
             unusable = np.flatnonzero(verdict == FDE_UNUSABLE)
             status[unusable] = STATUS_FAILED
@@ -436,8 +441,7 @@ class BatchExecutor:
         np.copyto(block.positions, stream.positions, where=ok[:, np.newaxis])
         np.copyto(block.biases, stream.clock_biases, where=ok)
         block.solver[ok] = SOLVER_BATCH
-        block = block.with_errors(errors)
-        return block if monitors is None else replace(block, monitors=monitors)
+        return block.with_errors(errors)
 
     def _override_array(
         self, packed: PackedStream, biases: np.ndarray

@@ -376,14 +376,25 @@ class ResultBlock:
         return int(self.status.shape[0])
 
     @classmethod
-    def empty(cls, count: int, status: int = STATUS_OK) -> "ResultBlock":
-        """``count`` rows of ``status`` with every other lane absent;
-        the lanes are fresh arrays the caller may fill in place."""
+    def empty(
+        cls,
+        count: int,
+        status: int = STATUS_OK,
+        monitors: Optional[MonitorRecord] = None,
+        **lanes: np.ndarray,
+    ) -> "ResultBlock":
+        """``count`` rows of ``status`` with every other lane absent,
+        except the ``lanes`` passed by name, which are taken as they
+        are; the absent lanes are fresh arrays the caller may fill in
+        place."""
         block = cls(
+            monitors=monitors,
             **{
-                lane: np.full((count,) + shape, absent, dtype=dtype)
+                lane: lanes[lane]
+                if lane in lanes
+                else np.full((count,) + shape, absent, dtype=dtype)
                 for lane, (dtype, absent, shape) in RESULT_LANES.items()
-            }
+            },
         )
         block.status[:] = status
         return block

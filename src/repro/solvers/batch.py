@@ -34,7 +34,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,8 +42,8 @@ import numpy as np
 from repro.blocks import EpochBlock
 from repro.constellation.systems import SYSTEM_CODES, system_code
 from repro.errors import ConfigurationError, ConvergenceError, EstimationError, GeometryError
-from repro.estimation import batched_centered_wls
-from repro.estimation.structured import solve_normal_equations
+from repro.estimation import center_segments
+from repro.estimation.structured import solve_centered_wls, solve_normal_equations
 from repro.observations import ObservationEpoch
 from repro.solvers.direct_linear import CONSTELLATION_MODES, check_multi_admissibility
 
@@ -142,7 +142,7 @@ def system_columns(
     """
     tags = systems[occupied]
     present = np.flatnonzero(np.bincount(tags, minlength=len(SYSTEM_CODES)))
-    first = [int(np.argmax(tags == code)) for code in present]
+    first = (tags == present[:, None]).argmax(axis=1)  # each code's first slot
     codes = present[np.argsort(first)]
     lookup = np.full(len(SYSTEM_CODES), -1, dtype=np.int64)
     lookup[codes] = np.arange(codes.shape[0])
@@ -171,14 +171,11 @@ def _constellation_layout(
     per-constellation system cannot solve: every constellation needs
     two satellites and a row ``3 + 2K`` in all.
     """
-    n = systems.shape[0]
     columns, codes = system_columns(systems, occupied)
-    k_groups = int(codes.shape[0])
-    group_counts = np.bincount(
-        (np.arange(n)[:, None] * k_groups + columns)[occupied],
-        minlength=n * k_groups,
-    ).reshape(n, k_groups)
-    present = group_counts > 0  # (N, K)
+    # (N, K) satellites of each constellation per row (padding is -1)
+    in_group = columns[:, None, :] == np.arange(codes.shape[0])[:, None]
+    group_counts = in_group.sum(axis=2)
+    present = group_counts > 0
     row_groups = present.sum(axis=1)
     bad = (present & (group_counts < 2)).any(axis=1) | (
         occupied.sum(axis=1) - row_groups < 3 + row_groups
@@ -280,7 +277,7 @@ def build_multi_difference_systems(
 
 @dataclass(frozen=True)
 class RangeSystem:
-    """The undifferenced DLG range equations of a padded batch.
+    """The undifferenced DLG range equations of a padded batch, centered.
 
     One equation row per satellite slot ``i`` of constellation ``c``:
 
@@ -288,19 +285,29 @@ class RangeSystem:
         weight 1 / rho_i^2,
 
     where ``w_c = (|x|^2 - b_c^2) / 2`` is a nuisance constant of the
-    row's segment ``c`` that :func:`~repro.estimation.
-    batched_centered_wls` projects out.  Differencing against a base
-    is an invertible row transform, so this weighted least squares is
-    the paper's eq. 4-26 GLS: same fix, same whitened residual norm,
-    for any base.  On the single-clock path ``rho`` is the
-    clock-corrected range and the unknowns are ``x`` alone; per
-    constellation ``rho`` is raw and the unknowns are ``[x, b_1..b_K]``.
-    Padded slots are zero rows of zero weight.
+    row's segment ``c``.  Differencing against a base is an invertible
+    row transform, so this weighted least squares is the paper's
+    eq. 4-26 GLS: same fix, same whitened residual norm, for any base.
+    On the single-clock path ``rho`` is the clock-corrected range and
+    the unknowns are ``x`` alone; per constellation ``rho`` is raw and
+    the unknowns are ``[x, b_1..b_K]``.  Padded slots are zero rows of
+    zero weight.
+
+    The system is stored already centered
+    (:func:`~repro.estimation.center_segments` projects ``w_c`` out),
+    and it is centered once: the solve and the FDE gate's exclusion
+    candidates read the same stack.  Centering is row-local, so
+    :meth:`take` of some rows holds the bits centering those rows alone
+    would give.
 
     Attributes
     ----------
-    design, rhs, weights:
-        ``(N, m, p)`` designs, ``(N, m)`` right-hand sides and weights.
+    centered:
+        ``(N, m, p+1)`` weighted-centered ``[design | rhs]`` stack.
+    totals:
+        ``(N, m)`` weight sum of each slot's segment.
+    weights:
+        ``(N, m)`` weights, zero on padded slots.
     columns:
         ``(N, m)`` segment (constellation column) of every slot, ``-1``
         on padded slots.
@@ -309,8 +316,8 @@ class RangeSystem:
         them each row observes.
     """
 
-    design: np.ndarray
-    rhs: np.ndarray
+    centered: np.ndarray
+    totals: np.ndarray
     weights: np.ndarray
     columns: np.ndarray
     codes: np.ndarray
@@ -318,22 +325,14 @@ class RangeSystem:
 
     def take(self, rows: np.ndarray) -> "RangeSystem":
         """The systems of ``rows`` only (same segments)."""
-        return replace(
-            self,
-            design=self.design[rows],
-            rhs=self.rhs[rows],
+        return RangeSystem(
+            centered=self.centered[rows],
+            totals=self.totals[rows],
             weights=self.weights[rows],
             columns=self.columns[rows],
+            codes=self.codes,
             present=self.present[rows],
         )
-
-    @property
-    def segments(self) -> Optional[np.ndarray]:
-        """Segment ids for :func:`~repro.estimation.center_segments`:
-        ``None`` when every row is one segment."""
-        if self.codes.shape[0] == 1:
-            return None
-        return np.maximum(self.columns, 0)
 
     @property
     def decoupled(self) -> Optional[np.ndarray]:
@@ -343,9 +342,7 @@ class RangeSystem:
     def solve(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(solutions (N, p), whitened norms (N,))`` of every row."""
         try:
-            return batched_centered_wls(
-                self.design, self.rhs, self.weights, self.segments, self.decoupled
-            )
+            return solve_centered_wls(self.centered, self.weights, self.decoupled)
         except EstimationError as exc:
             raise EstimationError(_DEGENERATE) from exc
 
@@ -373,26 +370,32 @@ def build_range_systems(
         columns = np.where(live, 0, -1)
         codes = np.zeros(1, dtype=np.int64)
         present = np.ones((n, 1), dtype=bool)
-        design = positions
+        p = 3
+        stack = np.empty((n, m, p + 1))
     else:
         live = occupied
         columns, codes, present = _constellation_layout(systems, occupied)
-        design = np.zeros((n, m, 3 + codes.shape[0]))
-        design[:, :, :3] = positions
-        np.put_along_axis(
-            design, 3 + np.maximum(columns, 0)[..., None], -ranges[..., None], axis=2
-        )
+        p = 3 + codes.shape[0]
+        stack = np.empty((n, m, p + 1))
+        # Slot i's bias coefficient -rho_i sits in its constellation's
+        # column (one (N, m) pass per column: cheaper than a stacked one).
+        for group in range(codes.shape[0]):
+            stack[:, :, 3 + group] = np.where(columns == group, -ranges, 0.0)
+    # [design | rhs] written into one buffer, then centered in place.
+    stack[:, :, :3] = positions
     squared = ranges**2
-    rhs = 0.5 * (np.einsum("nmi,nmi->nm", positions, positions) - squared)
+    stack[:, :, p] = 0.5 * (np.einsum("nmi,nmi->nm", positions, positions) - squared)
     if occupied is None:
         weights = 1.0 / squared
     else:
-        design = np.where(live[:, :, None], design, 0.0)
-        rhs = np.where(live, rhs, 0.0)
+        stack[~live] = 0.0
         weights = np.where(live, 1.0 / np.where(live, squared, 1.0), 0.0)
+    centered, totals = center_segments(
+        stack, weights, None if codes.shape[0] == 1 else np.maximum(columns, 0)
+    )
     return RangeSystem(
-        design=design,
-        rhs=rhs,
+        centered=centered,
+        totals=totals,
         weights=weights,
         columns=columns,
         codes=codes,
@@ -619,19 +622,19 @@ class BatchDLGSolver:
 
     def solve_block_full(
         self, block: EpochBlock, biases: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve a block, returning ``(solutions, norms, corrected)``.
+    ) -> Tuple[np.ndarray, np.ndarray, RangeSystem]:
+        """Solve a block, returning ``(solutions, norms, system)``.
 
         ``norms`` are the whitened (Mahalanobis) residual norms — the
-        RAIM/FDE test quantities — and ``corrected`` the clock-corrected
-        pseudoranges, so the integrity gate can screen the batch without
-        re-deriving either.
+        RAIM/FDE test quantities — and ``system`` the centered
+        :class:`RangeSystem` the solve read, so the integrity gate
+        screens the batch and prices exclusions without centering again.
         """
-        corrected = _corrected_pseudoranges(block, biases)
-        solutions, norms = solve_dlg_stack(
-            block.positions, corrected, _occupancy(block)
+        system = build_range_systems(
+            block.positions, _corrected_pseudoranges(block, biases), _occupancy(block)
         )
-        return solutions, norms, corrected
+        solutions, norms = system.solve()
+        return solutions, norms, system
 
 
 def solve_dlg_stack(

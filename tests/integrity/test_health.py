@@ -196,10 +196,10 @@ class TestReporting:
     def test_to_dict_is_json_ready(self):
         tracker = SatelliteHealthTracker(small_config())
         tracker.admit(ALL_PRNS)
-        quarantine(tracker, 3)
+        quarantine(tracker, 11 * 4 + 2)  # E11's prn*4+system key
         document = tracker.to_dict()
         assert document["epoch"] == 1
-        assert document["quarantined_prns"] == [3]
+        assert document["quarantined"] == ["E11"]
         assert document["config"]["exclusion_threshold"] == 2
 
     def test_publish_is_safe_with_telemetry_disabled(self):

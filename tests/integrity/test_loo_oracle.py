@@ -75,8 +75,8 @@ def single_oracle(positions, corrected, keep):
 
 
 def check_single_block(block, biases):
-    solutions, _norms, corrected = BatchDLGSolver().solve_block_full(block, biases)
-    system = build_range_systems(block.positions, corrected, block.occupied)
+    solutions, _norms, system = BatchDLGSolver().solve_block_full(block, biases)
+    corrected = block.pseudoranges - biases[:, None]
     statistics, fixes = leave_one_out(system, solutions)
     for row in range(len(block)):
         count = int(block.counts[row])
@@ -137,13 +137,11 @@ class TestSingleConstellation:
             truth_positions=np.full((1, 3), np.nan),
             truth_biases=np.full(1, np.nan),
         )
-        solutions, _norms, corrected = BatchDLGSolver().solve_block_full(
+        solutions, _norms, system = BatchDLGSolver().solve_block_full(
             block, np.zeros(1)
         )
         np.testing.assert_allclose(solutions[0], receiver, atol=1e-3)
-        statistics, _fixes = leave_one_out(
-            build_range_systems(block.positions, corrected, block.occupied), solutions
-        )
+        statistics, _fixes = leave_one_out(system, solutions)
         assert np.isinf(statistics[0, 5])
         assert np.isfinite(statistics[0, :5]).all()
         check_single_block(block, np.zeros(1))

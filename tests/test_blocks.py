@@ -339,6 +339,31 @@ class TestValidityScreening:
         assert list(packed.block.validity_mask(min_satellites=1)) == [True, False, True]
 
 
+    @pytest.mark.parametrize(
+        "tags",
+        [("GPS",), ("X",), ("\u00e9",), (7,), ("", "GG")],
+        ids=["word", "unknown-letter", "non-ascii", "not-a-string", "empty-and-double"],
+    )
+    def test_malformed_system_tag_is_unpackable_not_fatal(self, tags):
+        # The tags are mapped through a byte table over the joined
+        # letters; an empty tag next to a two-letter one keeps the
+        # joined length right, and must still be caught.
+        epochs = [_build_epoch(8, seed=i) for i in range(3)]
+        for slot, tag in enumerate(tags):
+            object.__setattr__(epochs[1].observations[slot], "system", tag)
+        packed = pack_stream(epochs)
+        assert packed.unpackable == (1,)
+        np.testing.assert_array_equal(packed.block.counts, [8, 0, 8])
+
+    def test_lower_case_system_tags_pack(self):
+        epoch = _build_epoch(8, seed=0)
+        for obs in epoch.observations:
+            object.__setattr__(obs, "system", "g")
+        packed = pack_stream([epoch])
+        assert packed.unpackable == ()
+        assert (packed.block.systems == 0).all()
+
+
 class _FixedBias:
     is_ready = True
 
