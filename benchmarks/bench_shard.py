@@ -5,7 +5,12 @@ Four phases over the same synthetic mixed-satellite-count stream:
 * **capacity** — closed-loop max throughput at 1/2/4 workers, plus the
   inline (``workers=0``) single-process ceiling: what the shared-memory
   transport and supervision cost, and how throughput scales when the
-  box actually has cores to scale onto.
+  box actually has cores to scale onto.  Each arm also records the
+  router's CPU seconds (``RUSAGE_SELF``), its workers' CPU seconds
+  (``RUSAGE_CHILDREN``) and its wall seconds, start to stop, so a
+  scaling shortfall can be put on the router (CPU close to wall while
+  it waits) or on the host (router and workers together want more CPU
+  than the box gives).
 * **poisson** — open-loop replay with seeded exponential inter-arrival
   times at a fraction of measured capacity; per-request latency is
   completion minus *arrival* (queueing included), which is what the
@@ -33,6 +38,7 @@ import gc
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from typing import Dict, List, Optional
@@ -85,10 +91,18 @@ def _shard(workers: int) -> ShardedPositioningService:
     )
 
 
+def _cpu_seconds(who: int) -> float:
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
 def capacity_phase(epochs, repeats: int) -> Dict:
     """Closed-loop best-of-``repeats`` throughput per worker count."""
     record: Dict = {}
     for workers in (0,) + WORKER_COUNTS:
+        router_before = _cpu_seconds(resource.RUSAGE_SELF)
+        workers_before = _cpu_seconds(resource.RUSAGE_CHILDREN)
+        arm_started = time.monotonic()
         with _shard(workers) as shard:
             shard.solve_many(epochs[: 4 * BATCH_SIZE])  # warm
             best_wall = float("inf")
@@ -101,6 +115,11 @@ def capacity_phase(epochs, repeats: int) -> Dict:
                 if wall < best_wall:
                     best_wall = wall
                     ok = sum(1 for r in results if r.status == "ok")
+        # A child's CPU time counts only once it is reaped, so the
+        # arm's accounting closes after its shard has stopped.
+        arm_wall = time.monotonic() - arm_started
+        router_cpu = _cpu_seconds(resource.RUSAGE_SELF) - router_before
+        workers_cpu = _cpu_seconds(resource.RUSAGE_CHILDREN) - workers_before
         key = "inline" if workers == 0 else str(workers)
         record[key] = {
             "workers": workers,
@@ -108,10 +127,14 @@ def capacity_phase(epochs, repeats: int) -> Dict:
             "requests_per_second": len(epochs) / best_wall,
             "ok": ok,
             "requests": len(epochs),
+            "arm_wall_seconds": arm_wall,
+            "router_cpu_seconds": router_cpu,
+            "workers_cpu_seconds": workers_cpu,
         }
         print(
             f"capacity[{key}]: {len(epochs) / best_wall:,.0f} req/s "
-            f"({ok}/{len(epochs)} ok)"
+            f"({ok}/{len(epochs)} ok); arm wall {arm_wall:.3f}s, CPU "
+            f"router {router_cpu:.3f}s, workers {workers_cpu:.3f}s"
         )
     return record
 

@@ -33,6 +33,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional
 
 from repro.clocks.prediction import ClockBiasPredictor, LinearClockBiasPredictor
+from repro.constellation.systems import system_index
 from repro.core.base import PositioningAlgorithm
 from repro.solvers.bancroft import BancroftSolver
 from repro.solvers.direct_linear import DLGSolver, DLOSolver
@@ -48,6 +49,15 @@ if TYPE_CHECKING:
     from repro.integrity.raim import RaimMonitor
 
 _log = logging.getLogger(__name__)
+
+
+def _satellite_keys(epoch: ObservationEpoch) -> List[int]:
+    """The epoch's ``prn*4+system`` satellite keys in observation
+    order, the naming :attr:`~repro.blocks.EpochBlock.satellite_keys`
+    gives the service's health tracker."""
+    _positions, _pseudoranges, prns, systems = epoch.dense()
+    return (prns * 4 + systems).tolist()
+
 
 #: Buckets for the iterations-to-convergence histogram: NR typically
 #: converges in 4-6 iterations from the cold start, 1-2 warm.
@@ -92,8 +102,10 @@ class GpsReceiver:
         Quarantined satellites are pre-excluded from each epoch before
         solving, and RAIM exclusions/clean passes feed the tracker so
         persistently faulty satellites stop paying the per-epoch
-        exclusion search.  Useful standalone, or shared with an async
-        service so both paths agree on satellite health.
+        exclusion search.  Satellites are named by ``prn*4+system``
+        keys, as the service names them, so the tracker is useful
+        standalone or shared with an async service: both paths agree
+        on satellite health, and a fault on G07 never bans E07.
     """
 
     def __init__(
@@ -243,10 +255,15 @@ class GpsReceiver:
             ).labels(algorithm=self._algorithm_name).inc()
 
         if self._health is not None:
-            pre_excluded = self._health.admit(epoch.prns)
+            keys = _satellite_keys(epoch)
+            pre_excluded = self._health.admit(keys)
             if pre_excluded:
                 banned = set(pre_excluded)
-                kept = [obs for obs in epoch.observations if obs.prn not in banned]
+                kept = [
+                    obs
+                    for obs, key in zip(epoch.observations, keys)
+                    if key not in banned
+                ]
                 if len(kept) >= 4:
                     epoch = epoch.with_observations(kept)
                     self._event("health_preexclusions")
@@ -339,13 +356,15 @@ class GpsReceiver:
         if not result.passed:
             self._event("raim_unrepaired")
         if self._health is not None:
+            keys = _satellite_keys(epoch)
             if result.excluded_prn is not None:
-                self._health.record_exclusion(result.excluded_prn)
-                self._health.record_clean(
-                    prn for prn in epoch.prns if prn != result.excluded_prn
+                excluded = result.excluded_prn * 4 + system_index(
+                    result.excluded_system
                 )
+                self._health.record_exclusion(excluded)
+                self._health.record_clean(key for key in keys if key != excluded)
             elif result.passed:
-                self._health.record_clean(epoch.prns)
+                self._health.record_clean(keys)
         return result.fix
 
     def _residual_is_anomalous(self, residual_norm: float) -> bool:

@@ -29,13 +29,11 @@ identically to live ones and tests are deterministic.
 The tracker is intentionally solver-agnostic — it consumes exclusion
 events from any source (batch FDE verdicts, scalar RAIM results) and
 is shared by :class:`~repro.core.receiver.GpsReceiver` and the async
-service's circuit breaker.  It keys its state by an opaque integer
-satellite identity that each caller chooses consistently: the service
-passes ``prn*4+system`` keys (:attr:`~repro.blocks.EpochBlock.
-satellite_keys`), because PRNs repeat across constellations and a
-fault on Galileo E1 must not quarantine GPS G1; the single-system
-receiver passes bare PRNs.  The ``prn`` parameters below are these
-identities.
+service's circuit breaker.  It keys its state by an integer satellite
+identity: both callers pass ``prn*4+system`` keys
+(:attr:`~repro.blocks.EpochBlock.satellite_keys`), because PRNs repeat
+across constellations and a fault on Galileo E1 must not quarantine
+GPS G1.  The ``prn`` parameters below are these identities.
 """
 
 from __future__ import annotations

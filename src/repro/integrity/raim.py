@@ -113,8 +113,9 @@ class RaimResult:
     test_statistic, threshold:
         The normalized sum of squared residuals and its chi-square
         gate.
-    excluded_prn:
-        PRN removed by exclusion, or ``None``.
+    excluded_prn, excluded_system:
+        PRN and system code of the satellite removed by exclusion, or
+        ``None``.
     """
 
     fix: PositionFix
@@ -122,6 +123,7 @@ class RaimResult:
     test_statistic: float
     threshold: float
     excluded_prn: Optional[int] = None
+    excluded_system: Optional[str] = None
 
 
 class RaimMonitor:
@@ -181,13 +183,14 @@ class RaimMonitor:
 
         repaired = self._exclude(epoch)
         if repaired is not None:
-            prn, repaired_fix, repaired_stat, repaired_threshold = repaired
+            dropped, repaired_fix, repaired_stat, repaired_threshold = repaired
             return RaimResult(
                 fix=repaired_fix,
                 passed=True,
                 test_statistic=repaired_stat,
                 threshold=repaired_threshold,
-                excluded_prn=prn,
+                excluded_prn=dropped.prn,
+                excluded_system=dropped.system,
             )
         return RaimResult(
             fix=fix, passed=False, test_statistic=statistic, threshold=threshold
@@ -212,7 +215,8 @@ class RaimMonitor:
         return statistic, threshold
 
     def _exclude(self, epoch: ObservationEpoch):
-        """Try dropping each satellite; return the best passing subset.
+        """Try dropping each satellite; return the best passing subset as
+        ``(dropped observation, fix, statistic, threshold)``.
 
         Subsets are ranked by *normalized margin* ``statistic /
         threshold``, not raw statistic: when candidate subsets end up
@@ -248,8 +252,7 @@ class RaimMonitor:
             if statistic <= threshold:
                 margin = statistic / threshold
                 if best_margin is None or margin < best_margin:
-                    dropped_prn = epoch.observations[drop_index].prn
-                    best = (dropped_prn, fix, statistic, threshold)
+                    best = (epoch.observations[drop_index], fix, statistic, threshold)
                     best_margin = margin
         if best is None:
             return None

@@ -16,12 +16,20 @@ once back out.
 
 Determinism is a design contract, not an accident: batch boundaries
 are fixed by ``batch_size`` (independent of worker count), each batch
-executes whole on exactly one worker, and the worker views the same
-padded :class:`~repro.blocks.PackedStream` the in-process service
-builds straight out of the slab — so the solver math sees identical
-arrays and the fixes are **bitwise identical** across 1 worker, N
-workers, and the in-process service (the cross-process determinism
-suite pins this).
+executes whole in exactly one process, and that process solves the
+same padded :class:`~repro.blocks.PackedStream` the in-process service
+builds (a worker views it straight out of the slab) — so the solver
+math sees identical arrays and the fixes are **bitwise identical**
+across inline mode, 1 worker, N workers, and the in-process service
+(the cross-process determinism suite pins this).
+
+Which process solves a batch: in inline mode (``workers=0``) the
+router solves every batch.  With workers, every batch goes to a worker,
+except that a *stateless* config's (no health tracker, no monitor
+suite) last batch of a call is solved by the router itself when every
+live worker already holds a batch in flight: the router would
+otherwise sit idle waiting for them.  Both run one flush body,
+:func:`answer_batch`.
 
 Supervision: every worker heartbeats into its slab and is watched by
 the router during dispatch.  A worker that dies mid-batch never hangs
@@ -108,7 +116,9 @@ class ShardConfig:
     workers:
         Worker process count.  ``0`` runs the executor **inline** in
         the router process — same batching, same results, no IPC — the
-        parity baseline the tests compare against.
+        parity baseline the tests compare against.  With workers and a
+        stateless ``service`` config, the router also solves a call's
+        last batch itself when every live worker is busy.
     policy:
         ``"hash"`` pins a client id to a worker (cache/affinity
         friendly); ``"least_loaded"`` picks the worker with the fewest
@@ -242,6 +252,63 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
     return layout
 
 
+def stateless(service: ServiceConfig) -> bool:
+    """Whether a batch's answers depend on the batch alone.
+
+    A :class:`~repro.service.executor.BatchExecutor` carries stream
+    state only in its health tracker (built when integrity or health
+    is armed) and its monitor suite; without them any process may
+    answer any batch.
+    """
+    return (
+        service.integrity is None
+        and service.health is None
+        and service.monitors is None
+    )
+
+
+def check_fits(packed: PackedStream, capacity: int, width: int) -> None:
+    """Raise :class:`~repro.errors.ServiceError` unless the packed batch
+    fits a slab slot of ``capacity`` epochs x ``width`` satellites."""
+    block = packed.block
+    n, m = len(block), block.width
+    if n > capacity or m > width:
+        raise ServiceError(
+            f"a {n}-epoch batch of up to {m} satellites does not fit a "
+            f"slab slot of {capacity} epochs x {width} satellites"
+        )
+
+
+def answer_batch(
+    executor: BatchExecutor,
+    packed: PackedStream,
+    biases: Optional[np.ndarray],
+) -> ResultBlock:
+    """One batch through the flush body every shard executor runs.
+
+    An exception out of the executor answers every row of the batch
+    ``failed`` ("internal dispatch error: ..."), as the in-process
+    dispatch loop does, so no transport lets it escape.  The
+    :class:`~repro.service.executor.BatchMeta` is dropped at once: on a
+    worker its block views the slab.
+    """
+    try:
+        return executor.execute_packed(packed, biases)[0]
+    except Exception as exc:  # one poison batch must not kill the caller
+        error = f"internal dispatch error: {exc}"
+        return ResultBlock.empty(len(packed), STATUS_FAILED).with_errors(
+            dict.fromkeys(range(len(packed)), error)
+        )
+
+
+def _executor_batches(registry):
+    """The counter of batches one process's executor answered."""
+    return registry.counter(
+        "repro_shard_worker_batches_total",
+        "Batches answered by this process's shard executor.",
+    ).labels()
+
+
 def write_request(
     arrays: Dict[str, np.ndarray],
     slot: int,
@@ -259,14 +326,9 @@ def write_request(
     Raises :class:`~repro.errors.ServiceError` if the batch does not
     fit the slot.
     """
+    check_fits(packed, arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2])
     block = packed.block
     n, m = len(block), block.width
-    capacity, width = arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2]
-    if n > capacity or m > width:
-        raise ServiceError(
-            f"a {n}-epoch batch of up to {m} satellites does not fit a "
-            f"slab slot of {capacity} epochs x {width} satellites"
-        )
     stamp_begin(arrays["req_begin"], slot, sequence)
     arrays["req_count"][slot] = n
     arrays["req_sats"][slot, :n] = block.counts
@@ -485,8 +547,7 @@ def worker_main(
     private registry (the fork hook in :mod:`repro.telemetry` already
     cleared any inherited one) and ships snapshots on ``scrape``.  An
     exception out of the executor answers every row of its batch
-    ``failed`` ("internal dispatch error: ..."), as the in-process
-    dispatch loop does, and the worker keeps serving.
+    ``failed`` (:func:`answer_batch`) and the worker keeps serving.
     """
     from repro import telemetry
 
@@ -496,10 +557,7 @@ def worker_main(
     arrays = layout.arrays(slab.buffer)
     executor = BatchExecutor(service_config)
     heartbeat = arrays["heartbeat"]
-    batches = registry.counter(
-        "repro_shard_worker_batches_total",
-        "Batches answered by this worker.",
-    ).labels()
+    batches = _executor_batches(registry)
     crash_after: Optional[int] = None
     stall = False
     try:
@@ -532,13 +590,7 @@ def worker_main(
                     time.sleep(3600)
             packed, biases = read_request(arrays, slot, sequence)
             try:
-                # The meta is dropped at once: its block views the slab.
-                block = executor.execute_packed(packed, biases)[0]
-            except Exception as exc:  # one poison batch must not kill the worker
-                error = f"internal dispatch error: {exc}"
-                block = ResultBlock.empty(len(packed), STATUS_FAILED).with_errors(
-                    dict.fromkeys(range(len(packed)), error)
-                )
+                block = answer_batch(executor, packed, biases)
             finally:
                 # The packed block views the slab: drop it now, or the
                 # mapping cannot close when the worker is told to stop.
@@ -587,7 +639,15 @@ class _Worker:
 class _RouterMetrics:
     """Pre-resolved router-side telemetry children."""
 
-    __slots__ = ("registry", "requests", "batches", "retryable", "restarts", "workers_up")
+    __slots__ = (
+        "registry",
+        "requests",
+        "batches",
+        "answered",
+        "retryable",
+        "restarts",
+        "workers_up",
+    )
 
     def __init__(self, registry) -> None:
         self.registry = registry
@@ -595,8 +655,9 @@ class _RouterMetrics:
             "repro_shard_requests_total", "Requests routed through the shard."
         ).labels()
         self.batches = registry.counter(
-            "repro_shard_batches_total", "Batches dispatched to workers."
+            "repro_shard_batches_total", "Batches cut from routed streams."
         ).labels()
+        self.answered = _executor_batches(registry)
         self.retryable = registry.counter(
             "repro_shard_retryable_total",
             "Requests resurfaced as retryable after a worker death.",
@@ -628,7 +689,9 @@ class ShardedPositioningService:
         self._config = config if config is not None else ShardConfig()
         self._layout = slab_layout(self._config)
         self._workers: List[_Worker] = []
-        self._inline: Optional[BatchExecutor] = None
+        # The router's own executor: every batch in inline mode, a
+        # call's last batch while the workers are busy (stateless only).
+        self._executor: Optional[BatchExecutor] = None
         self._context = multiprocessing.get_context(self._config.start_method)
         self._running = False
         self._metrics: Optional[_RouterMetrics] = None
@@ -654,8 +717,9 @@ class ShardedPositioningService:
         """Create slabs and spawn every worker."""
         if self._running:
             raise ServiceError("shard is already running")
+        if self._config.workers == 0 or stateless(self._config.service):
+            self._executor = BatchExecutor(self._config.service)
         if self._config.workers == 0:
-            self._inline = BatchExecutor(self._config.service)
             self._running = True
             return
         try:
@@ -731,7 +795,7 @@ class ShardedPositioningService:
             worker.slab.close()
             worker.slab.unlink()
         self._workers = []
-        self._inline = None
+        self._executor = None
 
     def __enter__(self) -> "ShardedPositioningService":
         self.start()
@@ -803,72 +867,62 @@ class ShardedPositioningService:
         ]
         results: List[Optional[ServiceResult]] = [None] * len(epochs)
 
-        if self._inline is not None:
-            for offset, count in batches:
-                block, _meta = self._inline.execute(
-                    epochs[offset : offset + count],
-                    None
-                    if bias_meters is None
-                    else bias_meters[offset : offset + count],
-                )
-                results[offset : offset + count] = block.results(
-                    self._algorithm, count
-                )
-                if metrics is not None:
-                    metrics.batches.inc()
-            return results
-
         from repro.blocks import pack_stream
 
         pending = list(enumerate(batches))
         pending.reverse()  # pop() takes them in stream order
+        last = len(batches) - 1
         while pending or any(worker.inflight for worker in self._workers):
             self._reap_dead(results, epochs)
             dispatched = False
             while pending:
                 batch_index, (offset, count) = pending[-1]
-                client_id = (
-                    client_ids[offset]
-                    if client_ids is not None and offset < len(client_ids)
-                    else None
-                )
-                worker = self._route(batch_index, client_id)
-                if worker is None:
-                    # Every worker is gone: resurface everything left.
-                    pending.pop()
-                    self._fail_batch(
-                        results,
-                        offset,
-                        count,
-                        "no live workers remain (restart budget exhausted)",
+                here = self._solves_here(batch_index == last)
+                if not here:
+                    client_id = (
+                        client_ids[offset]
+                        if client_ids is not None and offset < len(client_ids)
+                        else None
                     )
-                    continue
-                if not worker.free_slots:
-                    if self._config.policy == "least_loaded":
-                        candidates = [
-                            w
-                            for w in self._workers
-                            if w.alive and w.free_slots
-                        ]
-                        if candidates:
-                            worker = min(
-                                candidates,
-                                key=lambda w: (w.load, w.index),
-                            )
+                    worker = self._route(batch_index, client_id)
+                    if worker is None:
+                        # Every worker is gone: resurface everything left.
+                        pending.pop()
+                        self._fail_batch(
+                            results,
+                            offset,
+                            count,
+                            "no live workers remain (restart budget exhausted)",
+                        )
+                        continue
+                    if not worker.free_slots:
+                        if self._config.policy == "least_loaded":
+                            candidates = [
+                                w
+                                for w in self._workers
+                                if w.alive and w.free_slots
+                            ]
+                            if candidates:
+                                worker = min(
+                                    candidates,
+                                    key=lambda w: (w.load, w.index),
+                                )
+                            else:
+                                break  # all slots busy; go collect
                         else:
-                            break  # all slots busy; go collect
-                    else:
-                        break  # hash affinity: wait for this worker
+                            break  # hash affinity: wait for this worker
                 pending.pop()
                 try:
-                    self._dispatch(
-                        worker,
-                        offset,
-                        count,
-                        epochs,
-                        bias_meters,
-                        pack_stream,
+                    packed = pack_stream(epochs[offset : offset + count])
+                    biases = bias_lane(
+                        None
+                        if bias_meters is None
+                        else bias_meters[offset : offset + count]
                     )
+                    if here:
+                        self._solve_here(results, offset, count, packed, biases)
+                    else:
+                        self._dispatch(worker, offset, count, packed, biases)
                 except Exception:
                     # This call's earlier batches are already in
                     # flight: retire them before the error surfaces so
@@ -896,19 +950,54 @@ class ShardedPositioningService:
             self._reap_dead(results, epochs)
             self._collect(results, epochs, timeout=0.05)
 
+    def _solves_here(self, last: bool) -> bool:
+        """Whether the router answers the next batch itself.
+
+        Every batch in inline mode.  With workers, only a call's last
+        batch, only when every live worker already holds one in flight
+        (the router would otherwise block on them), and only when the
+        config is stateless (:func:`stateless`; else no router executor
+        exists).  Earlier batches always go out: on a long call the
+        router's packing, not the workers, is the bottleneck.
+        """
+        if self._executor is None:
+            return False
+        if not self._workers:
+            return True
+        if not last:
+            return False
+        live = [worker for worker in self._workers if worker.alive]
+        return bool(live) and all(worker.inflight for worker in live)
+
+    def _solve_here(
+        self,
+        results,
+        offset: int,
+        count: int,
+        packed: PackedStream,
+        biases: Optional[np.ndarray],
+    ) -> None:
+        """Answer one batch on the router's own executor."""
+        if self._workers:
+            # Refuse what no worker could take, so which process
+            # solves a batch never changes the call's outcome.
+            check_fits(
+                packed, self._config.slot_epochs, self._config.slot_satellites
+            )
+        block = answer_batch(self._executor, packed, biases)
+        results[offset : offset + count] = block.results(self._algorithm, count)
+        metrics = self._telemetry()
+        if metrics is not None:
+            metrics.answered.inc()
+
     def _dispatch(
         self,
         worker: _Worker,
         offset: int,
         count: int,
-        epochs: List[ObservationEpoch],
-        bias_meters,
-        pack_stream,
+        packed: PackedStream,
+        biases: Optional[np.ndarray],
     ) -> None:
-        packed = pack_stream(epochs[offset : offset + count])
-        biases = bias_lane(
-            None if bias_meters is None else bias_meters[offset : offset + count]
-        )
         slot = worker.free_slots.pop()
         worker.sequence += 1
         sequence = worker.sequence * self._config.slots_per_worker + slot

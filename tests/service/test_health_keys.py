@@ -1,22 +1,29 @@
-"""The service's circuit breaker names satellites, not bare PRNs.
+"""The circuit breaker names satellites, not bare PRNs.
 
 PRNs repeat across constellations: a G+E sky holds both G1 and E1.
-The executor keys the health tracker by ``prn*4+system``, so repeated
-FDE exclusions of E1 quarantine E1 alone, and the clean-epoch credit
-G1 earns is never withheld because E1 was excluded.
+The executor and the scalar receiver both key the health tracker by
+``prn*4+system``, so repeated exclusions of E1 quarantine E1 alone,
+the clean-epoch credit G1 earns is never withheld because E1 was
+excluded, and one tracker shared by a receiver and a service means the
+same satellite on both sides.
 """
 
 from dataclasses import replace
 
 from repro.api import SolverConfig, build_scene
+from repro.blocks import pack_stream
+from repro.core.receiver import GpsReceiver
 from repro.integrity import FdeConfig, HealthConfig, SatelliteHealthTracker
 from repro.service import ServiceConfig
 from repro.service.executor import BatchExecutor
+from repro.solvers.newton_raphson import NewtonRaphsonSolver
 
 SKY = {"G": 8, "E": 7}
 BIASES = {"G": 120.0, "E": 3_000.0}
 G1 = 1 * 4 + 0  # prn*4+system; GPS is system 0, Galileo system 2
 E1 = 1 * 4 + 2
+G7, E7 = 7 * 4 + 0, 7 * 4 + 2
+C1 = 1 * 4 + 3  # BeiDou C01: the key a bare PRN 7 collides with
 
 
 def sky_with_spiked_e1(seed, meters=300.0):
@@ -79,3 +86,63 @@ def test_e1_exclusion_does_not_withhold_g1_clean_credit():
         assert result.integrity.excluded_prn == 1
     assert tracker.state(G1) == "healthy"
     assert tracker.state(E1) == "suspect"
+
+
+def spiked(epoch, system, prn, meters=300.0):
+    return epoch.with_observations(
+        [
+            replace(obs, pseudorange=obs.pseudorange + meters)
+            if (obs.system, obs.prn) == (system, prn)
+            else obs
+            for obs in epoch.observations
+        ]
+    )
+
+
+def test_receiver_exclusions_quarantine_the_key_the_service_uses():
+    """Three RAIM exclusions of G07 in a receiver quarantine G07 (key
+    28), not BeiDou C01 (key 7), and a service row sharing the tracker
+    has key 28 banned at admission."""
+    tracker = SatelliteHealthTracker(HealthConfig(exclusion_threshold=3))
+    receiver = GpsReceiver(
+        algorithm="nr", raim_sigma_meters=2.0, health_tracker=tracker
+    )
+    for seed in range(3):
+        sky = build_scene(8, clock_bias_meters=0.0, seed=seed, noise_sigma=0.5)
+        receiver.process(spiked(sky, "G", 7))
+    assert receiver.stats["raim_exclusions"] == 3
+    assert tracker.state(G7) == "quarantined"
+    assert tracker.state(C1) == "healthy"
+    assert tracker.to_dict()["quarantined"] == ["G07"]
+
+    block = pack_stream([build_scene(8, clock_bias_meters=0.0, seed=9)]).block
+    assert tracker.admit_block(block.satellite_keys, block.counts) == {0: (G7,)}
+
+
+class _Recording(NewtonRaphsonSolver):
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def solve(self, epoch):
+        self.seen.append(epoch)
+        return super().solve(epoch)
+
+
+def test_receiver_pre_excludes_only_the_quarantined_constellation():
+    """With G07 quarantined, the receiver drops G07 from a G+E epoch
+    and keeps E07."""
+    tracker = SatelliteHealthTracker(HealthConfig(exclusion_threshold=3))
+    for _ in range(3):
+        tracker.admit([G7])
+        tracker.record_exclusion(G7)
+    assert tracker.state(G7) == "quarantined"
+    solver = _Recording()
+    receiver = GpsReceiver(algorithm="nr", nr_solver=solver, health_tracker=tracker)
+    receiver.process(build_scene(SKY, clock_bias_meters=0.0, seed=4))
+    assert receiver.stats["health_preexclusions"] == 1
+    (solved,) = solver.seen
+    satellites = {(obs.system, obs.prn) for obs in solved.observations}
+    assert len(satellites) == 14
+    assert ("G", 7) not in satellites and ("E", 7) in satellites
+    assert tracker.state(E7) == "healthy"

@@ -168,11 +168,16 @@ class TestSalvage:
 
 
 class TestExecutorException:
-    def test_poison_batch_fails_its_rows_and_worker_stays_up(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "one-worker"])
+    def test_poison_batch_fails_its_rows_and_worker_stays_up(
+        self, monkeypatch, workers
+    ):
         """An executor exception answers its batch ``failed``, row by
-        row, like the in-process dispatch loop; the worker neither dies
-        nor spends a restart, and still exits cleanly at stop (the
-        slab-backed block was released)."""
+        row, like the in-process dispatch loop, whichever process
+        solves it: inline, a worker, or the router taking a call's
+        last batch.  A worker neither dies nor spends a restart, and
+        still exits cleanly at stop (the slab-backed block was
+        released)."""
 
         def poison(self, packed, biases=None, epochs=None):
             raise RuntimeError("poison batch")
@@ -180,18 +185,17 @@ class TestExecutorException:
         # Patched before the fork, so the worker inherits it.
         monkeypatch.setattr(BatchExecutor, "execute_packed", poison)
         epochs = make_epochs(32)
-        config = shard_config(workers=1, max_restarts=2)
+        config = shard_config(workers=workers, max_restarts=2)
         with ShardedPositioningService(config) as shard:
             results = shard.solve_many(epochs)
-            assert shard.live_workers == 1
-            worker = shard._workers[0]
-            assert worker.restarts == 0
-            process = worker.process
+            assert shard.live_workers == workers
+            processes = [worker.process for worker in shard._workers]
+            assert all(worker.restarts == 0 for worker in shard._workers)
         assert len(results) == len(epochs)
         for result in results:
             assert result.status == "failed"
             assert result.error == "internal dispatch error: poison batch"
-        assert process.exitcode == 0
+        assert [process.exitcode for process in processes] == [0] * workers
 
 
 class TestBiasOverrideLength:
