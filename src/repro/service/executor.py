@@ -12,7 +12,9 @@ exactly the core that must run identically
 * **in a shard worker**, driven by the worker main loop of
   :class:`~repro.service.shard.ShardedPositioningService` on batches
   that arrived as shared-memory struct-of-arrays views
-  (:mod:`repro.service.shm`) rather than epoch objects.
+  (:mod:`repro.service.shm`) rather than epoch objects — for a
+  stateless config only: a health- or monitor-armed config keeps its
+  stream state in the shard's router, which answers every batch.
 
 One flush body serves every transport, and it takes one input: the
 flush as a padded :class:`~repro.blocks.PackedStream`.
@@ -43,10 +45,10 @@ observed by a :class:`~repro.integrity.monitors.MonitorSuite`:
 its :class:`~repro.integrity.monitors.MonitorRecord` rides the block,
 confirmed-``spoofed`` epochs are blocked (``status="failed"``) when
 ``block_spoofed`` is set, and flagged satellites feed the health
-tracker as monitor strikes.  The
-suite's ring-buffer state is keyed on epoch order alone, so the shard
-worker and the in-process loop produce bitwise-identical verdicts for
-the same stream however it is batched.
+tracker as monitor strikes.  The suite's ring-buffer state is keyed
+on epoch order alone, so the shard (whose router owns the suite) and
+the in-process loop produce bitwise-identical verdicts for the same
+stream however it is batched.
 """
 
 from __future__ import annotations

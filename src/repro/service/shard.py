@@ -10,9 +10,8 @@ bulk arrays through a shared-memory slab
 (:mod:`repro.service.shm`) — epoch payloads and answers are **never
 pickled** on the hot path; only slot/sequence control messages ride
 the per-worker pipe.  A worker's answers travel as one
-:class:`~repro.service.types.ResultBlock` whose lanes (error texts and
-monitor records included) are copied once into the response slab and
-once back out.
+:class:`~repro.service.types.ResultBlock` whose lanes (error texts
+included) are copied once into the response slab and once back out.
 
 Determinism is a design contract, not an accident: batch boundaries
 are fixed by ``batch_size`` (independent of worker count), each batch
@@ -23,13 +22,17 @@ math sees identical arrays and the fixes are **bitwise identical**
 across inline mode, 1 worker, N workers, and the in-process service
 (the cross-process determinism suite pins this).
 
-Which process solves a batch: in inline mode (``workers=0``) the
-router solves every batch.  With workers, every batch goes to a worker,
-except that a *stateless* config's (no health tracker, no monitor
-suite) last batch of a call is solved by the router itself when every
-live worker already holds a batch in flight: the router would
-otherwise sit idle waiting for them.  Both run one flush body,
-:func:`answer_batch`.
+Which process solves a batch: stream state (the health tracker and
+the monitor suite) lives in one process, the router.  A *stateful*
+config (integrity, health or monitors armed; see :func:`stateless`)
+spawns no worker, whatever ``workers`` says, and the router answers
+every batch in stream order, as it does in inline mode
+(``workers=0``).  With workers, a stateless config's batches go to
+them, except that a call's last batch is solved by the router itself
+when every live worker already holds a batch in flight: the router
+would otherwise sit idle waiting for them.  Both run one flush body,
+:func:`answer_batch`.  So a worker only ever sees stateless configs,
+and the slab carries neither C/N0 nor monitor records.
 
 Supervision: every worker heartbeats into its slab and is watched by
 the router during dispatch.  A worker that dies mid-batch never hangs
@@ -65,7 +68,6 @@ import numpy as np
 from repro.blocks import EpochBlock, PackedStream
 from repro.errors import ConfigurationError, ServiceError
 from repro.integrity.fde import STATUS_NAMES as VERDICT_NAMES
-from repro.integrity.monitors import SEVERITY_SPOOFED, MonitorRecord
 from repro.observations import ObservationEpoch
 from repro.service.executor import BatchExecutor, bias_lane
 from repro.service.types import (
@@ -91,12 +93,6 @@ from repro.telemetry import get_registry
 #: Routing policies.
 POLICIES: Tuple[str, ...] = ("hash", "least_loaded")
 
-#: The :class:`~repro.integrity.monitors.MonitorRecord` lanes a
-#: response slot carries, per row and per row and satellite
-#: (``severities``, their maximum over monitors, is recomputed on read).
-_MONITOR_ROW_LANES = ("monitor_severities", "statistics", "thresholds")
-_MONITOR_SATELLITE_LANES = ("flagged", "keys")
-
 #: Response-slab bytes per row for error texts.  Each distinct text of
 #: a batch is stored NUL-terminated (NULs inside it dropped), cut to
 #: ``TEXT_BYTES - 1`` UTF-8 bytes at a character boundary.
@@ -110,15 +106,20 @@ class ShardConfig:
     Attributes
     ----------
     service:
-        The per-worker :class:`~repro.service.types.ServiceConfig`
-        (solver, integrity, batching bounds).  Workers build their
-        :class:`~repro.service.executor.BatchExecutor` from it.
+        The :class:`~repro.service.types.ServiceConfig` (solver,
+        integrity, batching bounds) every
+        :class:`~repro.service.executor.BatchExecutor` of the shard is
+        built from.
     workers:
-        Worker process count.  ``0`` runs the executor **inline** in
+        Worker process count for a stateless ``service`` config
+        (:func:`stateless`).  ``0`` runs the executor **inline** in
         the router process — same batching, same results, no IPC — the
-        parity baseline the tests compare against.  With workers and a
-        stateless ``service`` config, the router also solves a call's
-        last batch itself when every live worker is busy.
+        parity baseline the tests compare against.  With workers, the
+        router also solves a call's last batch itself when every live
+        worker is busy.  A stateful config (integrity, health or
+        monitors armed) always runs inline, whatever this says: its
+        stream state lives in the router, which answers every batch in
+        stream order.
     policy:
         ``"hash"`` pins a client id to a worker (cache/affinity
         friendly); ``"least_loaded"`` picks the worker with the fewest
@@ -195,12 +196,6 @@ class ShardConfig:
             )
 
 
-def monitor_names(config: ShardConfig) -> Tuple[str, ...]:
-    """The names of the monitors a worker's executor runs, in order."""
-    monitors = config.service.monitors
-    return () if monitors is None else monitors.build().names
-
-
 def slab_layout(config: ShardConfig) -> SlabLayout:
     """The per-worker slab layout both sides compute identically.
 
@@ -209,15 +204,13 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
     Arrays are fixed-capacity and NaN/zero-padded: per-row satellite
     counts live in ``req_sats`` so the worker can rebuild exact-width
     blocks without shipping shapes.  The response lane holds every
-    :class:`~repro.service.types.ResultBlock` lane: the error texts
-    back to back in ``resp_text``, and the monitor record sized by the
-    configured monitor count (``resp_monitor_width`` is ``-1`` when a
-    batch has none).
+    :class:`~repro.service.types.ResultBlock` lane, the error texts
+    back to back in ``resp_text``.  Workers answer stateless configs
+    only, so neither lane carries C/N0 or a monitor record.
     """
     slots = config.slots_per_worker
     n = config.slot_epochs
     m = config.slot_satellites
-    k = len(monitor_names(config))
     layout = (
         SlabLayout()
         # liveness: monotonic counter + wall stamp, worker-written
@@ -229,7 +222,6 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
         .add("req_sats", (slots, n), "<i8")
         .add("req_positions", (slots, n, m, 3), "<f8")
         .add("req_pseudoranges", (slots, n, m), "<f8")
-        .add("req_cn0", (slots, n, m), "<f8")
         .add("req_prns", (slots, n, m), "<i8")
         .add("req_systems", (slots, n, m), "<i1")
         .add("req_weeks", (slots, n), "<i8")
@@ -240,12 +232,6 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
         .add("resp_end", (slots,), "<i8")
         .add("resp_text_length", (slots,), "<i8")
         .add("resp_text", (slots, n * TEXT_BYTES), "u1")
-        .add("resp_monitor_width", (slots,), "<i8")
-        .add("resp_monitor_monitor_severities", (slots, k, n), "<i1")
-        .add("resp_monitor_statistics", (slots, k, n), "<f8")
-        .add("resp_monitor_thresholds", (slots, k, n), "<f8")
-        .add("resp_monitor_flagged", (slots, k, n, m), "u1")
-        .add("resp_monitor_keys", (slots, n, m), "<i8")
     )
     for lane, (dtype, _absent, shape) in RESULT_LANES.items():
         layout.add(f"resp_{lane}", (slots, n) + shape, dtype)
@@ -258,7 +244,8 @@ def stateless(service: ServiceConfig) -> bool:
     A :class:`~repro.service.executor.BatchExecutor` carries stream
     state only in its health tracker (built when integrity or health
     is armed) and its monitor suite; without them any process may
-    answer any batch.
+    answer any batch.  With them the shard's router answers every
+    batch itself, so the state stays in one process.
     """
     return (
         service.integrity is None
@@ -326,7 +313,7 @@ def write_request(
     Raises :class:`~repro.errors.ServiceError` if the batch does not
     fit the slot.
     """
-    check_fits(packed, arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2])
+    check_fits(packed, arrays["req_sats"].shape[1], arrays["req_prns"].shape[2])
     block = packed.block
     n, m = len(block), block.width
     stamp_begin(arrays["req_begin"], slot, sequence)
@@ -335,10 +322,6 @@ def write_request(
     arrays["req_sats"][slot, list(packed.unpackable)] = -1
     arrays["req_positions"][slot, :n, :m] = block.positions
     arrays["req_pseudoranges"][slot, :n, :m] = block.pseudoranges
-    # Slots are reused: a block without C/N0 must still overwrite the
-    # previous occupant's lane, because all-NaN is how "no signal
-    # features" reads back.
-    arrays["req_cn0"][slot, :n, :m] = np.nan if block.cn0 is None else block.cn0
     arrays["req_prns"][slot, :n, :m] = block.prns
     arrays["req_systems"][slot, :n, :m] = block.systems
     arrays["req_weeks"][slot, :n] = block.weeks
@@ -362,7 +345,7 @@ def read_request(
     are out of range.
     """
     check_sealed(arrays["req_begin"], arrays["req_end"], slot, sequence)
-    capacity, width = arrays["req_sats"].shape[1], arrays["req_cn0"].shape[2]
+    capacity, width = arrays["req_sats"].shape[1], arrays["req_prns"].shape[2]
     n = int(arrays["req_count"][slot])
     if not 0 <= n <= capacity:
         raise ServiceError(
@@ -375,14 +358,10 @@ def read_request(
         )
     counts = np.maximum(sats, 0)
     m = int(counts.max()) if n else 0
-    cn0 = arrays["req_cn0"][slot, :n, :m]
     try:
         block = EpochBlock(
             positions=arrays["req_positions"][slot, :n, :m],
             pseudoranges=arrays["req_pseudoranges"][slot, :n, :m],
-            # The lane is present when any row reports C/N0, exactly
-            # like pack_stream's: write_request NaN-fills it otherwise.
-            cn0=cn0 if np.isfinite(cn0).any() else None,
             prns=arrays["req_prns"][slot, :n, :m],
             systems=arrays["req_systems"][slot, :n, :m],
             weeks=arrays["req_weeks"][slot, :n],
@@ -418,16 +397,6 @@ def write_response(
     )
     arrays["resp_text_length"][slot] = len(pool)
     arrays["resp_text"][slot, : len(pool)] = np.frombuffer(pool, dtype=np.uint8)
-    record = block.monitors
-    if record is None:
-        arrays["resp_monitor_width"][slot] = -1
-    else:
-        m = record.keys.shape[1]
-        arrays["resp_monitor_width"][slot] = m
-        for lane in _MONITOR_ROW_LANES:
-            arrays[f"resp_monitor_{lane}"][slot][..., :n] = getattr(record, lane)
-        for lane in _MONITOR_SATELLITE_LANES:
-            arrays[f"resp_monitor_{lane}"][slot][..., :n, :m] = getattr(record, lane)
     stamp_end(arrays["resp_end"], slot, sequence)
 
 
@@ -436,17 +405,15 @@ def read_response(
     slot: int,
     sequence: int,
     count: int,
-    monitors: Tuple[str, ...] = (),
 ) -> ResultBlock:
     """Copy one sealed response slot out as a
     :class:`~repro.service.types.ResultBlock` (router side).
 
-    ``monitors`` names the worker's monitors (:func:`monitor_names`).
     A slot salvaged from a dead worker decodes through this same call.
     Raises :class:`~repro.service.shm.TornBatchError` if the seqlock
     does not seal ``sequence``, and :class:`~repro.errors.ServiceError`
     for a row count beyond the slot, an out-of-range status, solver,
-    verdict, error or monitor code, a text length beyond the text lane
+    verdict or error code, a text length beyond the text lane
     or malformed text, or an ``ok`` row without a finite fix — a
     corrupt slot is never decoded into a served result.
     """
@@ -472,11 +439,7 @@ def read_response(
             f"response for slot {slot} holds out-of-range codes or a "
             "non-finite served fix"
         )
-    return ResultBlock(
-        **lanes,
-        error_texts=texts,
-        monitors=_read_monitors(arrays, slot, count, monitors),
-    )
+    return ResultBlock(**lanes, error_texts=texts)
 
 
 def _in_range(codes: np.ndarray, low: int, high: int) -> bool:
@@ -497,35 +460,6 @@ def _read_texts(arrays: Dict[str, np.ndarray], slot: int) -> Tuple[str, ...]:
         raise ServiceError(
             f"response for slot {slot} holds a malformed error text"
         ) from exc
-
-
-def _read_monitors(
-    arrays: Dict[str, np.ndarray],
-    slot: int,
-    count: int,
-    names: Tuple[str, ...],
-) -> Optional[MonitorRecord]:
-    """The slot's monitor record, ``None`` when the batch had none."""
-    width = int(arrays["resp_monitor_width"][slot])
-    if width == -1:
-        return None
-    if not 0 <= width <= arrays["resp_monitor_keys"].shape[2]:
-        raise ServiceError(f"response for slot {slot} claims monitor width {width}")
-    lanes = {
-        lane: arrays[f"resp_monitor_{lane}"][slot][..., :count].copy()
-        for lane in _MONITOR_ROW_LANES
-    }
-    for lane in _MONITOR_SATELLITE_LANES:
-        lanes[lane] = arrays[f"resp_monitor_{lane}"][slot][..., :count, :width].copy()
-    levels = lanes["monitor_severities"]
-    if not _in_range(levels, 0, SEVERITY_SPOOFED):
-        raise ServiceError(
-            f"response for slot {slot} holds out-of-range monitor severities"
-        )
-    lanes["flagged"] = lanes["flagged"] != 0
-    return MonitorRecord(
-        names=names, severities=levels.max(axis=0, initial=0), **lanes
-    )
 
 
 # -- the worker process ------------------------------------------------
@@ -689,14 +623,13 @@ class ShardedPositioningService:
         self._config = config if config is not None else ShardConfig()
         self._layout = slab_layout(self._config)
         self._workers: List[_Worker] = []
-        # The router's own executor: every batch in inline mode, a
-        # call's last batch while the workers are busy (stateless only).
+        # The router's own executor: every batch when no worker was
+        # spawned, a call's last batch while the workers are busy.
         self._executor: Optional[BatchExecutor] = None
         self._context = multiprocessing.get_context(self._config.start_method)
         self._running = False
         self._metrics: Optional[_RouterMetrics] = None
         self._algorithm = self._config.service.solver.algorithm
-        self._monitor_names = monitor_names(self._config)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -710,32 +643,30 @@ class ShardedPositioningService:
 
     @property
     def live_workers(self) -> int:
-        """Currently-live worker processes (0 in inline mode)."""
+        """Currently-live worker processes (0 when none was spawned)."""
         return sum(1 for worker in self._workers if worker.alive)
 
     def start(self) -> None:
-        """Create slabs and spawn every worker."""
+        """Build the router's executor; for a stateless config, also
+        create slabs and spawn every worker."""
         if self._running:
             raise ServiceError("shard is already running")
-        if self._config.workers == 0 or stateless(self._config.service):
-            self._executor = BatchExecutor(self._config.service)
-        if self._config.workers == 0:
-            self._running = True
-            return
-        try:
-            for index in range(self._config.workers):
-                slab = SharedSlab.create(self._layout.nbytes)
-                worker = _Worker(
-                    index=index,
-                    slab=slab,
-                    arrays=self._layout.arrays(slab.buffer),
-                    free_slots=list(range(self._config.slots_per_worker)),
-                )
-                self._workers.append(worker)
-                self._spawn(worker)
-        except BaseException:
-            self._teardown()
-            raise
+        self._executor = BatchExecutor(self._config.service)
+        if stateless(self._config.service):
+            try:
+                for index in range(self._config.workers):
+                    slab = SharedSlab.create(self._layout.nbytes)
+                    worker = _Worker(
+                        index=index,
+                        slab=slab,
+                        arrays=self._layout.arrays(slab.buffer),
+                        free_slots=list(range(self._config.slots_per_worker)),
+                    )
+                    self._workers.append(worker)
+                    self._spawn(worker)
+            except BaseException:
+                self._teardown()
+                raise
         self._running = True
 
     def _spawn(self, worker: _Worker) -> None:
@@ -837,26 +768,33 @@ class ShardedPositioningService:
         self,
         epochs: Sequence[ObservationEpoch],
         bias_meters: Optional[Sequence[Optional[float]]] = None,
-        client_ids: Optional[Sequence[str]] = None,
+        client_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[ServiceResult]:
         """Solve a stream through the shard; results in stream order.
 
         ``bias_meters`` optionally carries per-epoch clock-bias
-        overrides, one per epoch (a list of another length raises
+        overrides, one per epoch; ``client_ids`` optionally names a
+        routing client (a ``str`` or ``None``) per epoch (hash policy
+        routes each batch by its first client id).  A list of another
+        length, or a client id of another type, raises
         :class:`~repro.errors.ConfigurationError` before any batch is
-        cut); ``client_ids`` optionally names a routing client per
-        epoch (hash policy routes each batch by its first client id).
+        cut.
         """
         if not self._running:
             raise ServiceError(
                 "shard is not running; enter it with 'with' or start()"
             )
         epochs = list(epochs)
-        if bias_meters is not None and len(bias_meters) != len(epochs):
-            raise ConfigurationError(
-                f"bias_meters has {len(bias_meters)} entries for "
-                f"{len(epochs)} epochs"
-            )
+        for name, lane in (("bias_meters", bias_meters), ("client_ids", client_ids)):
+            if lane is not None and len(lane) != len(epochs):
+                raise ConfigurationError(
+                    f"{name} has {len(lane)} entries for {len(epochs)} epochs"
+                )
+        if client_ids is not None and not all(
+            client_id is None or isinstance(client_id, str)
+            for client_id in client_ids
+        ):
+            raise ConfigurationError("client_ids entries must be str or None")
         metrics = self._telemetry()
         if metrics is not None:
             metrics.requests.inc(len(epochs))
@@ -879,11 +817,7 @@ class ShardedPositioningService:
                 batch_index, (offset, count) = pending[-1]
                 here = self._solves_here(batch_index == last)
                 if not here:
-                    client_id = (
-                        client_ids[offset]
-                        if client_ids is not None and offset < len(client_ids)
-                        else None
-                    )
+                    client_id = None if client_ids is None else client_ids[offset]
                     worker = self._route(batch_index, client_id)
                     if worker is None:
                         # Every worker is gone: resurface everything left.
@@ -953,15 +887,13 @@ class ShardedPositioningService:
     def _solves_here(self, last: bool) -> bool:
         """Whether the router answers the next batch itself.
 
-        Every batch in inline mode.  With workers, only a call's last
-        batch, only when every live worker already holds one in flight
-        (the router would otherwise block on them), and only when the
-        config is stateless (:func:`stateless`; else no router executor
-        exists).  Earlier batches always go out: on a long call the
-        router's packing, not the workers, is the bottleneck.
+        Every batch when no worker was spawned (inline mode or a
+        stateful config).  With workers, only a call's last batch, and
+        only when every live worker already holds one in flight (the
+        router would otherwise block on them).  Earlier batches always
+        go out: on a long call the router's packing, not the workers,
+        is the bottleneck.
         """
-        if self._executor is None:
-            return False
         if not self._workers:
             return True
         if not last:
@@ -1029,9 +961,9 @@ class ShardedPositioningService:
                     continue  # stale slot from before a restart
                 _sequence, count, offset = entry
                 # The router decodes as many rows as it sent.
-                rows = read_response(
-                    worker.arrays, slot, sequence, count, self._monitor_names
-                ).results(self._algorithm, count)
+                rows = read_response(worker.arrays, slot, sequence, count).results(
+                    self._algorithm, count
+                )
                 del worker.inflight[slot]
                 worker.free_slots.append(slot)
                 if results is not None:
@@ -1099,7 +1031,7 @@ class ShardedPositioningService:
                         metrics.retryable.inc(count)
                 else:
                     results[offset : offset + count] = read_response(
-                        worker.arrays, slot, sequence, count, self._monitor_names
+                        worker.arrays, slot, sequence, count
                     ).results(self._algorithm, count)
             worker.inflight = {}
             worker.free_slots = list(range(self._config.slots_per_worker))

@@ -120,11 +120,9 @@ class TestSalvage:
     def test_sealed_slot_of_a_dead_worker_decodes_whole(self, monkeypatch):
         """A worker that dies right after sealing its response loses
         nothing: the router salvages the slot through the same decode
-        as a collected one, error texts and monitor verdicts included,
-        and the rows equal an inline run field by field."""
-        from repro.integrity.monitors import MonitorConfig
+        as a collected one, error texts included, and the rows equal
+        an inline run field by field."""
         from repro.validation.faults import NonFiniteMeasurement
-        from tests.service.test_monitor_integration import jammed_epochs
         from tests.service.test_shard_determinism import assert_identical
 
         original = shard_module.write_response
@@ -133,18 +131,14 @@ class TestSalvage:
             original(*args, **kwargs)
             os._exit(23)
 
-        epochs = jammed_epochs()
+        epochs = make_epochs(32)
         epochs[3] = NonFiniteMeasurement().apply(
             epochs[3], np.random.default_rng(3)
         )
-        biases = [0.0] * len(epochs)
+        biases = [None if index % 2 else 25.0 for index in range(len(epochs))]
         config = shard_config(
             service=ServiceConfig(
-                solver=SolverConfig(algorithm="dlg"),
-                max_batch_size=32,
-                monitors=MonitorConfig(
-                    stationary=False, confirm_epochs=3, confirm_window=5
-                ),
+                solver=SolverConfig(algorithm="dlg"), max_batch_size=32
             ),
             workers=1,
             batch_size=32,
@@ -153,11 +147,7 @@ class TestSalvage:
         with ShardedPositioningService(replace(config, workers=0)) as shard:
             inline = shard.solve_many(epochs, bias_meters=biases)
         assert inline[3].status == "invalid" and inline[3].error
-        assert {r.monitor.severity for r in inline if r.monitor} == {
-            "suspect",
-            "spoofed",
-        }
-        assert any(r.status == "failed" and r.monitor for r in inline)
+        assert [r.status for r in inline].count("ok") == len(epochs) - 1
         # Patched before the fork, so the worker inherits it.
         monkeypatch.setattr(shard_module, "write_response", seal_then_die)
         with ShardedPositioningService(config) as shard:
@@ -249,6 +239,29 @@ class TestBiasOverrideLength:
             (alone,) = local.execute([epoch])[0].results(local.algorithm, 1)
             assert result.status == alone.status == "ok"
             np.testing.assert_array_equal(result.position, alone.position)
+
+
+class TestClientIdValidation:
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "one-worker"])
+    @pytest.mark.parametrize(
+        "client_ids",
+        [["client-a"], [3] * 8, ["client-a"] * 7 + [b"client-b"]],
+        ids=["short", "int", "bytes"],
+    )
+    def test_malformed_list_is_rejected_before_any_batch(self, workers, client_ids):
+        """``client_ids`` is checked like ``bias_meters``: one ``str``
+        or ``None`` per epoch, else a typed refusal before any batch is
+        cut, and the next call is served."""
+        epochs = make_epochs(8)
+        config = shard_config(workers=workers, batch_size=4, slots_per_worker=1)
+        with ShardedPositioningService(config) as shard:
+            with pytest.raises(ConfigurationError, match="client_ids"):
+                shard.solve_many(epochs, client_ids=client_ids)
+            assert all(worker.free_slots == [0] for worker in shard._workers)
+            results = shard.solve_many(
+                epochs, client_ids=[None, "client-a"] * 4
+            )
+        assert [r.status for r in results] == ["ok"] * len(epochs)
 
 
 class TestRestartBudget:

@@ -7,8 +7,8 @@ its own :class:`~repro.service.executor.BatchExecutor` when every live
 worker already holds a batch in flight.  It runs the flush body a
 worker runs (:func:`repro.service.shard.answer_batch`), so every field
 of every result is bitwise identical to inline mode, to a worker, and
-to the in-process service.  A stateful config never builds the
-router's executor: its batches all go to workers.
+to the in-process service.  A stateful config spawns no worker: the
+router answers every batch of it.
 """
 
 from dataclasses import replace
@@ -135,25 +135,26 @@ STATEFUL = {
 
 
 @pytest.mark.parametrize("arm", sorted(STATEFUL))
-def test_stateful_config_never_builds_a_router_executor(
+def test_stateful_config_spawns_no_worker_and_the_router_answers_every_batch(
     arm, monkeypatch, router_solves
 ):
-    """A health tracker or monitor suite keeps stream state in the
-    worker, so every batch goes there: the router builds no executor
-    and answers nothing itself."""
+    """A health tracker or monitor suite keeps stream state, so it
+    lives in one process: the router builds the only executor, spawns
+    no worker and answers every batch in stream order."""
     built = []
 
     class Counting(BatchExecutor):
         def __init__(self, *args, **kwargs):
-            built.append(self)  # a worker appends in its own memory
+            built.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(shard_module, "BatchExecutor", Counting)
-    epochs, biases = make_call(workers=1)
+    epochs, biases = make_call(workers=2)
     config = replace(service_config(with_fde=False), **STATEFUL[arm])
-    shard_config = ShardConfig(service=config, workers=1, batch_size=BATCH)
+    shard_config = ShardConfig(service=config, workers=2, batch_size=BATCH)
     with ShardedPositioningService(shard_config) as shard:
-        assert shard._executor is None
+        assert shard.live_workers == 0 and shard._executor is built[0]
         sharded = shard.solve_many(epochs, bias_meters=biases)
-    assert built == [] and router_solves == []
+    assert len(built) == 1
+    assert router_solves == [(0, BATCH), (BATCH, BATCH), (2 * BATCH, TAIL)]
     assert_identical(sharded, run_in_process(epochs, config, biases))

@@ -17,7 +17,6 @@ import pytest
 
 from repro import telemetry
 from repro.api import SolverConfig
-from repro.integrity.fde import FdeConfig
 from repro.service import (
     ServiceConfig,
     ShardConfig,
@@ -48,9 +47,9 @@ def make_run(workers):
     """Run one fixed stream through a shard; return the merged registry.
 
     The epochs carry their true clock biases (the DLG oracle-predictor
-    contract) so FDE passes cleanly — stateful quarantine work is
-    per-process and would otherwise make executor effort depend on the
-    topology being compared.
+    contract).  The config is stateless (no integrity, health or
+    monitors): a stateful one spawns no worker, so there would be no
+    fleet to compare.
     """
     generator = ScenarioGenerator(
         ScenarioConfig(min_satellites=5, max_satellites=9)
@@ -62,7 +61,6 @@ def make_run(workers):
         service=ServiceConfig(
             solver=SolverConfig(algorithm="dlg"),
             max_batch_size=16,
-            integrity=FdeConfig(),
         ),
         workers=workers,
         batch_size=16,
@@ -136,11 +134,11 @@ class TestFleetParity:
         document = fleet.snapshot()
         # The engine/executor instrumentation ran inside the workers
         # and made it back through the snapshot pipe.
-        assert "repro_service_integrity_verdicts_total" in document
+        assert "repro_engine_epochs_total" in document
         assert "repro_shard_worker_batches_total" in document
         assert "repro_shard_requests_total" in document
         # The Prometheus fleet text renders the merged families.
-        assert "repro_service_integrity_verdicts_total" in text
+        assert "repro_engine_epochs_total" in text
         assert "repro_fleet_registries" in text
 
     def test_worker_batch_counters_cover_all_batches(self):

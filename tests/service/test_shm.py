@@ -196,12 +196,9 @@ class TestRequestLane:
             read_request(arrays, 2, 9)
 
 
-def sample_block(names):
-    """Five rows over every lane: served, screened, failed, repaired
-    with a suspect monitor verdict, and unchecked on the scalar rung."""
-    from dataclasses import replace
-
-    from repro.integrity.monitors import MonitorRecord
+def sample_block():
+    """Five rows over every lane: served, screened, failed, repaired,
+    and unchecked on the scalar rung."""
     from repro.service.types import ResultBlock
 
     block = ResultBlock.empty(5)
@@ -213,65 +210,31 @@ def sample_block(names):
     block.statistics[[0, 3]] = [1.25, 30.0]
     block.thresholds[[0, 3]] = [9.5, 9.5]
     block.excluded_prns[3] = 17
-    k, width = len(names), 3
-    levels = np.zeros((k, 5), dtype=np.int8)
-    levels[1, 3] = 1
-    flagged = np.zeros((k, 5, width), dtype=bool)
-    flagged[1, 3, 0] = True
-    keys = np.full((5, width), -1, dtype=np.int64)
-    keys[3] = [7 * 4, 9 * 4, 2 * 4 + 2]
-    record = MonitorRecord(
-        names=names,
-        severities=levels.max(axis=0),
-        monitor_severities=levels,
-        statistics=np.full((k, 5), 0.5),
-        thresholds=np.full((k, 5), 8.0),
-        flagged=flagged,
-        keys=keys,
-    )
     errors = {1: "epoch failed batch screening", 2: "no convergence \u2014 twice"}
-    return replace(block.with_errors(errors), monitors=record)
+    return block.with_errors(errors)
 
 
 class TestResponseLane:
     def test_result_block_round_trips(self):
         from repro.integrity.fde import EpochVerdict
-        from repro.integrity.monitors import (
-            EpochMonitorVerdict,
-            MonitorConfig,
-            MonitorVerdict,
-        )
-        from repro.service import ServiceConfig
-        from repro.service.shard import monitor_names
 
-        config = ShardConfig(service=ServiceConfig(monitors=MonitorConfig()))
-        names = monitor_names(config)
-        arrays, _config = _arrays(config)
-        block = sample_block(names)
+        arrays, _config = _arrays()
+        block = sample_block()
         write_response(arrays, 3, 21, block)
-        decoded = read_response(arrays, 3, 21, len(block), names)
+        decoded = read_response(arrays, 3, 21, len(block))
         for lane in ("status", "solver", "positions", "biases", "verdict",
                      "statistics", "thresholds", "excluded_prns", "errors"):
             np.testing.assert_array_equal(
                 getattr(decoded, lane), getattr(block, lane), lane
             )
         assert decoded.error_texts == block.error_texts
-        for lane in ("severities", "monitor_severities", "statistics",
-                     "thresholds", "flagged", "keys"):
-            np.testing.assert_array_equal(
-                getattr(decoded.monitors, lane), getattr(block.monitors, lane), lane
-            )
-        assert decoded.monitors.names == names
+        assert decoded.monitors is None
         results = decoded.results("dlg", 5)
         assert [repr(r) for r in results] == [repr(r) for r in block.results("dlg", 5)]
         assert [r.status for r in results] == [
             "ok", "invalid", "failed", "ok", "ok"
         ]
-        assert results[3].monitor == EpochMonitorVerdict(
-            severity="suspect",
-            monitors=(MonitorVerdict(names[1], "suspect", 0.5, 8.0, ("G07",)),),
-        )
-        assert results[0].monitor is None
+        assert all(result.monitor is None for result in results)
         assert np.array_equal(results[0].position, [1.0, -2.0, 3.5])
         assert results[1].position is None
         assert results[0].clock_bias_meters == 12.25
@@ -289,18 +252,6 @@ class TestResponseLane:
         assert results[4].integrity.status == "unchecked"
         assert np.isnan(results[4].integrity.test_statistic)
         assert all(r.batch_size == 5 for r in results)
-
-    def test_block_without_monitors_round_trips(self):
-        from dataclasses import replace
-
-        arrays, _config = _arrays()
-        block = replace(sample_block(("a", "b")), monitors=None)
-        write_response(arrays, 0, 2, block)
-        decoded = read_response(arrays, 0, 2, len(block))
-        assert decoded.monitors is None
-        assert [repr(r) for r in decoded.results("dlg", 5)] == [
-            repr(r) for r in block.results("dlg", 5)
-        ]
 
     def test_long_error_text_is_cut_at_a_character_boundary(self):
         from repro.service.shard import TEXT_BYTES

@@ -3,15 +3,13 @@
 The shared-memory lanes are an input boundary like RINEX text: a
 worker reads whatever the request slot holds, the router whatever the
 response slot holds.  Corrupt counts, out-of-range system tags or
-status codes, error-text offsets, monitor lanes, NaN lanes and stale
-seqlock stamps must raise
+status codes, error-text offsets, NaN lanes and stale seqlock stamps
+must raise
 :class:`~repro.service.shm.TornBatchError` /
 :class:`~repro.errors.ServiceError` — or decode into rows the service
 answers as invalid — and never escape as an ``IndexError`` or come
 back as an ``ok`` result with a non-finite fix.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import SolverConfig, build_scene
 from repro.blocks import pack_stream
 from repro.errors import ReproError, ServiceError
-from repro.integrity.monitors import MonitorConfig, MonitorRecord
 from repro.service import ServiceConfig
 from repro.service.executor import BatchExecutor
 from repro.service.shard import (
     ShardConfig,
-    monitor_names,
     read_request,
     read_response,
     slab_layout,
@@ -135,7 +131,7 @@ class TestRequestFuzz:
 
     @given(
         lane=st.sampled_from(
-            ["req_positions", "req_pseudoranges", "req_cn0", "req_sow", "req_biases"]
+            ["req_positions", "req_pseudoranges", "req_sow", "req_biases"]
         ),
         cells=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=6),
         value=st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e300]),
@@ -165,19 +161,9 @@ class TestRequestFuzz:
                 read_request(arrays, SLOT, SEQUENCE)
 
 
-MONITORED = ShardConfig(
-    service=ServiceConfig(monitors=MonitorConfig()),
-    batch_size=8,
-    slot_epochs=8,
-    slot_satellites=12,
-    slots_per_worker=2,
-)
-NAMES = monitor_names(MONITORED)
-
-
 def _block():
     """Three rows: served and passed, screened, served on the scalar
-    rung and repaired with a suspect monitor verdict."""
+    rung and repaired."""
     block = ResultBlock.empty(3)
     block.status[:] = [STATUS_OK, STATUS_INVALID, STATUS_OK]
     block.solver[:] = [0, -1, 1]
@@ -187,23 +173,7 @@ def _block():
     block.statistics[[0, 2]] = [1.25, 3.0]
     block.thresholds[[0, 2]] = [9.5, 9.5]
     block.excluded_prns[2] = 17
-    levels = np.zeros((len(NAMES), 3), dtype=np.int8)
-    levels[0, 2] = 1
-    flagged = np.zeros((len(NAMES), 3, 4), dtype=bool)
-    flagged[0, 2, :2] = True
-    keys = np.full((3, 4), -1, dtype=np.int64)
-    keys[2] = [4 * 5, 4 * 11 + 2, 4 * 30, -1]
-    record = MonitorRecord(
-        names=NAMES,
-        severities=levels.max(axis=0),
-        monitor_severities=levels,
-        statistics=np.full(levels.shape, 0.5),
-        thresholds=np.full(levels.shape, 8.0),
-        flagged=flagged,
-        keys=keys,
-    )
-    errors = {1: "epoch failed batch screening"}
-    return replace(block.with_errors(errors), monitors=record)
+    return block.with_errors({1: "epoch failed batch screening"})
 
 
 BLOCK = _block()
@@ -211,7 +181,7 @@ ROWS = len(BLOCK)
 
 
 def _response():
-    layout = slab_layout(MONITORED)
+    layout = slab_layout(CONFIG)
     arrays = layout.arrays(bytearray(layout.nbytes))
     write_response(arrays, SLOT, SEQUENCE, BLOCK)
     return arrays
@@ -221,7 +191,7 @@ def _decode(arrays, count=ROWS):
     """The router's half: ``None`` when the read refused the slot,
     else the results, each checked for a well-formed ``ok``."""
     try:
-        block = read_response(arrays, SLOT, SEQUENCE, count, NAMES)
+        block = read_response(arrays, SLOT, SEQUENCE, count)
     except ServiceError:
         return None
     results = block.results("dlg", count)
@@ -240,14 +210,12 @@ class TestResponseFuzz:
             repr(r) for r in BLOCK.results("dlg", ROWS)
         ]
         assert results[1].error == "epoch failed batch screening"
-        assert results[2].monitor.severity == "suspect"
-        assert results[2].monitor.flagged == ("E11", "G05")
 
     @given(count=st.integers(min_value=-(2**40), max_value=2**40))
     @SETTINGS
     def test_corrupt_row_count(self, count):
         results = _decode(_response(), count)
-        if not 0 <= count <= MONITORED.slot_epochs:
+        if not 0 <= count <= CONFIG.slot_epochs:
             assert results is None
 
     @given(
@@ -317,43 +285,6 @@ class TestResponseFuzz:
             arrays["resp_text"][SLOT, cell] = value
         _decode(arrays)
 
-    @given(value=st.integers(min_value=-(2**62), max_value=2**62))
-    @SETTINGS
-    def test_corrupt_monitor_width(self, value):
-        arrays = _response()
-        arrays["resp_monitor_width"][SLOT] = value
-        results = _decode(arrays)
-        if not -1 <= value <= MONITORED.slot_satellites:
-            assert results is None
-        elif value == -1:
-            assert all(result.monitor is None for result in results)
-
-    @given(
-        monitor=st.integers(min_value=0, max_value=len(NAMES) - 1),
-        row=st.integers(min_value=0, max_value=ROWS - 1),
-        code=st.integers(min_value=-128, max_value=127),
-    )
-    @SETTINGS
-    def test_corrupt_monitor_severities(self, monitor, row, code):
-        arrays = _response()
-        arrays["resp_monitor_monitor_severities"][SLOT, monitor, row] = code
-        results = _decode(arrays)
-        if not 0 <= code <= 2:
-            assert results is None
-
-    @given(
-        row=st.integers(min_value=0, max_value=ROWS - 1),
-        cell=st.integers(min_value=0, max_value=MONITORED.slot_satellites - 1),
-        key=st.integers(min_value=-(2**62), max_value=2**62),
-        flag=st.integers(min_value=0, max_value=255),
-    )
-    @SETTINGS
-    def test_corrupt_monitor_keys_and_flags(self, row, cell, key, flag):
-        arrays = _response()
-        arrays["resp_monitor_keys"][SLOT, row, cell] = key
-        arrays["resp_monitor_flagged"][SLOT, 0, row, cell] = flag
-        assert _decode(arrays) is not None
-
     @given(
         begin=st.integers(min_value=-5, max_value=20),
         end=st.integers(min_value=-5, max_value=20),
@@ -367,4 +298,4 @@ class TestResponseFuzz:
             assert _decode(arrays) is not None
         else:
             with pytest.raises(TornBatchError):
-                read_response(arrays, SLOT, SEQUENCE, ROWS, NAMES)
+                read_response(arrays, SLOT, SEQUENCE, ROWS)
