@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter, countOf
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,11 +60,11 @@ from repro.timebase import GpsTime
 #: Block-size histogram buckets (epochs per packed block).
 _BLOCK_SIZE_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000)
 
-#: Byte -> compact system id (``-1``: no system), the table
-#: :func:`pack_stream` maps every observation's one-letter tag through
-#: (lower case accepted, like
-#: :func:`~repro.constellation.systems.normalize_system`).
-_SYSTEM_IDS = np.full(256, -1, dtype=np.int8)
+#: Byte -> compact system id byte (``0xff``, ``-1`` as int8: no
+#: system), the :meth:`bytes.translate` table :func:`pack_stream` maps
+#: every observation's one-letter tag through (lower case accepted,
+#: like :func:`~repro.constellation.systems.normalize_system`).
+_SYSTEM_IDS = bytearray(b"\xff" * 256)
 for _index, _code in enumerate(SYSTEM_CODES):
     _SYSTEM_IDS[ord(_code)] = _SYSTEM_IDS[ord(_code.lower())] = _index
 
@@ -76,6 +77,11 @@ UNPACKABLE_ERROR = "epoch could not be packed into dense arrays"
 #: What a malformed observation raises while its lanes are built.
 _PACK_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
 
+#: The one position layout :func:`_joined_positions` joins buffers of.
+_FLOAT64 = np.dtype(np.float64)
+_DTYPE = attrgetter("dtype")
+_NDIM = attrgetter("ndim")
+
 
 def satellite_label(key: int) -> str:
     """A ``prn*4+system`` satellite key (:attr:`EpochBlock.
@@ -84,9 +90,12 @@ def satellite_label(key: int) -> str:
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array`` (the caller's copy stays writable)."""
+    """``array`` itself when it is already read-only, else a read-only
+    view of it (the caller's copy stays writable)."""
+    if not array.flags.writeable:
+        return array
     view = array.view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -182,20 +191,23 @@ class EpochBlock:
                 f"truth arrays must have shapes ({n}, 3)/({n},), got "
                 f"{truth_positions.shape}/{truth_biases.shape}"
             )
+        padded = False
         if self.counts is None:
             counts = np.full(n, m, dtype=np.int64)
-            occupied = None
         else:
             counts = np.asarray(self.counts, dtype=np.int64)
             if counts.shape != (n,):
                 raise ConfigurationError(
                     f"counts shape {counts.shape} does not match {n} rows"
                 )
-            if n and (counts.min() < 0 or counts.max() > m):
-                raise ConfigurationError(
-                    f"satellite counts must be in [0, {m}] for a block of width {m}"
-                )
-            occupied = np.arange(m) < counts[:, None]
+            if n:
+                low = int(counts.min())
+                if low < 0 or int(counts.max()) > m:
+                    raise ConfigurationError(
+                        f"satellite counts must be in [0, {m}] for a block of width {m}"
+                    )
+                padded = low < m
+        occupied = np.arange(m) < counts[:, None] if padded else None
         if self.systems is None:
             systems = np.zeros((n, m), dtype=np.int8)
         else:
@@ -206,7 +218,9 @@ class EpochBlock:
                     f"({n}, {m})"
                 )
             tags = systems if occupied is None else systems[occupied]
-            if tags.size and (tags.min() < 0 or tags.max() > 3):
+            # Viewed unsigned, a negative id reads above 3: one
+            # reduction checks both ends.
+            if tags.view(np.uint8).max(initial=0) > 3:
                 raise ConfigurationError(
                     "system ids must be in [0, 3] (G/R/E/C)"
                 )
@@ -217,27 +231,30 @@ class EpochBlock:
                 raise ConfigurationError(
                     f"cn0 shape {cn0.shape} does not match positions ({n}, {m})"
                 )
-        object.__setattr__(self, "positions", _read_only(positions))
-        object.__setattr__(self, "pseudoranges", _read_only(pseudoranges))
-        object.__setattr__(self, "prns", _read_only(prns))
-        object.__setattr__(self, "weeks", _read_only(weeks))
-        object.__setattr__(self, "seconds_of_week", _read_only(sow))
-        object.__setattr__(self, "truth_positions", _read_only(truth_positions))
-        object.__setattr__(self, "truth_biases", _read_only(truth_biases))
-        object.__setattr__(self, "systems", _read_only(systems))
-        object.__setattr__(
-            self, "cn0", None if cn0 is None else _read_only(cn0)
-        )
-        object.__setattr__(self, "counts", _read_only(counts))
-        padded = occupied is not None and bool(n) and int(counts.min()) < m
-        keys = prns * 4 + systems
+            cn0 = _read_only(cn0)
+        keys = prns * 4
+        keys += systems
         if padded:
             keys[~occupied] = -1
         else:
             occupied = np.ones((n, m), dtype=bool)
-        object.__setattr__(self, "_occupied", _read_only(occupied))
-        object.__setattr__(self, "_padded", padded)
-        object.__setattr__(self, "_keys", _read_only(keys))
+        occupied.setflags(write=False)
+        keys.setflags(write=False)
+        self.__dict__.update(
+            positions=_read_only(positions),
+            pseudoranges=_read_only(pseudoranges),
+            prns=_read_only(prns),
+            weeks=_read_only(weeks),
+            seconds_of_week=_read_only(sow),
+            truth_positions=_read_only(truth_positions),
+            truth_biases=_read_only(truth_biases),
+            systems=_read_only(systems),
+            cn0=cn0,
+            counts=_read_only(counts),
+            _occupied=occupied,
+            _padded=padded,
+            _keys=keys,
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -498,6 +515,32 @@ class PackedStream:
         return self.block.row_integrity_error(index, min_satellites)
 
 
+def _joined_positions(position_list: list) -> Optional[np.ndarray]:
+    """The ``(total, 3)`` position lane as one join of the observations'
+    own buffers, or ``None`` unless every position is a C-contiguous,
+    native float64, shape ``(3,)`` ndarray — what the validating
+    :class:`~repro.observations.SatelliteObservation` constructor builds.
+
+    A position that is anything else (another dtype or byte order, a
+    strided view, another shape, a list) sends the flush to
+    :func:`_flat_lanes`' general path.
+    """
+    total = len(position_list)
+    try:
+        if not (
+            countOf(map(_DTYPE, position_list), _FLOAT64) == total
+            and countOf(map(_NDIM, position_list), 1) == total
+            and countOf(map(len, position_list), 3) == total
+        ):
+            return None
+        joined = b"".join(position_list)  # TypeError on a strided view
+    except _PACK_ERRORS:
+        return None
+    if len(joined) != 24 * total:
+        return None
+    return np.frombuffer(joined, dtype=np.float64).reshape(total, 3)
+
+
 def _flat_lanes(epochs: Sequence[ObservationEpoch]):
     """Every observation of ``epochs`` as flat lanes, in stream order.
 
@@ -512,15 +555,15 @@ def _flat_lanes(epochs: Sequence[ObservationEpoch]):
     flat = list(chain.from_iterable(observation_lists))
     total = len(flat)
     position_list = [obs.position for obs in flat]
-    if total and not (
-        np.fromiter(map(len, position_list), dtype=np.intp, count=total) == 3
-    ).all():
-        raise ValueError("satellite positions must be 3-vectors")
-    positions = (
-        np.concatenate(position_list).astype(float, copy=False).reshape(total, 3)
-        if total
-        else np.empty((0, 3))
-    )
+    positions = _joined_positions(position_list) if total else np.empty((0, 3))
+    if positions is None:
+        if not (
+            np.fromiter(map(len, position_list), dtype=np.intp, count=total) == 3
+        ).all():
+            raise ValueError("satellite positions must be 3-vectors")
+        positions = (
+            np.concatenate(position_list).astype(float, copy=False).reshape(total, 3)
+        )
     pseudoranges = np.fromiter(
         [obs.pseudorange for obs in flat], dtype=float, count=total
     )
@@ -528,12 +571,13 @@ def _flat_lanes(epochs: Sequence[ObservationEpoch]):
     tags = [obs.system for obs in flat]
     letters = "".join(tags)
     # No empty tag and one letter per observation: every tag is one
-    # letter, so the byte table maps the joined string in one take.
+    # letter, so the byte table maps the joined string in one pass.
     if len(letters) != total or "" in tags:
         raise ValueError("system tags must be single letters")
-    systems = _SYSTEM_IDS[np.frombuffer(letters.encode("ascii"), dtype=np.uint8)]
-    if total and systems.min() < 0:
+    ids = letters.encode("ascii").translate(_SYSTEM_IDS)
+    if b"\xff" in ids:
         raise ValueError("unknown system tag")
+    systems = np.frombuffer(ids, dtype=np.int8)
     cn0_values = [obs.cn0_dbhz for obs in flat]
     cn0 = None
     if cn0_values.count(None) != total:
@@ -596,7 +640,7 @@ def pack_stream(epochs: Sequence[ObservationEpoch]) -> PackedStream:
     """
     epochs = list(epochs)
     n = len(epochs)
-    packable = np.ones(n, dtype=bool)
+    unpackable: Tuple[int, ...] = ()
     try:
         counts, positions, pseudoranges, prns, systems, cn0 = _flat_lanes(epochs)
         times = [epoch.time for epoch in epochs]
@@ -604,16 +648,20 @@ def pack_stream(epochs: Sequence[ObservationEpoch]) -> PackedStream:
         sow = np.fromiter(
             [t.seconds_of_week for t in times], dtype=float, count=n
         )
+        truths = [epoch.truth for epoch in epochs]
     except _PACK_ERRORS:
         packable = np.array([_is_packable(epoch) for epoch in epochs], dtype=bool)
+        unpackable = tuple(np.flatnonzero(~packable).tolist())
         counts, positions, pseudoranges, prns, systems, cn0 = _dense_lanes(
             epochs, packable
         )
         weeks = np.zeros(n, dtype=np.int64)
         sow = np.full(n, np.nan)
+        truths = [None] * n
         for i in np.flatnonzero(packable):
             weeks[i] = epochs[i].time.week
             sow[i] = epochs[i].time.seconds_of_week
+            truths[i] = epochs[i].truth
     m = int(counts.max()) if n else 0
     if positions.shape[0] == n * m:
         # Every row is m wide: the flat lanes already are the block.
@@ -638,10 +686,9 @@ def pack_stream(epochs: Sequence[ObservationEpoch]) -> PackedStream:
             block_cn0[occupied] = cn0
     truth_positions = np.full((n, 3), np.nan)
     truth_biases = np.full(n, np.nan)
-    truths = [epoch.truth for epoch in epochs]
     if truths.count(None) != n:
         for i, truth in enumerate(truths):
-            if truth is not None and packable[i]:
+            if truth is not None:
                 truth_positions[i] = truth.receiver_position
                 truth_biases[i] = truth.clock_bias_meters
     block = EpochBlock(
@@ -663,7 +710,4 @@ def pack_stream(epochs: Sequence[ObservationEpoch]) -> PackedStream:
             "Epochs per packed columnar block.",
             buckets=_BLOCK_SIZE_BUCKETS,
         ).observe(n)
-    return PackedStream(
-        block=block,
-        unpackable=tuple(int(i) for i in np.flatnonzero(~packable)),
-    )
+    return PackedStream(block=block, unpackable=unpackable)

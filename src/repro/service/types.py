@@ -472,7 +472,9 @@ class ResultBlock:
         solver.  ``enqueued_at`` and ``traces`` are per-row; a row's
         ``wait_seconds`` runs from its ``enqueued_at`` to
         ``dispatched_at``.  Each lane is converted to Python values
-        once per call, never per row.
+        once per call, never per row (the verdict's statistic,
+        threshold and excluded-PRN lanes only when a row has a
+        verdict).
 
         The block is validated once, as a whole, with the checks
         :class:`ServiceResult`'s constructor makes per row: the
@@ -481,99 +483,94 @@ class ResultBlock:
         ``ok`` row's solver code :data:`SOLVER_SUFFIXES` (no negative
         code wraps around); any failure raises
         :class:`~repro.errors.ConfigurationError`.  The rows are then
-        built without re-checking each one, and compare, print, pickle
-        and ``to_dict()`` exactly like constructor-built results.
+        built without re-checking each one, each a copy of one template
+        of the fields the call shares, and compare, print, pickle and
+        ``to_dict()`` exactly like constructor-built results.
         """
         count = len(self)
         positions = np.asarray(self.positions, dtype=float)
         if positions.shape != (count, 3):
             raise ConfigurationError("result position must be a 3-vector")
-        bad = (self.status < 0) | (self.status >= len(RESULT_STATUSES))
-        if bad.any():
-            raise ConfigurationError(
-                f"status must be one of {'/'.join(RESULT_STATUSES)}, "
-                f"got code {int(self.status[np.argmax(bad)])}"
-            )
-        bad = (self.status == STATUS_OK) & (
-            (self.solver < 0) | (self.solver >= len(SOLVER_SUFFIXES))
+        status, solver, errors, verdict, biases = (
+            lane.tolist()
+            for lane in (self.status, self.solver, self.errors, self.verdict, self.biases)
         )
-        if bad.any():
+        statuses, suffixes = len(RESULT_STATUSES), len(SOLVER_SUFFIXES)
+        if min(status, default=0) < 0 or max(status, default=0) >= statuses:
+            code = next(code for code in status if not 0 <= code < statuses)
             raise ConfigurationError(
-                "an ok row must name the solver that answered it, "
-                f"got code {int(self.solver[np.argmax(bad)])}"
+                f"status must be one of {'/'.join(RESULT_STATUSES)}, got code {code}"
             )
+        if min(solver, default=0) < 0 or max(solver, default=0) >= suffixes:
+            # Only an ok row must name the solver that answered it.
+            for code, row_status in zip(solver, status):
+                if row_status == STATUS_OK and not 0 <= code < suffixes:
+                    raise ConfigurationError(
+                        "an ok row must name the solver that answered it, "
+                        f"got code {code}"
+                    )
         solvers = [algorithm + suffix for suffix in SOLVER_SUFFIXES]
-        monitors: List[Optional[EpochMonitorVerdict]] = [None] * count
+        monitors: Dict[int, EpochMonitorVerdict] = {}
         if self.monitors is not None:
             for row in np.flatnonzero(self.monitors.severities).tolist():
                 monitors[row] = self.monitors.verdict(row)
-        status, solver, verdict, prns, errors = (
-            lane.tolist()
-            for lane in (
-                self.status,
-                self.solver,
-                self.verdict,
-                self.excluded_prns,
-                self.errors,
+        if max(verdict, default=ABSENT) >= 0:
+            statistics, thresholds, prns = (
+                lane.tolist()
+                for lane in (self.statistics, self.thresholds, self.excluded_prns)
             )
-        )
-        biases, statistics, thresholds = (
-            lane.tolist() for lane in (self.biases, self.statistics, self.thresholds)
-        )
-        if enqueued_at is None:
-            enqueued_at = [None] * count
-        if traces is None:
-            traces = [None] * count
         error_texts = self.error_texts
+        # What every row of the flush shares, in declaration order: each
+        # row is a copy with only its own fields written over.
+        template = {
+            "status": None,
+            "position": None,
+            "clock_bias_meters": None,
+            "solver": None,
+            "error": None,
+            "retry_after_seconds": None,
+            "batch_size": batch_size,
+            "wait_seconds": 0.0,
+            "solve_seconds": solve_seconds,
+            "integrity": None,
+            "enqueued_at": None,
+            "dispatched_at": dispatched_at,
+            "completed_at": completed_at,
+            "trace": None,
+            "monitor": None,
+        }
         results: List[ServiceResult] = []
-        for row, position in enumerate(positions):
-            ok = status[row] == STATUS_OK
-            code = verdict[row]
-            enqueued = enqueued_at[row]
-            results.append(
-                _trusted(
-                    ServiceResult,
+        for row, (position, code, solver_code, bias, error, verdict_code) in enumerate(
+            zip(positions, status, solver, biases, errors, verdict)
+        ):
+            fields = template.copy()
+            fields["status"] = RESULT_STATUSES[code]
+            if code == STATUS_OK:
+                fields["position"] = position
+                if math.isfinite(bias):
+                    fields["clock_bias_meters"] = bias
+                fields["solver"] = solvers[solver_code]
+            if error >= 0:
+                fields["error"] = error_texts[error]
+            if verdict_code >= 0:
+                fields["integrity"] = _trusted(
+                    EpochVerdict,
                     {
-                        "status": RESULT_STATUSES[status[row]],
-                        "position": position if ok else None,
-                        "clock_bias_meters": (
-                            biases[row] if ok and math.isfinite(biases[row]) else None
-                        ),
-                        "solver": solvers[solver[row]] if ok else None,
-                        "error": (
-                            error_texts[errors[row]] if errors[row] >= 0 else None
-                        ),
-                        "retry_after_seconds": None,
-                        "batch_size": batch_size,
-                        "wait_seconds": (
-                            0.0
-                            if enqueued is None
-                            else max(0.0, dispatched_at - enqueued)
-                        ),
-                        "solve_seconds": solve_seconds,
-                        "integrity": (
-                            _trusted(
-                                EpochVerdict,
-                                {
-                                    "status": VERDICT_NAMES[code],
-                                    "test_statistic": statistics[row],
-                                    "threshold": thresholds[row],
-                                    "excluded_prn": (
-                                        prns[row] if prns[row] >= 0 else None
-                                    ),
-                                },
-                            )
-                            if code >= 0
-                            else None
-                        ),
-                        "enqueued_at": enqueued,
-                        "dispatched_at": dispatched_at,
-                        "completed_at": completed_at,
-                        "trace": traces[row],
-                        "monitor": monitors[row],
+                        "status": VERDICT_NAMES[verdict_code],
+                        "test_statistic": statistics[row],
+                        "threshold": thresholds[row],
+                        "excluded_prn": prns[row] if prns[row] >= 0 else None,
                     },
                 )
-            )
+            if enqueued_at is not None:
+                enqueued = fields["enqueued_at"] = enqueued_at[row]
+                if enqueued is not None:
+                    fields["wait_seconds"] = max(0.0, dispatched_at - enqueued)
+            if traces is not None:
+                fields["trace"] = traces[row]
+            if row in monitors:
+                fields["monitor"] = monitors[row]
+            results.append(_trusted(ServiceResult, fields))
         return results
 
 

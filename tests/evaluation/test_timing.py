@@ -8,6 +8,7 @@ from repro.core import PositionFix
 from repro.core.base import PositioningAlgorithm
 from repro.errors import ConfigurationError
 from repro.evaluation import TimingStats, time_callable, time_solver, time_solver_stats
+from repro.evaluation import timing
 from repro.evaluation.timing import _percentile
 
 
@@ -56,13 +57,48 @@ class TestTimeSolver:
             time_solver(SleepySolver(0.0), [make_epoch()], repeats=0)
 
 
+class SteppedClock:
+    """A stand-in for the ``time`` module whose ``perf_counter_ns``
+    moves only when a :class:`ClockedSolver` advances it."""
+
+    def __init__(self):
+        self.now_ns = 0
+
+    def perf_counter_ns(self):
+        return self.now_ns
+
+
+class ClockedSolver(PositioningAlgorithm):
+    """A solver that costs exactly ``cost_ns`` on a :class:`SteppedClock`."""
+
+    name = "clocked"
+    min_satellites = 1
+
+    def __init__(self, clock, cost_ns):
+        self.clock = clock
+        self.cost_ns = cost_ns
+
+    def solve(self, epoch):
+        self.clock.now_ns += self.cost_ns
+        return PositionFix(position=[0.0, 0.0, 0.0], algorithm=self.name)
+
+
 class TestTimeSolverStats:
-    def test_returns_full_record(self, make_epoch):
-        stats = time_solver_stats(SleepySolver(0.001), [make_epoch()] * 4, repeats=3)
+    def test_returns_full_record(self, make_epoch, monkeypatch):
+        # A clock the solver advances by exactly 1 ms per solve makes
+        # the record exact, free of host jitter.
+        clock = SteppedClock()
+        monkeypatch.setattr(timing, "time", clock)
+        stats = time_solver_stats(
+            ClockedSolver(clock, 1_000_000), [make_epoch()] * 4, repeats=3
+        )
         assert isinstance(stats, TimingStats)
         assert stats.repeats == 3
         assert stats.items == 4
-        assert stats.mean_ns == pytest.approx(1e6, rel=0.5)
+        assert stats.mean_ns == 1e6
+        assert stats.best_ns == stats.p50_ns == stats.p95_ns == 1e6
+        # One warm-up pass and three timed passes over four epochs.
+        assert clock.now_ns == 16 * 1_000_000
 
     def test_percentiles_ordered(self, make_epoch):
         stats = time_solver_stats(SleepySolver(0.0005), [make_epoch()] * 3, repeats=5)

@@ -42,7 +42,11 @@ from repro.telemetry.recorder import (
     TRIGGER_MONITOR,
     TRIGGERS,
 )
-from repro.telemetry.trace import assemble_request_trace, mint_request_number
+from repro.telemetry.trace import (
+    RequestTrace,
+    assemble_request_trace,
+    mint_request_number,
+)
 
 TEXTS = ("first failure", "second failure", "third failure")
 MONITORS = ("cn0_drop", "clock_drift")
@@ -175,6 +179,19 @@ def build_block(rows, with_monitors):
     return block
 
 
+def assert_same_value(value, expected, name):
+    assert type(value) is type(expected), name
+    if isinstance(expected, np.ndarray):
+        assert value.dtype == expected.dtype, name
+        assert value.tobytes() == expected.tobytes(), name
+    elif expected is None or isinstance(expected, RequestTrace):
+        assert value is expected, name
+    else:
+        # repr, because an unchecked verdict's NaN statistic never
+        # equals itself.
+        assert repr(value) == repr(expected), name
+
+
 def assert_same_rows(built, reference):
     assert len(built) == len(reference)
     for row, expected in zip(built, reference):
@@ -185,7 +202,11 @@ def assert_same_rows(built, reference):
         assert repr(pickle.loads(pickle.dumps(row))) == repr(
             pickle.loads(pickle.dumps(expected))
         )
-        assert vars(row).keys() == vars(expected).keys()
+        # The same fields in declaration order, holding the same values:
+        # a per-row field left at the flush's shared default shows here.
+        assert list(vars(row)) == list(vars(expected))
+        for name, value in vars(expected).items():
+            assert_same_value(vars(row)[name], value, name)
         changed = replace(row, status="failed", error="changed")
         assert pickle.dumps(changed) == pickle.dumps(
             replace(expected, status="failed", error="changed")
@@ -223,9 +244,7 @@ def test_rows_match_the_public_constructor(
             solve_seconds=0.25,
             dispatched_at=dispatched_at,
             completed_at=dispatched_at + 0.5,
-            enqueued_at=[
-                0.0 if row["enqueued"] is None else row["enqueued"] for row in rows
-            ],
+            enqueued_at=[row["enqueued"] for row in rows],
             traces=traces,
         )
         if stamped
@@ -289,6 +308,48 @@ def test_triggers_match_the_per_result_rule(rows, with_monitors, expired):
     assert [None if code < 0 else TRIGGERS[code] for code in codes] == [
         reference_trigger(result) for result in block.results("dlg", len(rows))
     ]
+
+
+def test_every_per_row_field_reaches_its_row():
+    # Row 0 sets every field a row owns; row 1 none of them.  Each of
+    # row 0's fields must differ from row 1's, so a row left holding
+    # the flush's shared default cannot match the constructor-built row.
+    block = ResultBlock.empty(2)
+    block.status[1] = STATUS_FAILED
+    block.solver[0] = SOLVER_SUFFIXES.index("/scalar")
+    block.positions[0] = (1.0, 2.0, 3.0)
+    block.biases[0] = 4.0
+    block.verdict[0] = VERDICT_NAMES.index("repaired")
+    block.statistics[0], block.thresholds[0], block.excluded_prns[0] = 9.0, 5.0, 17
+    block.errors[0] = 1
+    block = replace(block, error_texts=TEXTS)
+    severities = np.array([[2, 0], [1, 0]], dtype=np.int8)
+    block = replace(
+        block,
+        monitors=MonitorRecord(
+            names=MONITORS,
+            severities=severities.max(axis=0),
+            monitor_severities=severities,
+            statistics=np.ones(severities.shape),
+            thresholds=np.full(severities.shape, 0.5),
+            flagged=np.zeros((len(MONITORS), 2, WIDTH), dtype=bool),
+            keys=np.tile(np.array([12, 9, -1]), (2, 1)),
+        ),
+    )
+    kwargs = dict(
+        solve_seconds=0.25,
+        dispatched_at=2.0,
+        completed_at=2.5,
+        enqueued_at=[1.5, None],
+        traces=[assemble_request_trace(mint_request_number(), 0.0, 1.0), None],
+    )
+    built = block.results("dlg", 2, **kwargs)
+    assert_same_rows(built, reference_results(block, "dlg", 2, **kwargs))
+    shared = {"retry_after_seconds", "batch_size", "solve_seconds", "dispatched_at", "completed_at"}
+    first, second = vars(built[0]), vars(built[1])
+    for name in first.keys() - shared:
+        assert repr(first[name]) != repr(second[name]), name
+    assert first["wait_seconds"] == 0.5 and first["enqueued_at"] == 1.5
 
 
 def test_every_status_and_solver_reaches_the_rows():

@@ -42,11 +42,12 @@ BATCH = 16
 #: Seeds whose epoch gets one pseudorange spiked by a repairable fault
 #: (FDE variant): cross-process parity must hold for ``repaired``
 #: verdicts too, not just clean passes.  Two spikes stay below the
-#: health tracker's quarantine threshold (3 exclusions in-window):
-#: quarantine is *stream-stateful* per process, so N-worker parity is
-#: only promised while it does not engage — the stateful path itself
-#: is pinned separately against the 1-worker shard, whose single
-#: tracker sees the same ordered stream as the in-process service.
+#: health tracker's quarantine threshold (3 exclusions in-window), so
+#: these streams exercise FDE without engaging quarantine.  Parity
+#: past quarantine holds at any worker count by construction — a
+#: stateful config is answered by the router's one tracker, in stream
+#: order — and is pinned in ``TestStatefulQuarantineParity`` and
+#: tests/service/test_shard_stream_state.py.
 SPIKED_SEEDS = (7, 41)
 
 
@@ -179,11 +180,12 @@ class TestStatefulQuarantineParity:
     def test_one_worker_matches_in_process_past_quarantine(self):
         """Enough same-PRN spikes to *engage* quarantine.
 
-        A 1-worker shard has exactly one health tracker seeing the
-        same ordered stream as the in-process service, so even the
-        stateful quarantine/pre-exclusion path must stay bitwise
-        identical.  (Across N>1 workers the tracker state is sharded
-        and this parity is deliberately not promised.)
+        A stateful config is answered by the shard router's one
+        health tracker, which sees the same ordered stream as the
+        in-process service at any worker count, so even the stateful
+        quarantine/pre-exclusion path must stay bitwise identical
+        (the 2- and 4-worker cases are in
+        tests/service/test_shard_stream_state.py).
 
         Two epochs after quarantine engages are malformed, one with a
         NaN measurement and one with a duplicated (unquarantined)
