@@ -358,12 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--policy",
-        default="hash",
-        choices=["hash", "least_loaded"],
-        help="shard routing policy (with --workers)",
-    )
-    serve.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
@@ -990,7 +984,6 @@ def _serve_sharded(args, station, service_config, serve_epochs) -> int:
     shard_config = ShardConfig(
         service=service_config,
         workers=args.workers,
-        policy=args.policy,
         batch_size=args.batch_size,
     )
     with telemetry.capture() as (router_registry, _tracer):
@@ -1028,7 +1021,7 @@ def _serve_sharded(args, station, service_config, serve_epochs) -> int:
     print(
         f"served {len(results)} requests in {wall:.3f}s "
         f"({len(results) / wall:,.0f} req/s) across {args.workers} workers "
-        f"({live} live, policy {args.policy}, batches of {args.batch_size})"
+        f"({live} live, batches of {args.batch_size})"
     )
     print(f"statuses: {statuses}")
     if ok_results:

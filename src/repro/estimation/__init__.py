@@ -27,7 +27,6 @@ from repro.estimation.structured import (
     apply_inverse_diag_rank1,
     apply_inverse_grouped_rank1,
     batched_centered_wls,
-    batched_gls_solve_grouped_rank1,
     center_segments,
     gls_solve_diag_rank1,
     gls_solve_grouped_rank1,
@@ -48,7 +47,6 @@ __all__ = [
     "apply_inverse_diag_rank1",
     "apply_inverse_grouped_rank1",
     "batched_centered_wls",
-    "batched_gls_solve_grouped_rank1",
     "center_segments",
     "gls_solve_diag_rank1",
     "gls_solve_grouped_rank1",

@@ -310,58 +310,6 @@ def gls_solve_grouped_rank1(
     return solution, float(np.sqrt(max(mahalanobis_sq, 0.0)))
 
 
-def batched_gls_solve_grouped_rank1(
-    design: np.ndarray,
-    observations: np.ndarray,
-    diag: np.ndarray,
-    scales: np.ndarray,
-    groups: np.ndarray,
-    decoupled: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense-Cholesky GLS for N grouped diag+rank-one systems.
-
-    Materializes every ``diag(d) + sum_g s_g 1_g 1_g^T`` covariance and
-    factorizes it: O(k^3) per epoch, finite diagonals only.  This is
-    the oracle the centered kernel (:func:`batched_centered_wls`) is
-    tested against, not a serving path.  ``groups`` is a shared
-    ``(k,)`` layout or ``(N, k)`` per-row layouts; ``decoupled`` marks
-    ``(N, p)`` unknowns a row does not observe (see
-    :func:`solve_normal_equations`), which solve to NaN.
-
-    Returns ``(solutions (N, p), whitened_norms (N,))``.
-    """
-    a = np.asarray(design, dtype=float)
-    b = np.asarray(observations, dtype=float)
-    if a.ndim != 3 or b.shape != a.shape[:2]:
-        raise EstimationError(
-            f"batched design {a.shape} and observations {b.shape} are inconsistent"
-        )
-    d = np.asarray(diag, dtype=float)
-    s = np.asarray(scales, dtype=float)
-    g = np.asarray(groups, dtype=np.int64)
-    _validate_grouped(d, s, g)
-    n, k, _p = a.shape
-    g = np.broadcast_to(g, (n, k))
-    _count_gls_path("dense_cholesky_batched", solves=n)
-    same_group = (g[:, :, None] == g[:, None, :]) & (g[:, :, None] >= 0)
-    group_scales = np.take_along_axis(s, np.maximum(g, 0), axis=1)
-    psi = np.where(same_group, group_scales[:, None, :], 0.0)
-    psi[:, np.arange(k), np.arange(k)] += d
-    try:
-        chol = np.linalg.cholesky(psi)
-        white_a = np.linalg.solve(chol, a)
-        white_b = np.linalg.solve(chol, b[..., None])[..., 0]
-        gram = np.einsum("nki,nkj->nij", white_a, white_a)
-        moment = np.einsum("nki,nk->ni", white_a, white_b)
-        solutions = solve_normal_equations(gram, moment, decoupled)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("a batched grouped GLS system is degenerate") from exc
-    residuals = b - np.einsum("nki,ni->nk", a, solutions)
-    white_r = np.linalg.solve(chol, residuals[..., None])[..., 0]
-    norms = np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
-    return _mark_decoupled(solutions, decoupled), norms
-
-
 def center_segments(
     stack: np.ndarray,
     weights: np.ndarray,

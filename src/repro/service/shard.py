@@ -5,7 +5,7 @@ processes, each running the same
 :class:`~repro.service.executor.BatchExecutor` the in-process
 :class:`~repro.service.service.PositioningService` dispatches to.  The
 router cuts an epoch stream into fixed-size batches, routes each batch
-to a worker (**hash-by-client** or **least-loaded**), and moves the
+to the least-loaded worker, and moves the
 bulk arrays through a shared-memory slab
 (:mod:`repro.service.shm`) — epoch payloads and answers are **never
 pickled** on the hot path; only slot/sequence control messages ride
@@ -30,9 +30,11 @@ every batch in stream order, as it does in inline mode
 (``workers=0``).  With workers, a stateless config's batches go to
 them, except that a call's last batch is solved by the router itself
 when every live worker already holds a batch in flight: the router
-would otherwise sit idle waiting for them.  Both run one flush body,
-:func:`answer_batch`.  So a worker only ever sees stateless configs,
-and the slab carries neither C/N0 nor monitor records.
+would otherwise sit idle waiting for them, and any batch wider than a
+slab slot (``SLOT_SATELLITES``) is solved by the router too.  Both run
+one flush body, :func:`answer_batch`.  So a worker only ever sees
+stateless configs, and the slab carries neither C/N0 nor monitor
+records.
 
 Supervision: every worker heartbeats into its slab and is watched by
 the router during dispatch.  A worker that dies mid-batch never hangs
@@ -90,8 +92,12 @@ from repro.service.shm import (
 )
 from repro.telemetry import get_registry
 
-#: Routing policies.
-POLICIES: Tuple[str, ...] = ("hash", "least_loaded")
+#: In-flight batches one worker can hold (slab slots).
+SLOTS_PER_WORKER = 4
+
+#: Satellites per epoch a slab slot carries; a wider batch is answered
+#: by the router.  Sixteen covers one constellation's visible sky.
+SLOT_SATELLITES = 16
 
 #: Response-slab bytes per row for error texts.  Each distinct text of
 #: a batch is stored NUL-terminated (NULs inside it dropped), cut to
@@ -114,26 +120,21 @@ class ShardConfig:
         Worker process count for a stateless ``service`` config
         (:func:`stateless`).  ``0`` runs the executor **inline** in
         the router process — same batching, same results, no IPC — the
-        parity baseline the tests compare against.  With workers, the
-        router also solves a call's last batch itself when every live
-        worker is busy.  A stateful config (integrity, health or
-        monitors armed) always runs inline, whatever this says: its
-        stream state lives in the router, which answers every batch in
-        stream order.
-    policy:
-        ``"hash"`` pins a client id to a worker (cache/affinity
-        friendly); ``"least_loaded"`` picks the worker with the fewest
-        in-flight slots (ties to the lowest id, deterministically).
+        parity baseline the tests compare against.  Each batch goes to
+        the live worker with a free slot and the fewest batches in
+        flight (ties to the lowest index).  The router also solves a
+        call's last batch itself when every live worker is busy, and
+        any batch wider than a slab slot.  A stateful config
+        (integrity, health or monitors armed) always runs inline,
+        whatever this says: its stream state lives in the router,
+        which answers every batch in stream order.  Workers are
+        forked.
     batch_size:
         Fixed batch cut applied to the input stream *before* routing.
         Determinism across worker counts holds because this, not the
-        worker count, decides batch composition.
-    slots_per_worker:
-        In-flight batches a single worker can hold (slab slots).
-    slot_epochs / slot_satellites:
-        Per-slot capacity: max epochs per batch slot and max satellites
-        per epoch the slab can carry.  ``batch_size`` must fit
-        ``slot_epochs``.
+        worker count, decides batch composition.  A slab slot holds
+        exactly one batch: ``batch_size`` epochs of up to
+        ``SLOT_SATELLITES`` satellites.
     heartbeat_interval_seconds / heartbeat_timeout_seconds:
         Worker liveness: how often an idle worker stamps its heartbeat,
         and how stale the stamp may grow before the supervisor declares
@@ -144,44 +145,21 @@ class ShardConfig:
     drain_timeout_seconds:
         How long :meth:`ShardedPositioningService.stop` waits for
         in-flight batches before giving up on a worker.
-    start_method:
-        ``multiprocessing`` start method.  ``"fork"`` (default) is
-        fast and inherits warm imports; ``"spawn"`` works because the
-        worker entry point is a module-level function fed only
-        picklable config.
     """
 
     service: ServiceConfig = field(default_factory=ServiceConfig)
     workers: int = 2
-    policy: str = "hash"
     batch_size: int = 64
-    slots_per_worker: int = 4
-    slot_epochs: int = 256
-    slot_satellites: int = 16
     heartbeat_interval_seconds: float = 0.05
     heartbeat_timeout_seconds: float = 5.0
     max_restarts: int = 2
     drain_timeout_seconds: float = 10.0
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigurationError("workers must be >= 0")
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {'/'.join(POLICIES)}, got {self.policy!r}"
-            )
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if self.slots_per_worker <= 0:
-            raise ConfigurationError("slots_per_worker must be positive")
-        if self.batch_size > self.slot_epochs:
-            raise ConfigurationError(
-                f"batch_size {self.batch_size} exceeds slot_epochs "
-                f"{self.slot_epochs}"
-            )
-        if self.slot_satellites < 4:
-            raise ConfigurationError("slot_satellites must be >= 4")
         if self.heartbeat_interval_seconds <= 0:
             raise ConfigurationError("heartbeat_interval_seconds must be positive")
         if self.heartbeat_timeout_seconds <= self.heartbeat_interval_seconds:
@@ -190,10 +168,6 @@ class ShardConfig:
             )
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise ConfigurationError(
-                f"unknown start_method {self.start_method!r}"
-            )
 
 
 def slab_layout(config: ShardConfig) -> SlabLayout:
@@ -208,9 +182,9 @@ def slab_layout(config: ShardConfig) -> SlabLayout:
     back to back in ``resp_text``.  Workers answer stateless configs
     only, so neither lane carries C/N0 or a monitor record.
     """
-    slots = config.slots_per_worker
-    n = config.slot_epochs
-    m = config.slot_satellites
+    slots = SLOTS_PER_WORKER
+    n = config.batch_size
+    m = SLOT_SATELLITES
     layout = (
         SlabLayout()
         # liveness: monotonic counter + wall stamp, worker-written
@@ -476,10 +450,10 @@ def worker_main(
 ) -> None:
     """One shard worker: attach the slab, answer batches until told to stop.
 
-    Module-level on purpose — picklable by reference, so the same entry
-    point works under fork and spawn.  The worker installs a **fresh**
-    private registry (the fork hook in :mod:`repro.telemetry` already
-    cleared any inherited one) and ships snapshots on ``scrape``.  An
+    Forked by the router, so its imports are warm.  The worker installs
+    a **fresh** private registry (the fork hook in :mod:`repro.telemetry`
+    already cleared any inherited one) and ships snapshots on
+    ``scrape``.  An
     exception out of the executor answers every row of its batch
     ``failed`` (:func:`answer_batch`) and the worker keeps serving.
     """
@@ -626,7 +600,9 @@ class ShardedPositioningService:
         # The router's own executor: every batch when no worker was
         # spawned, a call's last batch while the workers are busy.
         self._executor: Optional[BatchExecutor] = None
-        self._context = multiprocessing.get_context(self._config.start_method)
+        # Fork: slabs are /dev/shm files (Linux only), and the
+        # telemetry fork hooks reset what a worker inherits.
+        self._context = multiprocessing.get_context("fork")
         self._running = False
         self._metrics: Optional[_RouterMetrics] = None
         self._algorithm = self._config.service.solver.algorithm
@@ -660,7 +636,7 @@ class ShardedPositioningService:
                         index=index,
                         slab=slab,
                         arrays=self._layout.arrays(slab.buffer),
-                        free_slots=list(range(self._config.slots_per_worker)),
+                        free_slots=list(range(SLOTS_PER_WORKER)),
                     )
                     self._workers.append(worker)
                     self._spawn(worker)
@@ -747,20 +723,11 @@ class ShardedPositioningService:
 
     # -- routing -------------------------------------------------------
 
-    def _route(self, batch_index: int, client_id: Optional[str]) -> Optional[_Worker]:
-        """Pick the live worker for one batch, or ``None`` if none live."""
-        live = [worker for worker in self._workers if worker.alive]
-        if not live:
-            return None
-        if self._config.policy == "hash":
-            # Deterministic content hash (not Python's seeded hash()):
-            # a client sticks to its worker across runs and processes.
-            key = client_id if client_id is not None else str(batch_index)
-            digest = 0
-            for byte in key.encode():
-                digest = (digest * 131 + byte) % 1000000007
-            return live[digest % len(live)]
-        return min(live, key=lambda worker: (worker.load, worker.index))
+    def _route(self) -> Optional[_Worker]:
+        """The live worker with a free slot and the fewest batches in
+        flight (ties to the lowest index), or ``None`` if there is none."""
+        free = [w for w in self._workers if w.alive and w.free_slots]
+        return min(free, key=lambda w: (w.load, w.index), default=None)
 
     # -- solving -------------------------------------------------------
 
@@ -768,15 +735,11 @@ class ShardedPositioningService:
         self,
         epochs: Sequence[ObservationEpoch],
         bias_meters: Optional[Sequence[Optional[float]]] = None,
-        client_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[ServiceResult]:
         """Solve a stream through the shard; results in stream order.
 
         ``bias_meters`` optionally carries per-epoch clock-bias
-        overrides, one per epoch; ``client_ids`` optionally names a
-        routing client (a ``str`` or ``None``) per epoch (hash policy
-        routes each batch by its first client id).  A list of another
-        length, or a client id of another type, raises
+        overrides, one per epoch; a list of another length raises
         :class:`~repro.errors.ConfigurationError` before any batch is
         cut.
         """
@@ -785,92 +748,68 @@ class ShardedPositioningService:
                 "shard is not running; enter it with 'with' or start()"
             )
         epochs = list(epochs)
-        for name, lane in (("bias_meters", bias_meters), ("client_ids", client_ids)):
-            if lane is not None and len(lane) != len(epochs):
-                raise ConfigurationError(
-                    f"{name} has {len(lane)} entries for {len(epochs)} epochs"
-                )
-        if client_ids is not None and not all(
-            client_id is None or isinstance(client_id, str)
-            for client_id in client_ids
-        ):
-            raise ConfigurationError("client_ids entries must be str or None")
+        if bias_meters is not None and len(bias_meters) != len(epochs):
+            raise ConfigurationError(
+                f"bias_meters has {len(bias_meters)} entries for {len(epochs)} epochs"
+            )
         metrics = self._telemetry()
         if metrics is not None:
             metrics.requests.inc(len(epochs))
         size = self._config.batch_size
-        batches: List[Tuple[int, int]] = [  # (offset, count)
+        pending: List[Tuple[int, int]] = [  # (offset, count)
             (start, min(size, len(epochs) - start))
             for start in range(0, len(epochs), size)
         ]
+        pending.reverse()  # pop() takes them in stream order
         results: List[Optional[ServiceResult]] = [None] * len(epochs)
 
         from repro.blocks import pack_stream
 
-        pending = list(enumerate(batches))
-        pending.reverse()  # pop() takes them in stream order
-        last = len(batches) - 1
+        # The next pending batch, packed once even if it waits for a slot.
+        head: Optional[Tuple[PackedStream, Optional[np.ndarray]]] = None
         while pending or any(worker.inflight for worker in self._workers):
             self._reap_dead(results, epochs)
-            dispatched = False
             while pending:
-                batch_index, (offset, count) = pending[-1]
-                here = self._solves_here(batch_index == last)
-                if not here:
-                    client_id = None if client_ids is None else client_ids[offset]
-                    worker = self._route(batch_index, client_id)
-                    if worker is None:
+                offset, count = pending[-1]
+                try:
+                    if head is None:
+                        head = (
+                            pack_stream(epochs[offset : offset + count]),
+                            bias_lane(
+                                None
+                                if bias_meters is None
+                                else bias_meters[offset : offset + count]
+                            ),
+                        )
+                    packed, biases = head
+                    if self._solves_here(packed, last=len(pending) == 1):
+                        self._solve_here(results, offset, count, packed, biases)
+                    elif self.live_workers:
+                        worker = self._route()
+                        if worker is None:
+                            break  # all slots busy; go collect
+                        self._dispatch(worker, offset, count, packed, biases)
+                    else:
                         # Every worker is gone: resurface everything left.
-                        pending.pop()
                         self._fail_batch(
                             results,
                             offset,
                             count,
                             "no live workers remain (restart budget exhausted)",
                         )
-                        continue
-                    if not worker.free_slots:
-                        if self._config.policy == "least_loaded":
-                            candidates = [
-                                w
-                                for w in self._workers
-                                if w.alive and w.free_slots
-                            ]
-                            if candidates:
-                                worker = min(
-                                    candidates,
-                                    key=lambda w: (w.load, w.index),
-                                )
-                            else:
-                                break  # all slots busy; go collect
-                        else:
-                            break  # hash affinity: wait for this worker
-                pending.pop()
-                try:
-                    packed = pack_stream(epochs[offset : offset + count])
-                    biases = bias_lane(
-                        None
-                        if bias_meters is None
-                        else bias_meters[offset : offset + count]
-                    )
-                    if here:
-                        self._solve_here(results, offset, count, packed, biases)
-                    else:
-                        self._dispatch(worker, offset, count, packed, biases)
                 except Exception:
                     # This call's earlier batches are already in
                     # flight: retire them before the error surfaces so
                     # their answers never land in a later call.
                     self._drain(results, epochs)
                     raise
+                pending.pop()
+                head = None
                 if metrics is not None:
                     metrics.batches.inc()
-                dispatched = True
-            progressed = self._collect(results, epochs, timeout=0.05)
-            if not progressed and not dispatched:
-                # Nothing landed this round: liveness is re-checked at
-                # the top of the loop (pipe EOF, heartbeat staleness).
-                continue
+            # Liveness (pipe EOF, heartbeat staleness) is re-checked at
+            # the top of the loop whether or not anything landed.
+            self._collect(results, epochs, timeout=0.05)
         return [
             result
             if result is not None
@@ -884,17 +823,18 @@ class ShardedPositioningService:
             self._reap_dead(results, epochs)
             self._collect(results, epochs, timeout=0.05)
 
-    def _solves_here(self, last: bool) -> bool:
+    def _solves_here(self, packed: PackedStream, last: bool) -> bool:
         """Whether the router answers the next batch itself.
 
         Every batch when no worker was spawned (inline mode or a
-        stateful config).  With workers, only a call's last batch, and
-        only when every live worker already holds one in flight (the
-        router would otherwise block on them).  Earlier batches always
-        go out: on a long call the router's packing, not the workers,
-        is the bottleneck.
+        stateful config), and any batch wider than a slab slot.  With
+        workers, otherwise only a call's last batch, and only when
+        every live worker already holds one in flight (the router
+        would otherwise block on them).  Earlier batches always go
+        out: on a long call the router's packing, not the workers, is
+        the bottleneck.
         """
-        if not self._workers:
+        if not self._workers or packed.block.width > SLOT_SATELLITES:
             return True
         if not last:
             return False
@@ -910,12 +850,6 @@ class ShardedPositioningService:
         biases: Optional[np.ndarray],
     ) -> None:
         """Answer one batch on the router's own executor."""
-        if self._workers:
-            # Refuse what no worker could take, so which process
-            # solves a batch never changes the call's outcome.
-            check_fits(
-                packed, self._config.slot_epochs, self._config.slot_satellites
-            )
         block = answer_batch(self._executor, packed, biases)
         results[offset : offset + count] = block.results(self._algorithm, count)
         metrics = self._telemetry()
@@ -932,7 +866,7 @@ class ShardedPositioningService:
     ) -> None:
         slot = worker.free_slots.pop()
         worker.sequence += 1
-        sequence = worker.sequence * self._config.slots_per_worker + slot
+        sequence = worker.sequence * SLOTS_PER_WORKER + slot
         try:
             write_request(worker.arrays, slot, sequence, packed, biases)
         except BaseException:
@@ -1034,7 +968,7 @@ class ShardedPositioningService:
                         worker.arrays, slot, sequence, count
                     ).results(self._algorithm, count)
             worker.inflight = {}
-            worker.free_slots = list(range(self._config.slots_per_worker))
+            worker.free_slots = list(range(SLOTS_PER_WORKER))
             worker.alive = False
             if worker.conn is not None:
                 worker.conn.close()

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import EstimationError
 from repro.estimation import (
     batched_centered_wls,
-    batched_gls_solve_grouped_rank1,
     center_segments,
     gls_solve_diag_rank1,
 )
@@ -69,6 +68,25 @@ def dense_reference(design, observations, diag, scales, groups):
         solutions.append(solution)
         norms.append(np.sqrt(residual @ psi_inv @ residual))
     return np.stack(solutions), np.array(norms)
+
+
+def batched_gls_solve_grouped_rank1(design, observations, diag, scales, groups):
+    """Dense-Cholesky GLS for N grouped diag+rank-one systems: every
+    ``diag(d) + sum_g s_g 1_g 1_g^T`` covariance is materialized and
+    factorized, with one shared ``(k,)`` group layout."""
+    n, k, _p = design.shape
+    same_group = groups[:, None] == groups[None, :]
+    psi = np.where(same_group, scales[:, groups][:, None, :], 0.0)
+    psi[:, np.arange(k), np.arange(k)] += diag
+    chol = np.linalg.cholesky(psi)
+    white_a = np.linalg.solve(chol, design)
+    white_b = np.linalg.solve(chol, observations[..., None])[..., 0]
+    gram = np.einsum("nki,nkj->nij", white_a, white_a)
+    moment = np.einsum("nki,nk->ni", white_a, white_b)
+    solutions = np.linalg.solve(gram, moment[..., None])[..., 0]
+    residuals = observations - np.einsum("nki,ni->nk", design, solutions)
+    white_r = np.linalg.solve(chol, residuals[..., None])[..., 0]
+    return solutions, np.sqrt(np.einsum("nk,nk->n", white_r, white_r))
 
 
 class TestGroupedGls:

@@ -28,6 +28,7 @@ from repro.service import (
     ShardConfig,
     ShardedPositioningService,
 )
+from repro.service.shard import SLOTS_PER_WORKER
 from repro.timebase import GpsTime
 from repro.validation.faults import (
     DuplicateSatellite,
@@ -114,10 +115,8 @@ def run_in_process(epochs, config, biases=None):
     return asyncio.run(main())
 
 
-def run_shard(epochs, config, workers, policy="hash", biases=None):
-    shard_config = ShardConfig(
-        service=config, workers=workers, policy=policy, batch_size=BATCH
-    )
+def run_shard(epochs, config, workers, biases=None):
+    shard_config = ShardConfig(service=config, workers=workers, batch_size=BATCH)
     with ShardedPositioningService(shard_config) as shard:
         return shard.solve_many(epochs, bias_meters=biases)
 
@@ -226,30 +225,31 @@ class TestStatefulQuarantineParity:
 
 
 class TestRoutingInvariance:
-    def test_policy_does_not_change_answers(self):
-        epochs, biases = make_epochs(with_fde=True)
-        config = service_config(with_fde=True)
-        by_hash = run_shard(
-            epochs, config, workers=3, policy="hash", biases=biases
-        )
-        by_load = run_shard(
-            epochs, config, workers=3, policy="least_loaded", biases=biases
-        )
-        assert_identical(by_hash, by_load)
-
-    def test_client_ids_do_not_change_answers(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_load_routing_matches_in_process(self, workers, monkeypatch):
+        """A stateless call with more batches than slab slots: batches
+        go to the least-loaded worker, wait for a slot when every one
+        is busy, and every worker takes some, yet each answer is the
+        in-process service's."""
         epochs, _biases = make_epochs(with_fde=False)
-        config = service_config(with_fde=False)
-        shard_config = ShardConfig(
-            service=config, workers=2, policy="hash", batch_size=BATCH
+        batch = 3
+        config = dataclasses.replace(
+            service_config(with_fde=False), max_batch_size=batch
         )
+        assert len(epochs) // batch > workers * SLOTS_PER_WORKER
+        routed = []
+        dispatch = ShardedPositioningService._dispatch
+
+        def spy(self, worker, *args):
+            routed.append(worker.index)
+            return dispatch(self, worker, *args)
+
+        monkeypatch.setattr(ShardedPositioningService, "_dispatch", spy)
+        shard_config = ShardConfig(service=config, workers=workers, batch_size=batch)
         with ShardedPositioningService(shard_config) as shard:
-            anonymous = shard.solve_many(epochs)
-            named = shard.solve_many(
-                epochs,
-                client_ids=[f"client-{i % 5}" for i in range(len(epochs))],
-            )
-        assert_identical(named, anonymous)
+            sharded = shard.solve_many(epochs)
+        assert set(routed) == set(range(workers))
+        assert_identical(sharded, run_in_process(epochs, config))
 
     def test_bias_overrides_round_trip_through_workers(self):
         epochs, _biases = make_epochs(with_fde=False)

@@ -33,6 +33,7 @@ from repro.service import (
     ShardedPositioningService,
 )
 from repro.service.executor import BatchExecutor
+from repro.service.shard import SLOT_SATELLITES, SLOTS_PER_WORKER
 from repro.service.shm import list_slabs
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
 
@@ -194,44 +195,80 @@ class TestBiasOverrideLength:
         """A ``bias_meters`` list shorter than the stream is refused up
         front; no slab slot is taken, so the next call is served."""
         epochs = make_epochs(8)
-        config = shard_config(workers=workers, slots_per_worker=1)
+        config = shard_config(workers=workers)
         with ShardedPositioningService(config) as shard:
             for _attempt in range(2):
                 with pytest.raises(ConfigurationError):
                     shard.solve_many(epochs, bias_meters=[None] * 4)
-            assert all(worker.free_slots == [0] for worker in shard._workers)
+            assert all(
+                sorted(worker.free_slots) == list(range(SLOTS_PER_WORKER))
+                for worker in shard._workers
+            )
             results = shard.solve_many(epochs)
         assert [r.status for r in results] == ["ok"] * len(epochs)
 
-    def test_batch_that_does_not_fit_returns_its_slot(self):
-        """A batch wider than the slab raises, and its slot is free
-        again for the next call."""
+    def test_batch_wider_than_a_slot_is_answered_without_a_slot(self):
+        """A batch wider than a slab slot is answered by the router: it
+        takes no slot, and the next call is served."""
         from repro.api import build_scene
 
-        config = shard_config(workers=1, slots_per_worker=1, slot_satellites=8)
-        wide = build_scene({"G": 10}, clock_bias_meters=0.0, seed=1)
+        config = shard_config(workers=1)
+        wide = build_scene({"G": SLOT_SATELLITES + 2}, clock_bias_meters=0.0, seed=1)
         with ShardedPositioningService(config) as shard:
-            with pytest.raises(ServiceError):
-                shard.solve_many([wide])
-            assert shard._workers[0].free_slots == [0]
+            (result,) = shard.solve_many([wide])
+            assert sorted(shard._workers[0].free_slots) == list(
+                range(SLOTS_PER_WORKER)
+            )
             results = shard.solve_many(make_epochs(8))
+        local = BatchExecutor(config.service)
+        (alone,) = local.execute([wide])[0].results(local.algorithm, 1)
+        assert result.status == alone.status == "ok"
+        np.testing.assert_array_equal(result.position, alone.position)
         assert [r.status for r in results] == ["ok"] * 8
 
-    def test_refused_later_batch_leaks_no_stale_results(self):
-        """A call whose *second* batch does not fit raises after its
-        first batch is already in flight; that batch is retired before
-        the error surfaces, so the next call answers exactly its own
-        epochs."""
+    def test_wide_later_batch_leaks_no_stale_results(self):
+        """A call whose *second* batch is too wide for a slot is answered
+        whole while its first batch is in flight, and the next call
+        answers exactly its own epochs."""
         from repro.api import build_scene
 
-        config = shard_config(workers=1, batch_size=4, slot_satellites=10)
+        config = shard_config(workers=1, batch_size=4)
         narrow = make_epochs(4)
-        wide = build_scene({"G": 12}, clock_bias_meters=0.0, seed=1)
+        wide = build_scene({"G": SLOT_SATELLITES + 2}, clock_bias_meters=0.0, seed=1)
         follow_up = make_epochs(6)[4:]
         with ShardedPositioningService(config) as shard:
-            with pytest.raises(ServiceError):
-                shard.solve_many(narrow + [wide])
+            first = shard.solve_many(narrow + [wide])
             assert not shard._workers[0].inflight
+            results = shard.solve_many(follow_up)
+        assert [r.status for r in first] == ["ok"] * 5
+        assert len(results) == len(follow_up)
+        local = BatchExecutor(config.service)
+        for epoch, result in zip(narrow + [wide] + follow_up, first + results):
+            (alone,) = local.execute([epoch])[0].results(local.algorithm, 1)
+            assert result.status == alone.status == "ok"
+            np.testing.assert_array_equal(result.position, alone.position)
+
+    def test_failed_later_batch_leaks_no_stale_results(self, monkeypatch):
+        """A call whose *second* batch fails to reach the slab raises
+        after its first batch is already in flight; that batch is
+        retired before the error surfaces, so the next call answers
+        exactly its own epochs."""
+        written = []
+        write = shard_module.write_request
+
+        def fail_second(arrays, slot, sequence, packed, biases):
+            written.append(len(packed))
+            if len(written) == 2:
+                raise ServiceError("slab write failed")
+            return write(arrays, slot, sequence, packed, biases)
+
+        monkeypatch.setattr(shard_module, "write_request", fail_second)
+        config = shard_config(workers=2, batch_size=4)
+        follow_up = make_epochs(6)[4:]
+        with ShardedPositioningService(config) as shard:
+            with pytest.raises(ServiceError, match="slab write failed"):
+                shard.solve_many(make_epochs(12))
+            assert not any(worker.inflight for worker in shard._workers)
             results = shard.solve_many(follow_up)
         assert len(results) == len(follow_up)
         local = BatchExecutor(config.service)
@@ -239,29 +276,6 @@ class TestBiasOverrideLength:
             (alone,) = local.execute([epoch])[0].results(local.algorithm, 1)
             assert result.status == alone.status == "ok"
             np.testing.assert_array_equal(result.position, alone.position)
-
-
-class TestClientIdValidation:
-    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "one-worker"])
-    @pytest.mark.parametrize(
-        "client_ids",
-        [["client-a"], [3] * 8, ["client-a"] * 7 + [b"client-b"]],
-        ids=["short", "int", "bytes"],
-    )
-    def test_malformed_list_is_rejected_before_any_batch(self, workers, client_ids):
-        """``client_ids`` is checked like ``bias_meters``: one ``str``
-        or ``None`` per epoch, else a typed refusal before any batch is
-        cut, and the next call is served."""
-        epochs = make_epochs(8)
-        config = shard_config(workers=workers, batch_size=4, slots_per_worker=1)
-        with ShardedPositioningService(config) as shard:
-            with pytest.raises(ConfigurationError, match="client_ids"):
-                shard.solve_many(epochs, client_ids=client_ids)
-            assert all(worker.free_slots == [0] for worker in shard._workers)
-            results = shard.solve_many(
-                epochs, client_ids=[None, "client-a"] * 4
-            )
-        assert [r.status for r in results] == ["ok"] * len(epochs)
 
 
 class TestRestartBudget:

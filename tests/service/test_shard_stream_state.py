@@ -5,8 +5,8 @@ tracker (quarantine) and its monitor suite.  A config that arms either
 (:func:`repro.service.shard.stateless` is false) spawns no worker,
 whatever ``workers`` says: the router answers every batch in stream
 order.  So the shard equals the in-process service at every worker
-count and under both routing policies, with quarantine engaged and
-with monitors confirming an attack.  A stateless config still spawns
+count, with quarantine engaged and with monitors confirming an
+attack.  A stateless config still spawns
 its workers.
 """
 
@@ -58,11 +58,10 @@ def quarantine_run():
     return epochs, biases, config, baseline
 
 
-@pytest.mark.parametrize("policy", ["hash", "least_loaded"])
 @pytest.mark.parametrize("workers", WORKERS)
-def test_quarantine_stream_matches_in_process(quarantine_run, workers, policy):
+def test_quarantine_stream_matches_in_process(quarantine_run, workers):
     epochs, biases, config, baseline = quarantine_run
-    sharded = run_shard(epochs, config, workers, policy=policy, biases=biases)
+    sharded = run_shard(epochs, config, workers, biases=biases)
     assert_identical(sharded, baseline)
 
 

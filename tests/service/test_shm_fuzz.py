@@ -21,6 +21,7 @@ from repro.errors import ReproError, ServiceError
 from repro.service import ServiceConfig
 from repro.service.executor import BatchExecutor
 from repro.service.shard import (
+    SLOT_SATELLITES,
     ShardConfig,
     read_request,
     read_response,
@@ -34,7 +35,7 @@ from repro.signals.features import SignalFeatureModel
 
 SLOT, SEQUENCE = 1, 7
 BIAS = 25.0
-CONFIG = ShardConfig(batch_size=8, slot_epochs=8, slot_satellites=12, slots_per_worker=2)
+CONFIG = ShardConfig(batch_size=8)
 SETTINGS = settings(
     max_examples=120,
     deadline=None,
@@ -98,7 +99,7 @@ class TestRequestFuzz:
         arrays = _request(flush)
         arrays["req_count"][SLOT] = count
         block = _read_and_serve(arrays, executor)
-        if not 0 <= count <= CONFIG.slot_epochs:
+        if not 0 <= count <= CONFIG.batch_size:
             assert block is None
 
     @given(
@@ -110,7 +111,7 @@ class TestRequestFuzz:
         arrays = _request(flush)
         arrays["req_sats"][SLOT, row] = value
         block = _read_and_serve(arrays, executor)
-        if not 0 <= value <= CONFIG.slot_satellites:
+        if not 0 <= value <= SLOT_SATELLITES:
             assert block is None
         elif value > flush.block.counts[row]:
             # Padding exposed as satellites: NaN lanes, an invalid row.
@@ -118,7 +119,7 @@ class TestRequestFuzz:
 
     @given(
         row=st.integers(min_value=0, max_value=4),
-        slot=st.integers(min_value=0, max_value=CONFIG.slot_satellites - 1),
+        slot=st.integers(min_value=0, max_value=SLOT_SATELLITES - 1),
         tag=st.integers(min_value=-128, max_value=127),
     )
     @SETTINGS
@@ -215,7 +216,7 @@ class TestResponseFuzz:
     @SETTINGS
     def test_corrupt_row_count(self, count):
         results = _decode(_response(), count)
-        if not 0 <= count <= CONFIG.slot_epochs:
+        if not 0 <= count <= CONFIG.batch_size:
             assert results is None
 
     @given(
