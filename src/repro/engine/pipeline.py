@@ -337,11 +337,12 @@ class PositioningEngine:
         return np.zeros(len(block))
 
     def _solve_block(
-        self, block: EpochBlock, biases: Optional[np.ndarray], rows: np.ndarray
+        self, block: EpochBlock, biases: Optional[np.ndarray], rows: Optional[np.ndarray]
     ):
         """The whole (screened) flush through one batched solve.
 
-        ``rows`` maps block rows to stream indices (for messages).
+        ``rows`` maps block rows to stream indices (for messages;
+        ``None`` when they are the same).
         Returns ``(positions, clock_biases, fde_record-or-None,
         solve_seconds, fde_seconds, multi-or-None)`` where ``multi`` is
         the per-constellation ``((N, K) biases, systems)`` pair in
@@ -352,10 +353,9 @@ class PositioningEngine:
         if self._algorithm == "nr":
             record = self._nr.solve_block_full(block)
             if not np.all(record.converged):
-                stuck = [int(rows[i]) for i in np.flatnonzero(~record.converged)]
-                raise GeometryError(
-                    f"NR failed to converge for stream epochs {stuck}"
-                )
+                stuck = np.flatnonzero(~record.converged)
+                stuck = (stuck if rows is None else rows[stuck]).tolist()
+                raise GeometryError(f"NR failed to converge for stream epochs {stuck}")
             multi = (
                 (record.constellation_biases, record.systems) if multi_mode else None
             )
@@ -460,15 +460,20 @@ class PositioningEngine:
             raise GeometryError("solve_stream needs at least one epoch")
         pack_seconds = perf_counter() - stage_started
 
-        # Structural integrity: one vectorized screen of the whole
-        # block (min_satellites=1 — sized epochs are handled through
-        # the undersized path below, with the same raise/drop policy;
-        # unpackable rows are empty, hence invalid).
+        # Structural integrity: one vectorized screen of the whole block
+        # against the solver contract.  Only when a row fails it does a
+        # second screen (min_satellites=1) tell the invalid rows from
+        # the merely undersized ones, each under the raise/drop policy
+        # (unpackable rows are empty, hence invalid).
         stage_started = perf_counter()
-        valid = block.validity_mask(min_satellites=1)
-        invalid_indices = (
-            () if valid.all() else tuple(np.flatnonzero(~valid).tolist())
-        )
+        solvable = block.validity_mask()
+        complete = bool(solvable.all())
+        invalid_indices = dropped_indices = ()
+        if not complete:
+            valid = block.validity_mask(min_satellites=1)
+            invalid_indices = tuple(np.flatnonzero(~valid).tolist())
+            undersized = valid != solvable
+            dropped_indices = tuple(np.flatnonzero(undersized).tolist())
         if invalid_indices and on_undersized == "raise":
             first = invalid_indices[0]
             raise GeometryError(
@@ -496,10 +501,6 @@ class PositioningEngine:
                     f"biases must be one per epoch: expected ({total},), "
                     f"got {stream_biases.shape}"
                 )
-        undersized = valid & (block.counts < 4)
-        dropped_indices = (
-            tuple(np.flatnonzero(undersized).tolist()) if undersized.any() else ()
-        )
         if dropped_indices and on_undersized == "raise":
             raise GeometryError(
                 f"stream contains epochs with fewer than 4 satellites "
@@ -512,10 +513,9 @@ class PositioningEngine:
                 len(dropped_indices),
                 total,
             )
-        complete = not (invalid_indices or dropped_indices)
-        rows = np.arange(total)
+        rows = None  # stream index of each solved row, None when all solved
         if not complete:
-            rows = np.flatnonzero(valid & ~undersized)
+            rows = np.flatnonzero(solvable)
             if not rows.size:
                 raise GeometryError(
                     "every epoch in the stream has fewer than 4 satellites"
@@ -567,12 +567,12 @@ class PositioningEngine:
             if multi_info is not None:
                 bias_matrix, systems = multi_info
                 constellation_biases = {
-                    code: self._spread(bias_matrix[:, j], rows, total, complete)
+                    code: self._spread(bias_matrix[:, j], rows, total)
                     for j, code in enumerate(systems)
                 }
-            positions = self._spread(positions, rows, total, complete)
-            clock_biases = self._spread(clock_biases, rows, total, complete)
-            if fde_record is not None and not complete:
+            positions = self._spread(positions, rows, total)
+            clock_biases = self._spread(clock_biases, rows, total)
+            if fde_record is not None and rows is not None:
                 fde_record = FdeRecord.scatter([(rows, fde_record)], total)
             scatter_seconds = perf_counter() - stage_started
 
@@ -611,10 +611,11 @@ class PositioningEngine:
 
     @staticmethod
     def _spread(
-        values: np.ndarray, rows: np.ndarray, total: int, complete: bool
+        values: np.ndarray, rows: Optional[np.ndarray], total: int
     ) -> np.ndarray:
-        """Solved-row values as a stream-length array, NaN elsewhere."""
-        if complete:
+        """Solved-row values as a stream-length array, NaN elsewhere
+        (``values`` itself when every row solved: ``rows`` is None)."""
+        if rows is None:
             return values
         spread = np.full((total,) + values.shape[1:], np.nan)
         spread[rows] = values

@@ -419,14 +419,17 @@ def solve_centered_wls(
     centered: np.ndarray,
     weights: np.ndarray,
     decoupled: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    norms: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The solve half of :func:`batched_centered_wls`.
 
     ``centered`` is the ``(N, m, p+1)`` stack ``[A | b]`` already
     centered by :func:`center_segments` with the same ``(N, m)``
     ``weights``; it is read, never written, so a caller can keep it
     (the FDE gate prices its exclusion candidates from it).  Returns
-    ``(solutions (N, p), whitened_norms (N,))``.
+    ``(solutions (N, p), whitened_norms (N,))``; with ``norms=False``
+    the residual pass is skipped and the norms are ``None`` (a solve
+    no integrity test reads).
     """
     n, _m, q = centered.shape
     p = q - 1
@@ -442,9 +445,11 @@ def solve_centered_wls(
             "a batched weighted least-squares system is degenerate "
             "(rank-deficient design)"
         ) from exc
+    if not norms:
+        return _mark_decoupled(solutions, decoupled), None
     residuals = white[..., p] - np.einsum("nki,ni->nk", white[..., :p], solutions)
-    norms = np.sqrt(np.einsum("nk,nk->n", residuals, residuals))
-    return _mark_decoupled(solutions, decoupled), norms
+    whitened = np.sqrt(np.einsum("nk,nk->n", residuals, residuals))
+    return _mark_decoupled(solutions, decoupled), whitened
 
 
 def solve_normal_equations(

@@ -29,9 +29,8 @@ event signalling handled here.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ServiceError
 
@@ -71,25 +70,31 @@ class MicroBatcher:
             raise ConfigurationError("max_wait_seconds must be >= 0")
         self._max_batch = int(max_batch_size)
         self._max_wait = float(max_wait_seconds)
-        self._pending: Deque[Tuple[object, float]] = deque()
+        # Pending items and their enqueue stamps, oldest first.
+        self._items: List[object] = []
+        self._stamps: List[float] = []
         self._wakeup = asyncio.Event()
         self._closed = False
         self._sequence = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self._items)
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
 
-    def put(self, item: object) -> None:
-        """Enqueue one item, stamping it with the loop clock."""
+    def put(self, item: object, enqueued_at: Optional[float] = None) -> None:
+        """Enqueue one item stamped ``enqueued_at`` on the loop clock
+        (read now when not given: a caller that already read the clock
+        passes its stamp, so item and batch share one reading)."""
         if self._closed:
             raise ServiceError("cannot enqueue into a closed batcher")
-        now = asyncio.get_running_loop().time()
-        self._pending.append((item, now))
+        self._items.append(item)
+        self._stamps.append(
+            asyncio.get_running_loop().time() if enqueued_at is None else enqueued_at
+        )
         self._wakeup.set()
 
     def close(self) -> None:
@@ -98,9 +103,10 @@ class MicroBatcher:
         self._wakeup.set()
 
     def _drain(self, reason: str) -> Flush:
-        take = min(self._max_batch, len(self._pending))
-        oldest = self._pending[0][1]
-        items = tuple(self._pending.popleft()[0] for _ in range(take))
+        take = self._max_batch
+        items = tuple(self._items[:take])
+        oldest = self._stamps[0]
+        del self._items[:take], self._stamps[:take]
         sequence = self._sequence
         self._sequence += 1
         return Flush(
@@ -113,7 +119,7 @@ class MicroBatcher:
     async def next_batch(self) -> Optional[Flush]:
         """The next formed batch, or ``None`` once closed and drained."""
         # EMPTY: park until something arrives or the batcher closes.
-        while not self._pending:
+        while not self._items:
             if self._closed:
                 return None
             self._wakeup.clear()
@@ -121,8 +127,8 @@ class MicroBatcher:
 
         # COLLECTING: the oldest item's age bounds everyone's wait.
         loop = asyncio.get_running_loop()
-        deadline = self._pending[0][1] + self._max_wait
-        while len(self._pending) < self._max_batch and not self._closed:
+        deadline = self._stamps[0] + self._max_wait
+        while len(self._items) < self._max_batch and not self._closed:
             remaining = deadline - loop.time()
             if remaining <= 0.0:
                 return self._drain(FLUSH_DEADLINE)
@@ -133,13 +139,13 @@ class MicroBatcher:
                 return self._drain(FLUSH_DEADLINE)
 
         # FLUSH: full batch, or close() interrupted the collection.
-        if len(self._pending) >= self._max_batch:
+        if len(self._items) >= self._max_batch:
             return self._drain(FLUSH_FULL)
         return self._drain(FLUSH_CLOSE)
 
     def drain_now(self) -> List[Flush]:
         """Synchronously flush everything pending (shutdown path)."""
         flushes: List[Flush] = []
-        while self._pending:
+        while self._items:
             flushes.append(self._drain(FLUSH_CLOSE))
         return flushes

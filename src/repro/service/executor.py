@@ -54,7 +54,7 @@ stream however it is batched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,7 @@ from repro.service.types import (
     STATUS_INVALID,
     STATUS_OK,
     ResultBlock,
+    absent_lane,
 )
 from repro.telemetry import get_registry
 
@@ -109,16 +110,23 @@ class BatchMeta:
     resolved biases without re-deriving anything.  ``block`` is the
     post-admission block the flush was answered from, on every rung:
     the flight recorder captures and digests rows off its lanes.
-    ``counts`` holds each flush row's satellite count when the batched
-    kernel answered, ``-1`` for rows the screen kept out of it (the
-    lineage a trace reports next to the row's flush position).
+    ``status`` is the answered rows' status lane when the batched
+    kernel answered (see :attr:`counts`).
     """
 
     rung: str  # "batch" (engine answered) or "scalar" (ladder ran)
     block: EpochBlock
     stage_seconds: Optional[Dict[str, float]] = None
-    counts: Optional[np.ndarray] = None
+    status: Optional[np.ndarray] = None
     resolved_biases: Optional[np.ndarray] = None
+
+    @property
+    def counts(self) -> Optional[np.ndarray]:
+        """Each flush row's satellite count when the batched kernel
+        answered, ``-1`` for rows the screen kept out of it (the
+        lineage a trace reports next to the row's flush position)."""
+        if self.status is not None:
+            return np.where(self.status == STATUS_INVALID, -1, self.block.counts)
 
     def bias(self, index: int) -> Optional[float]:
         """The clock bias the solve consumed for row ``index``."""
@@ -295,7 +303,7 @@ class BatchExecutor:
 
     def execute(
         self,
-        epochs: List[ObservationEpoch],
+        epochs: Sequence[ObservationEpoch],
         bias_overrides: Optional[Sequence[Optional[float]]] = None,
     ) -> Tuple[ResultBlock, BatchMeta]:
         """One formed batch of epoch objects through the full ladder.
@@ -350,7 +358,7 @@ class BatchExecutor:
             rung="batch",
             block=packed.block,
             stage_seconds=stream.stage_seconds,
-            counts=np.where(block.status == STATUS_INVALID, -1, packed.block.counts),
+            status=block.status,
             resolved_biases=stream.clock_biases,
         )
 
@@ -393,10 +401,16 @@ class BatchExecutor:
         diagnostics = stream.diagnostics
         screened = list(diagnostics.invalid_indices + diagnostics.dropped_indices)
         fde = diagnostics.fde
+        count = len(stream.positions)
         # The FDE lanes are the record's own arrays (the verdict lane a
-        # copy with the screened rows absent), never filled twice.
-        lanes = {}
-        if fde is not None:
+        # copy with the screened rows absent), never filled twice;
+        # without FDE they are the shared absent lanes.
+        if fde is None:
+            lanes = {
+                lane: absent_lane(lane, count)
+                for lane in ("verdict", "statistics", "thresholds", "excluded_prns")
+            }
+        else:
             verdict = fde.statuses.copy()
             verdict[screened] = ABSENT
             lanes = dict(
@@ -405,12 +419,13 @@ class BatchExecutor:
                 thresholds=fde.thresholds,
                 excluded_prns=fde.excluded_prns.astype(np.int64),
             )
-        block = ResultBlock.empty(len(stream.positions), monitors=monitors, **lanes)
-        status = block.status
-        status[screened] = STATUS_INVALID
+        status = np.full(count, STATUS_OK, dtype=np.int8)
         # The engine screens with the block's own contract checks, so
         # every screened row has a text.
-        errors = {row: packed.row_integrity_error(row) for row in sorted(screened)}
+        errors = {}
+        if screened:
+            status[screened] = STATUS_INVALID
+            errors = {row: packed.row_integrity_error(row) for row in sorted(screened)}
         if fde is not None:
             self._observe_verdicts(packed, verdict, fde)
             unusable = np.flatnonzero(verdict == FDE_UNUSABLE)
@@ -440,10 +455,15 @@ class BatchExecutor:
                     "fix withheld"
                 )
         ok = status == STATUS_OK
-        np.copyto(block.positions, stream.positions, where=ok[:, np.newaxis])
-        np.copyto(block.biases, stream.clock_biases, where=ok)
-        block.solver[ok] = SOLVER_BATCH
-        return block.with_errors(errors)
+        return ResultBlock(
+            status=status,
+            solver=np.where(ok, np.int8(SOLVER_BATCH), np.int8(ABSENT)),
+            positions=np.where(ok[:, np.newaxis], stream.positions, np.nan),
+            biases=np.where(ok, stream.clock_biases, np.nan),
+            errors=absent_lane("errors", count),
+            monitors=monitors,
+            **lanes,
+        ).with_errors(errors)
 
     def _override_array(
         self, packed: PackedStream, biases: np.ndarray

@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.blocks import pack_stream
 from repro.engine import PositioningEngine
@@ -99,52 +98,34 @@ _LATENCY_BUCKETS = (
 _QUEUED_TIMEOUT = "deadline expired while queued"
 
 
-@dataclass
-class _PendingRequest:
-    """One queued epoch and the future its submitter awaits."""
-
-    epoch: ObservationEpoch
-    bias_meters: Optional[float]
-    future: "asyncio.Future[ServiceResult]"
-    submitted_at: float
-    deadline: Optional[float]
-    # The request's trace identity: a bare counter number from
-    # mint_request_number (the TraceContext materializes lazily from
-    # whichever RequestTrace carries it), or None when tracing is off.
-    trace: Optional[int] = None
+#: A queued request: ``(epoch, bias_meters, future, enqueued_at,
+#: deadline, trace)``, ``trace`` a mint_request_number number or None.
+#: A plain tuple, built once per request on the hot path.
+_PendingRequest = Tuple
 
 
 class _MetricHandles:
-    """Pre-resolved telemetry children for the per-request hot path.
+    """Pre-resolved telemetry families and children for the dispatch loop.
 
-    Looking metric families and label children up through the registry
-    costs a handful of dict probes per call — noise anywhere else, but
-    the service resolves *every request* through this path, and at
-    micro-batch throughputs those probes were a measurable slice of
-    the per-request budget.  One instance is built per installed
-    registry (rebuilt if telemetry is reinstalled) and caches every
-    child the dispatch loop touches.
+    Looking metric families up through the registry costs a handful of
+    dict probes per call; the dispatch loop touches them every flush.
+    One instance is built per installed registry (rebuilt if telemetry
+    is reinstalled).  Status and reason children are bound per flush
+    (one count per status, not per request).
     """
 
     __slots__ = (
-        "registry",
-        "latency",
-        "batch_size",
-        "queue_depth",
-        "_requests_family",
-        "_batches_family",
-        "_request_children",
-        "_batch_children",
+        "registry", "requests", "batches", "latency", "batch_size", "queue_depth"
     )
 
     def __init__(self, registry) -> None:
         self.registry = registry
-        self._requests_family = registry.counter(
+        self.requests = registry.counter(
             "repro_service_requests_total",
             "Requests by final status.",
             labels=("status",),
         )
-        self._batches_family = registry.counter(
+        self.batches = registry.counter(
             "repro_service_batches_total",
             "Batches by flush reason.",
             labels=("reason",),
@@ -163,22 +144,6 @@ class _MetricHandles:
             "repro_service_queue_depth",
             "Requests waiting to be batched, sampled at each flush.",
         ).labels()
-        self._request_children: dict = {}
-        self._batch_children: dict = {}
-
-    def request_child(self, status: str):
-        child = self._request_children.get(status)
-        if child is None:
-            child = self._requests_family.labels(status=status)
-            self._request_children[status] = child
-        return child
-
-    def batch_child(self, reason: str):
-        child = self._batch_children.get(reason)
-        if child is None:
-            child = self._batches_family.labels(reason=reason)
-            self._batch_children[reason] = child
-        return child
 
 
 class PositioningService:
@@ -351,47 +316,45 @@ class PositioningService:
         :class:`~repro.errors.ServiceError` only for *misuse*:
         submitting to a service that is not running.
         """
-        if not self.running:
+        batcher = self._batcher
+        if batcher is None or batcher.closed:
             raise ServiceError(
                 "service is not running; enter it with 'async with' or start()"
             )
-        assert self._batcher is not None
-        if len(self._batcher) >= self._config.max_queue_depth:
+        config = self._config
+        if len(batcher) >= config.max_queue_depth:
             handles = self._telemetry_handles()
             if handles is not None:
-                handles.request_child("rejected").inc()
+                handles.requests.labels(status="rejected").inc()
             if self._slo is not None:
                 self._slo.observe("rejected", 0.0)
             return ServiceResult(
                 status="rejected",
                 error=(
-                    f"queue full ({self._config.max_queue_depth} pending); "
-                    f"retry after {self._config.retry_after_seconds:g}s"
+                    f"queue full ({config.max_queue_depth} pending); "
+                    f"retry after {config.retry_after_seconds:g}s"
                 ),
-                retry_after_seconds=self._config.retry_after_seconds,
+                retry_after_seconds=config.retry_after_seconds,
                 completed_at=asyncio.get_running_loop().time(),
             )
 
         loop = asyncio.get_running_loop()
+        # The one enqueue stamp: the batcher's deadline and the result's
+        # enqueued_at both run from it.
         now = loop.time()
-        effective_timeout = (
-            self._config.default_timeout_seconds if timeout is _UNSET else timeout
-        )
-        if effective_timeout is not None and effective_timeout <= 0.0:
-            raise ServiceError("timeout must be positive (or None)")
-        deadline = None if effective_timeout is None else now + effective_timeout
-        request = _PendingRequest(
-            epoch=epoch,
-            bias_meters=bias_meters,
-            future=loop.create_future(),
-            submitted_at=now,
-            deadline=deadline,
-            trace=mint_request_number() if self._config.trace else None,
-        )
-        self._batcher.put(request)
+        if timeout is _UNSET:
+            timeout = config.default_timeout_seconds
+        deadline = None
+        if timeout is not None:
+            if timeout <= 0.0:
+                raise ServiceError("timeout must be positive (or None)")
+            deadline = now + timeout
+        future = loop.create_future()
+        trace = mint_request_number() if config.trace else None
+        batcher.put((epoch, bias_meters, future, now, deadline, trace), now)
         # No wait_for here: the worker always resolves the future — on
         # solve, on deadline expiry at dispatch, or on drain at stop().
-        return await request.future
+        return await future
 
     # -- worker --------------------------------------------------------
 
@@ -408,7 +371,7 @@ class PositioningService:
                 # resolved (or screened) were counted there.
                 handles = self._telemetry_handles()
                 for request in flush.items:
-                    if request.future.done():
+                    if request[2].done():
                         continue
                     self._finish(
                         request,
@@ -429,7 +392,7 @@ class PositioningService:
         now: Optional[float],
     ) -> None:
         """Hand a result to the submitter, if it is still listening."""
-        future = request.future
+        _epoch, _bias, future, enqueued_at, _deadline, _trace = request
         if not future.done():
             future.set_result(result)
             status = result.status
@@ -440,9 +403,9 @@ class PositioningService:
         if handles is not None or self._slo is not None:
             if now is None:
                 now = asyncio.get_running_loop().time()
-            latency = max(0.0, now - request.submitted_at)
+            latency = max(0.0, now - enqueued_at)
             if handles is not None:
-                handles.request_child(status).inc()
+                handles.requests.labels(status=status).inc()
                 handles.latency.observe(latency)
             if self._slo is not None:
                 self._slo.observe(status, latency)
@@ -455,24 +418,26 @@ class PositioningService:
         now = loop.time()
 
         if handles is not None:
-            handles.batch_child(flush.reason).inc()
+            handles.batches.labels(reason=flush.reason).inc()
             handles.batch_size.observe(len(flush))
             handles.queue_depth.set(self.queue_depth)
 
-        # Screen out requests nobody is waiting for anymore.
-        live: List[_PendingRequest] = []
+        # One pass over the flush screens out the requests nobody is
+        # waiting for anymore and those whose deadline passed in queue.
+        items = flush.items
         rows: List[int] = []
         stale: List[int] = []
         stale_traces = []
-        for row, request in enumerate(flush.items):
-            if request.future.cancelled():
+        for row, request in enumerate(items):
+            _epoch, _bias, future, _enqueued_at, deadline, _trace = request
+            if future.cancelled():
                 self._finish(
                     request,
                     self._screened_result("cancelled", None, request, now, flush),
                     handles,
                     now,
                 )
-            elif request.deadline is not None and now >= request.deadline:
+            elif deadline is not None and now >= deadline:
                 result = self._screened_result(
                     "timeout", _QUEUED_TIMEOUT, request, now, flush
                 )
@@ -480,30 +445,32 @@ class PositioningService:
                 stale.append(row)
                 stale_traces.append(result.trace)
             else:
-                live.append(request)
                 rows.append(row)
         if stale and self._recorder is not None:
             # Their own entry, retained before the solve: these rows
             # have no part in the flush's result block.
-            requests = [flush.items[row] for row in stale]
+            requests = [items[row] for row in stale]
             self._record(
                 ResultBlock.empty(len(stale)).expire(
                     range(len(stale)), _QUEUED_TIMEOUT
                 ),
                 BatchMeta(
                     rung="screened",
-                    block=pack_stream([r.epoch for r in requests]).block,
+                    block=pack_stream([request[0] for request in requests]).block,
                 ),
                 flush,
                 stale,
                 stale_traces if self._config.trace else None,
-                [r.bias_meters for r in requests],
+                [request[1] for request in requests],
                 0,
             )
-        if not live:
+        if not rows:
             return
 
-        batch_size = len(live)
+        # The live requests' lanes, one tuple each.
+        live = items if len(rows) == len(items) else [items[row] for row in rows]
+        epochs, biases, futures, enqueued, deadlines, numbers = zip(*live)
+        batch_size = len(rows)
         solve_started = loop.time()
         with tracer.span(
             "service.dispatch",
@@ -511,66 +478,54 @@ class PositioningService:
             reason=flush.reason,
             algorithm=self._engine.algorithm,
         ):
-            # The process-agnostic core shard workers run too.
-            biases = [request.bias_meters for request in live]
+            # The process-agnostic core shard workers run too; no bias
+            # lane when no request overrides its bias.
             block, meta = self._executor.execute(
-                [request.epoch for request in live], biases
+                epochs, None if biases.count(None) == batch_size else biases
             )
-        solve_seconds = loop.time() - solve_started
-
         resolved_at = loop.time()
+        solve_seconds = resolved_at - solve_started
         # Solved, but past the caller's deadline: the contract is the
         # deadline, so report the timeout (noting the answer existed —
         # it helps operators size timeouts).
-        expired = [
-            index
-            for index, request in enumerate(live)
-            if request.deadline is not None and resolved_at >= request.deadline
-        ]
-        if expired:
-            block = block.expire(expired, "deadline expired during batch solve")
-        # Per-flush trace constants: the peer list and the solve-span
-        # annotations are shared (never copied, never mutated) by every
-        # trace of the flush, and the per-row satellite counts are
-        # converted to a plain list once instead of through a numpy
-        # scalar cast per request.
+        if deadlines.count(None) != batch_size:
+            expired = [
+                index
+                for index, deadline in enumerate(deadlines)
+                if deadline is not None and resolved_at >= deadline
+            ]
+            if expired:
+                block = block.expire(expired, "deadline expired during batch solve")
+        # Per-flush trace constants, shared (never copied, never
+        # mutated) by every trace of the flush: the peer request
+        # *numbers* (their id strings materialize lazily in
+        # RequestTrace.batch_peers), the solve-span annotations and the
+        # per-row satellite counts as one plain list.
         traces = None
         if self._config.trace:
-            # Peer request *numbers*, shared by every trace of the
-            # flush; the id strings materialize lazily in
-            # RequestTrace.batch_peers so the dispatch loop never
-            # formats (or even allocates contexts for) them.
-            peers = tuple(
-                [
-                    request.trace
-                    for request in live
-                    if request.trace is not None
-                ]
-            )
+            peers = tuple([number for number in numbers if number is not None])
             solve_attributes = {
                 "algorithm": self._engine.algorithm,
                 "rung": meta.rung,
                 "batch": batch_size,
                 "reason": flush.reason,
             }
-            if meta.counts is not None:
-                satellites = meta.counts.tolist()
+            counts = meta.counts
+            if counts is not None:
+                satellites = counts.tolist()
                 flush_rows = [
                     row if count >= 0 else -1
                     for row, count in enumerate(satellites)
                 ]
             else:
-                # Pre-built "-1 everywhere" lineage so the per-request
-                # loop indexes unconditionally instead of branching.
                 satellites = flush_rows = (-1,) * batch_size
-            # Constructed directly (not via assemble_request_trace) on
-            # the dispatch path: resolved_at >= submitted_at by
-            # construction, and the helper's validation plus kwargs
-            # forwarding are measurable per request.
+            # Built directly, not through assemble_request_trace, whose
+            # checks and kwargs cost per request: resolved_at >=
+            # enqueued_at holds by construction.
             traces = [
                 RequestTrace(
-                    request.trace,
-                    request.submitted_at,
+                    number,
+                    enqueued[index],
                     resolved_at,
                     solve_started,
                     solve_seconds,
@@ -580,46 +535,37 @@ class PositioningService:
                     peers,
                     satellites[index],
                     flush_rows[index],
-                    request.deadline,
+                    deadlines[index],
                 )
-                if request.trace is not None
+                if number is not None
                 else None
-                for index, request in enumerate(live)
+                for index, number in enumerate(numbers)
             ]
-        slo = self._slo
-        observing = handles is not None or slo is not None
-        statuses: List[str] = []
-        latencies: List[float] = []
         results = block.results(
             self._engine.algorithm,
             batch_size,
             solve_seconds=solve_seconds,
             dispatched_at=solve_started,
             completed_at=resolved_at,
-            enqueued_at=[request.submitted_at for request in live],
+            enqueued_at=enqueued,
             traces=traces,
         )
-        for request, result in zip(live, results):
-            # Resolve the caller's future inline; the metric, SLO, and
-            # flight-recorder accounting for the whole flush is batched
-            # after the loop (one counter increment per status, one
-            # histogram lock, one recorder entry — not one each per
-            # request).
-            future = request.future
+        # Resolve the callers' futures; the metric and SLO accounting
+        # for the whole flush is batched after (one counter increment
+        # per status, one histogram lock — not one each per request).
+        for future, result in zip(futures, results):
             if not future.done():
                 future.set_result(result)
-                effective = result.status
-            elif future.cancelled():
-                effective = "cancelled"
-            else:
-                effective = future.result().status
-            if observing:
-                statuses.append(effective)
-                latencies.append(resolved_at - request.submitted_at)
-        if observing:
+        slo = self._slo
+        if handles is not None or slo is not None:
+            statuses = [
+                "cancelled" if future.cancelled() else future.result().status
+                for future in futures
+            ]
+            latencies = [resolved_at - enqueued_at for enqueued_at in enqueued]
             if handles is not None:
                 for effective, count in Counter(statuses).items():
-                    handles.request_child(effective).inc(count)
+                    handles.requests.labels(status=effective).inc(count)
                 handles.latency.observe_many(latencies)
             if slo is not None:
                 slo.observe_batch(statuses, latencies)
@@ -665,22 +611,23 @@ class PositioningService:
     ) -> ServiceResult:
         """A stamped (and traced, if armed) result for a request that
         was screened out of its dispatch before solving."""
+        _epoch, _bias, _future, enqueued_at, deadline, number = request
         trace = None
-        if request.trace is not None:
+        if number is not None:
             trace = assemble_request_trace(
-                request.trace,
-                submitted_at=request.submitted_at,
+                number,
+                submitted_at=enqueued_at,
                 completed_at=now,
                 batch_sequence=flush.sequence,
-                deadline=request.deadline,
+                deadline=deadline,
             )
         return ServiceResult(
             status=status,
             error=error,
             wait_seconds=(
-                max(0.0, now - request.submitted_at) if status == "timeout" else 0.0
+                max(0.0, now - enqueued_at) if status == "timeout" else 0.0
             ),
-            enqueued_at=request.submitted_at,
+            enqueued_at=enqueued_at,
             completed_at=now,
             trace=trace,
         )

@@ -699,8 +699,14 @@ class ShardedPositioningService:
             if worker.conn is not None:
                 worker.conn.close()
             worker.arrays = {}
-            worker.slab.close()
-            worker.slab.unlink()
+            try:
+                worker.slab.close()
+            except BufferError:
+                # An error in flight holds slab views in its traceback:
+                # the mapping goes with them, the error stays the caller's.
+                pass
+            finally:
+                worker.slab.unlink()
         self._workers = []
         self._executor = None
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -347,6 +348,17 @@ RESULT_LANES: Dict[str, Tuple[str, float, Tuple[int, ...]]] = {
 }
 
 
+@lru_cache(maxsize=512)
+def absent_lane(lane: str, count: int) -> np.ndarray:
+    """A read-only ``count``-row ``lane`` of :data:`RESULT_LANES` holding
+    its absent value: one array shared by every block that leaves the
+    lane unanswered (never to be filled in place)."""
+    dtype, absent, shape = RESULT_LANES[lane]
+    values = np.full((count,) + shape, absent, dtype=dtype)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class ResultBlock:
     """One flush's answers as struct-of-arrays lanes, one row per request.
@@ -521,7 +533,8 @@ class ResultBlock:
             )
         error_texts = self.error_texts
         # What every row of the flush shares, in declaration order: each
-        # row is a copy with only its own fields written over.
+        # row is a bare ServiceResult whose own __dict__ takes this
+        # template, then only its own fields (as _trusted builds it).
         template = {
             "status": None,
             "position": None,
@@ -539,15 +552,18 @@ class ResultBlock:
             "trace": None,
             "monitor": None,
         }
+        new, isfinite = object.__new__, math.isfinite
         results: List[ServiceResult] = []
         for row, (position, code, solver_code, bias, error, verdict_code) in enumerate(
             zip(positions, status, solver, biases, errors, verdict)
         ):
-            fields = template.copy()
+            result = new(ServiceResult)
+            fields = result.__dict__
+            fields.update(template)
             fields["status"] = RESULT_STATUSES[code]
             if code == STATUS_OK:
                 fields["position"] = position
-                if math.isfinite(bias):
+                if isfinite(bias):
                     fields["clock_bias_meters"] = bias
                 fields["solver"] = solvers[solver_code]
             if error >= 0:
@@ -565,12 +581,15 @@ class ResultBlock:
             if enqueued_at is not None:
                 enqueued = fields["enqueued_at"] = enqueued_at[row]
                 if enqueued is not None:
-                    fields["wait_seconds"] = max(0.0, dispatched_at - enqueued)
+                    # max(0.0, wait), a NaN wait included, without the call
+                    wait = dispatched_at - enqueued
+                    if wait > 0.0:
+                        fields["wait_seconds"] = wait
             if traces is not None:
                 fields["trace"] = traces[row]
             if row in monitors:
                 fields["monitor"] = monitors[row]
-            results.append(_trusted(ServiceResult, fields))
+            results.append(result)
         return results
 
 

@@ -275,6 +275,11 @@ def build_multi_difference_systems(
     )
 
 
+#: The segment ids of a single-clock system: every row is one segment.
+_ONE_CLOCK = np.zeros(1, dtype=np.int64)
+_ONE_CLOCK.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class RangeSystem:
     """The undifferenced DLG range equations of a padded batch, centered.
@@ -308,20 +313,21 @@ class RangeSystem:
         ``(N, m)`` weight sum of each slot's segment.
     weights:
         ``(N, m)`` weights, zero on padded slots.
-    columns:
-        ``(N, m)`` segment (constellation column) of every slot, ``-1``
-        on padded slots.
     codes, present:
         ``(K,)`` system ids of the segments and ``(N, K)`` which of
-        them each row observes.
+        them each row observes; on the single-clock path one segment
+        and ``None`` (every row observes it).
+    segments:
+        ``(N, m)`` constellation column of every slot, ``-1`` on padded
+        slots; ``None`` on the single-clock path (see :attr:`columns`).
     """
 
     centered: np.ndarray
     totals: np.ndarray
     weights: np.ndarray
-    columns: np.ndarray
     codes: np.ndarray
-    present: np.ndarray
+    segments: Optional[np.ndarray] = None
+    present: Optional[np.ndarray] = None
 
     def take(self, rows: np.ndarray) -> "RangeSystem":
         """The systems of ``rows`` only (same segments)."""
@@ -329,20 +335,32 @@ class RangeSystem:
             centered=self.centered[rows],
             totals=self.totals[rows],
             weights=self.weights[rows],
-            columns=self.columns[rows],
             codes=self.codes,
-            present=self.present[rows],
+            segments=None if self.segments is None else self.segments[rows],
+            present=None if self.present is None else self.present[rows],
         )
+
+    @property
+    def columns(self) -> np.ndarray:
+        """``(N, m)`` segment of every slot, ``-1`` on padded slots
+        (built on demand on the single-clock path: only the FDE gate
+        reads it)."""
+        if self.segments is not None:
+            return self.segments
+        return np.where(self.weights > 0, 0, -1)
 
     @property
     def decoupled(self) -> Optional[np.ndarray]:
         """``(N, p)`` unknowns a row does not observe, or ``None``."""
-        return _decoupled(self.present)
+        return None if self.present is None else _decoupled(self.present)
 
-    def solve(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(solutions (N, p), whitened norms (N,))`` of every row."""
+    def solve(self, norms: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(solutions (N, p), whitened norms (N,))`` of every row;
+        ``norms=False`` skips the residual pass (norms ``None``)."""
         try:
-            return solve_centered_wls(self.centered, self.weights, self.decoupled)
+            return solve_centered_wls(
+                self.centered, self.weights, self.decoupled, norms
+            )
         except EstimationError as exc:
             raise EstimationError(_DEGENERATE) from exc
 
@@ -365,22 +383,17 @@ def build_range_systems(
     of a padded batch (``None``: all).
     """
     n, m = ranges.shape
-    if systems is None:
-        live = np.ones((n, m), dtype=bool) if occupied is None else occupied
-        columns = np.where(live, 0, -1)
-        codes = np.zeros(1, dtype=np.int64)
-        present = np.ones((n, 1), dtype=bool)
-        p = 3
-        stack = np.empty((n, m, p + 1))
-    else:
-        live = occupied
-        columns, codes, present = _constellation_layout(systems, occupied)
-        p = 3 + codes.shape[0]
-        stack = np.empty((n, m, p + 1))
+    segments = present = None
+    codes = _ONE_CLOCK
+    if systems is not None:
+        segments, codes, present = _constellation_layout(systems, occupied)
+    p = 3 + (0 if systems is None else codes.shape[0])
+    stack = np.empty((n, m, p + 1))
+    if systems is not None:
         # Slot i's bias coefficient -rho_i sits in its constellation's
         # column (one (N, m) pass per column: cheaper than a stacked one).
         for group in range(codes.shape[0]):
-            stack[:, :, 3 + group] = np.where(columns == group, -ranges, 0.0)
+            stack[:, :, 3 + group] = np.where(segments == group, -ranges, 0.0)
     # [design | rhs] written into one buffer, then centered in place.
     stack[:, :, :3] = positions
     squared = ranges**2
@@ -388,17 +401,17 @@ def build_range_systems(
     if occupied is None:
         weights = 1.0 / squared
     else:
-        stack[~live] = 0.0
-        weights = np.where(live, 1.0 / np.where(live, squared, 1.0), 0.0)
+        stack[~occupied] = 0.0
+        weights = np.divide(1.0, squared, out=np.zeros((n, m)), where=occupied)
     centered, totals = center_segments(
-        stack, weights, None if codes.shape[0] == 1 else np.maximum(columns, 0)
+        stack, weights, None if codes.shape[0] == 1 else np.maximum(segments, 0)
     )
     return RangeSystem(
         centered=centered,
         totals=totals,
         weights=weights,
-        columns=columns,
         codes=codes,
+        segments=segments,
         present=present,
     )
 
@@ -486,10 +499,12 @@ def _solve_normal(gram: np.ndarray, moment: np.ndarray, decoupled=None) -> np.nd
         raise EstimationError(_DEGENERATE) from exc
 
 
-class BatchDLOSolver:
-    """Vectorized DLO: one stacked OLS solve for N epochs."""
+class _BatchDirectSolver:
+    """What batched DLO and DLG share: the constellation policy and the
+    epoch-object entry point over their ``solve_block`` (single clock)
+    and ``solve_block_multi`` (per constellation)."""
 
-    name = "BatchDLO"
+    name = "Batch"
 
     def __init__(self, constellations: str = "single") -> None:
         self.constellations = _check_constellations(constellations)
@@ -503,11 +518,10 @@ class BatchDLOSolver:
 
         ``biases`` are the predicted receiver clock biases (meters),
         one per epoch — the batched equivalent of the clock predictor
-        hook on :class:`~repro.solvers.direct_linear.DLOSolver`.
-        Required in ``"single"`` mode; in ``"per_constellation"`` mode
-        the biases are *estimated* (one per constellation, see
-        :meth:`solve_block_multi`), so none may be passed.
-        Accepts an :class:`~repro.blocks.EpochBlock` directly.
+        hook on the scalar solvers.  Required in ``"single"`` mode; in
+        ``"per_constellation"`` mode the biases are *estimated* (one
+        per constellation, see ``solve_block_multi``), so none may be
+        passed.  Accepts an :class:`~repro.blocks.EpochBlock` directly.
         """
         block = as_block(epochs, "direct linearization")
         if self.constellations == "per_constellation":
@@ -519,10 +533,16 @@ class BatchDLOSolver:
             return self.solve_block_multi(block).positions
         if biases is None:
             raise ConfigurationError(
-                "single-constellation batch DLO needs one predicted "
-                "clock bias per epoch"
+                f"single-constellation batch {self.name[len('Batch'):]} needs "
+                "one predicted clock bias per epoch"
             )
         return self.solve_block(block, np.asarray(biases, dtype=float))
+
+
+class BatchDLOSolver(_BatchDirectSolver):
+    """Vectorized DLO: one stacked OLS solve for N epochs."""
+
+    name = "BatchDLO"
 
     def solve_block_multi(self, block: EpochBlock) -> BatchMultiResult:
         """Per-constellation solve of an already-columnar block.
@@ -554,7 +574,7 @@ class BatchDLOSolver:
         return _solve_normal(*_normal_equations(design, rhs))
 
 
-class BatchDLGSolver:
+class BatchDLGSolver(_BatchDirectSolver):
     """Vectorized DLG: the eq. 4-26 GLS of N epochs in one stacked solve.
 
     GLS on base-differenced rows does not depend on the base, so the
@@ -571,38 +591,6 @@ class BatchDLGSolver:
 
     name = "BatchDLG"
 
-    def __init__(self, constellations: str = "single") -> None:
-        self.constellations = _check_constellations(constellations)
-
-    def solve_batch(
-        self,
-        epochs: Batchable,
-        biases: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
-        """Positions for N epochs of any satellite counts, ``(N, 3)``.
-
-        ``biases`` are required in ``"single"`` mode and must be absent
-        in ``"per_constellation"`` mode, where the clock biases are
-        solved for (see :meth:`solve_block_multi`).
-        Accepts an :class:`~repro.blocks.EpochBlock` directly.
-        """
-        block = as_block(epochs, "direct linearization")
-        if self.constellations == "per_constellation":
-            if biases is not None:
-                raise ConfigurationError(
-                    "per-constellation mode estimates the clock biases; "
-                    "predicted biases cannot be passed"
-                )
-            return self.solve_block_multi(block).positions
-        if biases is None:
-            raise ConfigurationError(
-                "single-constellation batch DLG needs one predicted "
-                "clock bias per epoch"
-            )
-        return self.solve_block_full(
-            block, np.asarray(biases, dtype=float)
-        )[0]
-
     def solve_block_multi(self, block: EpochBlock) -> BatchMultiResult:
         """Per-constellation solve of an already-columnar block.
 
@@ -617,8 +605,13 @@ class BatchDLGSolver:
         return _finish_multi_batch(solutions, system, norms)
 
     def solve_block(self, block: EpochBlock, biases: np.ndarray) -> np.ndarray:
-        """Positions for an already-columnar block; zero repacking."""
-        return self.solve_block_full(block, biases)[0]
+        """Positions for an already-columnar block; zero repacking (and
+        no residual norms: nothing without an integrity gate reads
+        them)."""
+        system = build_range_systems(
+            block.positions, _corrected_pseudoranges(block, biases), _occupancy(block)
+        )
+        return system.solve(norms=False)[0]
 
     def solve_block_full(
         self, block: EpochBlock, biases: np.ndarray

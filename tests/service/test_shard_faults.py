@@ -377,6 +377,26 @@ class TestSlabLifecycle:
                 assert set(list_slabs()) - before == during
         assert set(list_slabs()) == before
 
+    def test_failed_slab_write_unlinks_and_keeps_its_error(self, monkeypatch):
+        """A write that fails after filling the slot leaves the error's
+        traceback holding views of the slab.  Leaving the ``with``
+        block still unlinks every slab, and the caller sees the
+        write's own error, not a close-time ``BufferError``."""
+        written = []
+        write = shard_module.write_request
+
+        def fail_second(arrays, slot, sequence, packed, biases):
+            write(arrays, slot, sequence, packed, biases)
+            written.append(len(packed))
+            if len(written) == 2:
+                raise ServiceError("slab write failed")
+
+        monkeypatch.setattr(shard_module, "write_request", fail_second)
+        config = shard_config(workers=2, batch_size=4)
+        with pytest.raises(ServiceError, match="slab write failed"):
+            with ShardedPositioningService(config) as shard:
+                shard.solve_many(make_epochs(12))
+
     def test_start_failure_tears_down_cleanly(self, monkeypatch):
         """If the Nth worker fails to spawn, slabs 0..N-1 are freed."""
         config = shard_config(workers=3)
