@@ -336,6 +336,14 @@ def _trace_plane(
 
     traced_off = _overhead("telemetry") if rounds else float("nan")
     traced_on = _overhead("full") if rounds else float("nan")
+    # Each arm's absolute cost per request (its fastest pass): a ratio
+    # drifts whenever the plain path it divides by gets faster, these
+    # do not.
+    requests = len(epochs) * loops
+    us_per_request = {
+        name: min(values) / requests / 1e3 if values else float("nan")
+        for name, values in samples.items()
+    }
 
     # One kept full-stack run (pump driver, production batching knobs)
     # for the breakdown record.
@@ -357,9 +365,10 @@ def _trace_plane(
         # plain (no-registry) service.
         "traced_off_overhead_fraction": traced_off,
         "traced_on_overhead_fraction": traced_on,
+        "us_per_request": us_per_request,
         "rounds": rounds,
         "phases": phases,
-        "requests": len(epochs) * loops,
+        "requests": requests,
         # Raw per-pass CPU times (ns), in measurement order per arm:
         # the evidence behind the ratios, kept so a flaky CI gate can
         # be diagnosed from the artifact instead of re-run blind.
@@ -367,6 +376,22 @@ def _trace_plane(
         "stage_latency_seconds": stage_latency,
         "slo": kept["slo"],
     }
+
+
+def _print_trace_plane(trace: Dict) -> None:
+    """The trace-plane gate's ratios, then each arm's absolute cost."""
+    print(
+        f"trace plane  off {trace['traced_off_overhead_fraction'] * 100.0:+.2f}%  "
+        f"full {trace['traced_on_overhead_fraction'] * 100.0:+.2f}% "
+        f"(min-of-rounds cpu-time ratio, {trace['rounds']} rounds x "
+        f"{trace['phases']} phase(s))"
+    )
+    print(
+        "trace plane  cpu us/request (min over rounds)  "
+        + "  ".join(
+            f"{name} {value:.2f}" for name, value in trace["us_per_request"].items()
+        )
+    )
 
 
 def run(
@@ -404,13 +429,7 @@ def run(
         results["trace_plane"] = _trace_plane(
             trace_epochs, concurrency, trace_rounds, trace_budgets
         )
-        trace = results["trace_plane"]
-        print(
-            f"trace plane  off {trace['traced_off_overhead_fraction'] * 100.0:+.2f}%  "
-            f"full {trace['traced_on_overhead_fraction'] * 100.0:+.2f}% "
-            f"(min-of-rounds cpu-time ratio, {trace_rounds} rounds x "
-            f"{trace['phases']} phase(s))"
-        )
+        _print_trace_plane(results["trace_plane"])
         with open(output, "w") as handle:
             json.dump(results, handle, indent=2)
         print(f"wrote {output}")
@@ -497,13 +516,7 @@ def run(
     results["trace_plane"] = _trace_plane(
         trace_epochs, concurrency, trace_rounds, trace_budgets
     )
-    trace = results["trace_plane"]
-    print(
-        f"trace plane  off {trace['traced_off_overhead_fraction'] * 100.0:+.2f}%  "
-        f"full {trace['traced_on_overhead_fraction'] * 100.0:+.2f}% "
-        f"(min-of-rounds cpu-time ratio, {trace_rounds} rounds x "
-        f"{trace['phases']} phase(s))"
-    )
+    _print_trace_plane(results["trace_plane"])
 
     with open(output, "w") as handle:
         json.dump(results, handle, indent=2)

@@ -956,8 +956,10 @@ def _serve_sharded(args, station, service_config, serve_epochs) -> int:
     """The ``serve --workers N`` path: the multi-process shard tier.
 
     Synchronous by design — the shard router owns its own dispatch
-    loop — so the asyncio-tier-only flags (traces, flight recorder,
-    status port) are rejected rather than silently ignored.
+    loop — so the asyncio-tier-only flags are rejected rather than
+    silently ignored: ``ShardConfig`` refuses the service fields
+    ``--trace`` and ``--record-dir`` set, and ``--status-port`` is
+    refused here.
     """
     import time as _time
 
@@ -970,17 +972,12 @@ def _serve_sharded(args, station, service_config, serve_epochs) -> int:
         to_prometheus_fleet_text,
     )
 
-    for flag, name in (
-        (args.trace, "--trace"),
-        (args.record_dir, "--record-dir"),
-        (args.status_port, "--status-port"),
-    ):
-        if flag:
-            raise ConfigurationError(
-                f"{name} rides the asyncio tier; it is not available "
-                "with --workers (the shard's telemetry is the fleet "
-                "scrape, --metrics-out)"
-            )
+    if args.status_port:
+        raise ConfigurationError(
+            "--status-port rides the asyncio tier; it is not available "
+            "with --workers (the shard's telemetry is the fleet "
+            "scrape, --metrics-out)"
+        )
     shard_config = ShardConfig(
         service=service_config,
         workers=args.workers,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.blocks import pack_stream
 from repro.engine import PositioningEngine
@@ -55,7 +55,12 @@ from repro.integrity.health import SatelliteHealthTracker
 from repro.observations import ObservationEpoch
 from repro.service.batcher import Flush, MicroBatcher
 from repro.service.executor import BatchExecutor, BatchMeta
-from repro.service.types import ResultBlock, ServiceConfig, ServiceResult
+from repro.service.types import (
+    RESULT_STATUSES,
+    ResultBlock,
+    ServiceConfig,
+    ServiceResult,
+)
 from repro.telemetry import get_registry, get_tracer
 from repro.telemetry.recorder import (
     FlightRecorder,
@@ -65,9 +70,9 @@ from repro.telemetry.recorder import (
 )
 from repro.telemetry.slo import SloTracker
 from repro.telemetry.trace import (
+    FlushTrace,
     RequestTrace,
-    assemble_request_trace,
-    mint_request_number,
+    reserve_request_numbers,
 )
 
 #: Distinguishes "no timeout argument" from an explicit ``None``
@@ -96,12 +101,6 @@ _LATENCY_BUCKETS = (
 
 #: The error of a request whose deadline expired before its dispatch.
 _QUEUED_TIMEOUT = "deadline expired while queued"
-
-
-#: A queued request: ``(epoch, bias_meters, future, enqueued_at,
-#: deadline, trace)``, ``trace`` a mint_request_number number or None.
-#: A plain tuple, built once per request on the hot path.
-_PendingRequest = Tuple
 
 
 class _MetricHandles:
@@ -350,8 +349,9 @@ class PositioningService:
                 raise ServiceError("timeout must be positive (or None)")
             deadline = now + timeout
         future = loop.create_future()
-        trace = mint_request_number() if config.trace else None
-        batcher.put((epoch, bias_meters, future, now, deadline, trace), now)
+        # A queued request: one plain tuple (epoch, bias_meters, future,
+        # enqueued_at, deadline).
+        batcher.put((epoch, bias_meters, future, now, deadline), now)
         # No wait_for here: the worker always resolves the future — on
         # solve, on deadline expiry at dispatch, or on drain at stop().
         return await future
@@ -369,46 +369,38 @@ class PositioningService:
             except Exception as exc:  # never strand a caller's future
                 # Only the futures the dispatch left open: the ones it
                 # resolved (or screened) were counted there.
-                handles = self._telemetry_handles()
-                for request in flush.items:
-                    if request[2].done():
-                        continue
-                    self._finish(
-                        request,
+                stranded = [item for item in flush.items if not item[2].done()]
+                now = asyncio.get_running_loop().time()
+                for item in stranded:
+                    item[2].set_result(
                         ServiceResult(
                             status="failed",
                             error=f"internal dispatch error: {exc}",
                             batch_size=len(flush),
-                        ),
-                        handles,
-                        None,
+                        )
                     )
+                self._account(
+                    self._telemetry_handles(),
+                    ["failed"] * len(stranded),
+                    [max(0.0, now - item[3]) for item in stranded],
+                )
 
-    def _finish(
+    def _account(
         self,
-        request: _PendingRequest,
-        result: ServiceResult,
         handles: Optional[_MetricHandles],
-        now: Optional[float],
+        statuses: List[str],
+        latencies: List[float],
     ) -> None:
-        """Hand a result to the submitter, if it is still listening."""
-        _epoch, _bias, future, enqueued_at, _deadline, _trace = request
-        if not future.done():
-            future.set_result(result)
-            status = result.status
-        elif future.cancelled():
-            status = "cancelled"
-        else:
-            status = future.result().status
-        if handles is not None or self._slo is not None:
-            if now is None:
-                now = asyncio.get_running_loop().time()
-            latency = max(0.0, now - enqueued_at)
-            if handles is not None:
-                handles.requests.labels(status=status).inc()
-                handles.latency.observe(latency)
-            if self._slo is not None:
-                self._slo.observe(status, latency)
+        """Count one lane of finished requests (their statuses and
+        submit-to-resolve latencies) in the registry and the SLO engine:
+        one counter increment per status, one histogram and one SLO
+        call per lane."""
+        if handles is not None:
+            for status, count in Counter(statuses).items():
+                handles.requests.labels(status=status).inc(count)
+            handles.latency.observe_many(latencies)
+        if self._slo is not None:
+            self._slo.observe_batch(statuses, latencies)
 
     def _dispatch(self, flush: Flush) -> None:
         """Solve one formed batch and resolve every request in it."""
@@ -416,67 +408,46 @@ class PositioningService:
         tracer = get_tracer()
         loop = asyncio.get_running_loop()
         now = loop.time()
+        config = self._config
 
         if handles is not None:
             handles.batches.labels(reason=flush.reason).inc()
             handles.batch_size.observe(len(flush))
             handles.queue_depth.set(self.queue_depth)
 
+        # Request ids are reserved per flush, one per request in flush
+        # order (screened requests included), so they run in
+        # submission order.
+        items = flush.items
+        first_number = reserve_request_numbers(len(items)) if config.trace else None
         # One pass over the flush screens out the requests nobody is
         # waiting for anymore and those whose deadline passed in queue.
-        items = flush.items
         rows: List[int] = []
         stale: List[int] = []
-        stale_traces = []
-        for row, request in enumerate(items):
-            _epoch, _bias, future, _enqueued_at, deadline, _trace = request
+        cancelled: List[int] = []
+        for row, (_epoch, _bias, future, _enqueued_at, deadline) in enumerate(items):
             if future.cancelled():
-                self._finish(
-                    request,
-                    self._screened_result("cancelled", None, request, now, flush),
-                    handles,
-                    now,
-                )
+                cancelled.append(row)
             elif deadline is not None and now >= deadline:
-                result = self._screened_result(
-                    "timeout", _QUEUED_TIMEOUT, request, now, flush
-                )
-                self._finish(request, result, handles, now)
                 stale.append(row)
-                stale_traces.append(result.trace)
             else:
                 rows.append(row)
-        if stale and self._recorder is not None:
-            # Their own entry, retained before the solve: these rows
-            # have no part in the flush's result block.
-            requests = [items[row] for row in stale]
-            self._record(
-                ResultBlock.empty(len(stale)).expire(
-                    range(len(stale)), _QUEUED_TIMEOUT
-                ),
-                BatchMeta(
-                    rung="screened",
-                    block=pack_stream([request[0] for request in requests]).block,
-                ),
-                flush,
-                stale,
-                stale_traces if self._config.trace else None,
-                [request[1] for request in requests],
-                0,
-            )
+        if stale or cancelled:
+            self._screen(flush, first_number, stale, cancelled, now, handles)
         if not rows:
             return
 
         # The live requests' lanes, one tuple each.
         live = items if len(rows) == len(items) else [items[row] for row in rows]
-        epochs, biases, futures, enqueued, deadlines, numbers = zip(*live)
+        epochs, biases, futures, enqueued, deadlines = zip(*live)
         batch_size = len(rows)
+        algorithm = self._engine.algorithm
         solve_started = loop.time()
         with tracer.span(
             "service.dispatch",
             batch=batch_size,
             reason=flush.reason,
-            algorithm=self._engine.algorithm,
+            algorithm=algorithm,
         ):
             # The process-agnostic core shard workers run too; no bias
             # lane when no request overrides its bias.
@@ -496,138 +467,113 @@ class PositioningService:
             ]
             if expired:
                 block = block.expire(expired, "deadline expired during batch solve")
-        # Per-flush trace constants, shared (never copied, never
-        # mutated) by every trace of the flush: the peer request
-        # *numbers* (their id strings materialize lazily in
-        # RequestTrace.batch_peers), the solve-span annotations and the
-        # per-row satellite counts as one plain list.
-        traces = None
-        if self._config.trace:
-            peers = tuple([number for number in numbers if number is not None])
-            solve_attributes = {
-                "algorithm": self._engine.algorithm,
-                "rung": meta.rung,
-                "batch": batch_size,
-                "reason": flush.reason,
-            }
-            counts = meta.counts
-            if counts is not None:
-                satellites = counts.tolist()
-                flush_rows = [
-                    row if count >= 0 else -1
-                    for row, count in enumerate(satellites)
-                ]
-            else:
-                satellites = flush_rows = (-1,) * batch_size
-            # Built directly, not through assemble_request_trace, whose
-            # checks and kwargs cost per request: resolved_at >=
-            # enqueued_at holds by construction.
-            traces = [
-                RequestTrace(
-                    number,
-                    enqueued[index],
-                    resolved_at,
-                    solve_started,
-                    solve_seconds,
-                    meta.stage_seconds,
-                    solve_attributes,
-                    flush.sequence,
-                    peers,
-                    satellites[index],
-                    flush_rows[index],
-                    deadlines[index],
-                )
-                if number is not None
-                else None
-                for index, number in enumerate(numbers)
-            ]
+        # The flush's one trace record, shared by every row's trace
+        # view and the recorder's entry.
+        trace = None
+        if config.trace or self._recorder is not None:
+            trace = FlushTrace(
+                first_number,
+                rows,
+                enqueued,
+                deadlines,
+                solve_started,
+                resolved_at,
+                meta.stage_seconds,
+                flush.sequence,
+                flush.reason,
+                meta.rung,
+                algorithm,
+                meta.counts,
+            )
         results = block.results(
-            self._engine.algorithm,
+            algorithm,
             batch_size,
             solve_seconds=solve_seconds,
             dispatched_at=solve_started,
             completed_at=resolved_at,
             enqueued_at=enqueued,
-            traces=traces,
+            trace=trace if config.trace else None,
         )
-        # Resolve the callers' futures; the metric and SLO accounting
-        # for the whole flush is batched after (one counter increment
-        # per status, one histogram lock — not one each per request).
-        for future, result in zip(futures, results):
-            if not future.done():
+        # Resolve the callers' futures; a future already done was
+        # cancelled, which its status lane entry reports.
+        done: List[int] = []
+        for row, (future, result) in enumerate(zip(futures, results)):
+            if future.done():
+                done.append(row)
+            else:
                 future.set_result(result)
-        slo = self._slo
-        if handles is not None or slo is not None:
-            statuses = [
-                "cancelled" if future.cancelled() else future.result().status
-                for future in futures
-            ]
+        if handles is not None or self._slo is not None:
+            statuses = [RESULT_STATUSES[code] for code in block.status.tolist()]
+            for row in done:
+                statuses[row] = "cancelled"
             latencies = [resolved_at - enqueued_at for enqueued_at in enqueued]
-            if handles is not None:
-                for effective, count in Counter(statuses).items():
-                    handles.requests.labels(status=effective).inc(count)
-                handles.latency.observe_many(latencies)
-            if slo is not None:
-                slo.observe_batch(statuses, latencies)
+            self._account(handles, statuses, latencies)
         if self._recorder is not None:
-            self._record(block, meta, flush, rows, traces, biases, batch_size)
-
-    def _record(
-        self,
-        block: ResultBlock,
-        meta: BatchMeta,
-        flush: Flush,
-        rows: List[int],
-        traces: Optional[List[Optional[RequestTrace]]],
-        biases: Sequence[Optional[float]],
-        batch_size: int,
-    ) -> None:
-        """Retain ``block``'s rows (``rows`` of ``flush``) in the
-        flight recorder as one entry."""
-        self._recorder.record_flush(
-            FlushEntry(
-                block,
-                meta,
-                rows,
-                traces,
-                biases,
-                {
-                    "batch_sequence": flush.sequence,
-                    "batch_size": batch_size,
-                    "flush_reason": flush.reason,
-                    "rung": meta.rung,
-                },
-                self._record_spec,
+            self._recorder.record_flush(
+                FlushEntry(block, meta, trace, biases, self._record_spec)
             )
-        )
 
-    def _screened_result(
+    def _screen(
         self,
-        status: str,
-        error: Optional[str],
-        request: _PendingRequest,
+        flush: Flush,
+        first_number: Optional[int],
+        stale: List[int],
+        cancelled: List[int],
         now: float,
-        flush: Flush,
-    ) -> ServiceResult:
-        """A stamped (and traced, if armed) result for a request that
-        was screened out of its dispatch before solving."""
-        _epoch, _bias, _future, enqueued_at, deadline, number = request
+        handles: Optional[_MetricHandles],
+    ) -> None:
+        """Answer the requests screened out of ``flush`` before its
+        solve: rows ``stale`` timed out while queued (one trace record
+        and one recorder entry for them), rows ``cancelled`` have no
+        listener left."""
+        items = flush.items
+        expired = [items[row] for row in stale]
         trace = None
-        if number is not None:
-            trace = assemble_request_trace(
-                number,
-                submitted_at=enqueued_at,
-                completed_at=now,
-                batch_sequence=flush.sequence,
-                deadline=deadline,
+        if expired and (self._config.trace or self._recorder is not None):
+            _epochs, biases, _futures, enqueued, deadlines = zip(*expired)
+            trace = FlushTrace(
+                first_number,
+                stale,
+                enqueued,
+                deadlines,
+                None,
+                now,
+                None,
+                flush.sequence,
+                flush.reason,
+                "screened",
+                self._engine.algorithm,
             )
-        return ServiceResult(
-            status=status,
-            error=error,
-            wait_seconds=(
-                max(0.0, now - enqueued_at) if status == "timeout" else 0.0
-            ),
-            enqueued_at=enqueued_at,
-            completed_at=now,
-            trace=trace,
+        for index, (_epoch, _bias, future, enqueued_at, _dl) in enumerate(expired):
+            future.set_result(
+                ServiceResult(
+                    status="timeout",
+                    error=_QUEUED_TIMEOUT,
+                    wait_seconds=max(0.0, now - enqueued_at),
+                    enqueued_at=enqueued_at,
+                    completed_at=now,
+                    trace=RequestTrace(trace, index) if self._config.trace else None,
+                )
+            )
+        self._account(
+            handles,
+            ["cancelled"] * len(cancelled) + ["timeout"] * len(stale),
+            [max(0.0, now - items[row][3]) for row in cancelled + stale],
         )
+        if expired and self._recorder is not None:
+            # Their own entry, retained before the solve: these rows
+            # have no part in the flush's result block.
+            self._recorder.record_flush(
+                FlushEntry(
+                    ResultBlock.empty(len(stale)).expire(
+                        range(len(stale)), _QUEUED_TIMEOUT
+                    ),
+                    BatchMeta(
+                        rung="screened",
+                        block=pack_stream([request[0] for request in expired]).block,
+                    ),
+                    trace,
+                    biases,
+                    self._record_spec,
+                )
+            )

@@ -115,7 +115,8 @@ class ShardConfig:
         The :class:`~repro.service.types.ServiceConfig` (solver,
         integrity, batching bounds) every
         :class:`~repro.service.executor.BatchExecutor` of the shard is
-        built from.
+        built from.  Its ``trace``, ``recorder`` and ``slo`` must be
+        unset: they ride the asyncio service only.
     workers:
         Worker process count for a stateless ``service`` config
         (:func:`stateless`).  ``0`` runs the executor **inline** in
@@ -156,6 +157,15 @@ class ShardConfig:
     drain_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
+        # The shard answers through the router's own dispatch loop,
+        # which serves no traces, keeps no flight recorder and grades
+        # no SLO: refuse them rather than drop them silently.
+        for name in ("trace", "recorder", "slo"):
+            if getattr(self.service, name):
+                raise ConfigurationError(
+                    f"service.{name} rides the asyncio service; the shard "
+                    "does not serve it (its telemetry is the fleet scrape)"
+                )
         if self.workers < 0:
             raise ConfigurationError("workers must be >= 0")
         if self.batch_size <= 0:

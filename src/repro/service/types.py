@@ -45,7 +45,7 @@ from repro.telemetry.recorder import (
     RecorderConfig,
 )
 from repro.telemetry.slo import SloConfig
-from repro.telemetry.trace import RequestTrace
+from repro.telemetry.trace import FlushTrace, RequestTrace
 
 #: Every status a :class:`ServiceResult` can carry.
 RESULT_STATUSES: Tuple[str, ...] = (
@@ -112,11 +112,12 @@ class ServiceConfig:
         meaningful with ``integrity`` set; ``None`` uses the tracker's
         defaults.
     trace:
-        Arm the per-request trace plane: every submission mints a
-        :class:`~repro.telemetry.trace.TraceContext` and its result
-        carries a :class:`~repro.telemetry.trace.RequestTrace` span
-        tree with per-stage timings and batch lineage.  **Off by
-        default** and zero-cost when off (no contexts, no trees —
+        Arm the per-request trace plane: every flush reserves one
+        request id per request and writes one
+        :class:`~repro.telemetry.trace.FlushTrace`, and each result
+        carries a :class:`~repro.telemetry.trace.RequestTrace` view of
+        it (span tree with per-stage timings, batch lineage).  **Off by
+        default** and zero-cost when off (no ids, no records —
         the traced-off overhead gate in ``bench_service.py`` holds
         the service to the same ≤5% budget as plain telemetry).
     recorder:
@@ -475,18 +476,19 @@ class ResultBlock:
         dispatched_at: Optional[float] = None,
         completed_at: Optional[float] = None,
         enqueued_at: Optional[Sequence[float]] = None,
-        traces: Optional[Sequence[Optional[RequestTrace]]] = None,
+        trace: Optional[FlushTrace] = None,
     ) -> List[ServiceResult]:
         """One :class:`ServiceResult` per row, in row order.
 
         ``algorithm`` names the solver lineage (``"dlg"`` →
         ``"dlg/scalar"``...); only ``ok`` rows carry a fix, bias and
-        solver.  ``enqueued_at`` and ``traces`` are per-row; a row's
-        ``wait_seconds`` runs from its ``enqueued_at`` to
-        ``dispatched_at``.  Each lane is converted to Python values
-        once per call, never per row (the verdict's statistic,
-        threshold and excluded-PRN lanes only when a row has a
-        verdict).
+        solver.  ``enqueued_at`` is per-row; a row's ``wait_seconds``
+        runs from its ``enqueued_at`` to ``dispatched_at``.  Given the
+        flush's ``trace`` record, each row carries its
+        :class:`~repro.telemetry.trace.RequestTrace` view of it.  Each
+        lane is converted to Python values once per call, never per
+        row (the verdict's statistic, threshold and excluded-PRN lanes
+        only when a row has a verdict).
 
         The block is validated once, as a whole, with the checks
         :class:`ServiceResult`'s constructor makes per row: the
@@ -585,8 +587,8 @@ class ResultBlock:
                     wait = dispatched_at - enqueued
                     if wait > 0.0:
                         fields["wait_seconds"] = wait
-            if traces is not None:
-                fields["trace"] = traces[row]
+            if trace is not None:
+                fields["trace"] = RequestTrace(trace, row)
             if row in monitors:
                 fields["monitor"] = monitors[row]
             results.append(result)

@@ -66,13 +66,12 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.trace import (
     ENGINE_STAGES,
+    FlushTrace,
     RequestTrace,
     TraceContext,
     TraceSpan,
-    assemble_request_trace,
-    build_stage_spans,
     format_request_id,
-    mint_request_number,
+    reserve_request_numbers,
     reset_trace_identity,
 )
 from repro.telemetry.recorder import (
@@ -212,10 +211,9 @@ __all__ = [
     "ENGINE_STAGES",
     "TraceContext",
     "TraceSpan",
+    "FlushTrace",
     "RequestTrace",
-    "build_stage_spans",
-    "assemble_request_trace",
-    "mint_request_number",
+    "reserve_request_numbers",
     "reset_trace_identity",
     "format_request_id",
     # anomaly flight recorder

@@ -7,8 +7,8 @@ alert — dumps a self-contained JSON **incident artifact** to disk.
 
 The ring holds one :class:`FlushEntry` per flush: the flush's answers
 as the service already has them (its result block, batch metadata and
-request traces), with each row's trigger read off the block's lanes in
-one pass.  A compact :class:`FixRecord` (inputs digest, config hash,
+per-flush trace record), with each row's trigger read off the block's
+lanes in one pass.  A compact :class:`FixRecord` (inputs digest, config hash,
 stage timings, verdicts) is built from an entry's row only when
 something reads the ring or a triggered row is dumped.
 
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.constellation.systems import SYSTEM_CODES
 from repro.errors import ConfigurationError
+from repro.telemetry.trace import FlushTrace
 
 #: The incident artifact format marker dispatched on by
 #: :func:`repro.validation.fuzzer.replay_artifact`.
@@ -337,49 +338,35 @@ class FlushEntry:
     Everything here exists once the flush is answered: its
     :class:`~repro.service.types.ResultBlock` and
     :class:`~repro.service.executor.BatchMeta` (neither changes after
-    the flush), each row's request trace (``traces`` is ``None`` when
-    tracing is off), clock-bias override and position in the flush
-    (``rows``, which names untraced records ``fix-<sequence>-<row>``),
-    and the ``attributes`` every record of the flush shares.  Serving
-    builds nothing per row: :meth:`records` is the one place a
+    the flush), its :class:`~repro.telemetry.trace.FlushTrace` (the
+    rows' place in the flush, which names untraced records
+    ``fix-<sequence>-<row>``, their lineage and, when the trace plane
+    is on, their request ids) and each row's clock-bias override.
+    Serving builds nothing per row: :meth:`records` is the one place a
     :class:`FixRecord` is built, when the ring is read or a triggered
     row is dumped.
     """
 
-    __slots__ = (
-        "block",
-        "meta",
-        "rows",
-        "traces",
-        "biases",
-        "attributes",
-        "spec",
-        "recorded_at",
-        "_triggers",
-    )
+    __slots__ = ("block", "meta", "trace", "biases", "spec", "recorded_at", "_triggers")
 
     def __init__(
         self,
         block,
         meta,
-        rows: Sequence[int],
-        traces: Optional[Sequence],
+        trace: FlushTrace,
         biases: Sequence[Optional[float]],
-        attributes: Dict,
         spec: RecordSpec,
     ) -> None:
         self.block = block
         self.meta = meta
-        self.rows = rows
-        self.traces = traces
+        self.trace = trace
         self.biases = biases
-        self.attributes = attributes
         self.spec = spec
         self.recorded_at = now_seconds()
         self._triggers: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.trace)
 
     @property
     def triggers(self) -> np.ndarray:
@@ -391,9 +378,10 @@ class FlushEntry:
 
     def request_id(self, row: int) -> str:
         """Row ``row``'s record id, without building the record."""
-        if self.traces is not None:
-            return self.traces[row].request_id
-        return f"fix-{self.attributes['batch_sequence']}-{self.rows[row]}"
+        trace = self.trace
+        if trace.first_number is not None:
+            return trace.request_id(row)
+        return f"fix-{trace.sequence}-{trace.rows[row]}"
 
     def records(self, start: int = 0) -> List[FixRecord]:
         """The records of rows ``start`` onward, in row order.
@@ -403,10 +391,20 @@ class FlushEntry:
         consumed — the one the batched solve resolved, else the fix's
         own, else the request's override.
         """
-        meta, spec = self.meta, self.spec
-        results = self.block.results(spec.algorithm, len(self), traces=self.traces)
+        meta, spec, trace = self.meta, self.spec, self.trace
+        results = self.block.results(
+            spec.algorithm,
+            len(self),
+            trace=trace if trace.first_number is not None else None,
+        )
         triggers = self.triggers.tolist()
-        stages = meta.stage_seconds or {}
+        stages = trace.stage_seconds or {}
+        attributes = {
+            "batch_sequence": trace.sequence,
+            "batch_size": trace.batch_size,
+            "flush_reason": trace.reason,
+            "rung": trace.rung,
+        }
         records = []
         for row in range(start, len(self)):
             result = results[row]
@@ -443,7 +441,7 @@ class FlushEntry:
                     solver_spec=solver_spec,
                     fde_spec=spec.fde_spec,
                     trace=result.trace,
-                    attributes=self.attributes,
+                    attributes=attributes,
                     monitor=None if result.monitor is None else result.monitor.to_dict(),
                 )
             )

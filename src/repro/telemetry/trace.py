@@ -1,23 +1,29 @@
-"""Per-request trace contexts and span trees.
+"""Per-request trace contexts and span trees, read off one record per flush.
 
 Where :mod:`repro.telemetry.tracer` records *process-wide* flat spans
 (a flame graph of whatever ran), this module gives each **request** its
-own identity and its own tree: a :class:`TraceContext` minted at
-service ingress rides the request through micro-batching, the engine,
-the batch solvers, and FDE, and comes back on the
-:class:`~repro.service.types.ServiceResult` as a :class:`RequestTrace`
-— a span tree whose leaves are the engine's per-stage timings
-(``queue``/``pack``/``validate``/``solve``/``fde``/``scatter``) plus
-the **batch lineage** of the request: which dispatch it shared, which
-peers rode along, which row of the flush's padded block it landed on
-and how many satellites it carried there.
+own identity and its own tree.  A served request's
+:class:`~repro.service.types.ServiceResult` carries a
+:class:`RequestTrace`: a span tree whose leaves are the engine's
+per-stage timings (``queue``/``pack``/``validate``/``solve``/``fde``/
+``scatter``) plus the **batch lineage** of the request: which dispatch
+it shared, which peers rode along, which row of the flush's padded
+block it landed on and how many satellites it carried there.
+
+A flush's trace facts live in one place, a :class:`FlushTrace` the
+service writes once per solved flush (and once per batch of requests
+screened out before the solve): the flush's request numbers, its
+enqueue and deadline lanes, the dispatch and resolve stamps, a
+reference to the engine's stage split, its lineage and the satellite
+counts lane.  A :class:`RequestTrace` is a ``(record, row)`` view; its
+context, peers and span tree are built from the record when something
+reads them (an exporter, the flight recorder, a test).
 
 The trace plane is **off by default** and costs nothing when off: the
-service only mints request identities and assembles trees when
+service reserves request numbers and writes trace records only when
 ``ServiceConfig(trace=True)``, and nothing here is imported on the
-solver hot path.  Even traced-on, ingress stores one counter *number*
-per request (:func:`mint_request_number`); the :class:`TraceContext`
-object materializes from it lazily the first time anything reads it.
+solver hot path.  Traced-on, each flush reserves one request number
+per request, in flush order (:func:`reserve_request_numbers`).
 
 Timing semantics: all span times are *loop/monotonic clock* seconds
 (the asyncio loop clock at the service tier), comparable only within
@@ -28,12 +34,10 @@ durations are exact, the sub-stage ordering is by construction.
 
 from __future__ import annotations
 
-import itertools
 import os
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
-
-from repro.errors import ConfigurationError
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 #: Engine stage names in execution order (mirrors
 #: ``EngineResult.stage_seconds``); the service prefixes a ``queue``
@@ -43,56 +47,61 @@ ENGINE_STAGES: Tuple[str, ...] = ("pack", "validate", "solve", "fde", "scatter")
 #: Per-process id prefix: distinguishes ids minted by different worker
 #: processes once the sharded tier aggregates their traces.
 _ID_PREFIX = os.urandom(3).hex()
-_REQUEST_COUNTER = itertools.count(1)
-# Pre-joined tag prefixes: ids are minted per request on the serving
-# path, so ``new`` concatenates instead of re-formatting the prefix.
 _TRACE_TAG = "t-" + _ID_PREFIX + "-"
 _REQUEST_TAG = "r-" + _ID_PREFIX + "-"
+# The next unreserved request number; services on several threads
+# reserve from it under the lock.
+_NEXT_NUMBER = 1
+_NUMBER_LOCK = threading.Lock()
 
 
-def mint_request_number() -> int:
-    """Mint the integer identity for one request — the cheapest
-    possible trace-armed ingress: one counter bump, no object
-    allocation.  The service stores this number on the pending request;
-    a :class:`RequestTrace` built over it materializes the full
-    :class:`TraceContext` lazily on first read.
+def reserve_request_numbers(count: int) -> int:
+    """Reserve ``count`` consecutive request numbers; the first of them.
 
-    A real ``def`` (not a bound ``count.__next__``) on purpose: callers
-    import it by name, and :func:`reset_trace_identity` must be able to
-    swap the underlying counter after a fork without stale references
-    in importing modules.
+    The service reserves one block per flush, one number per request
+    in flush order, so one service's ids run in submission order and
+    no two services of the process (on any threads) share one.
     """
-    return next(_REQUEST_COUNTER)
+    global _NEXT_NUMBER
+    with _NUMBER_LOCK:
+        first = _NEXT_NUMBER
+        _NEXT_NUMBER = first + count
+    return first
 
 
 def reset_trace_identity() -> None:
-    """Re-seed the per-process id prefix and restart the counter.
+    """Re-seed the per-process id prefix and restart the numbering.
 
-    A forked child inherits the parent's prefix and counter position,
-    so without a reset two processes mint *colliding* request ids.
-    Called automatically in fork children (see
-    :mod:`repro.telemetry`'s ``os.register_at_fork`` hook); spawn
-    starts from a fresh import and needs nothing.
+    A forked child inherits the parent's prefix and next number, so
+    without a reset two processes mint *colliding* request ids.  The
+    lock is replaced too: a fork may copy it held.  Called
+    automatically in fork children (see :mod:`repro.telemetry`'s
+    ``os.register_at_fork`` hook); spawn starts from a fresh import and
+    needs nothing.
     """
-    global _ID_PREFIX, _REQUEST_COUNTER, _TRACE_TAG, _REQUEST_TAG
+    global _ID_PREFIX, _NEXT_NUMBER, _NUMBER_LOCK, _TRACE_TAG, _REQUEST_TAG
     _ID_PREFIX = os.urandom(3).hex()
-    _REQUEST_COUNTER = itertools.count(1)
+    _NEXT_NUMBER = 1
+    _NUMBER_LOCK = threading.Lock()
     _TRACE_TAG = "t-" + _ID_PREFIX + "-"
     _REQUEST_TAG = "r-" + _ID_PREFIX + "-"
 
 
 def format_request_id(number: int) -> str:
-    """The request-id string a minted request number resolves to."""
+    """The request-id string a reserved request number resolves to."""
     return _REQUEST_TAG + format(number, "08x")
+
+
+def _format_trace_id(number: int) -> str:
+    """The trace id of the request ``number``: one request is one trace,
+    so the two share their counter value (``t-…-5`` owns ``r-…-5``)."""
+    return _TRACE_TAG + format(number, "08x")
 
 
 class TraceContext:
     """The identity one request carries through the serving stack.
 
-    A plain ``__slots__`` value class, not a dataclass: one is minted
-    per submission when the trace plane is armed, and dataclass
-    construction overhead is measurable against the batched service's
-    per-request budget.  Treat instances as immutable.
+    A plain ``__slots__`` value class.  Treat instances as immutable.
 
     Attributes
     ----------
@@ -112,7 +121,7 @@ class TraceContext:
         threading the service's bookkeeping through.
     """
 
-    __slots__ = ("_trace_id", "_request_id", "_number", "origin", "deadline")
+    __slots__ = ("trace_id", "request_id", "origin", "deadline")
 
     def __init__(
         self,
@@ -121,27 +130,10 @@ class TraceContext:
         origin: str = "service",
         deadline: Optional[float] = None,
     ) -> None:
-        self._trace_id = trace_id
-        self._request_id = request_id
-        self._number = None
+        self.trace_id = trace_id
+        self.request_id = request_id
         self.origin = origin
         self.deadline = deadline
-
-    @property
-    def trace_id(self) -> str:
-        """The end-to-end correlation id (formatted on first read)."""
-        trace_id = self._trace_id
-        if trace_id is None:
-            trace_id = self._trace_id = _TRACE_TAG + format(self._number, "08x")
-        return trace_id
-
-    @property
-    def request_id(self) -> str:
-        """This submission's unique id (formatted on first read)."""
-        request_id = self._request_id
-        if request_id is None:
-            request_id = self._request_id = format_request_id(self._number)
-        return request_id
 
     def __repr__(self) -> str:
         return (
@@ -169,45 +161,15 @@ class TraceContext:
         deadline: Optional[float] = None,
         trace_id: Optional[str] = None,
     ) -> "TraceContext":
-        """Mint a fresh context (joining ``trace_id`` if supplied).
-
-        A freshly minted trace shares its counter value with the
-        request id (``t-…-5`` owns ``r-…-5``): one request is one
-        trace today and the pairing reads well in dumps.  Minting only
-        stores the counter value — the id *strings* format lazily on
-        first read, so a request that is never dumped or inspected
-        never pays for formatting at all.
-        """
-        context = cls.__new__(cls)
-        context._trace_id = trace_id
-        context._request_id = None
-        context._number = next(_REQUEST_COUNTER)
-        context.origin = origin
-        context.deadline = deadline
-        return context
-
-    @classmethod
-    def from_number(
-        cls,
-        number: int,
-        origin: str = "service.submit",
-        deadline: Optional[float] = None,
-    ) -> "TraceContext":
-        """The context a :func:`mint_request_number` number stands for.
-
-        This is the materialization half of the number-only ingress
-        path: the serving tier stores just the counter value per
-        request, and whichever read path first needs the full context
-        (id strings, origin, deadline) rebuilds it here.  Ids still
-        format lazily on first read.
-        """
-        context = cls.__new__(cls)
-        context._trace_id = None
-        context._request_id = None
-        context._number = number
-        context.origin = origin
-        context.deadline = deadline
-        return context
+        """Mint a fresh context on a newly reserved request number
+        (joining ``trace_id`` if supplied)."""
+        number = reserve_request_numbers(1)
+        return cls(
+            trace_id if trace_id is not None else _format_trace_id(number),
+            format_request_id(number),
+            origin,
+            deadline,
+        )
 
     def to_dict(self) -> Dict:
         return {
@@ -294,66 +256,155 @@ class TraceSpan:
             child._format_into(lines, indent + 1)
 
 
-def build_stage_spans(
-    start_seconds: float,
-    stage_seconds: Mapping[str, float],
-    order: Tuple[str, ...] = ENGINE_STAGES,
-) -> Tuple[TraceSpan, ...]:
-    """Stage spans from a duration split, laid out back to back.
+class FlushTrace:
+    """One flush's trace facts: the one record every trace of it reads.
 
-    Stages absent from ``stage_seconds`` are skipped; unknown extra
-    stages are appended after the known order, sorted by name, so a
-    future engine stage shows up rather than vanishing.
+    The service writes one per solved flush, and one per batch of
+    requests screened out of a flush before its solve (deadline expired
+    while queued).  Nothing is copied per row: the lanes are the ones
+    the dispatch already holds, and :class:`RequestTrace` views build
+    each row's context, peers and span tree from them when read.  The
+    flight recorder keeps the record as its entry's lineage.  Treat
+    instances as immutable.
+
+    Attributes
+    ----------
+    first_number:
+        The request number of the flush's first request, or ``None``
+        when the trace plane is off (the record then names no ids).
+        Numbers run one per request in flush order, so the request on
+        flush row ``r`` is ``first_number + r``.
+    rows:
+        The flush rows this record covers, in order: record row ``i``
+        is flush row ``rows[i]`` (a solved flush's block row ``i``).
+    enqueued / deadlines:
+        Each row's loop-clock enqueue stamp and deadline (``None``:
+        none).
+    dispatched_at / resolved_at:
+        Loop-clock stamps of the solve's start (``None`` for screened
+        requests, which never reached one) and of resolution.
+    stage_seconds:
+        The engine's ``{stage: seconds}`` split for the solve
+        (``EngineResult.stage_seconds`` itself, never copied), ``None``
+        when no engine stage ran.
+    sequence / reason / rung / algorithm:
+        The flush's lineage: its batcher sequence number, why it was
+        flushed, which rung answered it (``"screened"`` for requests
+        screened out before the solve) and the engine's algorithm.
+    counts:
+        Each row's satellite count when the batched kernel answered,
+        ``-1`` for rows it did not (``BatchMeta.counts``), else
+        ``None``.
     """
-    names = [name for name in order if name in stage_seconds]
-    names += sorted(set(stage_seconds) - set(order))
-    spans: List[TraceSpan] = []
-    cursor = start_seconds
-    for name in names:
-        duration = float(stage_seconds[name])
-        spans.append(
-            TraceSpan(name=name, start_seconds=cursor, duration_seconds=duration)
-        )
-        cursor += duration
-    return tuple(spans)
+
+    __slots__ = (
+        "first_number",
+        "rows",
+        "enqueued",
+        "deadlines",
+        "dispatched_at",
+        "resolved_at",
+        "stage_seconds",
+        "sequence",
+        "reason",
+        "rung",
+        "algorithm",
+        "counts",
+        "_peers",
+    )
+
+    def __init__(
+        self,
+        first_number: Optional[int],
+        rows: Sequence[int],
+        enqueued: Sequence[float],
+        deadlines: Sequence[Optional[float]],
+        dispatched_at: Optional[float],
+        resolved_at: float,
+        stage_seconds: Optional[Mapping[str, float]],
+        sequence: int,
+        reason: str,
+        rung: str,
+        algorithm: str,
+        counts=None,
+    ) -> None:
+        self.first_number = first_number
+        self.rows = rows
+        self.enqueued = enqueued
+        self.deadlines = deadlines
+        self.dispatched_at = dispatched_at
+        self.resolved_at = resolved_at
+        self.stage_seconds = stage_seconds
+        self.sequence = sequence
+        self.reason = reason
+        self.rung = rung
+        self.algorithm = algorithm
+        self.counts = counts
+        self._peers: Optional[Tuple[str, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def batch_size(self) -> int:
+        """Requests that shared the solve (0 for screened requests)."""
+        return 0 if self.dispatched_at is None else len(self.rows)
+
+    def request_id(self, row: int) -> str:
+        """Row ``row``'s request id (the trace plane must be on)."""
+        return format_request_id(self.first_number + self.rows[row])
+
+    def peers(self) -> Tuple[str, ...]:
+        """Request ids that shared the solve, in flush order (none for
+        screened requests); formatted once per record, on first read."""
+        peers = self._peers
+        if peers is None:
+            peers = self._peers = (
+                tuple(self.request_id(row) for row in range(len(self.rows)))
+                if self.dispatched_at is not None
+                else ()
+            )
+        return peers
+
+
+class _TraceFields(NamedTuple):
+    """What one :class:`RequestTrace` reports besides its span tree."""
+
+    context: TraceContext
+    submitted_at: float
+    completed_at: float
+    dispatched_at: Optional[float]
+    solve_seconds: float
+    batch_sequence: int
+    batch_peers: Tuple[str, ...]
+    satellites: int
+    flush_row: int
 
 
 class RequestTrace:
     """The span tree and batch lineage attached to one ServiceResult.
 
-    Construction is deliberately cheap: a trace stores the raw
-    timestamps and a *reference* to the batch's shared stage-duration
-    split, and only materializes :class:`TraceSpan` objects when
-    :attr:`root` is first read.  The service builds one of these per
-    request on the dispatch path, so the traced-on overhead gate in
-    ``bench_service.py`` depends on this laziness (and on this being a
-    ``__slots__`` class, not a dataclass) — keep the constructor to
-    plain attribute stores.  Treat instances as immutable.
+    A ``(record, row)`` view of a :class:`FlushTrace`: building one
+    stores two references, and every field below is read off the
+    record on first access (then cached), so serving a traced request
+    costs one small object.  :meth:`from_dict` loads a view with no
+    record, its fields and tree taken from the payload.  Treat
+    instances as immutable.
 
     Attributes
     ----------
     context:
-        The request's :class:`TraceContext`.  The service hands the
-        constructor a bare request *number* (from
-        :func:`mint_request_number`) instead of a context object; the
-        context materializes here on first read, so a request that is
-        never inspected or dumped never allocates one at all.
+        The request's :class:`TraceContext` (origin
+        ``"service.submit"``, the request's deadline).
     submitted_at / dispatched_at / completed_at:
         Loop-clock stamps: admission, start of the dispatch that
         answered (``None`` when the request never reached one), and
         resolution.
     solve_seconds:
         Duration of the solve that answered (shared by the batch).
-    stage_durations:
-        The engine's ``{stage: seconds}`` split for the dispatch —
-        shared with every peer of the batch, never copied or mutated.
-    solve_attributes:
-        Annotations for the ``solve`` span (algorithm, rung, flush
-        reason ...), also shared per batch.
     batch_sequence:
         Which :class:`~repro.service.batcher.MicroBatcher` flush the
-        request rode (monotonically increasing per service); ``-1``
-        when it never reached a dispatch.
+        request rode (monotonically increasing per service).
     batch_peers:
         Request ids that shared the dispatch (including this one), in
         flush order — "who shared my kernel call" for incident
@@ -365,55 +416,57 @@ class RequestTrace:
         the scalar ladder answered.
     """
 
-    __slots__ = (
-        "_context",
-        "submitted_at",
-        "completed_at",
-        "dispatched_at",
-        "solve_seconds",
-        "stage_durations",
-        "solve_attributes",
-        "batch_sequence",
-        "_peers",
-        "satellites",
-        "flush_row",
-        "_deadline",
-        "_root",
-    )
+    __slots__ = ("_record", "_row", "_fields", "_root")
 
-    def __init__(
-        self,
-        context,  # TraceContext, or an int from mint_request_number
-        submitted_at: float,
-        completed_at: float,
-        dispatched_at: Optional[float] = None,
-        solve_seconds: float = 0.0,
-        stage_durations: Optional[Mapping[str, float]] = None,
-        solve_attributes: Optional[Mapping[str, object]] = None,
-        batch_sequence: int = -1,
-        batch_peers: Tuple[str, ...] = (),
-        satellites: int = -1,
-        flush_row: int = -1,
-        deadline: Optional[float] = None,
-        _root: Optional[TraceSpan] = None,
-    ) -> None:
-        self._context = context
-        self.submitted_at = submitted_at
-        self.completed_at = completed_at
-        self.dispatched_at = dispatched_at
-        self.solve_seconds = solve_seconds
-        self.stage_durations = stage_durations
-        self.solve_attributes = solve_attributes
-        self.batch_sequence = batch_sequence
-        self._peers = batch_peers
-        self.satellites = satellites
-        self.flush_row = flush_row
-        # Carried only so a number-context materializes with the
-        # request's deadline; ignored when context is already built.
-        self._deadline = deadline
+    def __init__(self, record: FlushTrace, row: int) -> None:
+        self._record = record
+        self._row = row
+        self._fields: Optional[_TraceFields] = None
         # The lazily built span tree; from_dict primes it with the
         # serialized tree so round-trips preserve the rendered form.
-        self._root = _root
+        self._root: Optional[TraceSpan] = None
+
+    def _read(self) -> _TraceFields:
+        fields = self._fields
+        if fields is None:
+            record, row = self._record, self._row
+            number = record.first_number + record.rows[row]
+            dispatched_at = record.dispatched_at
+            satellites = -1 if record.counts is None else int(record.counts[row])
+            fields = self._fields = _TraceFields(
+                context=TraceContext(
+                    _format_trace_id(number),
+                    format_request_id(number),
+                    "service.submit",
+                    record.deadlines[row],
+                ),
+                submitted_at=record.enqueued[row],
+                completed_at=record.resolved_at,
+                dispatched_at=dispatched_at,
+                solve_seconds=(
+                    0.0 if dispatched_at is None else record.resolved_at - dispatched_at
+                ),
+                batch_sequence=record.sequence,
+                batch_peers=record.peers(),
+                satellites=satellites,
+                flush_row=row if satellites >= 0 else -1,
+            )
+        return fields
+
+    context = property(lambda self: self._read().context)
+    submitted_at = property(lambda self: self._read().submitted_at)
+    completed_at = property(lambda self: self._read().completed_at)
+    dispatched_at = property(lambda self: self._read().dispatched_at)
+    solve_seconds = property(lambda self: self._read().solve_seconds)
+    batch_sequence = property(lambda self: self._read().batch_sequence)
+    batch_peers = property(lambda self: self._read().batch_peers)
+    satellites = property(lambda self: self._read().satellites)
+    flush_row = property(lambda self: self._read().flush_row)
+
+    @property
+    def request_id(self) -> str:
+        """Shorthand for ``context.request_id``."""
+        return self.context.request_id
 
     def __repr__(self) -> str:
         return (
@@ -432,42 +485,6 @@ class RequestTrace:
     __hash__ = None  # mutable cache inside; not hashable
 
     @property
-    def context(self) -> TraceContext:
-        """The request's :class:`TraceContext`, materialized on first
-        read when the service handed the constructor a bare request
-        number (see :func:`mint_request_number`)."""
-        context = self._context
-        if type(context) is int:
-            context = self._context = TraceContext.from_number(
-                context, deadline=self._deadline
-            )
-        return context
-
-    @property
-    def request_id(self) -> str:
-        """Shorthand for ``context.request_id``."""
-        return self.context.request_id
-
-    @property
-    def batch_peers(self) -> Tuple[str, ...]:
-        """Request ids that shared the dispatch, in flush order.
-
-        The service hands every trace of a flush one *shared* tuple of
-        peer request numbers (or :class:`TraceContext` objects); the id
-        strings materialize here on first read (and are cached back,
-        shared by the whole flush), so incident correlation pays for
-        formatting and the serving path does not.
-        """
-        peers = self._peers
-        if peers and not isinstance(peers[0], str):
-            if type(peers[0]) is int:
-                peers = tuple(format_request_id(number) for number in peers)
-            else:
-                peers = tuple(context.request_id for context in peers)
-            self._peers = peers
-        return peers
-
-    @property
     def root(self) -> TraceSpan:
         """The ``request`` span; children are ``queue`` and (when the
         request reached a solve) ``solve`` with the engine's stage
@@ -477,37 +494,53 @@ class RequestTrace:
         return self._root
 
     def _build_root(self) -> TraceSpan:
+        fields, record = self._read(), self._record
+        dispatched_at = fields.dispatched_at
         children: List[TraceSpan] = [
             TraceSpan(
                 name="queue",
-                start_seconds=self.submitted_at,
+                start_seconds=fields.submitted_at,
                 duration_seconds=(
-                    self.dispatched_at
-                    if self.dispatched_at is not None
-                    else self.completed_at
+                    dispatched_at if dispatched_at is not None else fields.completed_at
                 )
-                - self.submitted_at,
+                - fields.submitted_at,
             )
         ]
-        if self.dispatched_at is not None:
+        if dispatched_at is not None:
+            attributes: Dict[str, object] = {}
+            stages: List[TraceSpan] = []
+            if record is not None:
+                attributes = {
+                    "algorithm": record.algorithm,
+                    "rung": record.rung,
+                    "batch": record.batch_size,
+                    "reason": record.reason,
+                }
+                # Stages laid out back to back in engine order; unknown
+                # extra stages follow, sorted by name, so a future
+                # engine stage shows up rather than vanishing.
+                split = record.stage_seconds or {}
+                names = [name for name in ENGINE_STAGES if name in split]
+                names += sorted(set(split) - set(ENGINE_STAGES))
+                cursor = dispatched_at
+                for name in names:
+                    duration = float(split[name])
+                    stages.append(TraceSpan(name, cursor, duration))
+                    cursor += duration
             children.append(
                 TraceSpan(
                     name="solve",
-                    start_seconds=self.dispatched_at,
-                    duration_seconds=self.solve_seconds,
-                    attributes=dict(self.solve_attributes or {}),
-                    children=(
-                        build_stage_spans(self.dispatched_at, self.stage_durations)
-                        if self.stage_durations
-                        else ()
-                    ),
+                    start_seconds=dispatched_at,
+                    duration_seconds=fields.solve_seconds,
+                    attributes=attributes,
+                    children=tuple(stages),
                 )
             )
         return TraceSpan(
             name="request",
-            start_seconds=self.submitted_at,
-            duration_seconds=self.completed_at - self.submitted_at,
-            attributes={"origin": self.context.origin},
+            start_seconds=fields.submitted_at,
+            duration_seconds=fields.completed_at - fields.submitted_at,
+            attributes={"origin": fields.context.origin},
             children=tuple(children),
         )
 
@@ -533,28 +566,26 @@ class RequestTrace:
         return max(leaves, key=lambda name: leaves[name])
 
     def to_dict(self) -> Dict:
+        fields = self._read()
         return {
-            "context": self.context.to_dict(),
+            "context": fields.context.to_dict(),
             "root": self.root.to_dict(),
-            "submitted_at": self.submitted_at,
-            "completed_at": self.completed_at,
-            "dispatched_at": self.dispatched_at,
-            "solve_seconds": self.solve_seconds,
-            "batch_sequence": self.batch_sequence,
-            "batch_peers": list(self.batch_peers),
-            "satellites": self.satellites,
-            "flush_row": self.flush_row,
+            "submitted_at": fields.submitted_at,
+            "completed_at": fields.completed_at,
+            "dispatched_at": fields.dispatched_at,
+            "solve_seconds": fields.solve_seconds,
+            "batch_sequence": fields.batch_sequence,
+            "batch_peers": list(fields.batch_peers),
+            "satellites": fields.satellites,
+            "flush_row": fields.flush_row,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RequestTrace":
-        root = (
-            TraceSpan.from_dict(payload["root"])
-            if payload.get("root") is not None
-            else None
-        )
+        trace = cls.__new__(cls)
+        trace._record, trace._row = None, -1
         submitted_at = float(payload.get("submitted_at", 0.0))
-        return cls(
+        trace._fields = _TraceFields(
             context=TraceContext.from_dict(payload["context"]),
             submitted_at=submitted_at,
             completed_at=float(payload.get("completed_at", submitted_at)),
@@ -564,60 +595,27 @@ class RequestTrace:
             batch_peers=tuple(payload.get("batch_peers", ())),
             satellites=int(payload.get("satellites", -1)),
             flush_row=int(payload.get("flush_row", -1)),
-            _root=root,
         )
+        trace._root = (
+            TraceSpan.from_dict(payload["root"])
+            if payload.get("root") is not None
+            else None
+        )
+        return trace
 
     def format(self) -> str:
         """Multi-line human rendering (the ``inspect`` CLI's output)."""
+        fields = self._read()
         lineage = (
-            f"batch #{self.batch_sequence} "
-            f"({len(self.batch_peers)} peers), "
-            f"row {self.flush_row}, m={self.satellites}"
-            if self.batch_sequence >= 0
+            f"batch #{fields.batch_sequence} "
+            f"({len(fields.batch_peers)} peers), "
+            f"row {fields.flush_row}, m={fields.satellites}"
+            if fields.batch_sequence >= 0
             else "never dispatched"
         )
         header = (
-            f"request {self.context.request_id} "
-            f"(trace {self.context.trace_id}, origin {self.context.origin})\n"
+            f"request {fields.context.request_id} "
+            f"(trace {fields.context.trace_id}, origin {fields.context.origin})\n"
             f"  lineage: {lineage}"
         )
         return header + "\n" + self.root.format_tree(indent=1)
-
-
-def assemble_request_trace(
-    context,  # TraceContext, or an int from mint_request_number
-    submitted_at: float,
-    completed_at: float,
-    dispatched_at: Optional[float] = None,
-    solve_seconds: float = 0.0,
-    stage_seconds: Optional[Mapping[str, float]] = None,
-    solve_attributes: Optional[Mapping[str, object]] = None,
-    batch_sequence: int = -1,
-    batch_peers: Tuple[str, ...] = (),
-    satellites: int = -1,
-    flush_row: int = -1,
-    deadline: Optional[float] = None,
-) -> RequestTrace:
-    """The standard service trace for one finished request.
-
-    ``dispatched_at=None`` means the request never reached a solve
-    (timed out while queued, cancelled, internal error): the tree is
-    just ``request → queue``.  Dispatch-path hot: stores the raw
-    numbers, the span tree builds lazily on first read.
-    """
-    if completed_at < submitted_at:
-        raise ConfigurationError("completed_at must be >= submitted_at")
-    return RequestTrace(
-        context=context,
-        submitted_at=submitted_at,
-        completed_at=completed_at,
-        dispatched_at=dispatched_at,
-        solve_seconds=solve_seconds,
-        stage_durations=stage_seconds,
-        solve_attributes=solve_attributes,
-        batch_sequence=batch_sequence,
-        batch_peers=batch_peers,
-        satellites=satellites,
-        flush_row=flush_row,
-        deadline=deadline,
-    )

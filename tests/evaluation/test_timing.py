@@ -30,11 +30,42 @@ class SleepySolver(PositioningAlgorithm):
         return PositionFix(position=[0.0, 0.0, 0.0], algorithm=self.name)
 
 
+class SteppedClock:
+    """A stand-in for the ``time`` module whose ``perf_counter_ns``
+    moves only when a :class:`ClockedSolver` advances it."""
+
+    def __init__(self):
+        self.now_ns = 0
+
+    def perf_counter_ns(self):
+        return self.now_ns
+
+
+class ClockedSolver(PositioningAlgorithm):
+    """A solver that costs exactly ``cost_ns`` per solve on a
+    :class:`SteppedClock`."""
+
+    name = "clocked"
+    min_satellites = 1
+
+    def __init__(self, clock, cost_ns):
+        self.clock = clock
+        # One cost for every solve, or a list of per-solve costs.
+        self.cost_ns = cost_ns
+
+    def solve(self, epoch):
+        cost_ns = self.cost_ns
+        self.clock.now_ns += cost_ns if isinstance(cost_ns, int) else cost_ns.pop(0)
+        return PositionFix(position=[0.0, 0.0, 0.0], algorithm=self.name)
+
+
 class TestTimeSolver:
-    def test_measures_roughly_right(self, make_epoch):
-        solver = SleepySolver(0.001)
+    def test_measures_per_solve_time(self, make_epoch, monkeypatch):
+        clock = SteppedClock()
+        monkeypatch.setattr(timing, "time", clock)
+        solver = ClockedSolver(clock, 1_000_000)
         per_solve_ns = time_solver(solver, [make_epoch()] * 5, repeats=2)
-        assert per_solve_ns == pytest.approx(1e6, rel=0.5)
+        assert per_solve_ns == 1e6
 
     def test_warmup_rounds_run(self, make_epoch):
         solver = SleepySolver(0.0)
@@ -55,32 +86,6 @@ class TestTimeSolver:
     def test_rejects_zero_repeats(self, make_epoch):
         with pytest.raises(ConfigurationError):
             time_solver(SleepySolver(0.0), [make_epoch()], repeats=0)
-
-
-class SteppedClock:
-    """A stand-in for the ``time`` module whose ``perf_counter_ns``
-    moves only when a :class:`ClockedSolver` advances it."""
-
-    def __init__(self):
-        self.now_ns = 0
-
-    def perf_counter_ns(self):
-        return self.now_ns
-
-
-class ClockedSolver(PositioningAlgorithm):
-    """A solver that costs exactly ``cost_ns`` on a :class:`SteppedClock`."""
-
-    name = "clocked"
-    min_satellites = 1
-
-    def __init__(self, clock, cost_ns):
-        self.clock = clock
-        self.cost_ns = cost_ns
-
-    def solve(self, epoch):
-        self.clock.now_ns += self.cost_ns
-        return PositionFix(position=[0.0, 0.0, 0.0], algorithm=self.name)
 
 
 class TestTimeSolverStats:
@@ -112,10 +117,15 @@ class TestTimeSolverStats:
         stats = time_solver_stats(SleepySolver(0.001), [make_epoch()] * 2, repeats=2)
         assert stats.items_per_second == pytest.approx(1e9 / stats.best_ns)
 
-    def test_time_solver_returns_best_pass_mean(self, make_epoch):
+    def test_time_solver_returns_best_pass_mean(self, make_epoch, monkeypatch):
+        clock = SteppedClock()
+        monkeypatch.setattr(timing, "time", clock)
+        # A warm-up pass, then a fast and a slow timed pass.
+        costs = [900_000] * 3 + [500_000, 400_000, 600_000] + [700_000] * 3
         epochs = [make_epoch()] * 3
-        best = time_solver(SleepySolver(0.0005), epochs, repeats=2)
-        assert best == pytest.approx(5e5, rel=0.5)
+        best = time_solver(ClockedSolver(clock, costs), epochs, repeats=2)
+        assert best == 5e5
+        assert costs == []
 
 
 class TestPercentile:
@@ -159,14 +169,15 @@ class TestPercentile:
 
 
 class TestTimeCallable:
-    def test_times_bulk_operation_per_item(self):
+    def test_times_bulk_operation_per_item(self, monkeypatch):
+        clock = SteppedClock()
+        monkeypatch.setattr(timing, "time", clock)
+
         def bulk():
-            deadline = time.perf_counter() + 0.004
-            while time.perf_counter() < deadline:
-                pass
+            clock.now_ns += 4_000_000
 
         stats = time_callable(bulk, items=4, repeats=2)
-        assert stats.best_ns == pytest.approx(1e6, rel=0.5)
+        assert stats.best_ns == 1e6
         assert stats.items == 4
 
     def test_warmup_runs_before_timing(self):

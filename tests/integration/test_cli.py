@@ -208,10 +208,18 @@ class TestServeWorkersFlag:
         assert "# TYPE repro_shard_requests_total counter" in text
         assert "repro_fleet_registries 2" in text  # router + 1 worker
 
-    def test_asyncio_only_flags_rejected_with_workers(self, capsys):
+    def test_asyncio_only_flags_rejected_with_workers(self, capsys, tmp_path):
+        # ShardConfig refuses what --trace and --record-dir arm ...
         assert main(["serve", "SRZN", "--workers", "2", "--requests", "8",
                      "--trace"]) == 1
-        assert "--trace" in capsys.readouterr().err
+        assert "service.trace" in capsys.readouterr().err
+        assert main(["serve", "SRZN", "--workers", "2", "--requests", "8",
+                     "--record-dir", str(tmp_path)]) == 1
+        assert "service.recorder" in capsys.readouterr().err
+        # ... and the CLI refuses its status port.
+        assert main(["serve", "SRZN", "--workers", "2", "--requests", "8",
+                     "--status-port", "9"]) == 1
+        assert "--status-port" in capsys.readouterr().err
 
 
 class TestInspectMetricsSnapshot:

@@ -43,9 +43,9 @@ from repro.telemetry.recorder import (
     TRIGGERS,
 )
 from repro.telemetry.trace import (
+    FlushTrace,
     RequestTrace,
-    assemble_request_trace,
-    mint_request_number,
+    reserve_request_numbers,
 )
 
 TEXTS = ("first failure", "second failure", "third failure")
@@ -62,7 +62,7 @@ def reference_results(
     dispatched_at=None,
     completed_at=None,
     enqueued_at=None,
-    traces=None,
+    trace=None,
 ):
     """The row builder as it stood before per-block validation: every
     row through the public, checking constructor."""
@@ -111,7 +111,7 @@ def reference_results(
                 enqueued,
                 dispatched_at,
                 completed_at,
-                None if traces is None else traces[row],
+                None if trace is None else RequestTrace(trace, row),
                 monitors[row],
             )
         )
@@ -139,10 +139,17 @@ row_strategy = st.fixed_dictionaries(
         "flagged": st.lists(
             st.booleans(), min_size=len(MONITORS) * WIDTH, max_size=len(MONITORS) * WIDTH
         ),
-        "traced": st.booleans(),
         "enqueued": st.one_of(st.none(), st.floats(0.0, 2.0)),
     }
 )
+
+
+def flush_trace(count):
+    """A solved ``count``-row flush record."""
+    return FlushTrace(
+        reserve_request_numbers(count), list(range(count)), (0.0,) * count,
+        (None,) * count, 0.5, 1.0, {"solve": 0.5}, 0, "full", "batch", "dlg",
+    )
 
 
 def build_block(rows, with_monitors):
@@ -184,8 +191,12 @@ def assert_same_value(value, expected, name):
     if isinstance(expected, np.ndarray):
         assert value.dtype == expected.dtype, name
         assert value.tobytes() == expected.tobytes(), name
-    elif expected is None or isinstance(expected, RequestTrace):
+    elif expected is None:
         assert value is expected, name
+    elif isinstance(expected, RequestTrace):
+        # Both views of the one flush record, at the same row.
+        assert value._record is expected._record, name
+        assert value.to_dict() == expected.to_dict(), name
     else:
         # repr, because an unchecked verdict's NaN statistic never
         # equals itself.
@@ -225,27 +236,22 @@ def assert_same_rows(built, reference):
     expired=st.lists(st.integers(0, 7), max_size=3, unique=True),
     dispatched_at=st.floats(1.0, 3.0),
     stamped=st.booleans(),
+    traced=st.booleans(),
 )
 def test_rows_match_the_public_constructor(
-    rows, with_monitors, expired, dispatched_at, stamped
+    rows, with_monitors, expired, dispatched_at, stamped, traced
 ):
     block = build_block(rows, with_monitors)
     expired = [row for row in expired if row < len(rows)]
     if expired:
         block = block.expire(expired, "deadline expired mid-batch")
-    traces = [
-        assemble_request_trace(mint_request_number(), 0.0, 1.0)
-        if row["traced"]
-        else None
-        for row in rows
-    ]
     kwargs = (
         dict(
             solve_seconds=0.25,
             dispatched_at=dispatched_at,
             completed_at=dispatched_at + 0.5,
             enqueued_at=[row["enqueued"] for row in rows],
-            traces=traces,
+            trace=flush_trace(len(rows)) if traced else None,
         )
         if stamped
         else {}
@@ -341,7 +347,7 @@ def test_every_per_row_field_reaches_its_row():
         dispatched_at=2.0,
         completed_at=2.5,
         enqueued_at=[1.5, None],
-        traces=[assemble_request_trace(mint_request_number(), 0.0, 1.0), None],
+        trace=flush_trace(2),
     )
     built = block.results("dlg", 2, **kwargs)
     assert_same_rows(built, reference_results(block, "dlg", 2, **kwargs))

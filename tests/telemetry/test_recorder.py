@@ -28,13 +28,13 @@ from repro.telemetry import (
     FixRecord,
     FlightRecorder,
     MetricsRegistry,
+    FlushTrace,
     RecorderConfig,
     RequestTrace,
     TRIGGERS,
-    TraceContext,
     format_request_id,
-    mint_request_number,
     replay_incident,
+    reserve_request_numbers,
 )
 from repro.telemetry.recorder import (
     FlushEntry,
@@ -70,34 +70,35 @@ def make_record(request_id="r-test-1", trigger=None, epoch=None, **overrides):
 
 
 def make_entry(
-    epochs, ids=None, sequence=0, status=STATUS_OK, verdict=ABSENT, rows=None
+    epochs, first=None, sequence=0, status=STATUS_OK, verdict=ABSENT, rows=None
 ):
     """One flush's recorder entry, one row per epoch, shaped like the
-    service's: traced with request ``ids`` (ids or minted numbers) when
-    given, untraced otherwise.  ``status`` and ``verdict`` are codes,
-    one for every row or one per row."""
+    service's: traced with request numbers from ``first`` when given,
+    untraced otherwise.  ``status`` and ``verdict`` are codes, one for
+    every row or one per row."""
     count = len(epochs)
     block = ResultBlock.empty(count)
     block.status[:] = status
     block.solver[block.status == STATUS_OK] = SOLVER_BATCH
     block.verdict[:] = verdict
-    traces = None
-    if ids is not None:
-        traces = [
-            RequestTrace(
-                TraceContext(f"t-{id_}", id_) if isinstance(id_, str) else id_,
-                0.0,
-                0.0,
-            )
-            for id_ in ids
-        ]
+    trace = FlushTrace(
+        first,
+        list(range(count)) if rows is None else rows,
+        (0.0,) * count,
+        (None,) * count,
+        0.0,
+        0.0,
+        None,
+        sequence,
+        "full",
+        "batch",
+        "dlg",
+    )
     return FlushEntry(
         block,
         BatchMeta(rung="batch", block=pack_stream(epochs).block),
-        list(range(count)) if rows is None else rows,
-        traces,
+        trace,
         [0.0] * count,
-        {"batch_sequence": sequence, "batch_size": count},
         SPEC,
     )
 
@@ -127,8 +128,12 @@ class TestFixRecord:
         assert len(record.inputs_digest) == 16
 
     def test_to_dict_serializes_trace_object(self, make_epoch):
-        trace = telemetry.assemble_request_trace(
-            TraceContext.new(), submitted_at=0.0, completed_at=0.1
+        trace = RequestTrace(
+            FlushTrace(
+                reserve_request_numbers(1), [0], (0.0,), (None,), None, 0.1,
+                None, 0, "full", "screened", "dlg",
+            ),
+            0,
         )
         record = make_record(trace=trace)
         payload = record.to_dict()
@@ -139,10 +144,11 @@ class TestFixRecord:
 class TestRing:
     def test_ring_is_bounded_oldest_out(self, make_epoch):
         recorder = FlightRecorder(RecorderConfig(capacity=3))
+        first = reserve_request_numbers(5)
         for i in range(5):
-            recorder.record_flush(make_entry([make_epoch()], ids=[f"r-{i}"]))
+            recorder.record_flush(make_entry([make_epoch()], first=first + i))
         assert [r.request_id for r in recorder.records()] == [
-            "r-2", "r-3", "r-4",
+            format_request_id(first + i) for i in (2, 3, 4)
         ]
 
     def test_ring_evicts_by_fix_count_across_flushes(self, make_epoch):
@@ -167,19 +173,22 @@ class TestRing:
 
     def test_find_newest_wins(self, make_epoch):
         recorder = FlightRecorder()
-        recorder.record_flush(make_entry([make_epoch()], ids=["r-dup"]))
+        first = reserve_request_numbers(1)
+        recorder.record_flush(make_entry([make_epoch()], first=first))
         recorder.record_flush(
-            make_entry([make_epoch()], ids=["r-dup"], status=STATUS_FAILED)
+            make_entry([make_epoch()], first=first, status=STATUS_FAILED)
         )
-        assert recorder.find("r-dup").status == "failed"
+        assert recorder.find(format_request_id(first)).status == "failed"
         assert recorder.find("r-missing") is None
 
     def test_records_last_n(self, make_epoch):
         recorder = FlightRecorder()
-        recorder.record_flush(
-            make_entry([make_epoch()] * 4, ids=[f"r-{i}" for i in range(4)])
-        )
-        assert [r.request_id for r in recorder.records(last=2)] == ["r-2", "r-3"]
+        first = reserve_request_numbers(4)
+        recorder.record_flush(make_entry([make_epoch()] * 4, first=first))
+        assert [r.request_id for r in recorder.records(last=2)] == [
+            format_request_id(first + 2),
+            format_request_id(first + 3),
+        ]
 
 
 class TestDumps:
@@ -187,7 +196,9 @@ class TestDumps:
         epoch = make_epoch()
         recorder = FlightRecorder(RecorderConfig(dump_dir=tmp_path))
         (path,) = recorder.record_flush(
-            make_entry([epoch], ids=["r-spiked"], verdict=STATUS_REPAIRED)
+            make_entry(
+                [epoch], first=reserve_request_numbers(1), verdict=STATUS_REPAIRED
+            )
         )
         payload = json.loads((tmp_path / path.split("/")[-1]).read_text())
         assert payload["format"] == "repro-flight-record-v1"
@@ -241,26 +252,16 @@ class TestEpochPayload:
 
 class TestLazyFlushEntries:
     def test_find_materializes_lazy_entry(self, make_epoch):
-        context = TraceContext.new()
+        first = reserve_request_numbers(1)
         recorder = FlightRecorder()
-        recorder.record_flush(make_entry([make_epoch()], ids=[context]))
-        record = recorder.find(context.request_id)
+        recorder.record_flush(make_entry([make_epoch()], first=first))
+        record = recorder.find(format_request_id(first))
         assert isinstance(record, FixRecord)
-        assert record.request_id == context.request_id
-        assert record.trace_id == context.trace_id
+        assert record.request_id == format_request_id(first)
+        assert record.trace_id.startswith("t-")
+        assert record.trace_id.endswith(record.request_id[-8:])
         assert record.trigger is None
         assert record.config_hash == "cfg0"
-
-    def test_number_context_entry_resolves_ids(self, make_epoch):
-        # The service's traces carry a bare request number; the record
-        # resolves its ids from the context it stands for.
-        number = mint_request_number()
-        recorder = FlightRecorder()
-        recorder.record_flush(make_entry([make_epoch()], ids=[number]))
-        record = recorder.find(format_request_id(number))
-        assert record is not None
-        assert record.request_id == format_request_id(number)
-        assert record.trace_id.startswith("t-")
 
     def test_untraced_entry_gets_sequence_fallback_id(self, make_epoch):
         # Rows are flush positions: a row screened out of the entry
@@ -274,15 +275,15 @@ class TestLazyFlushEntries:
         assert record.request_id == "fix-9-2"
 
     def test_records_and_snapshot_materialize(self, make_epoch):
-        context = TraceContext.new()
+        first = reserve_request_numbers(1)
         recorder = FlightRecorder()
-        recorder.record_flush(make_entry([make_epoch()], ids=[context]))
+        recorder.record_flush(make_entry([make_epoch()], first=first))
         (record,) = recorder.records()
         assert record.status == "ok"
         assert len(record.inputs_digest) == 16
         snapshot = recorder.snapshot()
         assert snapshot["retained"] == 1
-        assert snapshot["records"][0]["request_id"] == context.request_id
+        assert snapshot["records"][0]["request_id"] == format_request_id(first)
 
     def test_triggered_row_names_its_trigger_and_captures_epoch(self, make_epoch):
         epochs = [make_epoch(seed=1), make_epoch(seed=2)]

@@ -12,6 +12,8 @@ from repro.telemetry import (
     SloTracker,
     StatusServer,
     aggregate_registries,
+    format_request_id,
+    reserve_request_numbers,
     to_json_snapshot,
     to_prometheus_fleet_text,
 )
@@ -109,7 +111,8 @@ class TestStatusServer:
         slo = SloTracker()
         slo.observe("ok", 0.01)
         recorder = FlightRecorder()
-        recorder.record_flush(make_entry([make_epoch()], ids=["r-seen"]))
+        first = reserve_request_numbers(1)
+        recorder.record_flush(make_entry([make_epoch()], first=first))
         server = StatusServer(lambda: [registry], slo=slo, recorder=recorder)
         responses = self._serve_and_get(
             server, "/metrics.json", "/slo", "/records", "/healthz"
@@ -122,7 +125,7 @@ class TestStatusServer:
         assert "repro_slo_availability" in names
         assert json.loads(responses[1][1])["availability"] == 1.0
         records = json.loads(responses[2][1])
-        assert records["records"][0]["request_id"] == "r-seen"
+        assert records["records"][0]["request_id"] == format_request_id(first)
         assert responses[3][1] == "ok\n"
 
     def test_unattached_endpoints_404(self):

@@ -1,17 +1,17 @@
-"""Tests for per-request trace contexts and span trees."""
+"""Tests for per-request trace contexts, span trees and the per-flush
+trace record they are read from."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.telemetry import (
     ENGINE_STAGES,
+    FlushTrace,
     RequestTrace,
     TraceContext,
     TraceSpan,
-    assemble_request_trace,
-    build_stage_spans,
     format_request_id,
-    mint_request_number,
+    reserve_request_numbers,
 )
 
 
@@ -24,17 +24,11 @@ class TestTraceContext:
         # One request is one trace: the counter suffix is shared.
         assert a.trace_id.split("-")[-1] == a.request_id.split("-")[-1]
 
-    def test_ids_format_lazily_on_first_read(self):
-        context = TraceContext.new(origin="test")
-        assert context._trace_id is None
-        assert context._request_id is None
-        trace_id = context.trace_id
-        request_id = context.request_id
-        assert trace_id.startswith("t-")
-        assert request_id.startswith("r-")
-        # Cached after the first read — same object back.
-        assert context.trace_id is trace_id
-        assert context.request_id is request_id
+    def test_new_reserves_the_next_number(self):
+        a = TraceContext.new(origin="test")
+        b = TraceContext.new(origin="test")
+        assert a.request_id.startswith("r-") and a.trace_id.startswith("t-")
+        assert int(b.request_id[-8:], 16) == int(a.request_id[-8:], 16) + 1
 
     def test_new_joins_supplied_trace_id(self):
         context = TraceContext.new(trace_id="t-upstream-00000001")
@@ -96,11 +90,36 @@ class TestTraceSpan:
         assert "[algorithm=dlg]" in lines[2]
 
 
-class TestBuildStageSpans:
+def flush_trace(**overrides) -> FlushTrace:
+    """A two-row solved flush record; ``overrides`` replace fields."""
+    kwargs = dict(
+        first_number=reserve_request_numbers(2),
+        rows=[0, 1],
+        enqueued=(100.0, 100.0),
+        deadlines=(None, 123.5),
+        dispatched_at=100.1,
+        resolved_at=100.5,
+        stage_seconds={"pack": 0.05, "solve": 0.3, "scatter": 0.05},
+        sequence=7,
+        reason="full",
+        rung="batch",
+        algorithm="dlg",
+        counts=np.array([6, 8]),
+    )
+    kwargs.update(overrides)
+    return FlushTrace(**kwargs)
+
+
+def stage_names(stage_seconds, start=10.0):
+    trace = RequestTrace(
+        flush_trace(dispatched_at=start, stage_seconds=stage_seconds), 0
+    )
+    return trace.root.find("solve").children
+
+
+class TestStageSpans:
     def test_stages_lay_out_back_to_back(self):
-        spans = build_stage_spans(
-            10.0, {"pack": 0.1, "validate": 0.2, "solve": 0.3}
-        )
+        spans = stage_names({"pack": 0.1, "validate": 0.2, "solve": 0.3})
         assert [span.name for span in spans] == ["pack", "validate", "solve"]
         assert [span.start_seconds for span in spans] == pytest.approx(
             [10.0, 10.1, 10.3]
@@ -111,33 +130,17 @@ class TestBuildStageSpans:
 
     def test_known_order_is_engine_order(self):
         stage_seconds = {name: 0.01 for name in reversed(ENGINE_STAGES)}
-        spans = build_stage_spans(0.0, stage_seconds)
+        spans = stage_names(stage_seconds)
         assert tuple(span.name for span in spans) == ENGINE_STAGES
 
     def test_unknown_stages_append_sorted(self):
-        spans = build_stage_spans(
-            0.0, {"solve": 0.1, "zeta": 0.2, "alpha": 0.3}
-        )
+        spans = stage_names({"solve": 0.1, "zeta": 0.2, "alpha": 0.3})
         assert [span.name for span in spans] == ["solve", "alpha", "zeta"]
 
 
 class TestRequestTrace:
-    def _trace(self, **overrides):
-        kwargs = dict(
-            context=TraceContext.new(origin="test"),
-            submitted_at=100.0,
-            completed_at=100.5,
-            dispatched_at=100.1,
-            solve_seconds=0.4,
-            stage_seconds={"pack": 0.05, "solve": 0.3, "scatter": 0.05},
-            solve_attributes={"algorithm": "dlg"},
-            batch_sequence=7,
-            batch_peers=("r-a-1", "r-a-2"),
-            satellites=8,
-            flush_row=1,
-        )
-        kwargs.update(overrides)
-        return assemble_request_trace(**kwargs)
+    def _trace(self, row=1, **overrides):
+        return RequestTrace(flush_trace(**overrides), row)
 
     def test_root_tree_shape(self):
         trace = self._trace()
@@ -149,25 +152,24 @@ class TestRequestTrace:
             "solve",
             "scatter",
         ]
+        assert root.find("solve").attributes == {
+            "algorithm": "dlg", "rung": "batch", "batch": 2, "reason": "full",
+        }
         # Cached: second read returns the same tree.
         assert trace.root is root
 
     def test_queue_only_tree_when_never_dispatched(self):
-        trace = self._trace(
-            dispatched_at=None, solve_seconds=0.0, stage_seconds=None,
-            batch_sequence=-1, batch_peers=(),
-        )
+        trace = self._trace(dispatched_at=None, stage_seconds=None)
         assert [child.name for child in trace.root.children] == ["queue"]
         queue = trace.root.find("queue")
         assert queue.duration_seconds == pytest.approx(0.5)
+        assert trace.solve_seconds == 0.0
 
     def test_slowest_stage_is_a_leaf(self):
         # queue 0.1s, pack 0.05, solve-stage 0.3, scatter 0.05: the
         # "solve" *leaf* (the engine stage) wins, not the parent span.
         assert self._trace().slowest_stage == "solve"
-        queued = self._trace(
-            dispatched_at=None, stage_seconds=None, solve_seconds=0.0
-        )
+        queued = self._trace(dispatched_at=None, stage_seconds=None)
         assert queued.slowest_stage == "queue"
 
     def test_stage_seconds_flattens_every_span(self):
@@ -177,50 +179,56 @@ class TestRequestTrace:
         # "solve" counts the parent span plus the engine stage.
         assert stages["solve"] == pytest.approx(0.4 + 0.3)
 
-    def test_number_context_materializes_lazily(self):
-        # The service's ingress path: submit stores one counter number,
-        # and the TraceContext object only exists once something reads
-        # it — with the request's deadline and the submit origin.
-        number = mint_request_number()
-        trace = self._trace(context=number, deadline=123.5)
-        assert trace._context is number  # nothing allocated yet
+    def test_fields_read_off_the_record(self):
+        record = flush_trace()
+        trace = RequestTrace(record, 1)
+        assert trace._fields is None  # nothing built yet
         context = trace.context
-        assert isinstance(context, TraceContext)
-        assert context.request_id == format_request_id(number)
+        assert context.request_id == format_request_id(record.first_number + 1)
+        assert context.trace_id.endswith(context.request_id[-8:])
         assert context.origin == "service.submit"
         assert context.deadline == 123.5
         # Cached: the second read returns the same object.
         assert trace.context is context
         assert trace.request_id == context.request_id
+        assert (trace.submitted_at, trace.dispatched_at, trace.completed_at) == (
+            100.0, 100.1, 100.5,
+        )
+        assert trace.solve_seconds == pytest.approx(0.4)
+        assert (trace.batch_sequence, trace.satellites, trace.flush_row) == (7, 8, 1)
 
-    def test_number_context_round_trips_and_formats(self):
-        trace = self._trace(context=mint_request_number())
-        assert trace.request_id in trace.format()
-        clone = RequestTrace.from_dict(trace.to_dict())
-        assert clone.request_id == trace.request_id
+    def test_rows_name_their_flush_position(self):
+        # A row screened out of the solve (flush row 1) keeps its id;
+        # the record's rows skip it.
+        record = flush_trace(rows=[0, 2])
+        ids = [RequestTrace(record, row).request_id for row in range(2)]
+        assert ids == [
+            format_request_id(record.first_number),
+            format_request_id(record.first_number + 2),
+        ]
 
-    def test_batch_peers_materialize_lazily_from_numbers(self):
-        numbers = tuple(mint_request_number() for _ in range(3))
-        trace = self._trace(batch_peers=numbers)
-        assert trace._peers is numbers
-        ids = trace.batch_peers
-        assert ids == tuple(format_request_id(n) for n in numbers)
-        assert trace.batch_peers is ids  # cached back
+    def test_peers_are_formatted_once_per_record(self):
+        record = flush_trace()
+        first, second = RequestTrace(record, 0), RequestTrace(record, 1)
+        assert first.batch_peers == tuple(
+            format_request_id(record.first_number + row) for row in range(2)
+        )
+        assert second.batch_peers is first.batch_peers
 
-    def test_batch_peers_materialize_lazily_from_contexts(self):
-        peers = tuple(TraceContext.new() for _ in range(3))
-        trace = self._trace(batch_peers=peers)
-        assert trace._peers is peers
-        ids = trace.batch_peers
-        assert ids == tuple(context.request_id for context in peers)
-        assert all(isinstance(peer, str) for peer in ids)
-        # Cached back: the second read skips re-formatting.
-        assert trace.batch_peers is ids
+    def test_screened_record_has_no_peers_or_block_row(self):
+        trace = self._trace(
+            dispatched_at=None, stage_seconds=None, counts=None, rung="screened"
+        )
+        assert trace.batch_peers == ()
+        assert (trace.satellites, trace.flush_row) == (-1, -1)
+        assert "batch #7 (0 peers), row -1, m=-1" in trace.format()
 
     def test_round_trip(self):
         trace = self._trace()
         clone = RequestTrace.from_dict(trace.to_dict())
         assert clone == trace
+        assert clone.to_dict() == trace.to_dict()
+        assert clone.format() == trace.format()
         assert clone.slowest_stage == trace.slowest_stage
 
     def test_format_names_lineage_and_stages(self):
@@ -228,9 +236,3 @@ class TestRequestTrace:
         assert "batch #7 (2 peers)" in rendered
         assert "row 1, m=8" in rendered
         assert "queue" in rendered and "scatter" in rendered
-
-    def test_rejects_completion_before_submission(self):
-        with pytest.raises(ConfigurationError, match="completed_at"):
-            assemble_request_trace(
-                TraceContext.new(), submitted_at=5.0, completed_at=4.0
-            )
