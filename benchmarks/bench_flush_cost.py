@@ -135,7 +135,7 @@ class _Lane:
             if meta.stage_seconds is None:
                 raise RuntimeError("a flush left the batched rung")
             self._add("solve", meta.stage_seconds["solve"])
-            self._add("fde", meta.stage_seconds["fde"])
+            self._add("fde", meta.stage_seconds.get("fde", 0.0))
         seconds = self.seconds
         engine = seconds.get("engine", 0.0)
         monitors = seconds.get("monitors", 0.0)

@@ -3,7 +3,7 @@
 Two arms, one verdict file:
 
 * **chaos** — the seeded spoof campaign from
-  :mod:`repro.validation.monitorchaos` (meaconing, slow position drag,
+  :mod:`repro.validation.chaos` (meaconing, slow position drag,
   clock pull, jamming ramps against the monitor-armed executor),
   reported as detection / false-alarm / time-to-detect statistics per
   attack family and gated at the campaign's own release gates
@@ -38,7 +38,7 @@ from repro.evaluation import TimingStats
 from repro.integrity.monitors import MonitorConfig
 from repro.service.executor import BatchExecutor
 from repro.service.types import ServiceConfig
-from repro.validation.monitorchaos import (
+from repro.validation.chaos import (
     MonitorChaosConfig,
     build_stream,
     run_monitor_chaos,

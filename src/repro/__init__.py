@@ -66,7 +66,6 @@ from repro.core import (
     VelocityFix,
     VelocitySolver,
     NavigationEkf,
-    RtsSmoother,
     GpsReceiver,
     compute_dop,
     DilutionOfPrecision,
@@ -107,7 +106,6 @@ from repro.validation import (
 )
 from repro.dgps import DgpsCorrections, DgpsReferenceStation, apply_corrections
 from repro.signals import (
-    CycleSlipDetector,
     HatchFilter,
     MultipathModel,
     ionosphere_free_epoch,
@@ -205,7 +203,6 @@ __all__ = [
     "VelocityFix",
     "VelocitySolver",
     "NavigationEkf",
-    "RtsSmoother",
     "GpsReceiver",
     "compute_dop",
     "DilutionOfPrecision",
@@ -213,7 +210,6 @@ __all__ = [
     "DgpsReferenceStation",
     "apply_corrections",
     "HatchFilter",
-    "CycleSlipDetector",
     "MultipathModel",
     "ionosphere_free_epoch",
     "SatellitePass",

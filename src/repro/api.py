@@ -379,18 +379,6 @@ def solve_batch(
     return solver.solve_batch(epochs, resolved.batch_biases(epochs, biases))
 
 
-def build_solver(
-    config: Union[SolverConfig, str, None] = None,
-) -> PositioningAlgorithm:
-    """A reusable scalar solver for ``config`` (see :func:`solve`)."""
-    return _as_config(config).build_solver()
-
-
-def build_batch_solver(config: Union[SolverConfig, str, None] = None):
-    """A reusable batch solver for ``config`` (see :func:`solve_batch`)."""
-    return _as_config(config).build_batch_solver()
-
-
 #: Synthetic-scene range band (meters): zenith to low-elevation slant
 #: ranges of a MEO shell, matching the validation scenario generator.
 _SCENE_RANGE_BAND = (2.0e7, 2.6e7)
@@ -546,7 +534,5 @@ __all__ = [
     "SolverConfig",
     "solve",
     "solve_batch",
-    "build_solver",
-    "build_batch_solver",
     "build_scene",
 ]

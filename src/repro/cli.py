@@ -606,10 +606,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.fde and args.spoof:
         raise ConfigurationError("--fde and --spoof are mutually exclusive")
-    if args.fde:
-        return _cmd_fuzz_fde(args)
-    if args.spoof:
-        return _cmd_fuzz_spoof(args)
+    if args.fde or args.spoof:
+        return _cmd_fuzz_chaos(args)
 
     if args.replay:
         with open(args.replay) as handle:
@@ -666,121 +664,55 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return exit_code(report.ok)
 
 
-def _cmd_fuzz_fde(args: argparse.Namespace) -> int:
-    from repro.validation import FdeChaosConfig, run_fde_chaos
+def _cmd_fuzz_chaos(args: argparse.Namespace) -> int:
+    """``fuzz --fde`` / ``fuzz --spoof``: one seeded chaos campaign."""
+    from dataclasses import asdict
 
-    if args.inject not in (None, "spike"):
-        raise ConfigurationError(
-            "--fde chaos mode injects pseudorange spikes; drop --inject "
-            "or use --inject spike"
-        )
-    config = FdeChaosConfig(
-        scenarios=args.scenarios if args.scenarios is not None else 400,
-        start_seed=args.seed,
-        spike_meters=args.spike_meters,
-        fault_rate=args.fault_rate if args.fault_rate > 0 else 0.5,
+    from repro.validation import (
+        FdeChaosConfig,
+        MonitorChaosConfig,
+        run_fde_chaos,
+        run_monitor_chaos,
     )
-    with _metrics_sink(args.metrics_out):
-        report = run_fde_chaos(config)
-    gates = report.to_dict()["gates"]
-    print(
-        f"FDE chaos: {report.faulted} spiked + {report.clean} clean epochs "
-        f"from seed {config.start_seed} "
-        f"({config.spike_meters:g} m spikes, m {config.min_satellites}-"
-        f"{config.max_satellites}, sigma {config.sigma_meters:g} m)"
-    )
-    print(
-        f"  identification: {report.identified}/{report.faulted} "
-        f"({100 * report.identification_rate:.1f}%, floor "
-        f"{100 * config.identification_floor:.0f}%) "
-        f"[{'PASS' if report.identification_ok else 'FAIL'}]"
-    )
-    print(
-        f"    missed {report.missed}, wrong satellite "
-        f"{report.misidentified}, detected-unrepaired "
-        f"{report.detected_unrepaired}"
-    )
-    print(
-        f"  false alarms: {report.false_alarms}/{report.clean} "
-        f"({100 * report.false_alarm_rate:.2f}%, budget "
-        f"{100 * gates['false_alarm']['budget']:.2f}%) "
-        f"[{'PASS' if report.false_alarm_ok else 'FAIL'}]"
-    )
-    for case in report.mistakes[:8]:
-        print(
-            f"    seed {case.seed}: injected PRN {case.injected_prn}, "
-            f"verdict {case.status}"
-            + (
-                f" (excluded PRN {case.excluded_prn})"
-                if case.excluded_prn is not None
-                else ""
+
+    scenarios = args.scenarios if args.scenarios is not None else 400
+    if args.fde:
+        if args.inject not in (None, "spike"):
+            raise ConfigurationError(
+                "--fde chaos mode injects pseudorange spikes; drop --inject "
+                "or use --inject spike"
             )
+        config = FdeChaosConfig(
+            scenarios=scenarios,
+            start_seed=args.seed,
+            spike_meters=args.spike_meters,
+            fault_rate=args.fault_rate if args.fault_rate > 0 else 0.5,
         )
-    if args.fde_out:
-        with open(args.fde_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote chaos verdict to {args.fde_out}")
-    return exit_code(report.ok)
-
-
-def _cmd_fuzz_spoof(args: argparse.Namespace) -> int:
-    from repro.validation import MonitorChaosConfig, run_monitor_chaos
-
-    if args.inject is not None:
-        raise ConfigurationError(
-            "--spoof chaos mode draws its own attack population "
-            "(meaconing, slow_drag, clock_pull, jamming_ramp); drop "
-            "--inject"
-        )
-    config = MonitorChaosConfig(
-        scenarios=args.scenarios if args.scenarios is not None else 400,
-        start_seed=args.seed,
-    )
-    with _metrics_sink(args.metrics_out):
-        report = run_monitor_chaos(config)
-    gates = report.to_dict()["gates"]
-    print(
-        f"spoof chaos: {report.attacks} attacked + {report.clean_streams} "
-        f"clean streams from seed {config.start_seed} "
-        f"({config.epochs_per_stream} epochs/stream, onset "
-        f"{config.onset_seconds:g} s, sigma {config.sigma_meters:g} m)"
-    )
-    print(
-        f"  detection: {report.detected_in_time}/{report.attacks} in time "
-        f"({100 * report.detection_rate:.1f}%, floor "
-        f"{100 * config.detection_floor:.0f}%) "
-        f"[{'PASS' if report.detection_ok else 'FAIL'}]"
-    )
-    for family, stats in report.families.items():
-        times = stats.to_dict()["time_to_detect_seconds"]
-        latency = (
-            f", mean ttd {times['mean']:.1f} s"
-            if times["mean"] is not None
-            else ""
-        )
-        print(
-            f"    {family}: {stats.detected_in_time}/{stats.attacks} in "
-            f"time ({stats.detected} detected{latency})"
-        )
-    print(
-        f"  false alarms: {report.false_alarm_epochs}/{report.clean_epochs} "
-        f"clean epochs ({100 * report.false_alarm_rate:.2f}%, budget "
-        f"{100 * gates['false_alarm']['budget']:.2f}%) "
-        f"[{'PASS' if report.false_alarm_ok else 'FAIL'}]"
-    )
-    for case in report.mistakes[:8]:
-        print(
-            f"    seed {case.seed} [{case.family}]: {case.outcome}"
-            + (
-                f" (detected at {case.detect_second:g} s)"
-                if case.detect_second is not None
-                else ""
+        output = args.fde_out
+    else:
+        if args.inject is not None:
+            raise ConfigurationError(
+                "--spoof chaos mode draws its own attack population "
+                "(meaconing, slow_drag, clock_pull, jamming_ramp); drop "
+                "--inject"
             )
-        )
-    if args.spoof_out:
-        with open(args.spoof_out, "w") as handle:
+        config = MonitorChaosConfig(scenarios=scenarios, start_seed=args.seed)
+        output = args.spoof_out
+    with _metrics_sink(args.metrics_out):
+        if args.fde:
+            report = run_fde_chaos(config)
+        else:
+            report = run_monitor_chaos(config)
+    print(report.headline())
+    for name, gate in report.gates.items():
+        print(f"  {name}: {gate}")
+    for case in report.mistakes[:8]:
+        fields = asdict(case).items()
+        print("    " + ", ".join(f"{k} {v}" for k, v in fields if v is not None))
+    if output:
+        with open(output, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote chaos verdict to {args.spoof_out}")
+        print(f"wrote chaos verdict to {output}")
     return exit_code(report.ok)
 
 

@@ -111,11 +111,6 @@ def system_code(index: int) -> str:
     return SYSTEM_CODES[idx]
 
 
-def system_ids_to_codes(system_ids: Sequence[int]) -> Tuple[str, ...]:
-    """Map a lane of numeric system ids to their codes."""
-    return tuple(system_code(index) for index in np.asarray(system_ids).ravel())
-
-
 def constellation_signature(system_ids: Union[Sequence[int], np.ndarray]) -> str:
     """Compact per-epoch signature, e.g. ``"G5R3"``.
 

@@ -3,7 +3,7 @@
 * :class:`GpsReceiver` — the end-to-end pipeline: NR warm-up, clock
   bias prediction, then closed-form solving, with threshold-reset
   recalibration.
-* Velocity, EKF/smoother, satellite selection, and DOP — the
+* Velocity, EKF, satellite selection, and DOP — the
   machinery around the solvers.
 
 The solver implementations themselves (NR, DLO, DLG, Bancroft and the
@@ -37,7 +37,6 @@ from repro.solvers.batch import (
 from repro.integrity.raim import RaimMonitor, RaimResult, chi_square_quantile
 from repro.core.velocity import VelocityFix, VelocitySolver
 from repro.core.ekf import NavigationEkf
-from repro.core.smoother import RtsSmoother
 from repro.core.selection import (
     BaseSatelliteSelector,
     FirstSelector,
@@ -69,7 +68,6 @@ __all__ = [
     "VelocityFix",
     "VelocitySolver",
     "NavigationEkf",
-    "RtsSmoother",
     "BaseSatelliteSelector",
     "FirstSelector",
     "RandomSelector",

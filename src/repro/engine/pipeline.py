@@ -129,7 +129,7 @@ class EngineResult:
         Wall-time split of the call: ``pack`` (object→columnar
         conversion; ~0 when the caller passed columnar input),
         ``validate`` (vectorized integrity screening), ``solve`` (the
-        kernel call), ``fde`` (integrity gate, 0 when disabled), and
+        kernel call), ``fde`` (integrity gate; only when it is armed), and
         ``scatter`` (NaN-filling rows the screen dropped; ~0 when every
         row solved).
     """
@@ -594,18 +594,20 @@ class PositioningEngine:
                 1.0
                 - (len(dropped_indices) + len(invalid_indices)) / total
             )
+        stage_seconds = {
+            "pack": pack_seconds,
+            "validate": validate_seconds,
+            "solve": solve_seconds,
+        }
+        if self._fde is not None:
+            stage_seconds["fde"] = fde_seconds
+        stage_seconds["scatter"] = scatter_seconds
         return EngineResult(
             positions=positions,
             clock_biases=clock_biases,
             algorithm=self._algorithm,
             diagnostics=diagnostics,
-            stage_seconds={
-                "pack": pack_seconds,
-                "validate": validate_seconds,
-                "solve": solve_seconds,
-                "fde": fde_seconds,
-                "scatter": scatter_seconds,
-            },
+            stage_seconds=stage_seconds,
             constellation_biases=constellation_biases,
         )
 

@@ -41,7 +41,7 @@ the router during dispatch.  A worker that dies mid-batch never hangs
 or drops its requests — the seqlock on the response lane proves the
 batch incomplete and every in-flight request resurfaces as
 ``status="retryable"``.  Crashed workers restart against the same slab
-within a bounded budget (``max_restarts``); past it the shard degrades
+within a bounded budget (``MAX_RESTARTS``); past it the shard degrades
 to the remaining workers.  :meth:`ShardedPositioningService.stop`
 drains queued work before shutdown, and slabs are always unlinked —
 restart and shutdown leak nothing into ``/dev/shm`` (the lifecycle
@@ -99,6 +99,20 @@ SLOTS_PER_WORKER = 4
 #: by the router.  Sixteen covers one constellation's visible sky.
 SLOT_SATELLITES = 16
 
+#: Worker liveness: how often an idle worker stamps its heartbeat, and
+#: how stale the stamp may grow before the supervisor declares the
+#: worker dead even without a pipe EOF.
+HEARTBEAT_INTERVAL_SECONDS = 0.05
+HEARTBEAT_TIMEOUT_SECONDS = 5.0
+
+#: Per-worker crash-restart budget; exhausted, the worker slot is
+#: abandoned and the shard degrades to the remaining workers.
+MAX_RESTARTS = 2
+
+#: How long :meth:`ShardedPositioningService.stop` waits for in-flight
+#: batches before giving up on a worker.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
 #: Response-slab bytes per row for error texts.  Each distinct text of
 #: a batch is stored NUL-terminated (NULs inside it dropped), cut to
 #: ``TEXT_BYTES - 1`` UTF-8 bytes at a character boundary.
@@ -136,25 +150,15 @@ class ShardConfig:
         worker count, decides batch composition.  A slab slot holds
         exactly one batch: ``batch_size`` epochs of up to
         ``SLOT_SATELLITES`` satellites.
-    heartbeat_interval_seconds / heartbeat_timeout_seconds:
-        Worker liveness: how often an idle worker stamps its heartbeat,
-        and how stale the stamp may grow before the supervisor declares
-        the worker dead even without a pipe EOF.
-    max_restarts:
-        Per-worker crash-restart budget; exhausted → the worker slot is
-        abandoned and the shard degrades to the remaining workers.
-    drain_timeout_seconds:
-        How long :meth:`ShardedPositioningService.stop` waits for
-        in-flight batches before giving up on a worker.
+
+    Supervision timing and the restart budget are module constants
+    (``HEARTBEAT_INTERVAL_SECONDS``, ``HEARTBEAT_TIMEOUT_SECONDS``,
+    ``MAX_RESTARTS``, ``DRAIN_TIMEOUT_SECONDS``).
     """
 
     service: ServiceConfig = field(default_factory=ServiceConfig)
     workers: int = 2
     batch_size: int = 64
-    heartbeat_interval_seconds: float = 0.05
-    heartbeat_timeout_seconds: float = 5.0
-    max_restarts: int = 2
-    drain_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
         # The shard answers through the router's own dispatch loop,
@@ -170,14 +174,6 @@ class ShardConfig:
             raise ConfigurationError("workers must be >= 0")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if self.heartbeat_interval_seconds <= 0:
-            raise ConfigurationError("heartbeat_interval_seconds must be positive")
-        if self.heartbeat_timeout_seconds <= self.heartbeat_interval_seconds:
-            raise ConfigurationError(
-                "heartbeat_timeout_seconds must exceed the interval"
-            )
-        if self.max_restarts < 0:
-            raise ConfigurationError("max_restarts must be >= 0")
 
 
 def slab_layout(config: ShardConfig) -> SlabLayout:
@@ -667,7 +663,7 @@ class ShardedPositioningService:
                 self._layout.nbytes,
                 self._config.service,
                 child_conn,
-                self._config.heartbeat_interval_seconds,
+                HEARTBEAT_INTERVAL_SECONDS,
             ),
             daemon=True,
         )
@@ -685,7 +681,7 @@ class ShardedPositioningService:
         if not self._running:
             return
         if drain and self._workers:
-            deadline = time.monotonic() + self._config.drain_timeout_seconds
+            deadline = time.monotonic() + DRAIN_TIMEOUT_SECONDS
             for worker in self._workers:
                 while worker.alive and worker.inflight:
                     if time.monotonic() >= deadline:
@@ -935,7 +931,7 @@ class ShardedPositioningService:
     def _reap_dead(self, results, epochs) -> None:
         """Detect dead/wedged workers; resurface their in-flight work."""
         now = time.monotonic_ns()
-        timeout_ns = int(self._config.heartbeat_timeout_seconds * 1e9)
+        timeout_ns = int(HEARTBEAT_TIMEOUT_SECONDS * 1e9)
         for worker in self._workers:
             if not worker.alive and not worker.inflight:
                 continue
@@ -991,7 +987,7 @@ class ShardedPositioningService:
                 worker.conn = None
             if worker.process is not None:
                 worker.process.join(timeout=2.0)
-            if worker.restarts < self._config.max_restarts:
+            if worker.restarts < MAX_RESTARTS:
                 worker.restarts += 1
                 if metrics is not None:
                     metrics.restarts.inc()

@@ -229,20 +229,6 @@ class SharedSlab:
             self.unlink()
 
 
-def list_slabs(directory: Optional[str] = None) -> List[str]:
-    """Paths of every slab file currently present (for leak checks)."""
-    directory = directory if directory is not None else shm_dir()
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return []
-    return sorted(
-        os.path.join(directory, name)
-        for name in names
-        if name.startswith(SLAB_PREFIX)
-    )
-
-
 # -- the seqlock protocol ----------------------------------------------
 #
 # One int64 pair per slot: ``begin[slot]`` stamps before the payload

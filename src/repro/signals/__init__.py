@@ -19,7 +19,6 @@ from repro.signals.pseudorange import (
 )
 from repro.signals.smoothing import HatchFilter
 from repro.signals.multipath import MultipathModel
-from repro.signals.cycleslips import CycleSlipDetector
 from repro.signals.dualfreq import (
     ionosphere_free_epoch,
     ionosphere_free_pseudorange,
@@ -28,9 +27,6 @@ from repro.signals.dualfreq import (
 from repro.signals.features import (
     SignalFeatureConfig,
     SignalFeatureModel,
-    agc_proxy_db,
-    carrier_code_divergence,
-    divergence_rate,
     elevations_from_geometry,
     nominal_cn0_dbhz,
 )
@@ -44,15 +40,11 @@ __all__ = [
     "MeasurementCorrector",
     "HatchFilter",
     "MultipathModel",
-    "CycleSlipDetector",
     "ionosphere_free_epoch",
     "ionosphere_free_pseudorange",
     "NOISE_AMPLIFICATION",
     "SignalFeatureConfig",
     "SignalFeatureModel",
-    "agc_proxy_db",
-    "carrier_code_divergence",
-    "divergence_rate",
     "elevations_from_geometry",
     "nominal_cn0_dbhz",
 ]

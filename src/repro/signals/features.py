@@ -15,12 +15,7 @@ This module is the feature side of the signal-plausibility plane
   curve every monitor compares against;
 * :class:`SignalFeatureModel` — a seeded synthesizer attaching
   realistic C/N0 to simulated epochs (the monitors' test harnesses and
-  the spoof chaos campaign both draw from it);
-* :func:`agc_proxy_db` — the common-mode C/N0 deviation, a software
-  proxy for the AGC excursions jamming produces;
-* :func:`carrier_code_divergence` / :func:`divergence_rate` — the
-  carrier/code coherence feature (code-only manipulation diverges the
-  two observables at a rate ionospheric drift cannot explain).
+  the spoof chaos campaign both draw from it).
 
 Everything is vectorized over the columnar lanes
 (:class:`~repro.blocks.EpochBlock` C/N0 is ``(N, m)`` NaN-padded), so
@@ -42,9 +37,6 @@ __all__ = [
     "SignalFeatureModel",
     "nominal_cn0_dbhz",
     "elevations_from_geometry",
-    "agc_proxy_db",
-    "carrier_code_divergence",
-    "divergence_rate",
 ]
 
 #: Default open-sky C/N0 at zenith / at the horizon mask (dB-Hz).
@@ -88,52 +80,6 @@ def elevations_from_geometry(
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_el = np.sum(los * up[..., np.newaxis, :], axis=-1) / los_norm
     return np.arcsin(np.clip(sin_el, -1.0, 1.0))
-
-
-def agc_proxy_db(cn0: np.ndarray, nominal: np.ndarray) -> np.ndarray:
-    """Common-mode C/N0 deviation (dB), an AGC-excursion proxy.
-
-    The per-epoch mean of ``cn0 - nominal`` over reporting satellites
-    (NaN-aware).  Broadband interference drives the front end's AGC —
-    and with it every channel's C/N0 — down *together*; per-satellite
-    effects (multipath, a single blocked ray) do not.  Input shapes
-    ``(..., m)``; returns ``(...,)``, NaN where no satellite reports.
-    """
-    deviation = np.asarray(cn0, dtype=float) - np.asarray(nominal, dtype=float)
-    with np.errstate(invalid="ignore"):
-        counts = np.isfinite(deviation).sum(axis=-1)
-        sums = np.nansum(np.where(np.isfinite(deviation), deviation, 0.0), axis=-1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-
-def carrier_code_divergence(epoch: ObservationEpoch) -> np.ndarray:
-    """Per-satellite carrier-minus-code divergence (meters), NaN-padded.
-
-    ``carrier_range - pseudorange`` per observation; constant per pass
-    (the carrier ambiguity) apart from twice the ionospheric delay, so
-    its *rate* (:func:`divergence_rate`) is bounded by ionospheric
-    dynamics — code-only spoofing breaks that bound.
-    """
-    return np.array(
-        [
-            (obs.carrier_range - obs.pseudorange)
-            if obs.carrier_range is not None
-            else np.nan
-            for obs in epoch.observations
-        ],
-        dtype=float,
-    )
-
-
-def divergence_rate(
-    previous: np.ndarray, current: np.ndarray, dt_seconds: float
-) -> np.ndarray:
-    """Carrier/code divergence rate (m/s) between two aligned epochs."""
-    if not np.isfinite(dt_seconds) or dt_seconds <= 0:
-        raise ConfigurationError("dt_seconds must be positive and finite")
-    return (np.asarray(current, dtype=float) - np.asarray(previous, dtype=float)) / (
-        float(dt_seconds)
-    )
 
 
 @dataclass(frozen=True)

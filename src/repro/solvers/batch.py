@@ -630,19 +630,6 @@ class BatchDLGSolver(_BatchDirectSolver):
         return solutions, norms, system
 
 
-def solve_dlg_stack(
-    positions: np.ndarray,
-    corrected: np.ndarray,
-    occupied: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-constellation DLG over stacked (optionally padded) epochs.
-
-    Returns ``(solutions (N, 3), whitened norms (N,))``.  Padded slots
-    (``occupied`` false) get zero weight.
-    """
-    return build_range_systems(positions, corrected, occupied).solve()
-
-
 @dataclass(frozen=True)
 class BatchNrResult:
     """Full per-epoch record of a batched Newton-Raphson solve.
@@ -882,4 +869,3 @@ class BatchNewtonRaphsonSolver:
             if active.size == 0:
                 break
         return states, iterations, converged
-

@@ -66,11 +66,6 @@ _STATUS_CLASSES: Dict[str, str] = {
 }
 
 
-def status_class(status: str) -> str:
-    """``success`` / ``error`` / ``client`` for a service status."""
-    return _STATUS_CLASSES.get(status, "error")
-
-
 class QuantileSketch:
     """Mergeable log-bucket quantile sketch with relative-error bounds.
 

@@ -1,31 +1,15 @@
-"""Small shared helpers: validation, numeric utilities, statistics."""
+"""Small shared helpers: argument validation and angle wrapping."""
 
 from repro.utils.validation import (
     require_finite_array,
-    require_positive,
-    require_in_range,
     require_shape,
 )
 from repro.utils.mathutil import (
     wrap_angle,
-    unit_vector,
-    safe_norm,
-)
-from repro.utils.stats import (
-    SummaryStats,
-    summarize,
-    percentile,
 )
 
 __all__ = [
     "require_finite_array",
-    "require_positive",
-    "require_in_range",
     "require_shape",
     "wrap_angle",
-    "unit_vector",
-    "safe_norm",
-    "SummaryStats",
-    "summarize",
-    "percentile",
 ]

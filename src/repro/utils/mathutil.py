@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle in radians into the interval ``(-pi, pi]``.
@@ -19,23 +17,3 @@ def wrap_angle(angle: float) -> float:
     elif wrapped <= -math.pi:
         wrapped += 2.0 * math.pi
     return wrapped
-
-
-def safe_norm(vector: np.ndarray) -> float:
-    """Euclidean norm computed in a way that never returns exactly zero
-    for a nonzero input and never raises for well-formed input."""
-    return float(np.linalg.norm(np.asarray(vector, dtype=float)))
-
-
-def unit_vector(vector: np.ndarray) -> np.ndarray:
-    """Return ``vector / ||vector||``.
-
-    Raises ``ZeroDivisionError`` for the zero vector, which is always a
-    logic error at the call sites (a satellite coincident with the
-    receiver), so we surface it rather than silently returning NaNs.
-    """
-    array = np.asarray(vector, dtype=float)
-    norm = float(np.linalg.norm(array))
-    if norm == 0.0:
-        raise ZeroDivisionError("cannot normalize the zero vector")
-    return array / norm

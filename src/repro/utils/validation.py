@@ -7,31 +7,11 @@ instead of surfacing as a numpy broadcasting error deep inside a solver.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-Number = Union[int, float]
-
-
-def require_positive(name: str, value: Number) -> float:
-    """Return ``value`` as a float after checking it is finite and > 0."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
-def require_in_range(name: str, value: Number, low: Number, high: Number) -> float:
-    """Return ``value`` as a float after checking ``low <= value <= high``."""
-    value = float(value)
-    if not np.isfinite(value) or value < low or value > high:
-        raise ConfigurationError(
-            f"{name} must be within [{low}, {high}], got {value!r}"
-        )
-    return value
 
 
 def require_finite_array(name: str, value: object) -> np.ndarray:

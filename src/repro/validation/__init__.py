@@ -15,29 +15,25 @@ The subsystem that tests the rest of the library *against itself*:
 * :mod:`repro.validation.fuzzer` — the seeded budget-driven harness
   behind ``repro-gps fuzz``, persisting failures as replayable JSON
   artifacts;
-* :mod:`repro.validation.fdechaos` — the chaos loop behind
-  ``repro-gps fuzz --fde``: seeded pseudorange spikes against the
+* :mod:`repro.validation.chaos` — the two seeded chaos campaigns
+  behind ``repro-gps fuzz --fde`` (pseudorange spikes against the
   batch FDE gate, graded on injected-PRN identification and realized
-  false-alarm rate;
-* :mod:`repro.validation.monitorchaos` — the chaos loop behind
-  ``repro-gps fuzz --spoof``: seeded spoofing/interference streams
-  against the signal-plausibility monitor suite, graded on in-time
-  detection and clean-stream false-alarm rate.
+  false-alarm rate) and ``repro-gps fuzz --spoof`` (spoofing and
+  interference streams against the signal-plausibility monitors,
+  graded on in-time detection and clean-stream false-alarm rate).
 """
 
-from repro.validation.fdechaos import (
+from repro.validation.chaos import (
+    ATTACK_FAMILIES,
+    ChaosGate,
+    FamilyStats,
     FdeChaosCase,
     FdeChaosConfig,
     FdeChaosReport,
-    run_fde_chaos,
-)
-
-from repro.validation.monitorchaos import (
-    ATTACK_FAMILIES,
-    FamilyStats,
     MonitorChaosCase,
     MonitorChaosConfig,
     MonitorChaosReport,
+    run_fde_chaos,
     run_monitor_chaos,
 )
 
@@ -116,6 +112,7 @@ __all__ = [
     "SlowPositionDrag",
     "SpoofFault",
     "fault_from_spec",
+    "ChaosGate",
     "FdeChaosCase",
     "FdeChaosConfig",
     "FdeChaosReport",

@@ -12,7 +12,6 @@ from repro.constellation.systems import (
     group_layout,
     normalize_system,
     system_code,
-    system_ids_to_codes,
     system_index,
 )
 from repro.errors import ConfigurationError
@@ -49,9 +48,6 @@ class TestRegistry:
             system_code(-1)
         with pytest.raises(ConfigurationError):
             system_code(len(SYSTEM_CODES))
-
-    def test_ids_to_codes(self):
-        assert system_ids_to_codes([0, 1, 0, 3]) == ("G", "R", "G", "C")
 
 
 class TestSignature:

@@ -9,6 +9,7 @@ from repro.clocks import ConstantClockBiasPredictor
 from repro.core import DLGSolver, DLOSolver, NewtonRaphsonSolver
 from repro.engine import EngineDiagnostics, PositioningEngine
 from repro.errors import ConfigurationError, GeometryError
+from repro.integrity import FdeConfig
 
 BIAS = 21.0
 
@@ -134,6 +135,29 @@ class TestDiagnostics:
             "fde": None,
         }
         json.dumps(doc)
+
+
+class TestStageSplit:
+    """``stage_seconds`` names only the stages that ran."""
+
+    @pytest.mark.parametrize("algorithm", ["dlo", "dlg", "nr"])
+    def test_no_fde_stage_without_the_gate(self, mixed_stream, algorithm):
+        result = PositioningEngine(algorithm=algorithm).solve_stream(
+            mixed_stream, biases=[BIAS] * len(mixed_stream)
+        )
+        assert list(result.stage_seconds) == ["pack", "validate", "solve", "scatter"]
+
+    def test_fde_armed_stream_reports_its_fde_stage(self, mixed_stream):
+        engine = PositioningEngine(algorithm="dlg", fde_config=FdeConfig())
+        result = engine.solve_stream(mixed_stream, biases=[BIAS] * len(mixed_stream))
+        assert list(result.stage_seconds) == [
+            "pack",
+            "validate",
+            "solve",
+            "fde",
+            "scatter",
+        ]
+        assert result.stage_seconds["fde"] > 0.0
 
 
 class TestValidation:

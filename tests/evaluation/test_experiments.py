@@ -22,7 +22,10 @@ def quick_config():
         recalibration_interval=30,
         evaluation_stride=10,
         max_evaluation_epochs=20,
-        timing_repeats=1,
+        # Best of 15 passes: one pass over 5 epochs lasts tens of
+        # microseconds, so a single preemption could flip the Fig. 5.1
+        # time rates.
+        timing_repeats=15,
         timing_epochs=5,
         dataset=DatasetConfig(duration_seconds=400.0),
     )

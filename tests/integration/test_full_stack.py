@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro import (
-    CycleSlipDetector,
     DatasetConfig,
     GpsReceiver,
     HatchFilter,
     NavigationEkf,
     NewtonRaphsonSolver,
     ObservationDataset,
-    RtsSmoother,
     VelocitySolver,
     get_station,
     ionosphere_free_epoch,
@@ -55,14 +53,11 @@ class TestAllObservablesDataset:
         """Hatch + iono-free + velocity + RAIM on the same rich epochs."""
         station = get_station("SRZN")
         hatch = HatchFilter(window=20)
-        detector = CycleSlipDetector()
         nr = NewtonRaphsonSolver()
         velocity_solver = VelocitySolver()
 
         for index in range(rich_dataset.epoch_count):
             epoch = rich_dataset.epoch_at(index)
-            for prn in detector.check_epoch(epoch):
-                hatch.reset(prn)
             smoothed = hatch.smooth_epoch(epoch)
             combined = ionosphere_free_epoch(epoch)
 
@@ -72,14 +67,6 @@ class TestAllObservablesDataset:
             assert fix_if.distance_to(station.position) < 60.0
             velocity = velocity_solver.solve(epoch, fix.position)
             assert velocity.speed < 1.0  # static station
-
-    def test_no_spurious_slips_in_clean_stream(self, rich_dataset):
-        # The threshold must sit above the *differenced* code noise:
-        # low-elevation satellites here carry sigma ~3.5 m, so the
-        # between-epoch cmc scatter reaches ~2 * sqrt(2) * 3.5 ~ 10 m.
-        detector = CycleSlipDetector(threshold_meters=25.0)
-        for index in range(rich_dataset.epoch_count):
-            assert detector.check_epoch(rich_dataset.epoch_at(index)) == []
 
 
 class TestRinexAcrossEphemerisRefresh:
@@ -145,18 +132,21 @@ class TestRinexAcrossEphemerisRefresh:
 class TestSmoothedSequentialPipeline:
     def test_ekf_on_hatch_smoothed_epochs(self):
         """The best static configuration: carrier smoothing under a
-        sequential filter, then RTS for post-processing."""
+        sequential filter."""
         station = get_station("FAI1")
         dataset = ObservationDataset(
             station,
             DatasetConfig(duration_seconds=120.0, track_carrier=True),
         )
         hatch = HatchFilter(window=60)
-        smoother = RtsSmoother(NavigationEkf(position_process_noise=0.05))
-        for index in range(dataset.epoch_count):
-            smoother.process(hatch.smooth_epoch(dataset.epoch_at(index)))
-        smoothed = smoother.smooth()
-        errors = np.linalg.norm(smoothed[60:] - station.position, axis=1)
+        ekf = NavigationEkf(position_process_noise=0.05)
+        filtered = np.array(
+            [
+                ekf.process(hatch.smooth_epoch(dataset.epoch_at(index))).position
+                for index in range(dataset.epoch_count)
+            ]
+        )
+        errors = np.linalg.norm(filtered[60:] - station.position, axis=1)
         # Stacked layers: comfortably under the raw ~3 m NR error.
         assert np.mean(errors) < 2.0
 

@@ -24,11 +24,7 @@ from repro.errors import EstimationError, GeometryError
 from repro.integrity import BatchFde, FdeConfig, FdeRecord
 from repro.integrity.fde import leave_one_out
 from repro.solvers import BatchDLGSolver
-from repro.solvers.batch import (
-    build_difference_systems,
-    build_range_systems,
-    solve_dlg_stack,
-)
+from repro.solvers.batch import build_difference_systems, build_range_systems
 
 BIAS = 1_234.5
 SYSTEM_BIASES = {"G": 120.0, "R": -45.0, "E": 3_000.0, "C": -2_500.0}
@@ -70,7 +66,7 @@ def single_oracle(positions, corrected, keep):
     design, _rhs = build_difference_systems(positions, corrected)
     if np.linalg.matrix_rank(design[0]) < 3:
         return None, np.inf
-    solution, norm = solve_dlg_stack(positions, corrected)
+    solution, norm = build_range_systems(positions, corrected).solve()
     return solution[0], norm[0] ** 2
 
 

@@ -34,8 +34,8 @@ from repro.service import (
 )
 from repro.service.executor import BatchExecutor
 from repro.service.shard import SLOT_SATELLITES, SLOTS_PER_WORKER
-from repro.service.shm import list_slabs
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
+from tests.service.slabs import list_slabs
 
 
 def make_epochs(count=40):
@@ -52,13 +52,24 @@ def shard_config(**overrides) -> ShardConfig:
         ),
         workers=2,
         batch_size=16,
-        heartbeat_interval_seconds=0.02,
-        heartbeat_timeout_seconds=5.0,
-        max_restarts=2,
-        drain_timeout_seconds=5.0,
     )
     settings.update(overrides)
     return ShardConfig(**settings)
+
+
+@pytest.fixture(autouse=True)
+def supervision(monkeypatch):
+    """Fast heartbeats, a short drain and a restart budget of two.
+
+    The supervision knobs are module constants: the router reads them
+    at call time, and workers fork after the patch, so both sides see
+    the patched values.  A test changes one with ``monkeypatch`` before
+    it starts its shard.
+    """
+    monkeypatch.setattr(shard_module, "HEARTBEAT_INTERVAL_SECONDS", 0.02)
+    monkeypatch.setattr(shard_module, "HEARTBEAT_TIMEOUT_SECONDS", 5.0)
+    monkeypatch.setattr(shard_module, "MAX_RESTARTS", 2)
+    monkeypatch.setattr(shard_module, "DRAIN_TIMEOUT_SECONDS", 5.0)
 
 
 @pytest.fixture(autouse=True)
@@ -143,8 +154,8 @@ class TestSalvage:
             ),
             workers=1,
             batch_size=32,
-            max_restarts=0,
         )
+        monkeypatch.setattr(shard_module, "MAX_RESTARTS", 0)
         with ShardedPositioningService(replace(config, workers=0)) as shard:
             inline = shard.solve_many(epochs, bias_meters=biases)
         assert inline[3].status == "invalid" and inline[3].error
@@ -176,7 +187,7 @@ class TestExecutorException:
         # Patched before the fork, so the worker inherits it.
         monkeypatch.setattr(BatchExecutor, "execute_packed", poison)
         epochs = make_epochs(32)
-        config = shard_config(workers=workers, max_restarts=2)
+        config = shard_config(workers=workers)
         with ShardedPositioningService(config) as shard:
             results = shard.solve_many(epochs)
             assert shard.live_workers == workers
@@ -279,9 +290,10 @@ class TestBiasOverrideLength:
 
 
 class TestRestartBudget:
-    def test_exhaustion_degrades_to_remaining_workers(self):
+    def test_exhaustion_degrades_to_remaining_workers(self, monkeypatch):
         epochs = make_epochs(32)
-        config = shard_config(workers=2, max_restarts=0)
+        monkeypatch.setattr(shard_module, "MAX_RESTARTS", 0)
+        config = shard_config(workers=2)
         with ShardedPositioningService(config) as shard:
             assert shard.live_workers == 2
             shard.inject_crash(0, after_rows=3)
@@ -293,9 +305,10 @@ class TestRestartBudget:
             assert all(r.status == "ok" for r in second)
             assert shard.live_workers == 1
 
-    def test_all_workers_dead_fails_structurally_not_hangs(self):
+    def test_all_workers_dead_fails_structurally_not_hangs(self, monkeypatch):
         epochs = make_epochs(32)
-        config = shard_config(workers=1, max_restarts=0)
+        monkeypatch.setattr(shard_module, "MAX_RESTARTS", 0)
+        config = shard_config(workers=1)
         with ShardedPositioningService(config) as shard:
             shard.inject_crash(0, after_rows=1)
             started = time.monotonic()
@@ -311,16 +324,13 @@ class TestRestartBudget:
 
 
 class TestHeartbeatReap:
-    def test_stalled_worker_is_reaped_and_replaced(self):
+    def test_stalled_worker_is_reaped_and_replaced(self, monkeypatch):
         """A wedged worker (alive process, no heartbeats) is detected
         by heartbeat staleness, killed, and its batch resurfaced."""
         epochs = make_epochs(16)
-        config = shard_config(
-            workers=1,
-            heartbeat_interval_seconds=0.02,
-            heartbeat_timeout_seconds=0.4,
-            max_restarts=1,
-        )
+        monkeypatch.setattr(shard_module, "HEARTBEAT_TIMEOUT_SECONDS", 0.4)
+        monkeypatch.setattr(shard_module, "MAX_RESTARTS", 1)
+        config = shard_config(workers=1)
         with ShardedPositioningService(config) as shard:
             shard.inject_stall(0)
             started = time.monotonic()
@@ -365,7 +375,7 @@ class TestGracefulDrain:
 class TestSlabLifecycle:
     def test_no_leak_across_restart_cycles(self):
         epochs = make_epochs(16)
-        config = shard_config(workers=2, max_restarts=2)
+        config = shard_config(workers=2)
         before = set(list_slabs())
         with ShardedPositioningService(config) as shard:
             during = set(list_slabs()) - before

@@ -17,9 +17,9 @@ from repro.integrity.fde import FdeConfig
 from repro.integrity.health import HealthConfig
 from repro.integrity.monitors import MonitorConfig
 from repro.service import ServiceConfig, ShardConfig, ShardedPositioningService
-from repro.service.shm import list_slabs
 from repro.validation.faults import DuplicateSatellite, NonFiniteMeasurement
 from repro.validation.scenarios import ScenarioConfig, ScenarioGenerator
+from tests.service.slabs import list_slabs
 from tests.service import test_monitor_integration as monitored
 from tests.service.test_shard_determinism import (
     SEEDS,

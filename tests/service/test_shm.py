@@ -20,13 +20,13 @@ from repro.service.shm import (
     SlabLayout,
     TornBatchError,
     check_sealed,
-    list_slabs,
     shm_dir,
     stamp_begin,
     stamp_end,
 )
 from repro.blocks import pack_stream
 from repro.validation.scenarios import ScenarioGenerator
+from tests.service.slabs import list_slabs
 
 
 # -- SlabLayout --------------------------------------------------------

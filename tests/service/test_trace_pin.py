@@ -25,7 +25,9 @@ from tests.service.test_service import coplanar_epoch
 OK_FIRST, QUEUED_TIMEOUT, CANCELLED, SOLVE_TIMEOUT, OK_LAST = range(5)
 SCALAR_ROWS = range(5, 10)
 BATCH = 5
-STAGES = ["pack", "validate", "solve", "fde", "scatter"]
+#: The engine stages an integrity-free flush runs (no FDE gate, no
+#: ``fde`` span).
+STAGES = ["pack", "validate", "solve", "scatter"]
 
 #: Fields of ``RequestTrace.to_dict()`` that read the loop clock.
 TIMING = {
@@ -238,7 +240,6 @@ class TestTracePin:
             "      pack <t> ms",
             "      validate <t> ms",
             "      solve <t> ms",
-            "      fde <t> ms",
             "      scatter <t> ms",
         ]
         rid, tid = names[QUEUED_TIMEOUT]

@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.mathutil import safe_norm, unit_vector, wrap_angle
+from repro.utils.mathutil import wrap_angle
 
 
 class TestWrapAngle:
@@ -36,30 +35,3 @@ class TestWrapAngle:
         # sin/cos must agree with the original angle.
         assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-9)
         assert math.cos(wrapped) == pytest.approx(math.cos(angle), abs=1e-9)
-
-
-class TestUnitVector:
-    def test_normalizes(self):
-        result = unit_vector(np.array([3.0, 0.0, 4.0]))
-        np.testing.assert_allclose(result, [0.6, 0.0, 0.8])
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ZeroDivisionError):
-            unit_vector(np.zeros(3))
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e8, max_value=1e8), min_size=3, max_size=3
-        ).filter(lambda v: any(abs(x) > 1e-6 for x in v))
-    )
-    def test_unit_norm(self, vector):
-        assert np.linalg.norm(unit_vector(np.array(vector))) == pytest.approx(1.0)
-
-
-class TestSafeNorm:
-    def test_matches_numpy(self):
-        v = np.array([1.0, 2.0, 2.0])
-        assert safe_norm(v) == pytest.approx(3.0)
-
-    def test_returns_python_float(self):
-        assert isinstance(safe_norm(np.array([1.0, 0.0])), float)

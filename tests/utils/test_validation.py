@@ -6,53 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import (
-    require_finite_array,
-    require_in_range,
-    require_positive,
-    require_shape,
-)
-
-
-class TestRequirePositive:
-    def test_accepts_positive(self):
-        assert require_positive("x", 2.5) == 2.5
-
-    def test_accepts_int(self):
-        assert require_positive("x", 3) == 3.0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ConfigurationError, match="x"):
-            require_positive("x", 0.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            require_positive("x", -1.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ConfigurationError):
-            require_positive("x", math.nan)
-
-    def test_rejects_inf(self):
-        with pytest.raises(ConfigurationError):
-            require_positive("x", math.inf)
-
-
-class TestRequireInRange:
-    def test_accepts_inside(self):
-        assert require_in_range("x", 0.5, 0.0, 1.0) == 0.5
-
-    def test_accepts_boundaries(self):
-        assert require_in_range("x", 0.0, 0.0, 1.0) == 0.0
-        assert require_in_range("x", 1.0, 0.0, 1.0) == 1.0
-
-    def test_rejects_outside(self):
-        with pytest.raises(ConfigurationError):
-            require_in_range("x", 1.01, 0.0, 1.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ConfigurationError):
-            require_in_range("x", math.nan, 0.0, 1.0)
+from repro.utils.validation import require_finite_array, require_shape
 
 
 class TestRequireFiniteArray:
